@@ -3,9 +3,22 @@
 The network model is magnitude-only per-unit phasor: real impedances,
 an external voltage source behind a source impedance, distributed
 generation as ideal current sources with a fault-injection cap, and
-definite-time breakers. Fault currents are solved by series/parallel
-reduction on the feeder tree with superposition of the current sources,
-which is exact on radial networks.
+definite-time breakers.
+
+Each network is compiled once into a rooted tree of bus indices
+(RadialNetwork.compiled): buses parent before child, each bus's parent
+line and its orientation, the impedance z from the root, breaker
+indexes, and a lowest-common-ancestor table (Bender & Farach-Colton,
+"The LCA Problem Revisited", 2000). A fault solve places the source,
+DER and fault currents as nodal injections and sums them over subtrees
+in one bottom-up pass, which gives every branch current and is exact on
+radial networks; an open line cuts its subtree off.
+
+A DER feeding a source-fed fault f splits its current where its path
+meets the source-fault path, at junction j. The share that arrives is
+(Zs + z[j]) / (Zs + z[f] + Zf): the source side against the whole loop.
+The fault-signature map evaluates this closed form for every candidate
+location and DER at once.
 
 During faulted solves load currents are neglected (fault currents
 dominate); the healthy solve includes them. That convention makes the
@@ -20,8 +33,11 @@ injections against precomputed fault signatures.
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import GridResError, InvalidInputError, SimulationError
+import numpy as np
+
+from .errors import GridResError, InvalidInputError
 
 _FAULT_NODE = "__fault__"
 _FAR_SUFFIX = "#far"
@@ -29,10 +45,6 @@ _FAR_SUFFIX = "#far"
 
 class UnreachableFaultError(GridResError):
     """The faulted element has no connected source to feed it."""
-
-
-class SingularNetworkError(SimulationError):
-    """Degenerate impedances made the solve ill-posed."""
 
 
 class UnconfiguredError(GridResError):
@@ -113,8 +125,10 @@ class RadialNetwork:
                 return ln
         raise InvalidInputError(f"unknown line: {line_id}")
 
-    def breakers_on(self, line_id: str) -> list[Breaker]:
-        return [b for b in self.breakers if b.line == line_id]
+    @cached_property
+    def compiled(self) -> "_CompiledFeeder":
+        """The topology as index arrays, built on first use and kept."""
+        return _CompiledFeeder(self)
 
 
 def check_radial_network(net: "RadialNetwork") -> list[str]:
@@ -173,6 +187,118 @@ def check_radial_network(net: "RadialNetwork") -> list[str]:
     return out
 
 
+def check_settings(settings, breakers=()) -> list[str]:
+    """All violations of a breaker-id -> trip-current map (empty if valid).
+
+    Every trip current must be a finite number > 0 (a NaN setting never
+    trips), and every breaker in breakers must have one.
+    """
+    out = []
+    for bid, value in settings.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            out.append(f"settings[{bid}]: must be a number")
+        elif not (math.isfinite(value) and value > 0):
+            out.append(f"settings[{bid}]: must be finite and > 0")
+    missing = [b.id for b in breakers if b.id not in settings]
+    if missing:
+        out.append(f"settings: missing breakers: {', '.join(missing)}")
+    return out
+
+
+class _CompiledFeeder:
+    """A network's topology as a rooted forest over bus indices.
+
+    Buses are numbered as in network.buses, lines as in network.lines.
+    The source bus roots its component; every other component is rooted
+    at its first bus. order lists the buses in DFS preorder, so parents
+    come before children and bus v's subtree is the order slice
+    [tin[v], tout[v]). Line k hangs bus child[k] below parent[child[k]];
+    sign[v] is +1 when the line above v is stored parent -> v, else -1.
+    """
+
+    def __init__(self, net: RadialNetwork):
+        self.bus_index = {b: i for i, b in enumerate(net.buses)}
+        self.line_index = {ln.id: k for k, ln in enumerate(net.lines)}
+        self.line_ids = [ln.id for ln in net.lines]
+        self.breaker = {b.id: b for b in net.breakers}
+        self.line_breakers = [[] for _ in net.lines]
+        for b in net.breakers:
+            self.line_breakers[self.line_index[b.line]].append(b)
+        n = len(net.buses)
+        self.ends = [(self.bus_index[ln.from_bus], self.bus_index[ln.to_bus])
+                     for ln in net.lines]
+        self.incident = [[] for _ in range(n)]
+        for k, (a, b) in enumerate(self.ends):
+            self.incident[a].append((k, b))
+            self.incident[b].append((k, a))
+        parent, up_line, sign, depth = [-1] * n, [-1] * n, [1] * n, [0] * n
+        z, root, order, seen = [0.0] * n, list(range(n)), [], [False] * n
+        self.child = np.zeros(len(net.lines), dtype=int)
+        for top in (self.bus_index[net.source.bus], *range(n)):
+            stack = [] if seen[top] else [top]
+            seen[top] = True
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for k, w in self.incident[v]:
+                    if not seen[w]:
+                        seen[w], parent[w], up_line[w], root[w] = True, v, k, root[v]
+                        sign[w] = 1 if self.ends[k][0] == v else -1
+                        depth[w], z[w] = depth[v] + 1, z[v] + net.lines[k].impedance_pu
+                        self.child[k] = w
+                        stack.append(w)
+        self.order, self.parent, self.up_line, self.sign = order, parent, up_line, sign
+        self.bottom_up = [v for v in reversed(order) if parent[v] >= 0]
+        self.z = np.array(z)
+        self.line_sign = np.array(sign)[self.child]
+        size = [1] * n
+        for v in self.bottom_up:
+            size[parent[v]] += size[v]
+        self.tin = np.empty(n, dtype=int)
+        self.tin[order] = np.arange(n)
+        self.tout = self.tin + np.array(size)
+        self.root_pre = np.array(root)[order]
+        # Sparse table over the preorder: min_depth[k, i] is the slot of
+        # least depth in slots [i, i + 2**k).
+        self.up_pre = np.array(parent)[order]
+        self.depth_pre = np.array(depth)[order]
+        rows = [np.arange(n)]
+        while 2 ** len(rows) <= n:
+            prev, half = rows[-1], 2 ** (len(rows) - 1)
+            a, b = prev[:-half], prev[half:]
+            rows.append(np.where(self.depth_pre[a] <= self.depth_pre[b], a, b))
+        self.min_depth = np.array([np.pad(row, (0, n - len(row))) for row in rows])
+
+    def lca(self, u, v):
+        """Lowest common ancestor of bus indices u and v, elementwise: for
+        u != v the parent of the shallowest bus in preorder slots
+        (tin[u], tin[v]], which is -1 across components."""
+        tu, tv = self.tin[u], self.tin[v]
+        lo, hi = np.minimum(tu, tv) + 1, np.maximum(tu, tv)
+        k = np.frexp(np.maximum(hi - lo + 1, 1))[1] - 1
+        lo = np.minimum(lo, hi)
+        a, b = self.min_depth[k, lo], self.min_depth[k, hi + 1 - (1 << k)]
+        w = np.where(self.depth_pre[a] <= self.depth_pre[b], a, b)
+        return np.where(tu == tv, u, self.up_pre[w])
+
+    def below(self, v, u):
+        """Whether bus u lies in the subtree of bus v, elementwise."""
+        return (self.tin[v] <= self.tin[u]) & (self.tin[u] < self.tout[v])
+
+    def cut_below(self, open_lines) -> set[int]:
+        """The buses whose line to their parent is open."""
+        return {int(self.child[self.line_index[lid]])
+                for lid in open_lines if lid in self.line_index}
+
+    def pieces(self, cut):
+        """Top bus of every bus's connected piece once the lines above
+        the buses in cut are open."""
+        top = self.root_pre.copy()
+        for c in sorted(cut, key=self.tin.__getitem__):
+            top[self.tin[c]:self.tout[c]] = c
+        return top[self.tin]
+
+
 @dataclass(frozen=True)
 class FaultScenario:
     """A short circuit on a line (at a position fraction) or at a bus.
@@ -197,6 +323,12 @@ class FaultScenario:
     @property
     def is_fault(self) -> bool:
         return math.isfinite(self.impedance_pu)
+
+    @property
+    def splits_line(self) -> bool:
+        """A fault strictly inside its line, splitting it at a fault node."""
+        return (self.is_fault and self.element_kind == "line"
+                and 1e-9 < self.position < 1.0 - 1e-9)
 
 
 @dataclass
@@ -229,11 +361,15 @@ class FaultSolution:
         nodes = {b: 0.0 for b in network.buses}
         for bus, inj in self.bus_injections.items():
             nodes[bus] = nodes.get(bus, 0.0) + inj
-        edges = _edges_for(network, fault)
-        for eid, a, b, _z, _line in edges:
-            flow = self.branch_currents.get(eid, 0.0)
-            nodes[a] = nodes.get(a, 0.0) - flow
-            nodes[b] = nodes.get(b, 0.0) + flow
+        split = fault.element_id if fault is not None and fault.splits_line else None
+        for ln in network.lines:
+            flow = self.branch_currents.get(ln.id, 0.0)
+            nodes[ln.from_bus] -= flow
+            if ln.id == split:
+                far = self.branch_currents.get(ln.id + _FAR_SUFFIX, 0.0)
+                nodes[_FAULT_NODE] = nodes.get(_FAULT_NODE, 0.0) + flow - far
+                flow = far
+            nodes[ln.to_bus] += flow
         return nodes
 
 
@@ -260,86 +396,49 @@ class ProtectionReport:
         return [i for i in self.issues if i.kind == kind]
 
 
-def _edges_for(network: RadialNetwork, fault: FaultScenario | None):
-    """Edge list (id, a, b, z, line_id), splitting a faulted line in two.
+def _fault_point(network: RadialNetwork, fault: FaultScenario):
+    """Where a fault sits on the compiled tree: (top, low, z from the root).
 
-    The near-side segment keeps the line id (and the breaker current is
-    read from it, breakers sit at the from end); the far side gets the
-    '#far' suffix.
+    A bus fault, or a line fault at a terminal, sits on bus top == low.
+    A fault inside a line sits between bus top and the bus low below it.
     """
-    edges = []
-    split_line = None
-    if fault is not None and fault.is_fault and fault.element_kind == "line":
-        split_line = fault.element_id
-    for ln in network.lines:
-        if ln.id != split_line:
-            edges.append((ln.id, ln.from_bus, ln.to_bus, ln.impedance_pu, ln.id))
-            continue
-        pos = min(max(fault.position, 0.0), 1.0)
-        if pos <= 1e-9 or pos >= 1.0 - 1e-9:
-            # Fault effectively at a terminal: no split needed.
-            edges.append((ln.id, ln.from_bus, ln.to_bus, ln.impedance_pu, ln.id))
-            continue
-        edges.append((ln.id, ln.from_bus, _FAULT_NODE, ln.impedance_pu * pos, ln.id))
-        edges.append((ln.id + _FAR_SUFFIX, _FAULT_NODE, ln.to_bus,
-                      ln.impedance_pu * (1.0 - pos), ln.id))
-    return edges
-
-
-def _fault_node_for(network: RadialNetwork, fault: FaultScenario) -> str:
+    tree = network.compiled
     if fault.element_kind == "bus":
-        if fault.element_id not in network.buses:
+        if fault.element_id not in tree.bus_index:
             raise InvalidInputError(f"fault.element_id: unknown bus {fault.element_id!r}")
-        return fault.element_id
-    ln = network.line_by_id(fault.element_id)
-    if fault.position <= 1e-9:
-        return ln.from_bus
-    if fault.position >= 1.0 - 1e-9:
-        return ln.to_bus
-    return _FAULT_NODE
+        bus = tree.bus_index[fault.element_id]
+        return bus, bus, float(tree.z[bus])
+    if fault.element_id not in tree.line_index:
+        raise InvalidInputError(f"unknown line: {fault.element_id}")
+    k = tree.line_index[fault.element_id]
+    pos = fault.position
+    if pos <= 1e-9 or pos >= 1.0 - 1e-9:
+        bus = tree.ends[k][0 if pos <= 1e-9 else 1]
+        return bus, bus, float(tree.z[bus])
+    low = int(tree.child[k])
+    top = tree.parent[low]
+    upper = pos if tree.sign[low] > 0 else 1.0 - pos
+    return top, low, float(tree.z[top]) + network.lines[k].impedance_pu * upper
 
 
-class _Tree:
-    """Rooted spanning structure of one connected component."""
+def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus):
+    """Share of each DER's current that arrives at a source-fed fault.
 
-    def __init__(self, adjacency, root):
-        self.root = root
-        self.parent = {root: None}
-        self.parent_edge = {root: None}
-        self.z_from_root = {root: 0.0}
-        order = deque([root])
-        while order:
-            node = order.popleft()
-            for eid, other, z, direction in adjacency.get(node, ()):
-                if other in self.parent:
-                    continue
-                self.parent[other] = node
-                self.parent_edge[other] = (eid, direction)
-                self.z_from_root[other] = self.z_from_root[node] + z
-                order.append(other)
-
-    def contains(self, node) -> bool:
-        return node in self.parent
-
-    def path_edges(self, node):
-        """Edges from node up to the root as (edge_id, sign_toward_root)."""
-        out = []
-        while self.parent[node] is not None:
-            eid, direction = self.parent_edge[node]
-            # direction +1 means the stored edge points parent -> node
-            out.append((eid, -direction))
-            node = self.parent[node]
-        return out
+    The current splits at junction j inversely to the impedances toward
+    the source (Zs + z[j]) and toward the fault (z[f] - z[j] + Zf). DER
+    below a split line join at the fault node. Broadcasts over faults.
+    """
+    z_j = np.where(tree.below(low, der_bus), z_fault,
+                   tree.z[tree.lca(top, der_bus)])
+    z_left = z_src + z_j
+    return z_left / (z_left + ((z_fault - z_j) + z_f))
 
 
-def _build_adjacency(edges, open_lines):
-    adjacency: dict[str, list] = {}
-    for eid, a, b, z, line_id in edges:
-        if line_id in open_lines and not eid.endswith(_FAR_SUFFIX):
-            continue
-        adjacency.setdefault(a, []).append((eid, b, z, +1))
-        adjacency.setdefault(b, []).append((eid, a, z, -1))
-    return adjacency
+def _live_ders(network: RadialNetwork, der_injecting=None):
+    """(DER, bus index) of every injecting unit; der_injecting overrides flags."""
+    flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting or {})
+    return [(d, network.compiled.bus_index[d.bus]) for d in network.ders
+            if flags.get(d.id) and d.i_max_pu > 0]
 
 
 def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
@@ -347,201 +446,104 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
                          allow_dead_fault: bool = False) -> FaultSolution:
     """Solve branch currents for a fault (or the healthy network).
 
-    Superposition on the feeder tree: the source drives current through
-    the series path to the fault; each injecting DER splits between the
-    source path and the fault path inversely to their impedances.
-    der_injecting optionally overrides the per-unit injecting flags.
-    open_lines removes tripped lines (the far side of a split faulted
-    line stays connected, the breaker sits on the near side).
+    The source drives V / (Zs + z[f] + Zf) into a source-fed fault and
+    each injecting DER delivers its arrival share, the rest flowing back
+    to the source. A fault the source cannot reach takes the full
+    injections of the DER in its piece. der_injecting optionally
+    overrides the per-unit injecting flags. open_lines removes tripped
+    lines (the far side of a split faulted line stays connected, the
+    breaker sits on the near side).
     """
-    open_lines = frozenset(open_lines)
-    injecting = {d.id: d.injecting for d in network.ders}
-    if der_injecting:
-        injecting.update(der_injecting)
-
-    no_fault = fault is None or not fault.is_fault
-    edges = _edges_for(network, None if no_fault else fault)
-    adjacency = _build_adjacency(edges, open_lines)
-    currents = {eid: 0.0 for eid, *_ in edges}
-    inj: dict[str, float] = {}
-
+    tree = network.compiled
+    live = _live_ders(network, der_injecting)
+    cut = tree.cut_below(open_lines)
+    piece = tree.pieces(cut).tolist()
     src = network.source
-    src_works = src.available
+    s = tree.bus_index[src.bus]
+    inj, contributions, arrivals = {}, {}, {}
+    i_fault = i_grid = 0.0
+    fed, split, at = False, False, None
 
-    if no_fault:
-        i_grid = _solve_healthy(network, adjacency, currents, inj) if src_works else 0.0
-        return FaultSolution(branch_currents=currents, i_fault_pu=0.0,
-                             i_grid_pu=i_grid, der_contributions_pu={},
-                             der_fault_arrivals_pu={},
-                             source_feeds_fault=False, bus_injections=inj)
-
-    fault_node = _fault_node_for(network, fault)
-    if fault_node not in adjacency and fault_node != src.bus:
-        adjacency.setdefault(fault_node, [])
-
-    # Component membership around the fault.
-    tree_root = src.bus if src_works else fault_node
-    tree = _Tree(adjacency, tree_root)
-    if src_works and not tree.contains(fault_node):
-        # Source cannot reach the fault; treat the fault component alone.
-        tree = _Tree(adjacency, fault_node)
-        src_feeds = False
-    else:
-        src_feeds = src_works
-
-    z_f = fault.impedance_pu
-    i_fault = 0.0
-    i_grid = 0.0
-    contributions: dict[str, float] = {}
-    arrivals: dict[str, float] = {}
-
-    if src_feeds:
-        z_path = tree.z_from_root[fault_node]
-        z_total = src.impedance_pu + z_path + z_f
-        if z_total <= 0:
-            raise SingularNetworkError(
-                f"zero total impedance on the source-fault path "
-                f"(Zs={src.impedance_pu:g}, path={z_path:g}, Zf={z_f:g})")
-        i_src = src.voltage_pu / z_total
-        for eid, sign_toward_root in _path_down(tree, fault_node):
-            currents[eid] += -sign_toward_root * i_src
-        i_fault += i_src
-        i_grid += i_src
-        on_path = _nodes_on_root_path(tree, fault_node)
-        for der in network.ders:
-            if not injecting.get(der.id) or der.i_max_pu <= 0:
-                continue
-            if not tree.contains(der.bus):
-                continue
-            junction = _junction_on_path(tree, der.bus, on_path)
-            z_left = src.impedance_pu + tree.z_from_root[junction]
-            z_right = (tree.z_from_root[fault_node] - tree.z_from_root[junction]) + z_f
-            denom = z_left + z_right
-            if denom <= 0:
-                raise SingularNetworkError("zero impedance divider at a DER junction")
-            frac_fault = z_left / denom
-            _add_flow(tree, currents, der.bus, junction, der.i_max_pu)
-            _add_flow(tree, currents, junction, fault_node, der.i_max_pu * frac_fault)
-            _add_flow(tree, currents, junction, tree.root, der.i_max_pu * (1 - frac_fault))
-            i_fault += der.i_max_pu * frac_fault
-            i_grid -= der.i_max_pu * (1 - frac_fault)
-            contributions[der.id] = der.i_max_pu
-            arrivals[der.id] = der.i_max_pu * frac_fault
-            inj[der.bus] = inj.get(der.bus, 0.0) + der.i_max_pu
-        inj[src.bus] = inj.get(src.bus, 0.0) + i_grid
-    else:
-        # Fault fed only by DER in its island; every injection arrives fully.
-        for der in network.ders:
-            if not injecting.get(der.id) or der.i_max_pu <= 0:
-                continue
-            if not tree.contains(der.bus):
-                continue
-            _add_flow(tree, currents, der.bus, fault_node, der.i_max_pu)
-            i_fault += der.i_max_pu
-            contributions[der.id] = der.i_max_pu
-            arrivals[der.id] = der.i_max_pu
-            inj[der.bus] = inj.get(der.bus, 0.0) + der.i_max_pu
-        if i_fault == 0.0 and not allow_dead_fault:
+    if fault is not None and fault.is_fault:
+        top, low, z_f = _fault_point(network, fault)
+        split = top != low
+        # An open split line loses its near segment only: the upper one
+        # when the line is stored top -> low, else the lower one.
+        near_up = tree.sign[low] > 0
+        upper_open = split and low in cut and near_up
+        lower_open = split and low in cut and not near_up
+        f_piece = piece[low] if upper_open else piece[top]
+        fed = src.available and piece[s] == f_piece
+        ders = [(d, v) for d, v in live if piece[v] == f_piece]
+        shares = [1.0] * len(ders)
+        if fed:
+            i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
+            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top,
+                                  low, z_f, np.array([v for _, v in ders], dtype=int)
+                                  ).tolist()
+        for (d, v), share in zip(ders, shares):
+            i_fault += d.i_max_pu * share
+            i_grid -= d.i_max_pu * (1 - share)
+            contributions[d.id] = d.i_max_pu
+            arrivals[d.id] = d.i_max_pu * share
+            inj[v] = inj.get(v, 0.0) + d.i_max_pu
+        if not fed and i_fault == 0.0 and not allow_dead_fault:
             raise UnreachableFaultError(
                 "fault is disconnected from the external source and from any "
                 "injecting DER")
+        at = low if upper_open else top   # a bus on the fault's side of the cut
 
-    inj[fault_node] = inj.get(fault_node, 0.0) - i_fault
+    if src.available and not fed:
+        # Healthy load flow in the source's piece: net injections stream
+        # to the source.
+        total = 0.0
+        for v, amount in ([(v, d.i_max_pu) for d, v in live]
+                          + [(tree.bus_index[ld.bus], -ld.current_pu) for ld in network.loads]):
+            if piece[v] == piece[s]:
+                inj[v] = inj.get(v, 0.0) + amount
+                total += amount
+        i_grid = -total
+    if src.available:
+        inj[s] = inj.get(s, 0.0) + i_grid
 
-    # Healthy load flow in the source component when the fault is elsewhere.
-    if src_works and not src_feeds:
-        i_grid = _solve_healthy(network, adjacency, currents, inj)
+    acc = [0.0] * len(network.buses)
+    for v, amount in inj.items():
+        acc[v] = amount
+    bus_injections = {network.buses[v]: amount for v, amount in inj.items()}
+    if at is not None:
+        acc[at] -= i_fault
+        node = _FAULT_NODE if split else network.buses[at]
+        bus_injections[node] = bus_injections.get(node, 0.0) - i_fault
+    parent = tree.parent
+    for v in tree.bottom_up:
+        if v not in cut:
+            acc[parent[v]] += acc[v]
 
+    values = 0.0 - tree.line_sign * np.array(acc)[tree.child]
+    values[[tree.up_line[v] for v in cut]] = 0.0
+    currents = dict(zip(tree.line_ids, values.tolist()))
+    if split:
+        # The segment below the fault carries the current of low's subtree.
+        up_lower = 0.0 if lower_open else acc[low] + (i_fault if upper_open else 0.0)
+        up_upper = 0.0 if upper_open else up_lower - i_fault
+        lid = tree.line_ids[tree.up_line[low]]
+        currents[lid], currents[lid + _FAR_SUFFIX] = (
+            (-up_upper, -up_lower) if near_up else (up_lower, up_upper))
     return FaultSolution(branch_currents=currents, i_fault_pu=i_fault,
                          i_grid_pu=i_grid, der_contributions_pu=contributions,
                          der_fault_arrivals_pu=arrivals,
-                         source_feeds_fault=src_feeds, bus_injections=inj)
-
-
-def _path_down(tree: _Tree, node):
-    return tree.path_edges(node)
-
-
-def _nodes_on_root_path(tree: _Tree, node):
-    path = set()
-    while node is not None:
-        path.add(node)
-        node = tree.parent[node]
-    return path
-
-
-def _junction_on_path(tree: _Tree, node, on_path):
-    while node not in on_path:
-        node = tree.parent[node]
-    return node
-
-
-def _add_flow(tree: _Tree, currents, from_node, to_node, amount):
-    """Add a flow along the unique tree path from from_node to to_node."""
-    if amount == 0.0 or from_node == to_node:
-        return
-    up_from = {}
-    n = from_node
-    depth = 0
-    while n is not None:
-        up_from[n] = depth
-        n = tree.parent[n]
-        depth += 1
-    # Climb from to_node to the meeting point, collecting reversed edges.
-    rev = []
-    n = to_node
-    while n not in up_from:
-        eid, sign = tree.parent_edge[n]
-        rev.append((eid, sign))
-        n = tree.parent[n]
-    meet = n
-    n = from_node
-    while n != meet:
-        eid, sign = tree.parent_edge[n]
-        # Edge stored parent->n with given sign; flow goes n->parent here.
-        currents[eid] += -sign * amount
-        n = tree.parent[n]
-    for eid, sign in reversed(rev):
-        currents[eid] += sign * amount
-
-
-def _solve_healthy(network: RadialNetwork, adjacency, currents, inj) -> float:
-    """Load flow in the source component: net injections stream to the root."""
-    src = network.source
-    tree = _Tree(adjacency, src.bus)
-    net_at: dict[str, float] = {}
-    for der in network.ders:
-        if der.injecting and tree.contains(der.bus):
-            net_at[der.bus] = net_at.get(der.bus, 0.0) + der.i_max_pu
-            inj[der.bus] = inj.get(der.bus, 0.0) + der.i_max_pu
-    for load in network.loads:
-        if tree.contains(load.bus):
-            net_at[load.bus] = net_at.get(load.bus, 0.0) - load.current_pu
-            inj[load.bus] = inj.get(load.bus, 0.0) - load.current_pu
-    total = 0.0
-    for bus, amount in sorted(net_at.items()):
-        _add_flow(tree, currents, bus, src.bus, amount)
-        total += amount
-    i_grid = -total  # grid supplies the net draw
-    inj[src.bus] = inj.get(src.bus, 0.0) + i_grid
-    return i_grid
+                         source_feeds_fault=fed, bus_injections=bus_injections)
 
 
 def source_fault_path_lines(network: RadialNetwork, fault: FaultScenario) -> set[str]:
     """Line ids on the topological path from the source bus to the fault."""
-    edges = _edges_for(network, fault)
-    adjacency = _build_adjacency(edges, frozenset())
-    tree = _Tree(adjacency, network.source.bus)
-    fault_node = _fault_node_for(network, fault)
-    if not tree.contains(fault_node):
-        return set()
+    tree = network.compiled
+    _top, v, _z = _fault_point(network, fault)
     lines = set()
-    node = fault_node
-    while tree.parent[node] is not None:
-        eid, _sign = tree.parent_edge[node]
-        lines.add(eid[:-len(_FAR_SUFFIX)] if eid.endswith(_FAR_SUFFIX) else eid)
-        node = tree.parent[node]
-    return lines
+    while tree.parent[v] >= 0:
+        lines.add(tree.line_ids[tree.up_line[v]])
+        v = tree.parent[v]
+    return lines if v == tree.bus_index[network.source.bus] else set()
 
 
 def simulate_protection(network: RadialNetwork, fault: FaultScenario,
@@ -554,9 +556,10 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
     topology, and repeats until quiescent. Afterwards the three
     DER-induced misoperations are detected and attached.
     """
-    missing = [b.id for b in network.breakers if b.id not in settings]
-    if missing:
-        raise InvalidInputError(f"settings: missing breakers: {', '.join(missing)}")
+    violations = check_settings(settings, network.breakers)
+    if violations:
+        raise InvalidInputError("; ".join(violations))
+    breaker = network.compiled.breaker
 
     initial = solve_fault_currents(network, fault, allow_dead_fault=True)
     path_lines = source_fault_path_lines(network, fault)
@@ -585,8 +588,7 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
                               if deadline <= t_next + 1e-12)
         t_now = t_next
         for bid in now_tripping:
-            breaker = next(b for b in network.breakers if b.id == bid)
-            open_lines.add(breaker.line)
+            open_lines.add(breaker[bid].line)
             tripped.append(TripEvent(breaker_id=bid, time_s=t_now))
             del armed[bid]
         solution = solve_fault_currents(network, fault, open_lines=open_lines,
@@ -614,12 +616,12 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
                     f"{i_without:.3f} pu from the grid alone")))
 
     for ev in tripped:
-        breaker = next(b for b in network.breakers if b.id == ev.breaker_id)
-        if breaker.line not in path_lines:
+        b = breaker[ev.breaker_id]
+        if b.line not in path_lines:
             issues.append(ProtectionIssue(
-                kind="SympatheticTrip", elements=(breaker.id, breaker.line),
+                kind="SympatheticTrip", elements=(b.id, b.line),
                 explanation=(
-                    f"breaker {breaker.id} is not on the source-fault path; "
+                    f"breaker {b.id} is not on the source-fault path; "
                     f"it tripped on DER current feeding the fault from a "
                     f"healthy feeder")))
 
@@ -636,44 +638,24 @@ def detect_energized(network: RadialNetwork, open_lines,
     A segment is any maximal group of buses connected through closed
     lines that has no live path to an available external source.
     """
-    open_lines = frozenset(open_lines)
-    injecting = {d.id: d.injecting for d in network.ders}
-    if der_injecting:
-        injecting.update(der_injecting)
-    adjacency: dict[str, set[str]] = {b: set() for b in network.buses}
-    for ln in network.lines:
-        if ln.id in open_lines:
-            continue
-        adjacency[ln.from_bus].add(ln.to_bus)
-        adjacency[ln.to_bus].add(ln.from_bus)
-    seen: set[str] = set()
+    tree = network.compiled
+    piece = tree.pieces(tree.cut_below(open_lines))
+    grid = piece[tree.bus_index[network.source.bus]] if network.source.available else -1
+    live: dict[int, list[str]] = {}
+    for d, v in _live_ders(network, der_injecting):
+        live.setdefault(int(piece[v]), []).append(d.id)
+    islands = [np.flatnonzero(piece == top) for top in live if top != grid]
     issues: list[ProtectionIssue] = []
-    for start in network.buses:
-        if start in seen:
-            continue
-        component = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for other in adjacency[node]:
-                if other not in component:
-                    component.add(other)
-                    queue.append(other)
-        seen |= component
-        grid_connected = network.source.available and network.source.bus in component
-        if grid_connected:
-            continue
-        live_ders = sorted(d.id for d in network.ders
-                           if d.bus in component and injecting.get(d.id)
-                           and d.i_max_pu > 0)
-        if live_ders:
-            issues.append(ProtectionIssue(
-                kind="EnergizedAfterTrip",
-                elements=tuple(sorted(component)) + tuple(live_ders),
-                explanation=(
-                    f"segment {{{', '.join(sorted(component))}}} is isolated "
-                    f"from the external source but DER "
-                    f"{', '.join(live_ders)} keep injecting")))
+    for members in sorted(islands, key=lambda m: m[0]):
+        component = sorted(network.buses[i] for i in members)
+        live_ders = sorted(live[int(piece[members[0]])])
+        issues.append(ProtectionIssue(
+            kind="EnergizedAfterTrip",
+            elements=tuple(component) + tuple(live_ders),
+            explanation=(
+                f"segment {{{', '.join(component)}}} is isolated "
+                f"from the external source but DER "
+                f"{', '.join(live_ders)} keep injecting")))
     return issues
 
 
@@ -735,39 +717,60 @@ def apply_setting_group(table: SettingGroupTable, key: TopologyKey) -> SettingGr
         f"no setting group for {key} and no previously applied settings to hold")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaultSignatureMap:
     """Expected per-DER fault arrivals per candidate location.
 
-    Built offline by solving each candidate fault on the intact network
-    with every DER injecting; the arrival shares differ by location
-    because the impedance split toward the fault does.
+    Row i of signatures is the arrival vector, in der_ids order, of a
+    fault at candidates[i] on the intact network with every DER
+    injecting. It is the closed-form arrival share of _fault_share on
+    the compiled feeder, so no candidate is solved; the shares differ
+    by location because the impedance split toward the fault does.
+    Candidates are kept sorted, which makes the lowest row win a tie.
     """
 
     network: RadialNetwork
     der_ids: tuple[str, ...]
-    entries: dict[tuple[str, str], tuple[float, ...]]
+    candidates: tuple[tuple[str, str], ...]
+    signatures: np.ndarray
     fault_impedance_pu: float
     position: float
+
+    @property
+    def entries(self) -> dict[tuple[str, str], tuple[float, ...]]:
+        """Signature per candidate location, read from the matrix."""
+        return dict(zip(self.candidates, map(tuple, self.signatures.tolist())))
 
 
 def build_fault_signature_map(network: RadialNetwork, candidates=None,
                               fault_impedance_pu: float = 0.0,
                               position: float = 0.5) -> FaultSignatureMap:
     """Characterize every protectable element by its DER arrival vector."""
+    tree = network.compiled
     if candidates is None:
         candidates = [("line", ln.id) for ln in network.lines]
-    der_ids = tuple(sorted(d.id for d in network.ders))
-    force_on = {d.id: True for d in network.ders}
-    entries = {}
-    for kind, element_id in candidates:
-        fault = FaultScenario(element_kind=kind, element_id=element_id,
-                              impedance_pu=fault_impedance_pu, position=position)
-        sol = solve_fault_currents(network, fault, der_injecting=force_on,
-                                   allow_dead_fault=True)
-        entries[(kind, element_id)] = tuple(
-            sol.der_fault_arrivals_pu.get(d, 0.0) for d in der_ids)
-    return FaultSignatureMap(network=network, der_ids=der_ids, entries=entries,
+    candidates = tuple(sorted(set(map(tuple, candidates))))
+    points = [_fault_point(network, FaultScenario(kind, element_id,
+                                                  fault_impedance_pu, position))
+              for kind, element_id in candidates]
+    cols = np.array(points, dtype=float).reshape(-1, 3)
+    top, low, z_fault = cols[:, :1].astype(int), cols[:, 1:2].astype(int), cols[:, 2:]
+    ders = sorted(network.ders, key=lambda d: d.id)
+    der_bus = np.array([tree.bus_index[d.bus] for d in ders], dtype=int)
+    i_max = np.array([d.i_max_pu for d in ders])
+    src = network.source
+    root = tree.pieces(())
+    fed = src.available & (root[top] == tree.bus_index[src.bus])
+    live = (i_max > 0) & math.isfinite(fault_impedance_pu)
+    signatures = np.empty((len(candidates), len(ders)))
+    for rows in (slice(i, i + 128) for i in range(0, len(candidates), 128)):
+        # Blocks of rows keep the temporaries small next to the result.
+        share = _fault_share(tree, src.impedance_pu, fault_impedance_pu, top[rows],
+                             low[rows], z_fault[rows], der_bus)
+        signatures[rows] = np.where((root[top[rows]] == root[der_bus]) & live,
+                                    np.where(fed[rows], i_max * share, i_max), 0.0)
+    return FaultSignatureMap(network=network, der_ids=tuple(d.id for d in ders),
+                             candidates=candidates, signatures=signatures,
                              fault_impedance_pu=fault_impedance_pu,
                              position=position)
 
@@ -802,32 +805,28 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     """
     if tolerance <= 0:
         raise InvalidInputError("tolerance: must be > 0")
-    vec = tuple(measured.get(d, 0.0) for d in fmap.der_ids)
-    if all(abs(v) <= 1e-12 for v in vec):
+    vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids], dtype=float)
+    if np.all(np.abs(vec) <= 1e-12):
         raise NoFaultDetectedError("measurement vector is zero; grid looks healthy")
-    ranked = sorted(
-        ((math.dist(vec, sig), loc) for loc, sig in fmap.entries.items()),
-        key=lambda pair: (pair[0], pair[1]))
-    best_d, best_loc = ranked[0]
+    dist = np.linalg.norm(fmap.signatures - vec, axis=1)
+    ranked = np.argsort(dist, kind="stable")[:2]
+    best_d, best_loc = float(dist[ranked[0]]), fmap.candidates[ranked[0]]
     if best_d > tolerance:
         raise NoFaultDetectedError(
             f"nearest signature ({best_loc[0]} {best_loc[1]}) is {best_d:.4f} pu "
             f"away, beyond tolerance {tolerance:g}")
-    if len(ranked) > 1 and ranked[1][0] - best_d < tolerance:
+    if len(ranked) > 1 and dist[ranked[1]] - best_d < tolerance:
+        second = fmap.candidates[ranked[1]]
         raise AmbiguousLocationError(
-            f"{best_loc[0]} {best_loc[1]} and {ranked[1][1][0]} {ranked[1][1][1]} "
+            f"{best_loc[0]} {best_loc[1]} and {second[0]} {second[1]} "
             f"both match within tolerance")
-    breakers, escalated = _isolating_breakers(fmap.network, best_loc,
-                                              set(failed_breakers),
-                                              fmap.position)
+    breakers, escalated = _isolating_breakers(
+        fmap.network, best_loc, set(failed_breakers), fmap.position)
 
     # Re-solve with the plan executed (failed breakers stay closed) to
     # check what still feeds the fault.
-    kind, element_id = best_loc
-    fault = FaultScenario(element_kind=kind, element_id=element_id,
-                          impedance_pu=fmap.fault_impedance_pu,
-                          position=fmap.position)
-    plan_lines = {b.line for b in fmap.network.breakers if b.id in breakers}
+    fault = FaultScenario(*best_loc, fmap.fault_impedance_pu, fmap.position)
+    plan_lines = {fmap.network.compiled.breaker[bid].line for bid in breakers}
     after = solve_fault_currents(fmap.network, fault, open_lines=plan_lines,
                                  allow_dead_fault=True)
     return LocateResult(location=best_loc,
@@ -846,42 +845,38 @@ def _isolating_breakers(network: RadialNetwork, location, failed: set[str],
     plan. Escalation happens implicitly: a failed breaker is transparent,
     so the region grows past it to the next one out.
     """
-    kind, element_id = location
-    fault = FaultScenario(element_kind=kind, element_id=element_id,
-                          impedance_pu=0.0, position=position)
-    edges = _edges_for(network, fault)
-    start = _fault_node_for(network, fault)
-    by_node: dict[str, list] = {}
-    for eid, a, b, z, line_id in edges:
-        by_node.setdefault(a, []).append((eid, b, line_id))
-        by_node.setdefault(b, []).append((eid, a, line_id))
-
-    region = {start}
-    plan: set[str] = set()
+    tree = network.compiled
+    top, low, _z = _fault_point(network, FaultScenario(*location, 0.0, position))
+    split = tree.up_line[low] if top != low else -1
+    region, plan, queue = set(), set(), deque()
     escalated = False
-    queue = deque([start])
+
+    def reach(bus, breakers):
+        nonlocal escalated
+        if bus in region:
+            return
+        working = [b.id for b in breakers if b.id not in failed]
+        if working:
+            plan.update(working)
+            return
+        escalated = escalated or bool(breakers)
+        region.add(bus)
+        queue.append(bus)
+
+    if split >= 0:
+        # From the fault node inside the line: the near end carries the
+        # line's breakers, the far end none.
+        near, far = tree.ends[split]
+        reach(near, tree.line_breakers[split])
+        reach(far, ())
+    else:
+        reach(top, ())
     while queue:
-        node = queue.popleft()
-        for eid, other, line_id in by_node.get(node, ()):
-            if other in region:
-                continue
-            working = [b for b in network.breakers_on(line_id)
-                       if b.id not in failed]
-            crossed_failed = [b for b in network.breakers_on(line_id)
-                              if b.id in failed]
-            # The far half of a split line carries no breaker.
-            if eid.endswith(_FAR_SUFFIX):
-                working = []
-                crossed_failed = []
-            if working:
-                plan.update(b.id for b in working)
-                continue
-            if crossed_failed:
-                escalated = True
-            region.add(other)
-            queue.append(other)
-    src = network.source
-    if src.available and src.bus in region:
+        v = queue.popleft()
+        for k, w in tree.incident[v]:
+            if k != split:
+                reach(w, tree.line_breakers[k])
+    if network.source.available and tree.bus_index[network.source.bus] in region:
         raise IsolationError(
             "no working breaker separates the fault from the external source")
     return plan, escalated

@@ -361,21 +361,11 @@ def load_fault(doc) -> pt.FaultScenario:
 
 
 def load_settings(doc) -> dict[str, float]:
-    violations: list[str] = []
-    out = {}
     if not isinstance(doc, dict):
         _finish(["settings: must map breaker ids to trip currents"])
-    for key, value in doc.items():
-        if key == "schema_version":
-            continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            violations.append(f"settings[{key}]: must be a number")
-        elif value <= 0:
-            violations.append(f"settings[{key}]: must be > 0")
-        else:
-            out[key] = float(value)
-    _finish(violations)
-    return out
+    settings = {k: v for k, v in doc.items() if k != "schema_version"}
+    _finish(pt.check_settings(settings))
+    return {k: float(v) for k, v in settings.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
 from gridres.errors import InvalidInputError
@@ -83,6 +86,21 @@ def dense_nodal_solve(network, fault):
         for load in network.loads:
             j_vector[index[load.bus]] -= load.current_pu
 
+    # Islands reaching neither a live source nor the fault carry no
+    # current; ground them so that the matrix stays regular.
+    reached = ({i_src} if src.available else set()) | (
+        {index[fault_node]} if fault_node is not None else set())
+    stack = list(reached)
+    while stack:
+        i = stack.pop()
+        for j in np.flatnonzero(g_matrix[i]):
+            if j not in reached:
+                reached.add(j)
+                stack.append(j)
+    for i in set(range(n)) - reached:
+        g_matrix[i, i] += 1.0
+        j_vector[i] = 0.0
+
     v = np.zeros(n)
     if fault_node is not None and fault.impedance_pu <= 1e-12:
         i_f = index[fault_node]
@@ -143,6 +161,50 @@ def random_fault(rng, network):
     impedance = 0.0 if rng.random() < 0.5 else rng.uniform(0.02, 0.5)
     return FaultScenario(element_kind=element[0], element_id=element[1],
                          impedance_pu=impedance, position=position)
+
+
+@st.composite
+def general_networks(draw):
+    """Radial networks beyond random_radial_network's family.
+
+    Lines may be stored child -> parent, the source may sit on any bus
+    and be unavailable, some buses start a new component (a forest),
+    and DER may have no current or not inject.
+    """
+    n = draw(st.integers(1, 7))
+    names = draw(st.permutations([f"b{i}" for i in range(n)]))
+    lines = []
+    for i in range(1, n):
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        a, b = names[draw(st.integers(0, i - 1))], names[i]
+        if draw(st.booleans()):
+            a, b = b, a
+        lines.append(Line(f"l{i}", a, b, draw(st.floats(0.05, 0.5))))
+    ders = tuple(
+        DerSource(f"d{i}", names[i], draw(st.just(0.0) | st.floats(0.1, 2.0)),
+                  injecting=draw(st.booleans()))
+        for i in range(n) if draw(st.booleans()))
+    loads = tuple(LoadPoint(names[i], draw(st.floats(0.05, 0.3)))
+                  for i in range(n) if draw(st.booleans()))
+    source = ExternalSource(bus=draw(st.sampled_from(names)),
+                            voltage_pu=draw(st.floats(0.9, 1.1)),
+                            impedance_pu=draw(st.floats(0.02, 0.2)),
+                            available=draw(st.booleans()))
+    return RadialNetwork(buses=tuple(sorted(names)), lines=tuple(lines),
+                         source=source, ders=ders, loads=loads)
+
+
+@st.composite
+def general_faults(draw, network):
+    """A bus or line fault, bolted, resistive or none (inf)."""
+    if network.lines and draw(st.booleans()):
+        element = ("line", draw(st.sampled_from(network.lines)).id)
+    else:
+        element = ("bus", draw(st.sampled_from(network.buses)))
+    impedance = draw(st.sampled_from([0.0, math.inf]) | st.floats(0.02, 0.5))
+    position = draw(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]))
+    return FaultScenario(*element, impedance, position)
 
 
 def assert_matches_oracle(network, fault, tol=1e-9):
@@ -222,6 +284,45 @@ class TestFaultSolver:
                                         allow_dead_fault=True)
             full = solve_fault_currents(net, fault, allow_dead_fault=True)
             assert full.i_grid_pu <= base.i_grid_pu + 1e-12
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_general_networks_match_oracle_and_balance(self, data):
+        net = data.draw(general_networks())
+        fault = data.draw(general_faults(net))
+        if fault.is_fault:
+            # Faulted solves neglect loads, the oracle included.
+            net = replace(net, loads=())
+        open_lines = data.draw(st.sets(st.sampled_from(
+            [ln.id for ln in net.lines]) if net.lines else st.nothing()))
+        sol = solve_fault_currents(net, fault, open_lines=open_lines,
+                                   allow_dead_fault=True)
+        residuals = sol.kirchhoff_residuals(net, fault)
+        assert max(abs(r) for r in residuals.values()) < 1e-9
+        if not open_lines:
+            assert_matches_oracle(net, fault)
+
+    @given(general_networks(), st.just(0.0) | st.floats(0.02, 0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_signature_map_equals_solved_arrivals(self, net, impedance):
+        candidates = ([("line", ln.id) for ln in net.lines]
+                      + [("bus", b) for b in net.buses])
+        all_on = {d.id: True for d in net.ders}
+        for position in (0.0, 0.5, 1.0):
+            fmap = build_fault_signature_map(net, candidates, impedance, position)
+            assert set(fmap.entries) == set(candidates)
+            for (kind, element_id), signature in fmap.entries.items():
+                sol = solve_fault_currents(
+                    net, FaultScenario(kind, element_id, impedance, position),
+                    der_injecting=all_on, allow_dead_fault=True)
+                expected = [sol.der_fault_arrivals_pu.get(d, 0.0)
+                            for d in fmap.der_ids]
+                assert signature == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_compiled_feeder_is_kept_per_network(self):
+        net = bm.two_feeder_network()
+        assert net.compiled is net.compiled
+        assert replace(net, loads=()).compiled is not net.compiled
 
     def test_unreachable_fault_raises(self):
         net = RadialNetwork(
@@ -360,6 +461,13 @@ class TestTwoFeederBenchmark:
         with pytest.raises(InvalidInputError, match="C"):
             simulate_protection(net, bm.two_feeder_fault(), {"A": 3.8, "B": 3.8})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_settings_must_be_finite_and_positive(self, bad):
+        net = bm.two_feeder_network()
+        trip_settings = dict(bm.TWO_FEEDER_SETTINGS, A=bad)
+        with pytest.raises(InvalidInputError, match=r"settings\[A\]"):
+            simulate_protection(net, bm.two_feeder_fault(), trip_settings)
+
     def test_cascade_arms_second_breaker_after_first_trip(self):
         # Weak source: i_src = 1 / (0.2 + 0.3 + 0.25) = 1.333 pu. The DER
         # at J splits 2/3 toward the fault and 1/3 back to the source, so
@@ -486,6 +594,19 @@ class TestCentralizedScheme:
         with pytest.raises(AmbiguousLocationError):
             centralized_locate_fault(sol.der_fault_arrivals_pu, fmap,
                                      tolerance=0.05)
+
+    def test_ambiguous_on_first_bus_and_source_line(self):
+        # Every DER sits below MAIN, so a bolted fault at MAIN and one
+        # inside the source line L0 both draw every injection in full.
+        net = self.network()
+        fmap = build_fault_signature_map(
+            net, [("line", ln.id) for ln in net.lines]
+            + [("bus", b) for b in net.buses if b != net.source.bus])
+        assert fmap.entries[("bus", "MAIN")] == fmap.entries[("line", "L0")]
+        sol = solve_fault_currents(net, FaultScenario("bus", "MAIN", 0.0))
+        with pytest.raises(AmbiguousLocationError):
+            centralized_locate_fault(sol.der_fault_arrivals_pu, fmap,
+                                     tolerance=0.1)
 
     def test_escalation_past_failed_breaker(self):
         net = self.network()

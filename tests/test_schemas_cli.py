@@ -1,6 +1,7 @@
 """Scenario schema and CLI behavior: validation, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,16 @@ class TestCliExitCodes:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ScenarioValidationError"
         assert any("h_sys_s" in v for v in payload["violations"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_protection_rejects_bad_trip_setting(self, workspace, capsys, bad):
+        settings = workspace["root"] / "bad_settings.json"
+        settings.write_text(json.dumps(dict(bm.TWO_FEEDER_SETTINGS, B=bad)))
+        code = run_cli("protection", "--network", workspace["net.json"],
+                       "--fault", workspace["fault.json"], "--settings", settings,
+                       "--out", workspace["root"] / "o")
+        assert code == EXIT_VALIDATION
+        assert "settings[B]" in capsys.readouterr().err
 
     def test_validate_reports_all_violations(self, workspace, capsys):
         doc = json.loads(workspace["net.json"].read_text())
