@@ -20,15 +20,17 @@ battery availability and cell radius run by run.
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import GridResError, InvalidInputError
+from .fields import choice, duplicates, flag, num, obj, seq, table, text
 
 FORMATION_DELAY_S = 60.0       # collapse to first island
 FOLLOWER_DELAY_S = 30.0        # island formation to follower reconnection
 ROUND_DELAY_S = 30.0           # between agent coordination rounds
 NOMINAL_FREQUENCY_HZ = 50.0
+MAX_RUNS = 10_000              # Monte Carlo replicates per study
 _EQ_TOL = 1e-9
 
 
@@ -61,67 +63,87 @@ class ServiceClass(str, Enum):
 STAGE_RANK = {"S1": 0, "S2": 1, "S3": 2, "S4": 3, "S4'": 4, "S5": 4, "S5'": 5}
 
 
-@dataclass(frozen=True)
+@table
 class BusPoint:
-    id: str
-    x_km: float
-    y_km: float
-    area: str
+    id: str = text()
+    x_km: float = num()
+    y_km: float = num()
+    area: str = text()
 
 
-@dataclass(frozen=True)
+@table
 class LoadAsset:
-    bus: str
-    demand_mw: float
-    critical: bool = False
+    bus: str = text()
+    demand_mw: float = num(ge=0)
+    critical: bool = flag(False)
 
 
-@dataclass(frozen=True)
+@table
 class DerAsset:
-    id: str
-    bus: str
-    capability: DerCapability
-    capacity_mw: float
-    aux_power_mw: float = 0.0   # start-up power drawn before self-supply
+    id: str = text()
+    bus: str = text()
+    capability: DerCapability = choice(DerCapability)
+    capacity_mw: float = num(ge=0)
+    aux_power_mw: float = num(0.0, ge=0)   # start-up power drawn before self-supply
 
 
-@dataclass(frozen=True)
+@table
 class AreaSwitch:
-    id: str
-    area_a: str
-    area_b: str
+    id: str = text()
+    area_a: str = text()
+    area_b: str = text()
 
 
-@dataclass(frozen=True)
+@table
 class CommNode:
-    bus: str
-    has_battery: bool
-    battery_kwh: float = 0.0
-    drain_kw: float = 0.5
-    cell_radius_km: float = 2.0
+    bus: str = text()
+    has_battery: bool = flag(False)
+    battery_kwh: float = num(0.0, ge=0)
+    drain_kw: float = num(0.5, ge=0)
+    cell_radius_km: float = num(2.0, gt=0)
 
 
-@dataclass(frozen=True)
+@table
 class SyncPolicy:
-    max_phase_shift_rad: float = 0.2
-    max_freq_diff_hz: float = 0.01
+    max_phase_shift_rad: float = num(0.2, gt=0)
+    max_freq_diff_hz: float = num(0.01, ge=0)
 
 
-@dataclass(frozen=True)
+@table
 class RestorationScenario:
     """Buses with positions, loads, DER fleet, switch topology and comm."""
 
-    buses: tuple[BusPoint, ...]
-    loads: tuple[LoadAsset, ...]
-    ders: tuple[DerAsset, ...]
-    switches: tuple[AreaSwitch, ...]
-    comm: tuple[CommNode, ...]
-    sync_policy: SyncPolicy = field(default_factory=SyncPolicy)
+    buses: tuple[BusPoint, ...] = seq(BusPoint)
+    loads: tuple[LoadAsset, ...] = seq(LoadAsset)
+    ders: tuple[DerAsset, ...] = seq(DerAsset)
+    switches: tuple[AreaSwitch, ...] = seq(AreaSwitch)
+    comm: tuple[CommNode, ...] = seq(CommNode)
+    sync_policy: SyncPolicy = obj(SyncPolicy, SyncPolicy())
 
-    def __post_init__(self):
-        violations = check_restoration_scenario(self)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    def invariants(self):
+        """Unknown references, duplicate ids and finite totals."""
+        bus_ids = {b.id for b in self.buses}
+        areas = {b.area for b in self.buses}
+        out = (duplicates("buses", [b.id for b in self.buses])
+               + duplicates("ders", [d.id for d in self.ders])
+               + duplicates("comm", [c.bus for c in self.comm]))
+        out += [f"loads[{i}].bus: unknown bus {load.bus!r}"
+                for i, load in enumerate(self.loads) if load.bus not in bus_ids]
+        out += [f"ders[{d.id}].bus: unknown bus {d.bus!r}"
+                for d in self.ders if d.bus not in bus_ids]
+        out += [f"comm[{c.bus}].bus: unknown bus {c.bus!r}"
+                for c in self.comm if c.bus not in bus_ids]
+        for s in self.switches:
+            if s.area_a not in areas or s.area_b not in areas:
+                out.append(f"switches[{s.id}]: unknown area")
+            elif s.area_a == s.area_b:
+                out.append(f"switches[{s.id}]: must connect two distinct areas")
+        # Served load and generation are sums over these; keep them finite.
+        if not math.isfinite(self.total_load_mw()):
+            out.append("loads: total demand_mw must be finite")
+        if not math.isfinite(sum(d.capacity_mw for d in self.ders)):
+            out.append("ders: total capacity_mw must be finite")
+        return out
 
     @property
     def areas(self) -> list[str]:
@@ -135,56 +157,6 @@ class RestorationScenario:
 
     def total_critical_mw(self) -> float:
         return sum(l.demand_mw for l in self.loads if l.critical)
-
-
-def check_restoration_scenario(sc: "RestorationScenario") -> list[str]:
-    out = []
-    bus_ids = set()
-    for b in sc.buses:
-        if b.id in bus_ids:
-            out.append(f"buses[{b.id}]: duplicate id")
-        bus_ids.add(b.id)
-        if not (math.isfinite(b.x_km) and math.isfinite(b.y_km)):
-            out.append(f"buses[{b.id}]: position must be finite")
-    areas = {b.area for b in sc.buses}
-    for i, load in enumerate(sc.loads):
-        if load.bus not in bus_ids:
-            out.append(f"loads[{i}].bus: unknown bus {load.bus!r}")
-        if not (math.isfinite(load.demand_mw) and load.demand_mw >= 0):
-            out.append(f"loads[{i}].demand_mw: must be >= 0")
-    for d in sc.ders:
-        if d.bus not in bus_ids:
-            out.append(f"ders[{d.id}].bus: unknown bus {d.bus!r}")
-        if not (math.isfinite(d.capacity_mw) and d.capacity_mw >= 0):
-            out.append(f"ders[{d.id}].capacity_mw: must be >= 0")
-        if not (math.isfinite(d.aux_power_mw) and d.aux_power_mw >= 0):
-            out.append(f"ders[{d.id}].aux_power_mw: must be >= 0")
-        if not isinstance(d.capability, DerCapability):
-            out.append(f"ders[{d.id}].capability: invalid capability")
-    for s in sc.switches:
-        if s.area_a not in areas or s.area_b not in areas:
-            out.append(f"switches[{s.id}]: unknown area")
-        elif s.area_a == s.area_b:
-            out.append(f"switches[{s.id}]: must connect two distinct areas")
-    comm_buses = set()
-    for c in sc.comm:
-        if c.bus not in bus_ids:
-            out.append(f"comm[{c.bus}].bus: unknown bus {c.bus!r}")
-        if c.bus in comm_buses:
-            out.append(f"comm[{c.bus}]: duplicate comm node on bus")
-        comm_buses.add(c.bus)
-        if not (math.isfinite(c.cell_radius_km) and c.cell_radius_km > 0):
-            out.append(f"comm[{c.bus}].cell_radius_km: must be > 0")
-        if not (math.isfinite(c.battery_kwh) and c.battery_kwh >= 0):
-            out.append(f"comm[{c.bus}].battery_kwh: must be >= 0")
-        if not (math.isfinite(c.drain_kw) and c.drain_kw >= 0):
-            out.append(f"comm[{c.bus}].drain_kw: must be >= 0")
-    pol = sc.sync_policy
-    if not (math.isfinite(pol.max_phase_shift_rad) and pol.max_phase_shift_rad > 0):
-        out.append("sync_policy.max_phase_shift_rad: must be > 0")
-    if not (math.isfinite(pol.max_freq_diff_hz) and pol.max_freq_diff_hz >= 0):
-        out.append("sync_policy.max_freq_diff_hz: must be >= 0")
-    return out
 
 
 @dataclass(frozen=True)
@@ -266,7 +238,8 @@ def classify_service(served_critical: float, total_critical: float,
     """
     for name, served, total in (("critical", served_critical, total_critical),
                                 ("total", served_total, total_load)):
-        if not (0 <= served <= total + _EQ_TOL):
+        # Relative slack: served and total sum the same loads in other orders.
+        if not (0 <= served <= total + _EQ_TOL * max(1.0, total)):
             raise InvalidInputError(
                 f"served_{name}: must satisfy 0 <= served <= total")
     if served_total >= total_load - _EQ_TOL:
@@ -701,8 +674,8 @@ def monte_carlo(scenario: RestorationScenario, p_battery: float,
         raise InvalidInputError("p_battery: must be in [0, 1]")
     if not (math.isfinite(cell_radius_km) and cell_radius_km > 0):
         raise InvalidInputError("cell_radius_km: must be > 0")
-    if runs < 1:
-        raise InvalidInputError("runs: must be >= 1")
+    if not 1 <= runs <= MAX_RUNS:
+        raise InvalidInputError(f"runs: must be in [1, {MAX_RUNS}]")
     fractions = []
     comm_sorted = sorted(scenario.comm, key=lambda c: c.bus)
     for k in range(runs):

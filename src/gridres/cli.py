@@ -25,6 +25,7 @@ from . import frequency as fq
 from . import metrics as mt
 from . import schemas
 from .errors import GridResError, InvalidInputError, ScenarioValidationError
+from .fields import dump
 
 DEFAULT_SEED = 1234
 
@@ -46,7 +47,6 @@ class RunManifest:
     p_battery: float | None = None
     radius_km: float | None = None
     fmt: str = "json"
-    errors_json: bool = False
     options: dict = field(default_factory=dict)
 
 
@@ -136,18 +136,19 @@ def _run_coordinate(manifest: RunManifest) -> list[Path]:
     doc = _load_json(manifest.inputs["scenario"])
     case = schemas.load_fleet(doc)
 
-    h_max = co.compute_h_ag_max(case.p0_irmax, case.p0_ss, case.f_n,
-                                case.rocof_max)
-    phase1 = co.InertiaPhase1(rocof_max_hz_per_s=case.rocof_max,
-                              h_ag_max_s=h_max, p0_ss_pu=case.p0_ss,
-                              p0_irmax_pu=case.p0_irmax)
-    assignment = co.make_inertia_assignment(phase1, case.h_ag_tso,
+    h_max = co.compute_h_ag_max(case.p0_irmax_pu, case.p0_ss_pu, case.f_n,
+                                case.rocof_max_hz_per_s)
+    phase1 = co.InertiaPhase1(rocof_max_hz_per_s=case.rocof_max_hz_per_s,
+                              h_ag_max_s=h_max, p0_ss_pu=case.p0_ss_pu,
+                              p0_irmax_pu=case.p0_irmax_pu)
+    assignment = co.make_inertia_assignment(phase1, case.h_ag_tso_s,
                                             case.units, case.f_n)
     inertia_doc = {
         "h_ag_max_s": h_max,
         "h_ag_tso_s": assignment.h_ag_tso_s,
-        "p0_ir_pu": co.compute_p0_ir(assignment.h_ag_tso_s, case.rocof_max,
-                                     case.f_n, case.p0_ss),
+        "p0_ir_pu": co.compute_p0_ir(assignment.h_ag_tso_s,
+                                     case.rocof_max_hz_per_s, case.f_n,
+                                     case.p0_ss_pu),
         "per_unit_h_s": dict(sorted(assignment.per_unit_h_s.items())),
     }
 
@@ -155,16 +156,15 @@ def _run_coordinate(manifest: RunManifest) -> list[Path]:
     selected = co.select_droop(envelope, case.candidate)
     per_unit = co.distribute_droop(selected, case.units, case.grid)
     droop_doc = {
-        "selected": {k: getattr(selected, k) for k in schemas._CURVE_KEYS},
-        "per_unit": {
-            uid: {k: getattr(curve, k) for k in schemas._CURVE_KEYS}
-            for uid, curve in sorted(per_unit.items())},
+        "selected": dump(selected),
+        "per_unit": {uid: dump(curve) for uid, curve in sorted(per_unit.items())},
         "envelope_corners": {name: list(point) for name, point
                              in sorted(envelope.corners.items())},
     }
 
-    report = co.check_reserve_rules(case.fcr_shares, case.total_fcr_pu,
-                                    case.incident_units)
+    report = co.check_reserve_rules(
+        {u.id: u.fcr_share for u in case.units}, case.total_fcr_pu,
+        [u.id for u in case.units if u.in_reference_incident])
     report_doc = {
         "compliant": report.compliant,
         "violations": [{"unit_id": v.unit_id, "rule": v.rule, "detail": v.detail}
@@ -318,6 +318,11 @@ def _run_validate(manifest: RunManifest) -> list[Path]:
 
 _seed_option = click.option("--seed", type=int, default=None,
                             help="Random seed (overrides GRIDRES_SEED).")
+# frequency, coordinate and protection are deterministic: there the seed
+# is accepted for a uniform command line and has no effect.
+_noop_seed_option = click.option(
+    "--seed", type=int, default=None,
+    help="Accepted for a uniform command line; has no effect here.")
 _out_option = click.option("--out", "out_dir", type=click.Path(path_type=Path),
                            required=True, help="Output directory.")
 _format_option = click.option("--format", "fmt",
@@ -328,36 +333,32 @@ _format_option = click.option("--format", "fmt",
 @click.group(name="gridres")
 @click.option("--errors-json", is_flag=True,
               help="Emit errors as JSON on standard error.")
-@click.pass_context
-def cli(ctx, errors_json):
+def cli(errors_json):
     """Grid resilience simulation toolkit."""
-    ctx.obj = {"errors_json": errors_json}
+    # main() reads --errors-json from argv, so that errors raised before
+    # or inside click are reported the same way.
 
 
 @cli.command("frequency")
 @click.option("--scenario", type=click.Path(path_type=Path), required=True)
 @_out_option
-@_seed_option
+@_noop_seed_option
 @_format_option
-@click.pass_context
-def _cmd_frequency(ctx, scenario, out_dir, seed, fmt):
+def _cmd_frequency(scenario, out_dir, seed, fmt):
     """Simulate a frequency disturbance scenario."""
     run(RunManifest(subcommand="frequency", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=_resolve_seed(seed), fmt=fmt,
-                    errors_json=ctx.obj["errors_json"]))
+                    out_dir=out_dir, seed=_resolve_seed(seed), fmt=fmt))
 
 
 @cli.command("coordinate")
 @click.option("--scenario", type=click.Path(path_type=Path), required=True,
               help="Fleet document with units and selections.")
 @_out_option
-@_seed_option
-@click.pass_context
-def _cmd_coordinate(ctx, scenario, out_dir, seed):
+@_noop_seed_option
+def _cmd_coordinate(scenario, out_dir, seed):
     """Run the inertia and droop provision exchanges for a fleet."""
     run(RunManifest(subcommand="coordinate", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=_resolve_seed(seed),
-                    errors_json=ctx.obj["errors_json"]))
+                    out_dir=out_dir, seed=_resolve_seed(seed)))
 
 
 @cli.command("protection")
@@ -365,15 +366,13 @@ def _cmd_coordinate(ctx, scenario, out_dir, seed):
 @click.option("--fault", type=click.Path(path_type=Path), required=True)
 @click.option("--settings", type=click.Path(path_type=Path), required=True)
 @_out_option
-@_seed_option
-@click.pass_context
-def _cmd_protection(ctx, network, fault, settings, out_dir, seed):
+@_noop_seed_option
+def _cmd_protection(network, fault, settings, out_dir, seed):
     """Simulate breaker reaction to a fault and screen misoperations."""
     run(RunManifest(subcommand="protection",
                     inputs={"network": network, "fault": fault,
                             "settings": settings},
-                    out_dir=out_dir, seed=_resolve_seed(seed),
-                    errors_json=ctx.obj["errors_json"]))
+                    out_dir=out_dir, seed=_resolve_seed(seed)))
 
 
 @cli.command("blackstart")
@@ -386,13 +385,11 @@ def _cmd_protection(ctx, network, fault, settings, out_dir, seed):
 @click.option("--radius-km", type=float, default=None,
               help="Comm cell radius for Monte Carlo mode.")
 @click.option("--runs", type=int, default=None, help="Monte Carlo runs.")
-@click.pass_context
-def _cmd_blackstart(ctx, scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
+def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
     """Run a restoration scenario, or a Monte Carlo study with --p/--runs."""
     run(RunManifest(subcommand="blackstart", inputs={"scenario": scenario},
                     out_dir=out_dir, seed=_resolve_seed(seed), fmt=fmt,
-                    runs=runs, p_battery=p_battery, radius_km=radius_km,
-                    errors_json=ctx.obj["errors_json"]))
+                    runs=runs, p_battery=p_battery, radius_km=radius_km))
 
 
 @cli.command("metrics")
@@ -411,8 +408,7 @@ def _cmd_blackstart(ctx, scenario, out_dir, seed, fmt, p_battery, radius_km, run
 @click.option("--detection-t", type=float, default=None)
 @click.option("--remediation-t", type=float, default=None)
 @click.option("--recovery-t", type=float, default=None)
-@click.pass_context
-def _cmd_metrics(ctx, trace, timeline, out_dir, fmt, baseline, f_n,
+def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
                  band_half_width_hz, floor_deviation_hz, total_load_mw,
                  challenge_t, detection_t, remediation_t, recovery_t):
     """Compute resilience metrics from a trace or timeline CSV."""
@@ -431,19 +427,16 @@ def _cmd_metrics(ctx, trace, timeline, out_dir, fmt, baseline, f_n,
         else None,
     }
     run(RunManifest(subcommand="metrics", inputs=inputs, out_dir=out_dir,
-                    seed=DEFAULT_SEED, fmt=fmt, options=options,
-                    errors_json=ctx.obj["errors_json"]))
+                    seed=DEFAULT_SEED, fmt=fmt, options=options))
 
 
 @cli.command("validate")
 @click.option("--scenario", type=click.Path(path_type=Path), required=True)
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
-@click.pass_context
-def _cmd_validate(ctx, scenario, out_dir):
+def _cmd_validate(scenario, out_dir):
     """Check a scenario document against every type invariant."""
     run(RunManifest(subcommand="validate", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=DEFAULT_SEED,
-                    errors_json=ctx.obj["errors_json"]))
+                    out_dir=out_dir, seed=DEFAULT_SEED))
 
 
 def _emit_error(err: Exception, errors_json: bool) -> None:

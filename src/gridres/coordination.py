@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import GridResError, InvalidInputError
+from .fields import flag, num, table, text
 from .frequency import DroopCurve, evaluate_droop
 
 FCR_SINGLE_UNIT_CAP = 0.05  # max share of total containment reserve per unit
+MAX_GRID_ROWS = 10**5       # most rows of a frequency grid
 
 
 class InfeasibleHeadroomError(GridResError):
@@ -38,36 +40,24 @@ class FeasibilityViolationError(GridResError):
         super().__init__(f"droop curve infeasible at frequencies: {freqs}")
 
 
-@dataclass(frozen=True)
+@table
 class DerUnit:
     """A distributed resource with its operating point and headroom."""
 
-    id: str
-    p_rating: float               # pu
-    p_available: float            # pu, current operating point
-    bus: str = ""
-    in_reference_incident: bool = False
+    id: str = text()
+    p_rating: float = num(ge=0)        # pu
+    p_available: float = num(ge=0)     # pu, current operating point
+    bus: str = text("")
+    in_reference_incident: bool = flag(False)
 
-    def __post_init__(self):
-        violations = check_der_unit(self.id, self.p_rating, self.p_available)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    def invariants(self):
+        if self.p_available > self.p_rating:
+            return ["p_available: must be <= p_rating"]
+        return []
 
     @property
     def headroom(self) -> float:
         return self.p_rating - self.p_available
-
-
-def check_der_unit(unit_id, p_rating, p_available, prefix="unit"):
-    out = []
-    tag = f"{prefix}[{unit_id}]"
-    if not (math.isfinite(p_rating) and p_rating >= 0):
-        out.append(f"{tag}.p_rating: must be finite and >= 0")
-    if not (math.isfinite(p_available) and 0 <= p_available):
-        out.append(f"{tag}.p_available: must be finite and >= 0")
-    elif math.isfinite(p_rating) and p_available > p_rating:
-        out.append(f"{tag}.p_available: must be <= p_rating")
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,19 +93,21 @@ class InertiaAssignment:
                 "per_unit_h_s": dict(sorted(self.per_unit_h_s.items()))}
 
 
-@dataclass(frozen=True)
+@table
 class FrequencyGrid:
     """Frequency sampling grid for envelope construction and checks."""
 
-    f_min: float
-    f_max: float
-    f_step: float
-    f_n: float = 50.0
+    f_min: float = num()
+    f_max: float = num()
+    f_step: float = num(gt=0)
+    f_n: float = num(50.0, gt=0)
 
-    def __post_init__(self):
-        violations = check_frequency_grid(self.f_min, self.f_max, self.f_step, self.f_n)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    def invariants(self):
+        if not self.f_min < self.f_max:
+            return ["f_min: must be < f_max"]
+        if not (self.f_max - self.f_min) / self.f_step < MAX_GRID_ROWS:
+            return [f"f_step: the grid must have at most {MAX_GRID_ROWS} rows"]
+        return []
 
     def frequencies(self) -> list[float]:
         """Rows from f_min in steps of f_step until f_max is reached or passed."""
@@ -125,17 +117,6 @@ class FrequencyGrid:
             k += 1
             rows.append(self.f_min + k * self.f_step)
         return rows
-
-
-def check_frequency_grid(f_min, f_max, f_step, f_n, prefix="grid"):
-    out = []
-    if not (math.isfinite(f_step) and f_step > 0):
-        out.append(f"{prefix}.f_step: must be > 0")
-    if not (math.isfinite(f_min) and math.isfinite(f_max) and f_min < f_max):
-        out.append(f"{prefix}.f_min: must be < f_max")
-    if not (math.isfinite(f_n) and f_n > 0):
-        out.append(f"{prefix}.f_n: must be > 0")
-    return out
 
 
 @dataclass(frozen=True)

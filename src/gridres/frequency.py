@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SimulationError
+from .fields import num, obj, table
 
 # Containment-reserve activation envelope: half output after 15 s, full
 # output after 30 s, which is a constant ramp rate of capacity/30 per second.
@@ -25,47 +26,27 @@ FCR_T_FULL_S = 30.0
 # Dead band applied when the simulation has no droop fleet to take one from.
 DEFAULT_DEAD_BAND_HZ = 0.02
 
+# Most samples in one simulated run. The largest use is the fine-step
+# nadir oracle's 75,001 samples.
+MAX_SAMPLES = 10**6
+
 
 class ZeroInertiaError(SimulationError):
     """A power step on a zero-inertia system implies infinite ROCOF."""
 
 
-@dataclass(frozen=True)
+@table
 class SystemParameters:
     """Aggregate grid model: nominal frequency, size, inertia and damping."""
 
-    f_n: float = 50.0                 # nominal frequency, Hz
-    s_base_mva: float = 100.0         # system base power, MVA
-    h_sys_s: float = 5.0              # aggregate inertia constant, s
-    damping_pu_per_hz: float = 0.0    # load self-regulation, pu power per Hz
-    band_half_width_hz: float = 0.5   # allowed deviation around f_n, Hz
-
-    def __post_init__(self):
-        violations = check_system_parameters(
-            self.f_n, self.s_base_mva, self.h_sys_s,
-            self.damping_pu_per_hz, self.band_half_width_hz)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    f_n: float = num(50.0, gt=0)                # nominal frequency, Hz
+    s_base_mva: float = num(100.0, gt=0)        # system base power, MVA
+    h_sys_s: float = num(5.0, ge=0)             # aggregate inertia constant, s
+    damping_pu_per_hz: float = num(0.0, ge=0)   # load self-regulation, pu power per Hz
+    band_half_width_hz: float = num(0.5, gt=0)  # allowed deviation around f_n, Hz
 
 
-def check_system_parameters(f_n, s_base_mva, h_sys_s, damping_pu_per_hz,
-                            band_half_width_hz, prefix="system"):
-    """Return all invariant violations for a parameter set (empty if valid)."""
-    out = []
-    if not (isinstance(f_n, (int, float)) and math.isfinite(f_n) and f_n > 0):
-        out.append(f"{prefix}.f_n: must be finite and > 0")
-    if not (math.isfinite(s_base_mva) and s_base_mva > 0):
-        out.append(f"{prefix}.s_base_mva: must be finite and > 0")
-    if not (math.isfinite(h_sys_s) and h_sys_s >= 0):
-        out.append(f"{prefix}.h_sys_s: must be finite and >= 0")
-    if not (math.isfinite(damping_pu_per_hz) and damping_pu_per_hz >= 0):
-        out.append(f"{prefix}.damping_pu_per_hz: must be finite and >= 0")
-    if not (math.isfinite(band_half_width_hz) and band_half_width_hz > 0):
-        out.append(f"{prefix}.band_half_width_hz: must be finite and > 0")
-    return out
-
-
-@dataclass(frozen=True)
+@table
 class DroopCurve:
     """Piecewise-linear P(f) control law with a dead band around nominal.
 
@@ -73,66 +54,41 @@ class DroopCurve:
     output clamps to p_max, above f_max it clamps to p_min.
     """
 
-    f_n: float                        # Hz
-    dead_band_half_width: float       # Hz
-    p_nominal: float                  # pu output inside the dead band
-    p_max: float                      # pu output at and below f_min
-    f_min: float                      # Hz, under-frequency anchor
-    p_min: float                      # pu output at and above f_max
-    f_max: float                      # Hz, over-frequency anchor
+    f_n: float = num(gt=0)                      # Hz
+    dead_band_half_width: float = num(ge=0)     # Hz
+    p_nominal: float = num()                    # pu output inside the dead band
+    p_max: float = num()                        # pu output at and below f_min
+    f_min: float = num()                        # Hz, under-frequency anchor
+    p_min: float = num()                        # pu output at and above f_max
+    f_max: float = num()                        # Hz, over-frequency anchor
 
-    def __post_init__(self):
-        violations = check_droop_curve(
-            self.f_n, self.dead_band_half_width, self.p_nominal,
-            self.p_max, self.f_min, self.p_min, self.f_max)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
-
-
-def check_droop_curve(f_n, dead_band_half_width, p_nominal, p_max, f_min,
-                      p_min, f_max, prefix="curve"):
-    out = []
-    values = [f_n, dead_band_half_width, p_nominal, p_max, f_min, p_min, f_max]
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-        out.append(f"{prefix}: all fields must be finite numbers")
+    def invariants(self):
+        out = []
+        if self.f_min >= self.f_n - self.dead_band_half_width:
+            out.append("f_min: must be < f_n - dead_band_half_width")
+        if self.f_max <= self.f_n + self.dead_band_half_width:
+            out.append("f_max: must be > f_n + dead_band_half_width")
+        if not (self.p_min <= self.p_nominal <= self.p_max):
+            out.append("p_nominal: must satisfy p_min <= p_nominal <= p_max")
         return out
-    if f_n <= 0:
-        out.append(f"{prefix}.f_n: must be > 0")
-    if dead_band_half_width < 0:
-        out.append(f"{prefix}.dead_band_half_width: must be >= 0")
-    if f_min >= f_n - dead_band_half_width:
-        out.append(f"{prefix}.f_min: must be < f_n - dead_band_half_width")
-    if f_max <= f_n + dead_band_half_width:
-        out.append(f"{prefix}.f_max: must be > f_n + dead_band_half_width")
-    if not (p_min <= p_nominal <= p_max):
-        out.append(f"{prefix}.p_nominal: must satisfy p_min <= p_nominal <= p_max")
-    return out
 
 
-@dataclass(frozen=True)
+@table
 class RatedDroopCurve:
     """A droop curve scaled by the MW rating of the providing fleet share."""
 
-    curve: DroopCurve
-    rating_mw: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rating_mw) and self.rating_mw >= 0):
-            raise InvalidInputError("rating_mw: must be finite and >= 0")
+    curve: DroopCurve = obj(DroopCurve)
+    rating_mw: float = num(ge=0)
 
 
-@dataclass(frozen=True)
+@table
 class FcrProduct:
     """Frequency containment reserve with the fixed 15 s / 30 s ramp."""
 
-    capacity_mw: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.capacity_mw) and self.capacity_mw >= 0):
-            raise InvalidInputError("fcr.capacity_mw: must be finite and >= 0")
+    capacity_mw: float = num(ge=0)
 
 
-@dataclass(frozen=True)
+@table
 class SecondaryReserve:
     """Slow restoration reserve: long activation, sustained delivery.
 
@@ -141,49 +97,28 @@ class SecondaryReserve:
     the replacing tertiary process is out of scope.
     """
 
-    capacity_mw: float
-    full_activation_time_s: float = 300.0
-    sustain_duration_s: float = 900.0
-
-    def __post_init__(self):
-        violations = check_secondary_reserve(
-            self.capacity_mw, self.full_activation_time_s, self.sustain_duration_s)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    capacity_mw: float = num(ge=0)
+    full_activation_time_s: float = num(300.0, gt=FCR_T_FULL_S)
+    sustain_duration_s: float = num(900.0, ge=0)
 
 
-def check_secondary_reserve(capacity_mw, full_activation_time_s,
-                            sustain_duration_s, prefix="secondary"):
-    out = []
-    if not (math.isfinite(capacity_mw) and capacity_mw >= 0):
-        out.append(f"{prefix}.capacity_mw: must be finite and >= 0")
-    if not (math.isfinite(full_activation_time_s) and full_activation_time_s > FCR_T_FULL_S):
-        out.append(f"{prefix}.full_activation_time_s: must be > {FCR_T_FULL_S:g}")
-    if not (math.isfinite(sustain_duration_s) and sustain_duration_s >= 0):
-        out.append(f"{prefix}.sustain_duration_s: must be finite and >= 0")
-    return out
-
-
-@dataclass(frozen=True)
+@table
 class DisturbanceEvent:
     """Step power imbalance; negative delta_p_pu means lost generation."""
 
-    t_event_s: float
-    delta_p_pu: float
-
-    def __post_init__(self):
-        violations = check_disturbance_event(self.t_event_s, self.delta_p_pu)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    t_event_s: float = num(ge=0)
+    delta_p_pu: float = num()
 
 
-def check_disturbance_event(t_event_s, delta_p_pu, prefix="event"):
-    out = []
-    if not (math.isfinite(t_event_s) and t_event_s >= 0):
-        out.append(f"{prefix}.t_event_s: must be finite and >= 0")
-    if not math.isfinite(delta_p_pu):
-        out.append(f"{prefix}.delta_p_pu: must be finite")
-    return out
+def run_violations(t_event_s, horizon_s, dt_s) -> list[str]:
+    """Violations of a run's horizon and step; a run holds 2 to MAX_SAMPLES."""
+    if not (math.isfinite(dt_s) and dt_s > 0):
+        return ["dt_s: must be finite and > 0"]
+    if not (math.isfinite(horizon_s) and horizon_s > t_event_s):
+        return ["horizon_s: must be finite and exceed event.t_event_s"]
+    if not 1 <= round(min(horizon_s / dt_s, MAX_SAMPLES)) < MAX_SAMPLES:
+        return [f"horizon_s / dt_s: a run must have 2 to {MAX_SAMPLES} samples"]
+    return []
 
 
 @dataclass
@@ -369,10 +304,9 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
     the trace converges cleanly as dt shrinks.
     """
     droop_fleet = droop_fleet or []
-    if dt_s <= 0:
-        raise InvalidInputError("dt_s: must be > 0")
-    if horizon_s <= event.t_event_s:
-        raise InvalidInputError("horizon_s: must exceed event.t_event_s")
+    violations = run_violations(event.t_event_s, horizon_s, dt_s)
+    if violations:
+        raise InvalidInputError("; ".join(violations))
     n = int(round(horizon_s / dt_s)) + 1
     t = np.arange(n) * dt_s
     f = np.full(n, params.f_n, dtype=float)
@@ -417,17 +351,20 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
     i_event = int(np.searchsorted(t, event.t_event_s, side="left"))
     fi = params.f_n
     p_sec = 0.0
-    if i_event < n and t[i_event] > event.t_event_s + 1e-15:
-        h = t[i_event] - event.t_event_s
-        dev0 = abs(fi - f_n)
-        fi, p_sec = rk4_step(event.t_event_s, h, fi, p_sec)
-        f[i_event] = fi
-        note_dead_band_crossing(event.t_event_s, h, dev0, abs(fi - f_n))
-    for i in range(i_event, n - 1):
-        dev0 = abs(fi - f_n)
-        fi, p_sec = rk4_step(t[i], dt_s, fi, p_sec)
-        f[i + 1] = fi
-        note_dead_band_crossing(t[i], dt_s, dev0, abs(fi - f_n))
+    try:
+        if i_event < n and t[i_event] > event.t_event_s + 1e-15:
+            h = t[i_event] - event.t_event_s
+            dev0 = abs(fi - f_n)
+            fi, p_sec = rk4_step(event.t_event_s, h, fi, p_sec)
+            f[i_event] = fi
+            note_dead_band_crossing(event.t_event_s, h, dev0, abs(fi - f_n))
+        for i in range(i_event, n - 1):
+            dev0 = abs(fi - f_n)
+            fi, p_sec = rk4_step(t[i], dt_s, fi, p_sec)
+            f[i + 1] = fi
+            note_dead_band_crossing(t[i], dt_s, dev0, abs(fi - f_n))
+    except InvalidInputError as err:    # the droop fleet met a non-finite frequency
+        raise SimulationError("frequency integration diverged") from err
 
     return FrequencyTrace.from_frequencies(t, f, dt_s)
 

@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridResError, InvalidInputError
+from .fields import choice, duplicates, flag, num, obj, row, seq, table, text
 
 _FAULT_NODE = "__fault__"
 _FAR_SUFFIX = "#far"
@@ -63,61 +64,91 @@ class IsolationError(GridResError):
     """No set of working breakers can separate the fault from its sources."""
 
 
-@dataclass(frozen=True)
+@table
 class Line:
-    id: str
-    from_bus: str
-    to_bus: str
-    impedance_pu: float
+    id: str = text()
+    from_bus: str = text()
+    to_bus: str = text()
+    impedance_pu: float = num(gt=0)
 
 
-@dataclass(frozen=True)
+@table
 class ExternalSource:
-    bus: str
-    voltage_pu: float = 1.0
-    impedance_pu: float = 0.05
-    available: bool = True
+    bus: str = text()
+    voltage_pu: float = num(1.0)
+    impedance_pu: float = num(0.05, gt=0)
+    available: bool = flag(True)
 
 
-@dataclass(frozen=True)
+@table
 class DerSource:
     """Current-source model of a DER: fixed injection when active."""
 
-    id: str
-    bus: str
-    i_max_pu: float
-    injecting: bool = True
+    id: str = text()
+    bus: str = text()
+    i_max_pu: float = num(ge=0)
+    injecting: bool = flag(True)
 
 
-@dataclass(frozen=True)
+@table
 class Breaker:
-    id: str
-    line: str
-    i_trip_pu: float
-    delay_s: float = 0.1
+    id: str = text()
+    line: str = text()
+    i_trip_pu: float = num(gt=0)
+    delay_s: float = num(0.1, ge=0)
 
 
-@dataclass(frozen=True)
+@table
 class LoadPoint:
-    bus: str
-    current_pu: float
+    bus: str = text()
+    current_pu: float = num(ge=0)
 
 
-@dataclass(frozen=True)
+@table
 class RadialNetwork:
     """Radial feeder network rooted at the external-source bus."""
 
-    buses: tuple[str, ...]
-    lines: tuple[Line, ...]
-    source: ExternalSource
-    ders: tuple[DerSource, ...] = ()
-    breakers: tuple[Breaker, ...] = ()
-    loads: tuple[LoadPoint, ...] = ()
+    buses: tuple[str, ...] = seq(str)
+    lines: tuple[Line, ...] = seq(Line)
+    source: ExternalSource = obj(ExternalSource)
+    ders: tuple[DerSource, ...] = seq(DerSource, ())
+    breakers: tuple[Breaker, ...] = seq(Breaker, ())
+    loads: tuple[LoadPoint, ...] = seq(LoadPoint, ())
 
-    def __post_init__(self):
-        violations = check_radial_network(self)
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+    def invariants(self):
+        """Radiality, unknown references and duplicate ids."""
+        bus_set = set(self.buses)
+        line_ids = [ln.id for ln in self.lines]
+        out = (duplicates("buses", self.buses) + duplicates("lines", line_ids)
+               + duplicates("ders", [d.id for d in self.ders])
+               + duplicates("breakers", [b.id for b in self.breakers]))
+        if self.source.bus not in bus_set:
+            out.append(f"source.bus: unknown bus {self.source.bus!r}")
+        parent = {b: b for b in bus_set}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for ln in self.lines:
+            if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
+                out.append(f"lines[{ln.id}]: endpoint not in buses")
+                continue
+            ra, rb = find(ln.from_bus), find(ln.to_bus)
+            if ra == rb:
+                out.append(f"lines[{ln.id}]: creates a cycle, network must be radial")
+            else:
+                parent[ra] = rb
+        out += [f"ders[{d.id}].bus: unknown bus {d.bus!r}"
+                for d in self.ders if d.bus not in bus_set]
+        line_set = set(line_ids)
+        out += [f"breakers[{b.id}].line: unknown line {b.line!r}"
+                for b in self.breakers if b.line not in line_set]
+        out += [f"loads[{i}].bus: unknown bus {load.bus!r}"
+                for i, load in enumerate(self.loads) if load.bus not in bus_set]
+        return out
 
     def line_by_id(self, line_id: str) -> Line:
         for ln in self.lines:
@@ -131,74 +162,15 @@ class RadialNetwork:
         return _CompiledFeeder(self)
 
 
-def check_radial_network(net: "RadialNetwork") -> list[str]:
-    """All invariant violations of a network description (empty if valid)."""
-    out = []
-    bus_set = set(net.buses)
-    if len(bus_set) != len(net.buses):
-        out.append("buses: duplicate bus ids")
-    if net.source.bus not in bus_set:
-        out.append(f"source.bus: unknown bus {net.source.bus!r}")
-    if not (math.isfinite(net.source.impedance_pu) and net.source.impedance_pu > 0):
-        out.append("source.impedance_pu: must be > 0")
-    if not math.isfinite(net.source.voltage_pu):
-        out.append("source.voltage_pu: must be finite")
-    seen_lines = set()
-    parent = {b: b for b in bus_set}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ln in net.lines:
-        tag = f"lines[{ln.id}]"
-        if ln.id in seen_lines:
-            out.append(f"{tag}: duplicate line id")
-        seen_lines.add(ln.id)
-        if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
-            out.append(f"{tag}: endpoint not in buses")
-            continue
-        if not (math.isfinite(ln.impedance_pu) and ln.impedance_pu > 0):
-            out.append(f"{tag}.impedance_pu: must be > 0")
-        ra, rb = find(ln.from_bus), find(ln.to_bus)
-        if ra == rb:
-            out.append(f"{tag}: creates a cycle, network must be radial")
-        else:
-            parent[ra] = rb
-    for d in net.ders:
-        if d.bus not in bus_set:
-            out.append(f"ders[{d.id}].bus: unknown bus {d.bus!r}")
-        if not (math.isfinite(d.i_max_pu) and d.i_max_pu >= 0):
-            out.append(f"ders[{d.id}].i_max_pu: must be >= 0")
-    for b in net.breakers:
-        if b.line not in seen_lines:
-            out.append(f"breakers[{b.id}].line: unknown line {b.line!r}")
-        if not (math.isfinite(b.i_trip_pu) and b.i_trip_pu > 0):
-            out.append(f"breakers[{b.id}].i_trip_pu: must be > 0")
-        if not (math.isfinite(b.delay_s) and b.delay_s >= 0):
-            out.append(f"breakers[{b.id}].delay_s: must be >= 0")
-    for i, load in enumerate(net.loads):
-        if load.bus not in bus_set:
-            out.append(f"loads[{i}].bus: unknown bus {load.bus!r}")
-        if not (math.isfinite(load.current_pu) and load.current_pu >= 0):
-            out.append(f"loads[{i}].current_pu: must be >= 0")
-    return out
-
-
 def check_settings(settings, breakers=()) -> list[str]:
     """All violations of a breaker-id -> trip-current map (empty if valid).
 
-    Every trip current must be a finite number > 0 (a NaN setting never
-    trips), and every breaker in breakers must have one.
+    Every trip current obeys the Breaker.i_trip_pu row (finite and > 0; a
+    NaN setting never trips), and every breaker in breakers has one.
     """
-    out = []
-    for bid, value in settings.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            out.append(f"settings[{bid}]: must be a number")
-        elif not (math.isfinite(value) and value > 0):
-            out.append(f"settings[{bid}]: must be finite and > 0")
+    trip = row(Breaker, "i_trip_pu")
+    out = [f"settings[{bid}]: {problem}" for bid, value in settings.items()
+           if (problem := trip.check(value))]
     missing = [b.id for b in breakers if b.id not in settings]
     if missing:
         out.append(f"settings: missing breakers: {', '.join(missing)}")
@@ -299,26 +271,19 @@ class _CompiledFeeder:
         return top[self.tin]
 
 
-@dataclass(frozen=True)
+@table
 class FaultScenario:
     """A short circuit on a line (at a position fraction) or at a bus.
 
     impedance_pu = 0 is a bolted fault; math.inf is the no-fault
-    sentinel and yields the healthy load-flow solution.
+    sentinel and yields the healthy load-flow solution. In a fault
+    document the element sits under "element" and null stands for inf.
     """
 
-    element_kind: str            # "line" or "bus"
-    element_id: str
-    impedance_pu: float = 0.0
-    position: float = 0.5        # along the line from from_bus, line faults only
-
-    def __post_init__(self):
-        if self.element_kind not in ("line", "bus"):
-            raise InvalidInputError("fault.element_kind: must be 'line' or 'bus'")
-        if math.isnan(self.impedance_pu) or self.impedance_pu < 0:
-            raise InvalidInputError("fault.impedance_pu: must be >= 0 (inf for none)")
-        if not (0.0 <= self.position <= 1.0):
-            raise InvalidInputError("fault.position: must be in [0, 1]")
+    element_kind: str = choice(("line", "bus"), key="element.kind")
+    element_id: str = text(key="element.id")
+    impedance_pu: float = num(0.0, ge=0, null=math.inf)
+    position: float = num(0.5, ge=0, le=1)   # along the line from from_bus, line faults only
 
     @property
     def is_fault(self) -> bool:

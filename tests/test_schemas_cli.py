@@ -1,16 +1,28 @@
 """Scenario schema and CLI behavior: validation, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
 from gridres import schemas
+from gridres.blackstart import CommNode, run_restoration
 from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          EXIT_VALIDATION, main)
-from gridres.errors import ScenarioValidationError
+from gridres.coordination import DerUnit
+from gridres.errors import GridResError, InvalidInputError, ScenarioValidationError
+from gridres.fields import dump
+from gridres.frequency import FrequencyTrace, SystemParameters
+from gridres.protection import FaultScenario
 
 
 def frequency_doc():
@@ -375,3 +387,331 @@ class TestCliReproducibility:
         default_summary = json.loads((out_default / "summary.json").read_text())
         assert env_summary == flag_summary
         assert default_summary["seed"] == DEFAULT_SEED
+
+
+# ---------------------------------------------------------------------------
+# One schema per document: robustness, engine agreement, round trips
+# ---------------------------------------------------------------------------
+
+FAULT_DOC = {"element": {"kind": "line", "id": "L2"}, "impedance_pu": 0.0,
+             "position": 0.5}
+
+
+def short_frequency_doc():
+    doc = frequency_doc()
+    doc["horizon_s"] = 2.0      # the event is at 1 s: 201 samples
+    return doc
+
+
+def full_fleet_doc():
+    """fleet_doc() with every defaulted key spelled out."""
+    doc = fleet_doc()
+    for unit in doc["units"]:
+        unit.update(bus="", in_reference_incident=False)
+    doc["droop"]["grid"]["f_n"] = 50.0
+    return doc
+
+
+BUNDLED = {"frequency": short_frequency_doc, "network": network_doc,
+           "restoration": restoration_doc, "fleet": full_fleet_doc,
+           "fault": lambda: json.loads(json.dumps(FAULT_DOC))}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12)
+
+
+def _nodes(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+@st.composite
+def damaged_docs(draw, kinds=tuple(BUNDLED)):
+    """A bundled document with one to three nodes replaced or removed."""
+    doc = BUNDLED[draw(st.sampled_from(kinds))]()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            return draw(json_values)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@st.composite
+def perturbed_docs(draw, kinds):
+    """A bundled document with one to three numbers changed, which keeps
+    many of them valid."""
+    doc = BUNDLED[draw(st.sampled_from(kinds))]()
+    leaves = [p for p in _nodes(doc) if type(_get(doc, p)) is float]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(leaves))
+        old = _get(doc, path)
+        _set(doc, path, draw(st.floats(-4, 4).map(lambda k: old * k)
+                             | st.floats(allow_nan=False, allow_infinity=False)
+                             | st.sampled_from([0.0, 1e-300, 1e300])))
+    return doc
+
+
+def _cli(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestAnyDocument:
+    @given(doc=json_values | damaged_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_validate_lists_violations_and_never_raises(self, doc):
+        violations = schemas.validate_document(doc)
+        assert isinstance(violations, list)
+        assert all(isinstance(v, str) for v in violations)
+
+    @given(doc=json_values | damaged_docs())
+    @settings(max_examples=25, deadline=None)
+    def test_cli_validate_exits_0_or_1(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = _cli("--errors-json", "validate", "--scenario", path)
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        assert json.loads(out)["valid"] == (code == EXIT_OK)
+        if code == EXIT_VALIDATION:
+            assert json.loads(err)["error"] == "ScenarioValidationError"
+
+
+ENGINE_KINDS = ("frequency", "restoration", "fleet")
+
+
+class TestValidateCleanMeansEngineAccepts:
+    @given(doc=damaged_docs(kinds=ENGINE_KINDS) | perturbed_docs(ENGINE_KINDS))
+    @settings(max_examples=60, deadline=None)
+    def test_engines_raise_no_input_error(self, doc):
+        if schemas.validate_document(doc):
+            return
+        try:
+            kind = schemas.detect_kind(doc)
+            if kind == "frequency":
+                scn = schemas.load_frequency_scenario(doc)
+                if round(scn.horizon_s / scn.dt_s) <= 2000:
+                    scn.simulate()
+            elif kind == "restoration":
+                run_restoration(schemas.load_restoration_scenario(doc), seed=1)
+            else:
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = Path(tmp) / "fleet.json"
+                    path.write_text(json.dumps(doc))
+                    code, _out, err = _cli("coordinate", "--scenario", path,
+                                           "--out", Path(tmp) / "out")
+                assert code in (EXIT_OK, EXIT_RUNTIME), err
+        except InvalidInputError as err:
+            raise AssertionError(f"validate-clean document rejected: {err}")
+        except GridResError:
+            pass   # a domain outcome, such as an infeasible selection
+
+
+class TestDumpLoadRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(BUNDLED))
+    def test_dump_of_load_is_identity(self, kind):
+        doc = BUNDLED[kind]()
+        loaded = {"frequency": schemas.load_frequency_scenario,
+                  "network": schemas.load_network,
+                  "restoration": schemas.load_restoration_scenario,
+                  "fleet": schemas.load_fleet, "fault": schemas.load_fault}[kind](doc)
+        dumped = dump(loaded)
+        if kind != "fault":
+            dumped = {"schema_version": 1, **dumped}
+        assert dumped == doc
+
+    def test_fault_kind_detected_and_validated(self):
+        assert schemas.detect_kind(FAULT_DOC) == "fault"
+        assert schemas.validate_document(FAULT_DOC) == []
+        bad = dict(FAULT_DOC, element={"kind": "node", "id": "L2"})
+        assert any("element.kind" in v for v in schemas.validate_document(bad))
+
+    def test_null_fault_impedance_is_no_fault(self):
+        fault = schemas.load_fault(dict(FAULT_DOC, impedance_pu=None))
+        assert fault.impedance_pu == math.inf and not fault.is_fault
+        assert dump(fault)["impedance_pu"] is None
+
+    def test_grid_takes_the_fleet_nominal_frequency(self):
+        doc = fleet_doc()
+        doc["f_n"] = 60.0
+        assert schemas.load_fleet(doc).grid.f_n == 60.0
+        doc["droop"]["grid"]["f_n"] = 50.0
+        assert schemas.load_fleet(doc).grid.f_n == 50.0
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# One example per defect that crashed, or that validate accepted although
+# an engine rejected it or it was wrong.
+REGRESSIONS = [
+    ("fleet", ("units",), [3], "units[0]: must be an object"),
+    ("fleet", ("units",), {"u": 1}, "units: must be a list"),
+    ("network", ("lines",), [3], "lines[0]: must be an object"),
+    ("network", ("buses",), "xy", "buses: must be a list"),
+    ("restoration", ("buses",), "xy", "buses: must be a list"),
+    ("restoration", ("ders",), 5, "ders: must be a list"),
+    ("network", ("ders",), 5, "ders: must be a list"),
+    ("restoration", ("comm",), [None], "comm[0]: must be an object"),
+    ("restoration", ("sync_policy",), 3, "sync_policy: must be an object"),
+    ("frequency", ("horizon_s",), math.inf, "horizon_s"),
+    ("frequency", ("horizon_s",), math.nan, "horizon_s"),
+    ("frequency", ("dt_s",), 1e-9, "horizon_s"),   # 2e9 samples, never run
+    ("fleet", ("inertia", "h_ag_tso_s"), 5.0, "inertia.h_ag_tso_s"),
+    ("fleet", ("inertia", "h_ag_tso_s"), 1e6, "inertia.h_ag_tso_s"),
+    ("fleet", ("inertia", "h_ag_tso_s"), -1.0, "inertia.h_ag_tso_s"),
+    ("fleet", ("inertia", "h_ag_tso_s"), math.inf, "inertia.h_ag_tso_s"),
+    ("fleet", ("inertia", "rocof_max_hz_per_s"), math.nan,
+     "inertia.rocof_max_hz_per_s"),
+    ("fleet", ("inertia", "p0_ss_pu"), math.nan, "inertia.p0_ss_pu"),
+    ("fleet", ("total_fcr_pu",), math.inf, "total_fcr_pu"),
+    ("fleet", ("units", 0, "fcr_share"), math.nan, "units[0].fcr_share"),
+    ("fleet", ("units", 0, "fcr_share"), -0.1, "units[0].fcr_share"),
+    ("fleet", ("units", 1, "id"), "pv_north", "duplicate id"),
+    ("fleet", ("units", 1, "bus"), 3, "units[1].bus"),
+    ("fleet", ("units", 1, "in_reference_incident"), 1,
+     "units[1].in_reference_incident"),
+    ("fleet", ("droop", "grid", "f_step"), 1e-9, "droop.grid.f_step"),
+]
+
+
+class TestRegressions:
+    @pytest.mark.parametrize("kind,path,value,expected", REGRESSIONS)
+    @pytest.mark.parametrize("errors_json", [False, True])
+    def test_defect_is_a_listed_violation(self, tmp_path, kind, path, value,
+                                          expected, errors_json):
+        doc = _set(BUNDLED[kind](), path, value)
+        assert any(expected in v for v in schemas.validate_document(doc))
+        scenario = tmp_path / "doc.json"
+        scenario.write_text(json.dumps(doc))
+        flags = ["--errors-json"] if errors_json else []
+        code, _out, err = _cli(*flags, "validate", "--scenario", scenario)
+        assert code == EXIT_VALIDATION
+        assert expected in (json.loads(err)["message"] if errors_json else err)
+
+    def test_fault_document_that_is_a_list(self, workspace):
+        fault = workspace["root"] / "fault_list.json"
+        fault.write_text(json.dumps([FAULT_DOC]))
+        for flags in ([], ["--errors-json"]):
+            code, _out, err = _cli(*flags, "protection", "--network",
+                                   workspace["net.json"], "--fault", fault,
+                                   "--settings", workspace["settings.json"],
+                                   "--out", workspace["root"] / "o")
+            assert code == EXIT_VALIDATION
+            assert "must be an object" in err
+
+    def test_monte_carlo_runs_are_bounded(self):
+        from gridres.blackstart import MAX_RUNS, monte_carlo
+        with pytest.raises(InvalidInputError, match="runs"):
+            monte_carlo(bm.benchmark_restoration_scenario(), 0.5, 2.0,
+                        runs=MAX_RUNS + 1)
+
+    def test_simulation_sample_cap_rejects_without_running(self):
+        from gridres.frequency import MAX_SAMPLES, simulate_disturbance
+        dt = 1e-3
+        with pytest.raises(InvalidInputError, match="samples"):
+            simulate_disturbance(bm.benchmark_system(), bm.benchmark_event(),
+                                 bm.benchmark_fcr(), bm.benchmark_secondary(),
+                                 horizon_s=MAX_SAMPLES * dt, dt_s=dt)
+
+
+class TestDirectConstruction:
+    """Every rule the document path applies also holds for constructors."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: SystemParameters(h_sys_s=-1),
+        lambda: SystemParameters(f_n=math.nan),
+        lambda: DerUnit(id="u", p_rating=1.0, p_available=0.5, bus=3),
+        lambda: DerUnit(id="u", p_rating=1.0, p_available=0.5,
+                        in_reference_incident=1),
+        lambda: schemas.FleetUnit(id="u", p_rating=1.0, p_available=0.5,
+                                  fcr_share=math.nan),
+        lambda: CommNode("B0", has_battery="yes"),
+        lambda: FaultScenario("node", "L1"),
+        lambda: FaultScenario("line", "L1", position=math.nan),
+        lambda: schemas.FrequencyScenario(
+            system=bm.benchmark_system(), event=bm.benchmark_event(),
+            fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+            horizon_s=math.inf),
+        lambda: replace(schemas.load_fleet(fleet_doc()),
+                        units=schemas.load_fleet(fleet_doc()).units * 2),
+        lambda: replace(schemas.load_fleet(fleet_doc()), h_ag_tso_s=5.0),
+    ])
+    def test_rejected(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
+
+class TestCsvReaders:
+    def _trace(self, text):
+        return schemas.read_trace_csv(io.StringIO(text))
+
+    def test_missing_column(self):
+        with pytest.raises(InvalidInputError, match="columns"):
+            self._trace("t,g\n0,50\n0.01,50\n")
+
+    def test_non_numeric_cell(self):
+        with pytest.raises(InvalidInputError):
+            self._trace("t,f,rocof\n0,50,0\n0.01,fast,0\n")
+
+    def test_non_finite_cell(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            self._trace("t,f,rocof\n0,50,0\n0.01,nan,0\n")
+
+    def test_non_uniform_steps(self):
+        with pytest.raises(InvalidInputError, match="uniform"):
+            self._trace("t,f,rocof\n0,50,0\n0.01,49.9,0\n5,49.8,0\n5.01,49.8,0\n")
+
+    def test_writer_rounding_passes_the_uniform_check(self):
+        # 9 significant digits at large |t| and an awkward step.
+        t = 1e4 + np.arange(2001) * (1 / 3)
+        trace = FrequencyTrace.from_frequencies(t, np.full(t.size, 50.0), 1 / 3)
+        buf = io.StringIO()
+        schemas.write_trace_csv(buf, trace)
+        buf.seek(0)
+        assert len(schemas.read_trace_csv(buf)) == t.size
+
+    @pytest.mark.parametrize("text", [
+        "t,stage,served_total,served_critical,service_class\n0,S2,0,0,grand\n",
+        "t,stage,served_total\n0,S2,0\n",
+        "t,stage,served_total,served_critical,service_class\n0,S2,x,0,impaired\n",
+        "t,stage,served_total,served_critical,service_class\n0,S2\n",
+    ])
+    def test_malformed_timeline(self, text):
+        with pytest.raises(InvalidInputError):
+            schemas.read_timeline_csv(io.StringIO(text))
+
+    def test_metrics_cli_exits_1_on_bad_csv(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,f,rocof\n0,50,0\n0.01,49.9,0\n5,49.8,0\n5.01,49.8,0\n")
+        code, _out, err = _cli("metrics", "--trace", trace, "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and "uniform" in err
