@@ -318,8 +318,8 @@ def _run_validate(manifest: RunManifest) -> list[Path]:
 
 _seed_option = click.option("--seed", type=int, default=None,
                             help="Random seed (overrides GRIDRES_SEED).")
-# frequency, coordinate and protection are deterministic: there the seed
-# is accepted for a uniform command line and has no effect.
+# frequency, coordinate and protection are deterministic: there --seed is
+# accepted for a uniform command line and GRIDRES_SEED is not read.
 _noop_seed_option = click.option(
     "--seed", type=int, default=None,
     help="Accepted for a uniform command line; has no effect here.")
@@ -347,7 +347,7 @@ def cli(errors_json):
 def _cmd_frequency(scenario, out_dir, seed, fmt):
     """Simulate a frequency disturbance scenario."""
     run(RunManifest(subcommand="frequency", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=_resolve_seed(seed), fmt=fmt))
+                    out_dir=out_dir, seed=DEFAULT_SEED, fmt=fmt))
 
 
 @cli.command("coordinate")
@@ -358,7 +358,7 @@ def _cmd_frequency(scenario, out_dir, seed, fmt):
 def _cmd_coordinate(scenario, out_dir, seed):
     """Run the inertia and droop provision exchanges for a fleet."""
     run(RunManifest(subcommand="coordinate", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=_resolve_seed(seed)))
+                    out_dir=out_dir, seed=DEFAULT_SEED))
 
 
 @cli.command("protection")
@@ -372,7 +372,7 @@ def _cmd_protection(network, fault, settings, out_dir, seed):
     run(RunManifest(subcommand="protection",
                     inputs={"network": network, "fault": fault,
                             "settings": settings},
-                    out_dir=out_dir, seed=_resolve_seed(seed)))
+                    out_dir=out_dir, seed=DEFAULT_SEED))
 
 
 @cli.command("blackstart")

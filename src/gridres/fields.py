@@ -271,8 +271,10 @@ def load(cls, doc, version=None):
     """Build cls from a JSON document (carrying schema_version == version,
     if given) or raise ScenarioValidationError listing every violation."""
     out = []
-    if version is not None and type(doc) is dict and doc.get("schema_version") != version:
-        out.append(f"schema_version: must be {version}, got {doc.get('schema_version')!r}")
+    if version is not None and type(doc) is dict:
+        got = doc.get("schema_version")
+        if not (type(got) is int and got == version):   # not true, not 1.0
+            out.append(f"schema_version: must be {version}, got {got!r}")
     result = _parse(cls, doc, "", out)
     if out:
         raise ScenarioValidationError(list(dict.fromkeys(out)))

@@ -10,6 +10,7 @@ Models the system as a single aggregate machine:
 All dynamics are deterministic; a run is a pure function of its inputs.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -104,10 +105,13 @@ class SecondaryReserve:
 
 @table
 class DisturbanceEvent:
-    """Step power imbalance; negative delta_p_pu means lost generation."""
+    """Step power imbalance; negative delta_p_pu means lost generation.
+
+    A step is at most the whole system base: a larger one is not physical.
+    """
 
     t_event_s: float = num(ge=0)
-    delta_p_pu: float = num()
+    delta_p_pu: float = num(ge=-1.0, le=1.0)
 
 
 def run_violations(t_event_s, horizon_s, dt_s) -> list[str]:
@@ -164,18 +168,31 @@ def evaluate_droop(curve: DroopCurve, f: float) -> float:
     """
     if not (isinstance(f, (int, float)) and math.isfinite(f)):
         raise InvalidInputError("f: must be a finite frequency")
+    return _droop(f, _droop_anchors(curve))
+
+
+def _droop_anchors(curve: DroopCurve) -> tuple:
+    """The droop law's constants: dead-band edges, anchors and slope terms."""
     lo = curve.f_n - curve.dead_band_half_width
     hi = curve.f_n + curve.dead_band_half_width
+    return (lo, hi, curve.p_nominal,
+            curve.f_min, curve.p_max, curve.p_nominal - curve.p_max, lo - curve.f_min,
+            curve.f_max, curve.p_min, curve.p_min - curve.p_nominal, curve.f_max - hi)
+
+
+def _droop(f: float, anchors: tuple) -> float:
+    """evaluate_droop on _droop_anchors(curve), with no input check."""
+    lo, hi, p_nominal, f_min, p_max, rise, run_under, f_max, p_min, fall, run_over = anchors
     if lo <= f <= hi:
-        return curve.p_nominal
+        return p_nominal
     if f < lo:
-        if f <= curve.f_min:
-            return curve.p_max
+        if f <= f_min:
+            return p_max
         # linear between (f_min, p_max) and (lo, p_nominal)
-        return curve.p_max + (f - curve.f_min) * (curve.p_nominal - curve.p_max) / (lo - curve.f_min)
-    if f >= curve.f_max:
-        return curve.p_min
-    return curve.p_nominal + (f - hi) * (curve.p_min - curve.p_nominal) / (curve.f_max - hi)
+        return p_max + (f - f_min) * rise / run_under
+    if f >= f_max:
+        return p_min
+    return p_nominal + (f - hi) * fall / run_over
 
 
 def fcr_ramp_output(t_since_activation_s: float, product: FcrProduct) -> float:
@@ -206,84 +223,15 @@ def _fleet_dead_band(droop_fleet: list[RatedDroopCurve]) -> float:
     return min(r.curve.dead_band_half_width for r in droop_fleet)
 
 
-class _ReserveController:
-    """Algebraic reserve injections for one simulation run.
+# Tracking bandwidth of the restoration reserve, 1/s. Fast enough to lock
+# onto its demand, slow enough to keep the dynamics smooth.
+SEC_K_TRACK = 1.0
 
-    The containment reserve deploys proportionally to the frequency
-    deviation (full deployment at the band edge) but never faster than
-    the fixed activation envelope. The restoration reserve pursues a
-    demand that covers the disturbance plus a frequency-bias term, rate
-    limited by its own activation time, which returns frequency to
-    nominal and releases the spent containment reserve as it does so.
-    """
 
-    # Tracking bandwidth of the restoration reserve, 1/s. Fast enough to
-    # lock onto its demand, slow enough to keep the dynamics smooth.
-    K_TRACK = 1.0
-
-    def __init__(self, params: SystemParameters, event: DisturbanceEvent,
-                 fcr: FcrProduct, secondary: SecondaryReserve,
-                 droop_fleet: list[RatedDroopCurve]):
-        self.params = params
-        self.event = event
-        self.fcr = fcr
-        self.secondary = secondary
-        self.fleet = list(droop_fleet)
-        self.dead_band = _fleet_dead_band(self.fleet)
-        self.fcr_rate = fcr.capacity_mw / FCR_T_FULL_S
-        self.sec_rate = secondary.capacity_mw / secondary.full_activation_time_s
-        self.sec_bias_mw_per_hz = secondary.capacity_mw / params.band_half_width_hz
-        self.cover_mw = -event.delta_p_pu * params.s_base_mva
-        # Baseline fleet output; only the change relative to it injects power.
-        self.fleet_base = [r.rating_mw * evaluate_droop(r.curve, params.f_n)
-                           for r in self.fleet]
-        self.t_activation: float | None = None
-
-    def fleet_power_mw(self, f: float) -> float:
-        return sum(r.rating_mw * evaluate_droop(r.curve, f) - base
-                   for r, base in zip(self.fleet, self.fleet_base))
-
-    def fcr_demand_mw(self, f: float) -> float:
-        dev = self.params.f_n - f
-        if abs(dev) <= self.dead_band:
-            return 0.0
-        span = max(self.params.band_half_width_hz - self.dead_band, 1e-9)
-        frac = (abs(dev) - self.dead_band) / span
-        return math.copysign(self.fcr.capacity_mw * min(frac, 1.0), dev)
-
-    def fcr_power_mw(self, t: float, f: float) -> float:
-        if self.t_activation is None or t < self.t_activation:
-            return 0.0
-        envelope = self.fcr_rate * (t - self.t_activation)
-        demand = self.fcr_demand_mw(f)
-        return max(-envelope, min(envelope, demand))
-
-    def sec_start_time(self) -> float | None:
-        if self.t_activation is None:
-            return None
-        return self.t_activation + FCR_T_FULL_S
-
-    def sec_demand_mw(self, f: float) -> float:
-        demand = self.cover_mw + self.sec_bias_mw_per_hz * (self.params.f_n - f)
-        cap = self.secondary.capacity_mw
-        return max(-cap, min(cap, demand))
-
-    def sec_rate_mw_per_s(self, t: float, f: float, p_sec: float) -> float:
-        start = self.sec_start_time()
-        if start is None or t < start:
-            return 0.0
-        wanted = self.K_TRACK * (self.sec_demand_mw(f) - p_sec)
-        return max(-self.sec_rate, min(self.sec_rate, wanted))
-
-    def net_power_mw(self, t: float, f: float, p_sec: float) -> float:
-        p = 0.0
-        if t >= self.event.t_event_s:
-            p += self.event.delta_p_pu * self.params.s_base_mva
-        p += self.fleet_power_mw(f)
-        p += self.fcr_power_mw(t, f)
-        p += p_sec
-        p -= self.params.damping_pu_per_hz * (f - self.params.f_n) * self.params.s_base_mva
-        return p
+def _clamp(x: float, c: float) -> float:
+    """max(-c, min(c, x)) without the cost of the two builtin calls."""
+    x = x if x < c else c
+    return x if x > -c else -c
 
 
 def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
@@ -301,7 +249,8 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
     damping. Frequency is flat at f_n before the event. The containment
     reserve activates the first time |f - f_n| leaves the droop dead band;
     the activation instant is located by interpolation inside the step so
-    the trace converges cleanly as dt shrinks.
+    the trace converges cleanly as dt shrinks. A run whose frequency does
+    not stay finite raises SimulationError.
     """
     droop_fleet = droop_fleet or []
     violations = run_violations(event.t_event_s, horizon_s, dt_s)
@@ -313,60 +262,105 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
 
     if event.delta_p_pu == 0.0:
         return FrequencyTrace.from_frequencies(t, f, dt_s)
-    if params.h_sys_s == 0.0:
+    if 2.0 * params.h_sys_s * params.s_base_mva == 0.0:
         raise ZeroInertiaError(
             "zero system inertia with a nonzero power step implies infinite ROCOF")
 
-    ctrl = _ReserveController(params, event, fcr, secondary, droop_fleet)
-    denom = 2.0 * params.h_sys_s * params.s_base_mva
-    f_n = params.f_n
+    _integrate(f, t.tolist(), dt_s, params, event, fcr, secondary, droop_fleet)
+    if not np.isfinite(f).all():
+        raise SimulationError("frequency integration diverged")
+    return FrequencyTrace.from_frequencies(t, f, dt_s)
 
-    def rhs(tt, ff, p_sec):
-        dfdt = f_n * ctrl.net_power_mw(tt, ff, p_sec) / denom
-        dpdt = ctrl.sec_rate_mw_per_s(tt, ff, p_sec)
-        return dfdt, dpdt
 
-    def rk4_step(t0, h, ff, p_sec):
-        k1f, k1p = rhs(t0, ff, p_sec)
-        k2f, k2p = rhs(t0 + h / 2, ff + k1f * h / 2, p_sec + k1p * h / 2)
-        k3f, k3p = rhs(t0 + h / 2, ff + k2f * h / 2, p_sec + k2p * h / 2)
-        k4f, k4p = rhs(t0 + h, ff + k3f * h, p_sec + k3p * h)
-        return (ff + h * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0,
-                p_sec + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0)
+def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParameters,
+               event: DisturbanceEvent, fcr: FcrProduct, secondary: SecondaryReserve,
+               droop_fleet: list[RatedDroopCurve]) -> None:
+    """RK4 kernel: writes the post-event samples of f in place.
 
-    def note_dead_band_crossing(t0, h, dev_before, dev_after):
-        if ctrl.t_activation is not None or dev_after <= ctrl.dead_band:
-            return
-        # Locate the crossing inside the step by linear interpolation.
-        if dev_after > dev_before:
-            frac = (ctrl.dead_band - dev_before) / (dev_after - dev_before)
-            frac = min(max(frac, 0.0), 1.0)
-        else:
-            frac = 0.0
-        ctrl.t_activation = t0 + frac * h
+    Runs on Python floats with every constant taken out of the loop; each
+    expression keeps one fixed operation order, so a trace is a bit-exact
+    function of the inputs.
+
+    The containment reserve deploys proportionally to the frequency
+    deviation (full deployment at the band edge) but never faster than
+    the fixed activation envelope. FCR_T_FULL_S after its activation, the
+    restoration reserve starts to pursue a demand that covers the
+    disturbance plus a frequency-bias term, rate limited by its own
+    activation time, which returns frequency to nominal and releases the
+    spent containment reserve as it does so.
+    """
+    f_n, s_base = params.f_n, params.s_base_mva
+    denom = 2.0 * params.h_sys_s * s_base
+    damping = params.damping_pu_per_hz
+    p_event = event.delta_p_pu * s_base      # every stage lies at or after the event
+    dead_band = _fleet_dead_band(droop_fleet)
+    span = max(params.band_half_width_hz - dead_band, 1e-9)
+    fcr_cap, fcr_rate = fcr.capacity_mw, fcr.capacity_mw / FCR_T_FULL_S
+    sec_cap = secondary.capacity_mw
+    sec_rate = sec_cap / secondary.full_activation_time_s
+    sec_bias = sec_cap / params.band_half_width_hz        # MW per Hz
+    cover = -event.delta_p_pu * s_base
+    # (rating, droop anchors, baseline output): only the change relative to
+    # the baseline injects power.
+    fleet = [(r.rating_mw, _droop_anchors(r.curve), r.rating_mw * evaluate_droop(r.curve, f_n))
+             for r in droop_fleet]
+    # Containment activation instant and restoration start, inf until the
+    # deviation first leaves the dead band.
+    t_act = sec_start = math.inf
+
+    def rhs(tt, ff, ps):
+        p_fleet = 0.0
+        for rating, anchors, base in fleet:
+            p_fleet += rating * _droop(ff, anchors) - base
+        p_fcr = 0.0
+        if tt >= t_act:
+            envelope = fcr_rate * (tt - t_act)
+            dev = f_n - ff
+            demand = 0.0
+            if abs(dev) > dead_band:
+                frac = (abs(dev) - dead_band) / span
+                demand = math.copysign(fcr_cap * (1.0 if frac > 1.0 else frac), dev)
+            p_fcr = _clamp(demand, envelope)
+        dpdt = 0.0
+        if tt >= sec_start:
+            demand = _clamp(cover + sec_bias * (f_n - ff), sec_cap)
+            dpdt = _clamp(SEC_K_TRACK * (demand - ps), sec_rate)
+        p = p_event + p_fleet + p_fcr + ps - damping * (ff - f_n) * s_base
+        return f_n * p / denom, dpdt
 
     # The pre-event system sits exactly at equilibrium; integration starts
     # at the event instant so the sample there is still f_n and the step
-    # change acts only forward in time.
-    i_event = int(np.searchsorted(t, event.t_event_s, side="left"))
-    fi = params.f_n
-    p_sec = 0.0
-    try:
-        if i_event < n and t[i_event] > event.t_event_s + 1e-15:
-            h = t[i_event] - event.t_event_s
-            dev0 = abs(fi - f_n)
-            fi, p_sec = rk4_step(event.t_event_s, h, fi, p_sec)
-            f[i_event] = fi
-            note_dead_band_crossing(event.t_event_s, h, dev0, abs(fi - f_n))
-        for i in range(i_event, n - 1):
-            dev0 = abs(fi - f_n)
-            fi, p_sec = rk4_step(t[i], dt_s, fi, p_sec)
-            f[i + 1] = fi
-            note_dead_band_crossing(t[i], dt_s, dev0, abs(fi - f_n))
-    except InvalidInputError as err:    # the droop fleet met a non-finite frequency
-        raise SimulationError("frequency integration diverged") from err
-
-    return FrequencyTrace.from_frequencies(t, f, dt_s)
+    # change acts only forward in time. An event between two samples takes
+    # a short first step up to the next sample.
+    n = len(t)
+    first = bisect.bisect_left(t, event.t_event_s)
+    if first == n:
+        return
+    t0, h = t[first], dt_s
+    if t0 > event.t_event_s + 1e-15:
+        t0, h = event.t_event_s, t0 - event.t_event_s
+    else:
+        first += 1
+    fi, ps, dev_after = f_n, 0.0, 0.0
+    for j in range(first, n):
+        k1f, k1p = rhs(t0, fi, ps)
+        k2f, k2p = rhs(t0 + h / 2, fi + k1f * h / 2, ps + k1p * h / 2)
+        k3f, k3p = rhs(t0 + h / 2, fi + k2f * h / 2, ps + k2p * h / 2)
+        k4f, k4p = rhs(t0 + h, fi + k3f * h, ps + k3p * h)
+        fi = fi + h * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0
+        ps = ps + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+        f[j] = fi
+        if t_act == math.inf:
+            dev_before, dev_after = dev_after, abs(fi - f_n)
+            if dev_after > dead_band:
+                # Locate the crossing inside the step by linear interpolation.
+                frac = 0.0
+                if dev_after > dev_before:
+                    frac = (dead_band - dev_before) / (dev_after - dev_before)
+                    frac = min(max(frac, 0.0), 1.0)
+                t_act = t0 + frac * h
+                sec_start = t_act + FCR_T_FULL_S
+        t0, h = t[j], dt_s
 
 
 def trace_metrics(trace: FrequencyTrace, params: SystemParameters) -> TraceMetrics:

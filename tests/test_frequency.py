@@ -1,5 +1,7 @@
 """Frequency engine tests: droop law, reserve ramps, swing dynamics."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -8,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
-from gridres.errors import InvalidInputError
-from gridres.frequency import (DisturbanceEvent, DroopCurve, FcrProduct,
-                               FrequencyTrace, RatedDroopCurve,
+from gridres import schemas
+from gridres.errors import InvalidInputError, SimulationError
+from gridres.frequency import (FCR_T_FULL_S, DisturbanceEvent, DroopCurve,
+                               FcrProduct, FrequencyTrace, RatedDroopCurve,
                                SecondaryReserve, SystemParameters,
-                               ZeroInertiaError, evaluate_droop,
-                               fcr_ramp_output, inertia_preset_2030,
-                               inertial_power, simulate_disturbance,
-                               trace_metrics)
+                               ZeroInertiaError, _fleet_dead_band,
+                               evaluate_droop, fcr_ramp_output,
+                               inertia_preset_2030, inertial_power,
+                               simulate_disturbance, trace_metrics)
 
 
 def reference_curve():
@@ -222,6 +225,202 @@ class TestSimulateDisturbance:
             simulate_disturbance(params, DisturbanceEvent(1.0, -0.1),
                                  bm.benchmark_fcr(), bm.benchmark_secondary(),
                                  [], horizon_s=5.0, dt_s=-0.01)
+
+    @pytest.mark.parametrize("fleet", [[], bm.benchmark_droop_fleet()],
+                             ids=["no_fleet", "fleet"])
+    def test_divergence_raises(self, fleet):
+        params = bm.benchmark_system(h_sys_s=1e-300)
+        with pytest.raises(SimulationError, match="diverged"):
+            simulate_disturbance(params, bm.benchmark_event(), bm.benchmark_fcr(),
+                                 bm.benchmark_secondary(), fleet,
+                                 horizon_s=5.0, dt_s=0.01)
+
+    def test_underflowing_inertia_is_zero_inertia(self):
+        # 2 * h_sys * s_base rounds to 0: the swing equation cannot be divided.
+        params = SystemParameters(h_sys_s=1e-200, s_base_mva=1e-200)
+        with pytest.raises(ZeroInertiaError):
+            simulate_disturbance(params, bm.benchmark_event(), bm.benchmark_fcr(),
+                                 bm.benchmark_secondary(), [],
+                                 horizon_s=5.0, dt_s=0.01)
+
+
+class _ReserveController:
+    """Reference oracle: the reserve controller the RK4 kernel replaced.
+
+    Kept as it was, except that the fleet power adds its terms left to
+    right in a loop. sum() did exactly that on Python 3.10 and 3.11; newer
+    versions compensate float sums.
+    """
+
+    K_TRACK = 1.0
+
+    def __init__(self, params, event, fcr, secondary, droop_fleet):
+        self.params = params
+        self.event = event
+        self.fcr = fcr
+        self.secondary = secondary
+        self.fleet = list(droop_fleet)
+        self.dead_band = _fleet_dead_band(self.fleet)
+        self.fcr_rate = fcr.capacity_mw / FCR_T_FULL_S
+        self.sec_rate = secondary.capacity_mw / secondary.full_activation_time_s
+        self.sec_bias_mw_per_hz = secondary.capacity_mw / params.band_half_width_hz
+        self.cover_mw = -event.delta_p_pu * params.s_base_mva
+        self.fleet_base = [r.rating_mw * evaluate_droop(r.curve, params.f_n)
+                           for r in self.fleet]
+        self.t_activation = None
+
+    def fleet_power_mw(self, f):
+        total = 0
+        for r, base in zip(self.fleet, self.fleet_base):
+            total = total + (r.rating_mw * evaluate_droop(r.curve, f) - base)
+        return total
+
+    def fcr_demand_mw(self, f):
+        dev = self.params.f_n - f
+        if abs(dev) <= self.dead_band:
+            return 0.0
+        span = max(self.params.band_half_width_hz - self.dead_band, 1e-9)
+        frac = (abs(dev) - self.dead_band) / span
+        return math.copysign(self.fcr.capacity_mw * min(frac, 1.0), dev)
+
+    def fcr_power_mw(self, t, f):
+        if self.t_activation is None or t < self.t_activation:
+            return 0.0
+        envelope = self.fcr_rate * (t - self.t_activation)
+        demand = self.fcr_demand_mw(f)
+        return max(-envelope, min(envelope, demand))
+
+    def sec_rate_mw_per_s(self, t, f, p_sec):
+        if self.t_activation is None or t < self.t_activation + FCR_T_FULL_S:
+            return 0.0
+        demand = self.cover_mw + self.sec_bias_mw_per_hz * (self.params.f_n - f)
+        cap = self.secondary.capacity_mw
+        wanted = self.K_TRACK * (max(-cap, min(cap, demand)) - p_sec)
+        return max(-self.sec_rate, min(self.sec_rate, wanted))
+
+    def net_power_mw(self, t, f, p_sec):
+        p = 0.0
+        if t >= self.event.t_event_s:
+            p += self.event.delta_p_pu * self.params.s_base_mva
+        p += self.fleet_power_mw(f)
+        p += self.fcr_power_mw(t, f)
+        p += p_sec
+        p -= self.params.damping_pu_per_hz * (f - self.params.f_n) * self.params.s_base_mva
+        return p
+
+
+def _oracle_frequencies(params, event, fcr, secondary, droop_fleet, horizon_s, dt_s):
+    """The frequency samples of the replaced integration loop."""
+    n = int(round(horizon_s / dt_s)) + 1
+    t = np.arange(n) * dt_s
+    f = np.full(n, params.f_n, dtype=float)
+    ctrl = _ReserveController(params, event, fcr, secondary, droop_fleet)
+    denom = 2.0 * params.h_sys_s * params.s_base_mva
+    f_n = params.f_n
+
+    def rhs(tt, ff, p_sec):
+        return (f_n * ctrl.net_power_mw(tt, ff, p_sec) / denom,
+                ctrl.sec_rate_mw_per_s(tt, ff, p_sec))
+
+    def rk4_step(t0, h, ff, p_sec):
+        k1f, k1p = rhs(t0, ff, p_sec)
+        k2f, k2p = rhs(t0 + h / 2, ff + k1f * h / 2, p_sec + k1p * h / 2)
+        k3f, k3p = rhs(t0 + h / 2, ff + k2f * h / 2, p_sec + k2p * h / 2)
+        k4f, k4p = rhs(t0 + h, ff + k3f * h, p_sec + k3p * h)
+        return (ff + h * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0,
+                p_sec + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0)
+
+    def note_dead_band_crossing(t0, h, dev_before, dev_after):
+        if ctrl.t_activation is not None or dev_after <= ctrl.dead_band:
+            return
+        if dev_after > dev_before:
+            frac = (ctrl.dead_band - dev_before) / (dev_after - dev_before)
+            frac = min(max(frac, 0.0), 1.0)
+        else:
+            frac = 0.0
+        ctrl.t_activation = t0 + frac * h
+
+    i_event = int(np.searchsorted(t, event.t_event_s, side="left"))
+    fi = params.f_n
+    p_sec = 0.0
+    if i_event < n and t[i_event] > event.t_event_s + 1e-15:
+        h = t[i_event] - event.t_event_s
+        dev0 = abs(fi - f_n)
+        fi, p_sec = rk4_step(event.t_event_s, h, fi, p_sec)
+        f[i_event] = fi
+        note_dead_band_crossing(event.t_event_s, h, dev0, abs(fi - f_n))
+    for i in range(i_event, n - 1):
+        dev0 = abs(fi - f_n)
+        fi, p_sec = rk4_step(t[i], dt_s, fi, p_sec)
+        f[i + 1] = fi
+        note_dead_band_crossing(t[i], dt_s, dev0, abs(fi - f_n))
+    return f
+
+
+@st.composite
+def droop_curves(draw):
+    f_n = 50.0
+    dead_band = draw(st.floats(0.0, 0.1))
+    p_min = draw(st.floats(-1.0, 0.5))
+    p_nominal = p_min + draw(st.floats(0.0, 1.0))
+    curve = DroopCurve(f_n=f_n, dead_band_half_width=dead_band, p_nominal=p_nominal,
+                       p_max=p_nominal + draw(st.floats(0.0, 1.0)),
+                       f_min=f_n - dead_band - draw(st.floats(0.05, 1.0)),
+                       p_min=p_min,
+                       f_max=f_n + dead_band + draw(st.floats(0.05, 1.0)))
+    return RatedDroopCurve(curve=curve, rating_mw=draw(st.floats(0.0, 100.0)))
+
+
+@st.composite
+def disturbance_runs(draw):
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    t_event = draw(st.integers(0, 100)) * dt
+    if draw(st.booleans()):     # between two samples
+        t_event += draw(st.floats(0.05, 0.95)) * dt
+    return dict(
+        params=SystemParameters(f_n=50.0, s_base_mva=100.0,
+                                h_sys_s=draw(st.floats(0.5, 8.0)),
+                                damping_pu_per_hz=draw(st.floats(0.0, 0.05)),
+                                band_half_width_hz=draw(st.floats(0.2, 1.0))),
+        event=DisturbanceEvent(t_event_s=t_event,
+                               delta_p_pu=draw(st.floats(-0.3, 0.3).filter(bool))),
+        fcr=FcrProduct(draw(st.floats(0.0, 30.0))),
+        secondary=SecondaryReserve(capacity_mw=draw(st.floats(0.0, 40.0)),
+                                   full_activation_time_s=draw(st.floats(31.0, 600.0))),
+        droop_fleet=draw(st.lists(droop_curves(), max_size=3)),
+        # Long enough, mostly, for the restoration reserve to start.
+        horizon_s=t_event + draw(st.floats(1.0, 40.0)),
+        dt_s=dt)
+
+
+class TestKernelMatchesReplacedLoop:
+    @given(run=disturbance_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_oracle(self, run):
+        trace = simulate_disturbance(**run)
+        assert np.array_equal(trace.f, _oracle_frequencies(**run))
+
+    # sha256 of the frequency samples and of the written trace CSV, as the
+    # replaced controller loop produced them.
+    PINNED = {
+        60.0: ("080acc04db170856df39ce70cb1cfd79099a3ff6c225a04fa0849e676d156a81",
+               "6e4bb37c69b2180fea49f924319ab2e543e5b7a5d1f1b2ae489dd6e8afa75c18"),
+        600.0: ("d070ea4466c5b11b96d97476ac2e414cf49ce24e854fbff79a1a8d002e65ef04",
+                "aef82abf19829ebb461d7d7aae91c8e1a1746c78dac7f3c320d6b6a9053c1f06"),
+    }
+
+    @pytest.mark.parametrize("horizon_s", sorted(PINNED))
+    def test_bundled_scenario_trace_bytes_are_pinned(self, horizon_s):
+        # 60 s is the bundled scenario's default horizon.
+        scenario = schemas.FrequencyScenario(
+            system=bm.benchmark_system(), event=bm.benchmark_event(),
+            fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+            droop_fleet=bm.benchmark_droop_fleet(), horizon_s=horizon_s)
+        trace = scenario.simulate()
+        buf = io.StringIO()
+        schemas.write_trace_csv(buf, trace)
+        assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == self.PINNED[horizon_s]
 
 
 class TestTraceMetrics:

@@ -21,7 +21,7 @@ from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
 from gridres.coordination import DerUnit
 from gridres.errors import GridResError, InvalidInputError, ScenarioValidationError
 from gridres.fields import dump
-from gridres.frequency import FrequencyTrace, SystemParameters
+from gridres.frequency import DisturbanceEvent, FrequencyTrace, SystemParameters
 from gridres.protection import FaultScenario
 
 
@@ -388,6 +388,22 @@ class TestCliReproducibility:
         assert env_summary == flag_summary
         assert default_summary["seed"] == DEFAULT_SEED
 
+    @pytest.mark.parametrize("args", [
+        lambda ws, out: ["frequency", "--scenario", ws["freq.json"], "--out", out],
+        lambda ws, out: ["coordinate", "--scenario", ws["fleet.json"], "--out", out],
+        lambda ws, out: ["protection", "--network", ws["net.json"], "--fault",
+                         ws["fault.json"], "--settings", ws["settings.json"],
+                         "--out", out],
+    ], ids=["frequency", "coordinate", "protection"])
+    def test_deterministic_commands_ignore_env_seed(self, workspace, monkeypatch, args):
+        monkeypatch.setenv("GRIDRES_SEED", "abc")
+        assert run_cli(*args(workspace, workspace["root"] / "out")) == EXIT_OK
+
+    def test_blackstart_rejects_a_non_integer_env_seed(self, workspace, monkeypatch):
+        monkeypatch.setenv("GRIDRES_SEED", "abc")
+        assert run_cli("blackstart", "--scenario", workspace["bs.json"],
+                       "--out", workspace["root"] / "out") == EXIT_VALIDATION
+
 
 # ---------------------------------------------------------------------------
 # One schema per document: robustness, engine agreement, round trips
@@ -601,6 +617,10 @@ REGRESSIONS = [
     ("fleet", ("units", 1, "in_reference_incident"), 1,
      "units[1].in_reference_incident"),
     ("fleet", ("droop", "grid", "f_step"), 1e-9, "droop.grid.f_step"),
+    ("fleet", ("schema_version",), True, "schema_version"),
+    ("fleet", ("schema_version",), 1.0, "schema_version"),
+    ("frequency", ("event", "delta_p_pu"), -1e300, "event.delta_p_pu"),
+    ("frequency", ("event", "delta_p_pu"), 1.5, "event.delta_p_pu"),
 ]
 
 
@@ -635,6 +655,18 @@ class TestRegressions:
             monte_carlo(bm.benchmark_restoration_scenario(), 0.5, 2.0,
                         runs=MAX_RUNS + 1)
 
+    def test_diverging_frequency_run_exits_2(self, workspace):
+        doc = json.loads(workspace["freq.json"].read_text())
+        doc["system"]["h_sys_s"] = 1e-300
+        doc["droop_fleet"] = []
+        scenario = workspace["root"] / "diverging.json"
+        scenario.write_text(json.dumps(doc))
+        assert schemas.validate_document(doc) == []
+        code, _out, err = _cli("frequency", "--scenario", scenario,
+                               "--out", workspace["root"] / "o")
+        assert code == EXIT_RUNTIME
+        assert "diverged" in err
+
     def test_simulation_sample_cap_rejects_without_running(self):
         from gridres.frequency import MAX_SAMPLES, simulate_disturbance
         dt = 1e-3
@@ -665,6 +697,7 @@ class TestDirectConstruction:
         lambda: replace(schemas.load_fleet(fleet_doc()),
                         units=schemas.load_fleet(fleet_doc()).units * 2),
         lambda: replace(schemas.load_fleet(fleet_doc()), h_ag_tso_s=5.0),
+        lambda: DisturbanceEvent(t_event_s=1.0, delta_p_pu=-1e300),
     ])
     def test_rejected(self, make):
         with pytest.raises(InvalidInputError):
