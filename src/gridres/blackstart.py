@@ -174,10 +174,6 @@ class Microgrid:
     frequency_hz: float = NOMINAL_FREQUENCY_HZ
     phase_rad: float = 0.0
 
-    @property
-    def margin_mw(self) -> float:
-        return self.generation_mw - self.served_total_mw
-
 
 @dataclass(frozen=True)
 class TimelineEvent:
@@ -218,10 +214,9 @@ class RestorationTimeline:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Operational comm nodes and their disk-graph adjacency."""
+    """Operational comm nodes and the disk-graph component of each."""
 
     operational: frozenset[str]            # bus ids with a working node
-    neighbors: dict[str, frozenset[str]]
     component_of: dict[str, int]
 
     def connected(self, bus_a: str, bus_b: str) -> bool:
@@ -287,9 +282,7 @@ def comm_reachable(scenario: RestorationScenario, powered_buses,
                     component_of[m] = comp
                     stack.append(m)
         comp += 1
-    return CommGraph(operational=frozenset(ids),
-                     neighbors={k: frozenset(v) for k, v in neighbors.items()},
-                     component_of=component_of)
+    return CommGraph(operational=frozenset(ids), component_of=component_of)
 
 
 def _dispatch(scenario: RestorationScenario, buses: frozenset[str],

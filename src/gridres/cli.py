@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -23,6 +23,7 @@ from . import blackstart as bs
 from . import coordination as co
 from . import frequency as fq
 from . import metrics as mt
+from . import protection as pt
 from . import schemas
 from .errors import GridResError, InvalidInputError, ScenarioValidationError
 from .fields import dump
@@ -33,21 +34,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunManifest:
-    """One resolved CLI invocation: inputs, output target and controls."""
-
-    subcommand: str
-    inputs: dict[str, Path]
-    out_dir: Path | None
-    seed: int
-    runs: int | None = None
-    p_battery: float | None = None
-    radius_km: float | None = None
-    fmt: str = "json"
-    options: dict = field(default_factory=dict)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -81,235 +67,21 @@ def _load_json(path: Path):
         raise ScenarioValidationError([f"{path}: not valid JSON: {err}"]) from err
 
 
-def _metrics_payload(trace_metrics: fq.TraceMetrics) -> dict:
-    return {
-        "nadir_hz": trace_metrics.nadir_hz,
-        "max_abs_rocof_hz_per_s": trace_metrics.max_abs_rocof_hz_per_s,
-        "time_outside_band_s": trace_metrics.time_outside_band_s,
-        "settled": trace_metrics.settled,
-    }
-
-
-def _payload_text(payload: dict, fmt: str) -> tuple[str, str]:
-    """Render a flat payload as json or key,value csv; returns (ext, text)."""
+def _write_payload(out_dir: Path, stem: str, payload: dict, fmt: str) -> None:
+    """Write a payload to <stem>.json, or a flat one as key,value rows to
+    <stem>.csv."""
     if fmt == "csv":
-        lines = ["key,value"]
-        for key in sorted(payload):
-            lines.append(f"{key},{payload[key]}")
-        return "csv", "\n".join(lines) + "\n"
-    return "json", _dump_json(payload)
-
-
-def run(manifest: RunManifest) -> list[Path]:
-    """Execute a manifest; returns the written artifact paths."""
-    handler = {
-        "frequency": _run_frequency,
-        "coordinate": _run_coordinate,
-        "protection": _run_protection,
-        "blackstart": _run_blackstart,
-        "metrics": _run_metrics,
-        "validate": _run_validate,
-    }.get(manifest.subcommand)
-    if handler is None:
-        raise InvalidInputError(f"unknown subcommand: {manifest.subcommand}")
-    return handler(manifest)
-
-
-def _run_frequency(manifest: RunManifest) -> list[Path]:
-    doc = _load_json(manifest.inputs["scenario"])
-    scenario = schemas.load_frequency_scenario(doc)
-    trace = scenario.simulate()
-    summary = fq.trace_metrics(trace, scenario.system)
-
-    out = manifest.out_dir
-    buf = io.StringIO()
-    schemas.write_trace_csv(buf, trace)
-    trace_path = out / "trace.csv"
-    _write_atomic(trace_path, buf.getvalue())
-    ext, text = _payload_text(_metrics_payload(summary), manifest.fmt)
-    metrics_path = out / f"metrics.{ext}"
-    _write_atomic(metrics_path, text)
-    return [trace_path, metrics_path]
-
-
-def _run_coordinate(manifest: RunManifest) -> list[Path]:
-    doc = _load_json(manifest.inputs["scenario"])
-    case = schemas.load_fleet(doc)
-
-    h_max = co.compute_h_ag_max(case.p0_irmax_pu, case.p0_ss_pu, case.f_n,
-                                case.rocof_max_hz_per_s)
-    phase1 = co.InertiaPhase1(rocof_max_hz_per_s=case.rocof_max_hz_per_s,
-                              h_ag_max_s=h_max, p0_ss_pu=case.p0_ss_pu,
-                              p0_irmax_pu=case.p0_irmax_pu)
-    assignment = co.make_inertia_assignment(phase1, case.h_ag_tso_s,
-                                            case.units, case.f_n)
-    inertia_doc = {
-        "h_ag_max_s": h_max,
-        "h_ag_tso_s": assignment.h_ag_tso_s,
-        "p0_ir_pu": co.compute_p0_ir(assignment.h_ag_tso_s,
-                                     case.rocof_max_hz_per_s, case.f_n,
-                                     case.p0_ss_pu),
-        "per_unit_h_s": dict(sorted(assignment.per_unit_h_s.items())),
-    }
-
-    envelope = co.compute_droop_envelope(case.units, case.grid)
-    selected = co.select_droop(envelope, case.candidate)
-    per_unit = co.distribute_droop(selected, case.units, case.grid)
-    droop_doc = {
-        "selected": dump(selected),
-        "per_unit": {uid: dump(curve) for uid, curve in sorted(per_unit.items())},
-        "envelope_corners": {name: list(point) for name, point
-                             in sorted(envelope.corners.items())},
-    }
-
-    report = co.check_reserve_rules(
-        {u.id: u.fcr_share for u in case.units}, case.total_fcr_pu,
-        [u.id for u in case.units if u.in_reference_incident])
-    report_doc = {
-        "compliant": report.compliant,
-        "violations": [{"unit_id": v.unit_id, "rule": v.rule, "detail": v.detail}
-                       for v in report.violations],
-    }
-
-    out = manifest.out_dir
-    paths = []
-    for name, payload in (("inertia_assignment.json", inertia_doc),
-                          ("droop_assignment.json", droop_doc),
-                          ("rule_report.json", report_doc)):
-        path = out / name
-        _write_atomic(path, _dump_json(payload))
-        paths.append(path)
-    return paths
-
-
-def _run_protection(manifest: RunManifest) -> list[Path]:
-    from . import protection as pt
-
-    network = schemas.load_network(_load_json(manifest.inputs["network"]))
-    fault = schemas.load_fault(_load_json(manifest.inputs["fault"]))
-    settings = schemas.load_settings(_load_json(manifest.inputs["settings"]))
-    report = pt.simulate_protection(network, fault, settings)
-    payload = {
-        "trips": [{"breaker": ev.breaker_id, "time_s": ev.time_s}
-                  for ev in report.trips],
-        "issues": [{"kind": i.kind, "elements": list(i.elements),
-                    "explanation": i.explanation} for i in report.issues],
-        "open_lines": list(report.open_lines),
-    }
-    path = manifest.out_dir / "report.json"
-    _write_atomic(path, _dump_json(payload))
-    return [path]
-
-
-def _run_blackstart(manifest: RunManifest) -> list[Path]:
-    doc = _load_json(manifest.inputs["scenario"])
-    scenario = schemas.load_restoration_scenario(doc)
-    out = manifest.out_dir
-
-    if manifest.p_battery is not None or (manifest.runs or 0) > 1:
-        if manifest.p_battery is None or manifest.radius_km is None:
-            raise InvalidInputError(
-                "monte carlo mode needs both --p and --radius-km")
-        result = bs.monte_carlo(scenario, manifest.p_battery,
-                                manifest.radius_km, runs=manifest.runs or 1,
-                                seed=manifest.seed)
-        buf = io.StringIO()
-        schemas.write_monte_carlo_csv(buf, result)
-        csv_path = out / "monte_carlo.csv"
-        _write_atomic(csv_path, buf.getvalue())
-        summary = {
-            "runs": len(result.restored_fractions),
-            "p_battery": result.p_battery,
-            "cell_radius_km": result.cell_radius_km,
-            "seed": result.seed,
-            "mean_restored_fraction": result.mean,
-            "median_restored_fraction": result.median,
-            "min_restored_fraction": min(result.restored_fractions),
-            "max_restored_fraction": max(result.restored_fractions),
-        }
-        ext, text = _payload_text(summary, manifest.fmt)
-        summary_path = out / f"summary.{ext}"
-        _write_atomic(summary_path, text)
-        return [csv_path, summary_path]
-
-    timeline = bs.run_restoration(scenario, seed=manifest.seed)
-    buf = io.StringIO()
-    schemas.write_timeline_csv(buf, timeline)
-    path = out / "timeline.csv"
-    _write_atomic(path, buf.getvalue())
-    return [path]
-
-
-def _run_metrics(manifest: RunManifest) -> list[Path]:
-    opts = manifest.options
-    if ("trace" in manifest.inputs) == ("timeline" in manifest.inputs):
-        raise InvalidInputError("metrics: pass exactly one of --trace/--timeline")
-
-    if "trace" in manifest.inputs:
-        with open(manifest.inputs["trace"]) as fp:
-            trace = schemas.read_trace_csv(fp)
-        params = fq.SystemParameters(
-            f_n=opts["f_n"], s_base_mva=100.0, h_sys_s=1.0,
-            band_half_width_hz=opts["band_half_width_hz"])
-        trajectory = mt.service_from_frequency(
-            trace, params, floor_deviation_hz=opts["floor_deviation_hz"])
+        text = "key,value\n" + "".join(f"{key},{payload[key]}\n"
+                                       for key in sorted(payload))
     else:
-        with open(manifest.inputs["timeline"]) as fp:
-            events = schemas.read_timeline_csv(fp)
-        total_load = opts.get("total_load_mw")
-        if total_load is None:
-            raise InvalidInputError("metrics: --timeline needs --total-load-mw")
-        holder = bs.RestorationTimeline(events=tuple(events), merge_attempts=(),
-                                        total_load_mw=total_load,
-                                        total_critical_mw=0.0)
-        trajectory = mt.service_from_restoration(holder, total_load)
-
-    payload = {
-        "degradation_area": mt.degradation_area(
-            trajectory, baseline=opts["baseline"], clip=True),
-        "min_level": float(min(p.level for p in trajectory.points)),
-        "final_level": trajectory.points[-1].level,
-        "span_s": trajectory.points[-1].t - trajectory.points[0].t,
-    }
-    annotation = None
-    phase_events = opts.get("phase_events")
-    if phase_events:
-        annotation = mt.annotate_phases(trajectory, *phase_events)
-        payload.update({
-            "detection_latency_s": annotation.detection_latency_s,
-            "activation_time_s": annotation.activation_time_s,
-            "remediation_time_s": annotation.remediation_time_s,
-            "recovery_time_s": annotation.recovery_time_s,
-        })
-
-    out = manifest.out_dir
-    ext, text = _payload_text(payload, manifest.fmt)
-    metrics_path = out / f"metrics.{ext}"
-    _write_atomic(metrics_path, text)
-
-    lines = ["t,level,phase"]
-    for point in trajectory.points:
-        phase = mt.phase_at(annotation, point.t) if annotation else point.label
-        lines.append(f"{point.t:.9g},{point.level:.9g},{phase}")
-    service_path = out / "service.csv"
-    _write_atomic(service_path, "\n".join(lines) + "\n")
-    return [metrics_path, service_path]
+        text = _dump_json(payload)
+    _write_atomic(out_dir / f"{stem}.{fmt}", text)
 
 
-def _run_validate(manifest: RunManifest) -> list[Path]:
-    doc = _load_json(manifest.inputs["scenario"])
-    violations = schemas.validate_document(doc)
-    payload = {"valid": not violations, "violations": violations}
-    text = _dump_json(payload)
-    sys.stdout.write(text)
-    written = []
-    if manifest.out_dir is not None:
-        path = manifest.out_dir / "validation.json"
-        _write_atomic(path, text)
-        written.append(path)
-    if violations:
-        raise ScenarioValidationError(violations)
-    return written
+def _write_csv(path: Path, writer, result) -> None:
+    buf = io.StringIO()
+    writer(buf, result)
+    _write_atomic(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +118,11 @@ def cli(errors_json):
 @_format_option
 def _cmd_frequency(scenario, out_dir, seed, fmt):
     """Simulate a frequency disturbance scenario."""
-    run(RunManifest(subcommand="frequency", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=DEFAULT_SEED, fmt=fmt))
+    freq = schemas.load_frequency_scenario(_load_json(scenario))
+    trace = freq.simulate()
+    summary = fq.trace_metrics(trace, freq.system)
+    _write_csv(out_dir / "trace.csv", schemas.write_trace_csv, trace)
+    _write_payload(out_dir, "metrics", asdict(summary), fmt)
 
 
 @cli.command("coordinate")
@@ -357,8 +132,46 @@ def _cmd_frequency(scenario, out_dir, seed, fmt):
 @_noop_seed_option
 def _cmd_coordinate(scenario, out_dir, seed):
     """Run the inertia and droop provision exchanges for a fleet."""
-    run(RunManifest(subcommand="coordinate", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=DEFAULT_SEED))
+    case = schemas.load_fleet(_load_json(scenario))
+
+    h_max = co.compute_h_ag_max(case.p0_irmax_pu, case.p0_ss_pu, case.f_n,
+                                case.rocof_max_hz_per_s)
+    phase1 = co.InertiaPhase1(rocof_max_hz_per_s=case.rocof_max_hz_per_s,
+                              h_ag_max_s=h_max, p0_ss_pu=case.p0_ss_pu,
+                              p0_irmax_pu=case.p0_irmax_pu)
+    assignment = co.make_inertia_assignment(phase1, case.h_ag_tso_s,
+                                            case.units, case.f_n)
+    inertia_doc = {
+        "h_ag_max_s": h_max,
+        "h_ag_tso_s": assignment.h_ag_tso_s,
+        "p0_ir_pu": co.compute_p0_ir(assignment.h_ag_tso_s,
+                                     case.rocof_max_hz_per_s, case.f_n,
+                                     case.p0_ss_pu),
+        "per_unit_h_s": dict(sorted(assignment.per_unit_h_s.items())),
+    }
+
+    envelope = co.compute_droop_envelope(case.units, case.grid)
+    selected = co.select_droop(envelope, case.candidate)
+    per_unit = co.distribute_droop(selected, case.units, case.grid)
+    droop_doc = {
+        "selected": dump(selected),
+        "per_unit": {uid: dump(curve) for uid, curve in sorted(per_unit.items())},
+        "envelope_corners": {name: list(point) for name, point
+                             in sorted(envelope.corners.items())},
+    }
+
+    report = co.check_reserve_rules(
+        {u.id: u.fcr_share for u in case.units}, case.total_fcr_pu,
+        [u.id for u in case.units if u.in_reference_incident])
+    report_doc = {
+        "compliant": report.compliant,
+        "violations": [{"unit_id": v.unit_id, "rule": v.rule, "detail": v.detail}
+                       for v in report.violations],
+    }
+
+    _write_payload(out_dir, "inertia_assignment", inertia_doc, "json")
+    _write_payload(out_dir, "droop_assignment", droop_doc, "json")
+    _write_payload(out_dir, "rule_report", report_doc, "json")
 
 
 @cli.command("protection")
@@ -369,10 +182,18 @@ def _cmd_coordinate(scenario, out_dir, seed):
 @_noop_seed_option
 def _cmd_protection(network, fault, settings, out_dir, seed):
     """Simulate breaker reaction to a fault and screen misoperations."""
-    run(RunManifest(subcommand="protection",
-                    inputs={"network": network, "fault": fault,
-                            "settings": settings},
-                    out_dir=out_dir, seed=DEFAULT_SEED))
+    report = pt.simulate_protection(
+        schemas.load_network(_load_json(network)),
+        schemas.load_fault(_load_json(fault)),
+        schemas.load_settings(_load_json(settings)))
+    payload = {
+        "trips": [{"breaker": ev.breaker_id, "time_s": ev.time_s}
+                  for ev in report.trips],
+        "issues": [{"kind": i.kind, "elements": list(i.elements),
+                    "explanation": i.explanation} for i in report.issues],
+        "open_lines": list(report.open_lines),
+    }
+    _write_payload(out_dir, "report", payload, "json")
 
 
 @cli.command("blackstart")
@@ -387,9 +208,29 @@ def _cmd_protection(network, fault, settings, out_dir, seed):
 @click.option("--runs", type=int, default=None, help="Monte Carlo runs.")
 def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
     """Run a restoration scenario, or a Monte Carlo study with --p/--runs."""
-    run(RunManifest(subcommand="blackstart", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=_resolve_seed(seed), fmt=fmt,
-                    runs=runs, p_battery=p_battery, radius_km=radius_km))
+    seed = _resolve_seed(seed)
+    restoration = schemas.load_restoration_scenario(_load_json(scenario))
+
+    if p_battery is None and (runs or 0) <= 1:
+        _write_csv(out_dir / "timeline.csv", schemas.write_timeline_csv,
+                   bs.run_restoration(restoration, seed=seed))
+        return
+    if p_battery is None or radius_km is None:
+        raise InvalidInputError("monte carlo mode needs both --p and --radius-km")
+    result = bs.monte_carlo(restoration, p_battery, radius_km, runs=runs or 1,
+                            seed=seed)
+    _write_csv(out_dir / "monte_carlo.csv", schemas.write_monte_carlo_csv, result)
+    summary = {
+        "runs": len(result.restored_fractions),
+        "p_battery": result.p_battery,
+        "cell_radius_km": result.cell_radius_km,
+        "seed": result.seed,
+        "mean_restored_fraction": result.mean,
+        "median_restored_fraction": result.median,
+        "min_restored_fraction": min(result.restored_fractions),
+        "max_restored_fraction": max(result.restored_fractions),
+    }
+    _write_payload(out_dir, "summary", summary, fmt)
 
 
 @cli.command("metrics")
@@ -412,22 +253,50 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
                  band_half_width_hz, floor_deviation_hz, total_load_mw,
                  challenge_t, detection_t, remediation_t, recovery_t):
     """Compute resilience metrics from a trace or timeline CSV."""
-    inputs = {}
+    if (trace is None) == (timeline is None):
+        raise InvalidInputError("metrics: pass exactly one of --trace/--timeline")
+
     if trace is not None:
-        inputs["trace"] = trace
-    if timeline is not None:
-        inputs["timeline"] = timeline
-    phase_marks = (challenge_t, detection_t, remediation_t, recovery_t)
-    options = {
-        "baseline": baseline, "f_n": f_n,
-        "band_half_width_hz": band_half_width_hz,
-        "floor_deviation_hz": floor_deviation_hz,
-        "total_load_mw": total_load_mw,
-        "phase_events": phase_marks if all(m is not None for m in phase_marks)
-        else None,
+        with open(trace) as fp:
+            samples = schemas.read_trace_csv(fp)
+        params = fq.SystemParameters(f_n=f_n, s_base_mva=100.0, h_sys_s=1.0,
+                                     band_half_width_hz=band_half_width_hz)
+        trajectory = mt.service_from_frequency(
+            samples, params, floor_deviation_hz=floor_deviation_hz)
+    else:
+        with open(timeline) as fp:
+            events = schemas.read_timeline_csv(fp)
+        if total_load_mw is None:
+            raise InvalidInputError("metrics: --timeline needs --total-load-mw")
+        holder = bs.RestorationTimeline(events=tuple(events), merge_attempts=(),
+                                        total_load_mw=total_load_mw,
+                                        total_critical_mw=0.0)
+        trajectory = mt.service_from_restoration(holder, total_load_mw)
+
+    payload = {
+        "degradation_area": mt.degradation_area(trajectory, baseline=baseline,
+                                                clip=True),
+        "min_level": float(min(p.level for p in trajectory.points)),
+        "final_level": trajectory.points[-1].level,
+        "span_s": trajectory.points[-1].t - trajectory.points[0].t,
     }
-    run(RunManifest(subcommand="metrics", inputs=inputs, out_dir=out_dir,
-                    seed=DEFAULT_SEED, fmt=fmt, options=options))
+    annotation = None
+    marks = (challenge_t, detection_t, remediation_t, recovery_t)
+    if all(m is not None for m in marks):
+        annotation = mt.annotate_phases(trajectory, *marks)
+        payload.update({
+            "detection_latency_s": annotation.detection_latency_s,
+            "activation_time_s": annotation.activation_time_s,
+            "remediation_time_s": annotation.remediation_time_s,
+            "recovery_time_s": annotation.recovery_time_s,
+        })
+    _write_payload(out_dir, "metrics", payload, fmt)
+
+    lines = ["t,level,phase"]
+    for point in trajectory.points:
+        phase = mt.phase_at(annotation, point.t) if annotation else point.label
+        lines.append(f"{point.t:.9g},{point.level:.9g},{phase}")
+    _write_atomic(out_dir / "service.csv", "\n".join(lines) + "\n")
 
 
 @cli.command("validate")
@@ -435,8 +304,13 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
 def _cmd_validate(scenario, out_dir):
     """Check a scenario document against every type invariant."""
-    run(RunManifest(subcommand="validate", inputs={"scenario": scenario},
-                    out_dir=out_dir, seed=DEFAULT_SEED))
+    violations = schemas.validate_document(_load_json(scenario))
+    text = _dump_json({"valid": not violations, "violations": violations})
+    sys.stdout.write(text)
+    if out_dir is not None:
+        _write_atomic(out_dir / "validation.json", text)
+    if violations:
+        raise ScenarioValidationError(violations)
 
 
 def _emit_error(err: Exception, errors_json: bool) -> None:

@@ -4,8 +4,7 @@ Phase 1 estimates the maximum contribution an aggregated distribution
 grid can offer (maximum inertia constant, droop feasibility envelope).
 Phase 2 selects a target and distributes it to the individual units.
 Distribution uses proportional rules (headroom for inertia, rating for
-droop) behind a small interface so a power-flow based rule can be
-plugged in later. Regulatory reserve checks live here as well.
+droop). Regulatory reserve checks live here as well.
 """
 
 import math
@@ -75,11 +74,6 @@ class InertiaPhase1:
         if self.h_ag_max_s < 0:
             raise InvalidInputError("h_ag_max_s: must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"rocof_max_hz_per_s": self.rocof_max_hz_per_s,
-                "h_ag_max_s": self.h_ag_max_s, "p0_ss_pu": self.p0_ss_pu,
-                "p0_irmax_pu": self.p0_irmax_pu}
-
 
 @dataclass(frozen=True)
 class InertiaAssignment:
@@ -87,10 +81,6 @@ class InertiaAssignment:
 
     h_ag_tso_s: float
     per_unit_h_s: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {"h_ag_tso_s": self.h_ag_tso_s,
-                "per_unit_h_s": dict(sorted(self.per_unit_h_s.items()))}
 
 
 @table

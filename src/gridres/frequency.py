@@ -249,8 +249,9 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
     damping. Frequency is flat at f_n before the event. The containment
     reserve activates the first time |f - f_n| leaves the droop dead band;
     the activation instant is located by interpolation inside the step so
-    the trace converges cleanly as dt shrinks. A run whose frequency does
-    not stay finite raises SimulationError.
+    the trace converges cleanly as dt shrinks. A run whose frequency
+    leaves the open range (0, 2*f_n), or is not finite, is not physical
+    and raises SimulationError.
     """
     droop_fleet = droop_fleet or []
     violations = run_violations(event.t_event_s, horizon_s, dt_s)
@@ -267,7 +268,7 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
             "zero system inertia with a nonzero power step implies infinite ROCOF")
 
     _integrate(f, t.tolist(), dt_s, params, event, fcr, secondary, droop_fleet)
-    if not np.isfinite(f).all():
+    if not (np.abs(f - params.f_n) < params.f_n).all():
         raise SimulationError("frequency integration diverged")
     return FrequencyTrace.from_frequencies(t, f, dt_s)
 

@@ -106,6 +106,8 @@ def degradation_area(trajectory: ServiceTrajectory, baseline: float = 1.0,
     """
     if len(trajectory) == 0:
         raise InvalidInputError("trajectory: must be non-empty")
+    if not math.isfinite(baseline):
+        raise InvalidInputError("baseline: must be finite")
     level = trajectory.level
     if not clip and float(level.max()) > baseline + 1e-12:
         raise InvalidInputError(
@@ -172,10 +174,12 @@ def annotate_phases(trajectory: ServiceTrajectory, challenge_t: float,
     """
     if len(trajectory) == 0:
         raise InvalidInputError("trajectory: must be non-empty")
+    events = (challenge_t, detection_t, remediation_start_t, recovery_complete_t)
+    if not all(math.isfinite(t) for t in events):
+        raise InvalidInputError("events: must be finite")
     t0 = trajectory.points[0].t
     t_end = trajectory.points[-1].t
-    marks = [t0, challenge_t, detection_t, remediation_start_t,
-             recovery_complete_t, t_end]
+    marks = [t0, *events, t_end]
     if any(b < a for a, b in zip(marks, marks[1:])):
         raise InvalidInputError(
             "events: must be ordered challenge <= detection <= remediation "

@@ -665,10 +665,6 @@ class SettingGroupTable:
         self.groups = dict(groups)
         self._last: dict[str, float] | None = None
 
-    @property
-    def last_applied(self) -> dict[str, float] | None:
-        return None if self._last is None else dict(self._last)
-
 
 def apply_setting_group(table: SettingGroupTable, key: TopologyKey) -> SettingGroupResult:
     """Settings for a topology key, holding the previous ones on a miss."""

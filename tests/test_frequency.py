@@ -226,12 +226,19 @@ class TestSimulateDisturbance:
                                  bm.benchmark_fcr(), bm.benchmark_secondary(),
                                  [], horizon_s=5.0, dt_s=-0.01)
 
-    @pytest.mark.parametrize("fleet", [[], bm.benchmark_droop_fleet()],
-                             ids=["no_fleet", "fleet"])
-    def test_divergence_raises(self, fleet):
-        params = bm.benchmark_system(h_sys_s=1e-300)
+    # Without damping and droop the near-zero inertia trace stays finite
+    # but runs off to about +-3.75e301 Hz.
+    @pytest.mark.parametrize("damping,delta_p,fleet", [
+        (0.01, -0.1, []), (0.01, -0.1, bm.benchmark_droop_fleet()),
+        (0.0, -0.1, []), (0.0, 0.1, [])],
+        ids=["no_fleet", "fleet", "undamped_drop", "undamped_rise"])
+    def test_divergence_raises(self, damping, delta_p, fleet):
+        params = SystemParameters(f_n=50.0, s_base_mva=100.0, h_sys_s=1e-300,
+                                  damping_pu_per_hz=damping,
+                                  band_half_width_hz=0.5)
+        event = DisturbanceEvent(t_event_s=1.0, delta_p_pu=delta_p)
         with pytest.raises(SimulationError, match="diverged"):
-            simulate_disturbance(params, bm.benchmark_event(), bm.benchmark_fcr(),
+            simulate_disturbance(params, event, bm.benchmark_fcr(),
                                  bm.benchmark_secondary(), fleet,
                                  horizon_s=5.0, dt_s=0.01)
 
@@ -397,8 +404,14 @@ class TestKernelMatchesReplacedLoop:
     @given(run=disturbance_runs())
     @settings(max_examples=25, deadline=None)
     def test_bit_identical_to_oracle(self, run):
-        trace = simulate_disturbance(**run)
-        assert np.array_equal(trace.f, _oracle_frequencies(**run))
+        expected = _oracle_frequencies(**run)
+        f_n = run["params"].f_n
+        if not (np.abs(expected - f_n) < f_n).all():
+            # Undamped runs with little reserve can ramp past 0 or 2*f_n.
+            with pytest.raises(SimulationError, match="diverged"):
+                simulate_disturbance(**run)
+            return
+        assert np.array_equal(simulate_disturbance(**run).f, expected)
 
     # sha256 of the frequency samples and of the written trace CSV, as the
     # replaced controller loop produced them.

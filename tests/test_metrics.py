@@ -53,6 +53,12 @@ class TestDegradationArea:
         with pytest.raises(InvalidInputError):
             degradation_area(ServiceTrajectory(()), 1.0)
 
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("baseline", [np.nan, np.inf, -np.inf])
+    def test_non_finite_baseline_rejected(self, baseline, clip):
+        with pytest.raises(InvalidInputError, match="baseline: must be finite"):
+            degradation_area(constant_fixture(), baseline, clip=clip)
+
     def test_additive_over_time_partition(self):
         whole = trajectory([(0, 0.2, "x"), (4, 0.6, "x"), (10, 1.0, "x")])
         left = trajectory([(0, 0.2, "x"), (4, 0.6, "x")])
@@ -187,6 +193,14 @@ class TestAnnotatePhases:
     def test_unordered_events_rejected(self):
         with pytest.raises(InvalidInputError):
             annotate_phases(self.span(), 12, 10, 15, 40)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_event_rejected(self, position, value):
+        events = [10, 12, 15, 40]
+        events[position] = value
+        with pytest.raises(InvalidInputError, match="events: must be finite"):
+            annotate_phases(self.span(), *events)
 
     def test_phase_lookup(self):
         ann = annotate_phases(self.span(), 10, 12, 15, 40)

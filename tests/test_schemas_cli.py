@@ -1,6 +1,7 @@
 """Scenario schema and CLI behavior: validation, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -252,6 +253,23 @@ class TestCliExitCodes:
         assert code == EXIT_VALIDATION
         assert "settings[B]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "nan"], ["--baseline", "inf"], ["--baseline", "-inf"],
+        ["--challenge-t", "nan", "--detection-t", "2", "--remediation-t", "3",
+         "--recovery-t", "10"],
+        ["--challenge-t", "1", "--detection-t", "2", "--remediation-t", "nan",
+         "--recovery-t", "10"],
+    ], ids=["baseline_nan", "baseline_inf", "baseline_minus_inf",
+            "challenge_nan", "remediation_nan"])
+    def test_metrics_rejects_non_finite_flags(self, workspace, capsys, flags):
+        src = workspace["root"] / "src"
+        run_cli("frequency", "--scenario", workspace["freq.json"], "--out", src)
+        out = workspace["root"] / "o"
+        assert run_cli("metrics", "--trace", src / "trace.csv", "--out", out,
+                       *flags) == EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_reports_all_violations(self, workspace, capsys):
         doc = json.loads(workspace["net.json"].read_text())
         doc["lines"].append({"id": "LOOP", "from_bus": "F1B", "to_bus": "F2B",
@@ -403,6 +421,67 @@ class TestCliReproducibility:
         monkeypatch.setenv("GRIDRES_SEED", "abc")
         assert run_cli("blackstart", "--scenario", workspace["bs.json"],
                        "--out", workspace["root"] / "out") == EXIT_VALIDATION
+
+
+# Every file each invocation writes, as the first 16 hex digits of its
+# sha256. Names that are workspace keys stand for those files; trace.csv and
+# timeline.csv come from a frequency and a blackstart run on the bundled
+# scenarios.
+PINNED_ARTIFACTS = {
+    "frequency": (["frequency", "--scenario", "freq.json"],
+                  {"metrics.json": "d3f71c3f77fa5fdb",
+                   "trace.csv": "d37d4df8c589795f"}),
+    "frequency_csv": (["frequency", "--scenario", "freq.json",
+                       "--format", "csv"],
+                      {"metrics.csv": "60354a6016faf6ef",
+                       "trace.csv": "d37d4df8c589795f"}),
+    "coordinate": (["coordinate", "--scenario", "fleet.json"],
+                   {"droop_assignment.json": "5bad8736974face2",
+                    "inertia_assignment.json": "7fa2bd4bb67d1415",
+                    "rule_report.json": "74839814402edb61"}),
+    "protection": (["protection", "--network", "net.json", "--fault",
+                    "fault.json", "--settings", "settings.json"],
+                   {"report.json": "c91c06a45126b610"}),
+    "blackstart": (["blackstart", "--scenario", "bs.json", "--seed", "5"],
+                   {"timeline.csv": "85f83ae225d30786"}),
+    "monte_carlo": (["blackstart", "--scenario", "bs.json", "--seed", "5",
+                     "--p", "0.5", "--radius-km", "6", "--runs", "8"],
+                    {"monte_carlo.csv": "3c05e2f73629f02f",
+                     "summary.json": "b1cd04f8db45ac84"}),
+    "monte_carlo_csv": (["blackstart", "--scenario", "bs.json", "--seed", "5",
+                         "--p", "0.5", "--radius-km", "6", "--runs", "8",
+                         "--format", "csv"],
+                        {"monte_carlo.csv": "3c05e2f73629f02f",
+                         "summary.csv": "6286751d1a2073ec"}),
+    "metrics_trace_phases_csv": (
+        ["metrics", "--trace", "trace.csv", "--challenge-t", "1",
+         "--detection-t", "2", "--remediation-t", "3", "--recovery-t", "10",
+         "--format", "csv"],
+        {"metrics.csv": "03710242901716d4", "service.csv": "d62e738b29eeda99"}),
+    "metrics_timeline": (["metrics", "--timeline", "timeline.csv",
+                          "--total-load-mw", "65"],
+                         {"metrics.json": "df661e02eb0991e4",
+                          "service.csv": "7ee082123f45cf10"}),
+    "validate": (["validate", "--scenario", "fleet.json"],
+                 {"validation.json": "1bc74e199bcc58b4"}),
+}
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("key", sorted(PINNED_ARTIFACTS))
+    def test_artifact_bytes_are_pinned(self, workspace, key):
+        argv, expected = PINNED_ARTIFACTS[key]
+        src = workspace["root"] / "src"
+        if "trace.csv" in argv or "timeline.csv" in argv:
+            run_cli("frequency", "--scenario", workspace["freq.json"], "--out", src)
+            run_cli("blackstart", "--scenario", workspace["bs.json"], "--out", src)
+        files = dict(workspace, **{name: src / name
+                                   for name in ("trace.csv", "timeline.csv")})
+        out = workspace["root"] / "out"
+        assert run_cli(*[files.get(a, a) for a in argv], "--out", out) == EXIT_OK
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                   for p in sorted(out.iterdir())}
+        assert written == expected
 
 
 # ---------------------------------------------------------------------------
