@@ -15,16 +15,28 @@ retry, so a comm-feasible merge always succeeds after a few rounds.
 Monte Carlo studies sample battery placement with common random numbers
 across parameter cells, which makes the restored-load trend monotone in
 battery availability and cell radius run by run.
+
+Each scenario is compiled once (RestorationScenario.compiled): comm-node
+and bus distances, area bus sets and the area-switch adjacency, none of
+which battery flags or cell radii change. A run turns its radii into
+link and coverage sets, and the disk-graph components of each
+operational node set are computed once and reused by later rounds and,
+within one Monte Carlo study, by later runs. Single runs and Monte Carlo
+runs go through one driver.
 """
 
 import math
+import numbers
 import random
 import statistics
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from .errors import GridResError, InvalidInputError
-from .fields import choice, duplicates, flag, num, obj, seq, table, text
+from .fields import choice, duplicates, flag, num, obj, row, seq, table, text
 
 FORMATION_DELAY_S = 60.0       # collapse to first island
 FOLLOWER_DELAY_S = 30.0        # island formation to follower reconnection
@@ -149,14 +161,91 @@ class RestorationScenario:
     def areas(self) -> list[str]:
         return sorted({b.area for b in self.buses})
 
-    def buses_of_area(self, area: str) -> list[BusPoint]:
-        return [b for b in self.buses if b.area == area]
-
     def total_load_mw(self) -> float:
         return sum(l.demand_mw for l in self.loads)
 
     def total_critical_mw(self) -> float:
         return sum(l.demand_mw for l in self.loads if l.critical)
+
+    @cached_property
+    def compiled(self) -> "_CompiledRestoration":
+        """Comm geometry, areas and switch topology, built on first use
+        and kept."""
+        return _CompiledRestoration(self)
+
+
+def _distances(a, b) -> np.ndarray:
+    """[i, j] = math.dist(a[i], b[j]) for lists of (x, y) points.
+
+    math.dist is math.hypot of the coordinate differences; np.hypot and
+    np.sqrt(dx*dx + dy*dy) round differently on some pairs, which would
+    flip a link or coverage test that sits exactly on a radius.
+    """
+    out = np.empty((len(a), len(b)))
+    for i, (xa, ya) in enumerate(a):
+        out[i] = [math.hypot(xa - xb, ya - yb) for xb, yb in b]
+    return out
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _CompiledRestoration:
+    """What every run of a scenario shares; battery flags and cell radii
+    change none of it.
+
+    Comm nodes are numbered in bus-id order (comm[i]), buses as in
+    scenario.buses. cover_dist[i, k] is the distance from comm node i to
+    bus k, and bus comm_at[i] holds node i. Sets of comm nodes and of
+    buses are ints with one bit per index.
+    """
+
+    def __init__(self, scn: RestorationScenario):
+        self.comm = tuple(sorted(scn.comm, key=lambda c: c.bus))
+        self.comm_bus = tuple(c.bus for c in self.comm)
+        bus_index = {b.id: k for k, b in enumerate(scn.buses)}
+        points = [(float(b.x_km), float(b.y_km)) for b in scn.buses]   # as math.dist
+        self.comm_at = [bus_index[c.bus] for c in self.comm]
+        self.cover_dist = _distances([points[k] for k in self.comm_at], points)
+        self.area_of = {b.id: b.area for b in scn.buses}
+        self.areas = sorted(set(self.area_of.values()))
+        members = {a: [] for a in self.areas}
+        self.area_bus_bits = dict.fromkeys(self.areas, 0)
+        for k, b in enumerate(scn.buses):
+            members[b.area].append(b.id)
+            self.area_bus_bits[b.area] |= 1 << k
+        self.area_buses = {a: frozenset(ids) for a, ids in members.items()}
+        self.area_comm_bits = dict.fromkeys(self.areas, 0)
+        for i, c in enumerate(self.comm):
+            self.area_comm_bits[self.area_of[c.bus]] |= 1 << i
+        self.adjacent = {a: set() for a in self.areas}
+        for s in scn.switches:
+            self.adjacent[s.area_a].add(s.area_b)
+            self.adjacent[s.area_b].add(s.area_a)
+        self.total_load_mw = scn.total_load_mw()
+        self.total_critical_mw = scn.total_critical_mw()
+
+    def neighbors(self, areas) -> list[str]:
+        """Areas one switch away from a set of areas, sorted."""
+        out = set()
+        for a in areas:
+            out |= self.adjacent[a]
+        return sorted(out - areas)
+
+    def switch_adjacent(self, areas_a, areas_b) -> bool:
+        return any(self.adjacent[a] & areas_b for a in areas_a)
+
+    def comm_bits(self, areas) -> int:
+        """The comm nodes inside a set of areas."""
+        out = 0
+        for a in areas:
+            out |= self.area_comm_bits[a]
+        return out
 
 
 @dataclass(frozen=True)
@@ -165,7 +254,7 @@ class Microgrid:
 
     id: str
     areas: frozenset[str]
-    buses: frozenset[str]
+    buses: frozenset[str]                  # every bus of those areas
     forming_units: tuple[str, ...]
     started_units: tuple[str, ...]
     generation_mw: float
@@ -214,14 +303,37 @@ class RestorationTimeline:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Operational comm nodes and the disk-graph component of each."""
+    """Operational comm nodes and their disk-graph components.
 
-    operational: frozenset[str]            # bus ids with a working node
-    component_of: dict[str, int]
+    buses names the comm nodes in bus-id order; components holds each
+    component as a set bit per node index, in the order of the
+    component's smallest bus id, which is also its number.
+    """
+
+    buses: tuple[str, ...]
+    components: tuple[int, ...]
+
+    @cached_property
+    def operational(self) -> frozenset[str]:
+        """Bus ids with a working node."""
+        return frozenset(self.component_of)
+
+    @cached_property
+    def component_of(self) -> dict[str, int]:
+        return {self.buses[i]: k for k, nodes in enumerate(self.components)
+                for i in _bits(nodes)}
 
     def connected(self, bus_a: str, bus_b: str) -> bool:
         ca = self.component_of.get(bus_a)
         return ca is not None and ca == self.component_of.get(bus_b)
+
+    def reach(self, nodes: int) -> int:
+        """Every node in a component with one of the given nodes."""
+        out = 0
+        for comp in self.components:
+            if comp & nodes:
+                out |= comp
+        return out
 
 
 def classify_service(served_critical: float, total_critical: float,
@@ -244,6 +356,63 @@ def classify_service(served_critical: float, total_critical: float,
     return ServiceClass.UNACCEPTABLE
 
 
+def _bit_rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, column j at bit j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+class _CommCells:
+    """The comm cells of a compiled scenario at one set of radii.
+
+    cover[i] holds the buses in node i's cell; link[i] the nodes within
+    both cell radii of node i. The CommGraph of each working-node set is
+    computed once.
+    """
+
+    def __init__(self, compiled: _CompiledRestoration, radii: np.ndarray):
+        near = compiled.cover_dist <= radii[:, None]
+        mutual = near[:, compiled.comm_at]      # node i's cell holds node j
+        self.buses = compiled.comm_bus
+        self.cover = _bit_rows(near)
+        self.link = [a & b for a, b in zip(_bit_rows(mutual), _bit_rows(mutual.T))]
+        self._graphs: dict[int, CommGraph] = {}
+
+    def graph(self, working: int) -> CommGraph:
+        graph = self._graphs.get(working)
+        if graph is None:
+            graph = self._graphs[working] = CommGraph(self.buses,
+                                                      self._components(working))
+        return graph
+
+    def _components(self, working: int) -> tuple[int, ...]:
+        out = []
+        while working:
+            seen = frontier = working & -working    # the lowest index left
+            while frontier:
+                linked = 0
+                for i in _bits(frontier):
+                    linked |= self.link[i]
+                frontier = linked & working & ~seen
+                seen |= frontier
+            out.append(seen)
+            working &= ~seen
+        return tuple(out)
+
+    def covered(self, nodes: int) -> int:
+        """The buses inside the cell of at least one of the nodes."""
+        buses = 0
+        for i in _bits(nodes):
+            buses |= self.cover[i]
+        return buses
+
+
+def _own_cells(compiled: _CompiledRestoration) -> _CommCells:
+    """Cells at the scenario's own radii."""
+    return _CommCells(compiled, np.array([c.cell_radius_km for c in compiled.comm],
+                                         dtype=float))
+
+
 def comm_reachable(scenario: RestorationScenario, powered_buses,
                    battery_charge_kwh: dict[str, float] | None = None) -> CommGraph:
     """Disk-graph of operational comm nodes.
@@ -252,37 +421,14 @@ def comm_reachable(scenario: RestorationScenario, powered_buses,
     charge; an edge exists when both endpoints work and their distance
     is within both cell radii.
     """
+    compiled = scenario.compiled
     powered = set(powered_buses)
     charge = battery_charge_kwh or {}
-    nodes = {}
-    for c in scenario.comm:
-        remaining = charge.get(c.bus, c.battery_kwh if c.has_battery else 0.0)
-        if c.bus in powered or (c.has_battery and remaining > 0):
-            nodes[c.bus] = c
-    pos = {b.id: (b.x_km, b.y_km) for b in scenario.buses}
-    ids = sorted(nodes)
-    neighbors: dict[str, set[str]] = {i: set() for i in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            d = math.dist(pos[a], pos[b])
-            if d <= min(nodes[a].cell_radius_km, nodes[b].cell_radius_km):
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-    component_of: dict[str, int] = {}
-    comp = 0
-    for start in ids:
-        if start in component_of:
-            continue
-        stack = [start]
-        component_of[start] = comp
-        while stack:
-            n = stack.pop()
-            for m in neighbors[n]:
-                if m not in component_of:
-                    component_of[m] = comp
-                    stack.append(m)
-        comp += 1
-    return CommGraph(operational=frozenset(ids), component_of=component_of)
+    working = 0
+    for i, c in enumerate(compiled.comm):
+        if c.bus in powered or (c.has_battery and charge.get(c.bus, c.battery_kwh) > 0):
+            working |= 1 << i
+    return _own_cells(compiled).graph(working)
 
 
 def _dispatch(scenario: RestorationScenario, buses: frozenset[str],
@@ -301,14 +447,15 @@ def form_microgrids(scenario: RestorationScenario) -> list[Microgrid]:
     Only the formers run at this stage; they serve local load up to
     their combined capacity, critical loads first.
     """
+    compiled = scenario.compiled
     by_area: dict[str, list[DerAsset]] = {}
     for d in scenario.ders:
         if d.capability is DerCapability.GRID_FORMING:
-            by_area.setdefault(_area_of_bus(scenario, d.bus), []).append(d)
+            by_area.setdefault(compiled.area_of[d.bus], []).append(d)
     grids = []
     for area in sorted(by_area):
         formers = sorted(by_area[area], key=lambda d: (d.bus, d.id))
-        buses = frozenset(b.id for b in scenario.buses_of_area(area))
+        buses = compiled.area_buses[area]
         generation = sum(d.capacity_mw for d in formers)
         served, served_crit = _dispatch(scenario, buses, generation)
         grids.append(Microgrid(
@@ -318,13 +465,6 @@ def form_microgrids(scenario: RestorationScenario) -> list[Microgrid]:
             generation_mw=generation, served_total_mw=served,
             served_critical_mw=served_crit))
     return grids
-
-
-def _area_of_bus(scenario: RestorationScenario, bus_id: str) -> str:
-    for b in scenario.buses:
-        if b.id == bus_id:
-            return b.area
-    raise InvalidInputError(f"unknown bus: {bus_id}")
 
 
 def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgrid:
@@ -400,48 +540,49 @@ def synchronize_and_merge(a: Microgrid, b: Microgrid,
 
 
 class RestorationState:
-    """Mutable working state of one restoration run."""
+    """Mutable working state of one restoration run.
 
-    def __init__(self, scenario: RestorationScenario, seed=0):
+    cells and battery (a set bit per node of compiled.comm) default to
+    the scenario's own radii and battery flags; a Monte Carlo run passes
+    its own.
+    """
+
+    def __init__(self, scenario: RestorationScenario, seed=0,
+                 cells: _CommCells | None = None, battery: int | None = None):
         self.scenario = scenario
+        self.compiled = compiled = scenario.compiled
+        self.cells = _own_cells(compiled) if cells is None else cells
+        if battery is None:
+            battery = sum(1 << i for i, c in enumerate(compiled.comm) if c.has_battery)
         self.rng = random.Random(f"gridres-blackstart:{seed}")
         self.t_s = 0.0
         self.grids: dict[str, Microgrid] = {}
         self.events: list[TimelineEvent] = []
         self.merge_attempts: list[MergeAttempt] = []
         self.pair_attempts: dict[tuple[str, str], int] = {}
-        self.drained_kwh: dict[str, float] = {c.bus: 0.0 for c in scenario.comm}
-        self._positions = {b.id: (b.x_km, b.y_km) for b in scenario.buses}
-        self._area_buses = {a: frozenset(b.id for b in scenario.buses_of_area(a))
-                            for a in scenario.areas}
+        self.drained_kwh = [0.0] * len(compiled.comm)
+        # Batteries that still hold charge; a drained one stays drained.
+        self.charged = sum(1 << i for i in _bits(battery)
+                           if compiled.comm[i].battery_kwh > 0)
 
     # -- bookkeeping ----------------------------------------------------
 
-    def powered_buses(self) -> set[str]:
-        out: set[str] = set()
+    def _powered_comm(self) -> int:
+        out = 0
         for g in self.grids.values():
-            out |= g.buses
-        return out
-
-    def battery_charge(self) -> dict[str, float]:
-        out = {}
-        for c in self.scenario.comm:
-            if c.has_battery:
-                out[c.bus] = max(0.0, c.battery_kwh - self.drained_kwh[c.bus])
-            else:
-                out[c.bus] = 0.0
+            out |= self.compiled.comm_bits(g.areas)
         return out
 
     def advance_time(self, dt_s: float):
-        powered = self.powered_buses()
-        for c in self.scenario.comm:
-            if c.bus not in powered:
-                self.drained_kwh[c.bus] += c.drain_kw * dt_s / 3600.0
+        comm = self.compiled.comm
+        for i in _bits(self.charged & ~self._powered_comm()):
+            self.drained_kwh[i] += comm[i].drain_kw * dt_s / 3600.0
+            if not comm[i].battery_kwh - self.drained_kwh[i] > 0:
+                self.charged &= ~(1 << i)
         self.t_s += dt_s
 
     def comm_graph(self) -> CommGraph:
-        return comm_reachable(self.scenario, self.powered_buses(),
-                              self.battery_charge())
+        return self.cells.graph(self._powered_comm() | self.charged)
 
     def served_totals(self) -> tuple[float, float]:
         total = sum(g.served_total_mw for g in self.grids.values())
@@ -454,18 +595,16 @@ class RestorationState:
             t_s=self.t_s, stage=stage, served_total_mw=served,
             served_critical_mw=crit,
             service_class=classify_service(
-                crit, self.scenario.total_critical_mw(),
-                served, self.scenario.total_load_mw())))
+                crit, self.compiled.total_critical_mw,
+                served, self.compiled.total_load_mw)))
 
     # -- agent coordination ---------------------------------------------
 
-    def _agent_component(self, grid: Microgrid, comm: CommGraph) -> set[int]:
-        comps = {comm.component_of[bus] for bus in grid.buses
-                 if bus in comm.operational}
-        return comps
+    def _agent_reach(self, grid: Microgrid, comm: CommGraph) -> int:
+        """The comm nodes the island's agents talk to."""
+        return comm.reach(self.compiled.comm_bits(grid.areas))
 
-    def _dead_area_reachable(self, grid: Microgrid, area: str,
-                             comm: CommGraph, grid_comps: set[int]) -> bool:
+    def _dead_area_reachable(self, area: str, reach: int) -> bool:
         """Gate for energizing a dead neighbor area.
 
         The island's agents coordinate the re-connection either through
@@ -476,34 +615,13 @@ class RestorationState:
         to advance; large cells can sweep across dead areas without
         them.
         """
-        if not grid_comps:
-            return False
-        for bus in self._area_buses[area]:
-            if bus in comm.operational and comm.component_of[bus] in grid_comps:
-                return True
-        reachable_nodes = [
-            c for c in self.scenario.comm
-            if c.bus in comm.operational
-            and comm.component_of[c.bus] in grid_comps]
-        for bus in self._area_buses[area]:
-            target = self._positions[bus]
-            if not any(math.dist(self._positions[c.bus], target) <= c.cell_radius_km
-                       for c in reachable_nodes):
-                return False
-        return True
-
-    def _switch_neighbors(self, areas: frozenset[str]) -> list[str]:
-        out = set()
-        for s in self.scenario.switches:
-            if s.area_a in areas and s.area_b not in areas:
-                out.add(s.area_b)
-            if s.area_b in areas and s.area_a not in areas:
-                out.add(s.area_a)
-        return sorted(out)
+        if reach & self.compiled.area_comm_bits[area]:
+            return True
+        return not self.compiled.area_bus_bits[area] & ~self.cells.covered(reach)
 
     def _expand_into(self, grid_id: str, area: str):
         grid = self.grids[grid_id]
-        buses = grid.buses | self._area_buses[area]
+        buses = grid.buses | self.compiled.area_buses[area]
         served, crit = _dispatch(self.scenario, buses, grid.generation_mw)
         grown = replace(grid, areas=grid.areas | {area}, buses=buses,
                         served_total_mw=served, served_critical_mw=crit)
@@ -556,11 +674,11 @@ def agent_round(state: RestorationState, comm: CommGraph) -> bool:
         occupied |= g.areas
     for gid in sorted(state.grids):
         grid = state.grids[gid]
-        comps = state._agent_component(grid, comm)
-        for area in state._switch_neighbors(grid.areas):
+        reach = state._agent_reach(grid, comm)
+        for area in state.compiled.neighbors(grid.areas):
             if area in occupied:
                 continue
-            if state._dead_area_reachable(grid, area, comm, comps):
+            if state._dead_area_reachable(area, reach):
                 state._expand_into(gid, area)
                 occupied.add(area)
                 state.record("S4'")
@@ -568,16 +686,15 @@ def agent_round(state: RestorationState, comm: CommGraph) -> bool:
 
     # Merge live islands connected by a switch and a comm path (S5).
     merge_candidates = []
+    reach = {gid: state._agent_reach(g, comm) for gid, g in state.grids.items()}
     for ga in sorted(state.grids):
         for gb in sorted(state.grids):
             if gb <= ga:
                 continue
             a, b = state.grids[ga], state.grids[gb]
-            if not _areas_switch_adjacent(state.scenario, a.areas, b.areas):
+            if not state.compiled.switch_adjacent(a.areas, b.areas):
                 continue
-            ca = state._agent_component(a, comm)
-            cb = state._agent_component(b, comm)
-            if ca & cb:
+            if reach[ga] & reach[gb]:
                 merge_candidates.append((ga, gb))
     for ga, gb in merge_candidates:
         if ga not in state.grids or gb not in state.grids:
@@ -588,15 +705,9 @@ def agent_round(state: RestorationState, comm: CommGraph) -> bool:
     return changed
 
 
-def _areas_switch_adjacent(scenario, areas_a, areas_b) -> bool:
-    for s in scenario.switches:
-        if (s.area_a in areas_a and s.area_b in areas_b) or \
-           (s.area_b in areas_a and s.area_a in areas_b):
-            return True
-    return False
-
-
-def run_restoration(scenario: RestorationScenario, seed=0) -> RestorationTimeline:
+def run_restoration(scenario: RestorationScenario, seed=0,
+                    cells: _CommCells | None = None,
+                    battery: int | None = None) -> RestorationTimeline:
     """Full staged restoration run; deterministic for a given seed.
 
     Timeline starts at the collapsed state (S2), forms islands (S3),
@@ -604,43 +715,39 @@ def run_restoration(scenario: RestorationScenario, seed=0) -> RestorationTimelin
     dead areas (S4') and merge islands (S5) until nothing more is
     communication- and switch-reachable, closed by the maximum-extent
     event (S5'). Battery-backed comm nodes drain while their bus is
-    unpowered and revive when it is re-energized.
+    unpowered and revive when it is re-energized. cells and battery
+    replace the scenario's radii and battery flags (see RestorationState);
+    monte_carlo passes them for each run.
     """
-    state = RestorationState(scenario, seed)
+    state = RestorationState(scenario, seed, cells, battery)
     state.record("S2")
-
     formed = form_microgrids(scenario)
-    if not formed:
-        return RestorationTimeline(
-            events=tuple(state.events), merge_attempts=(),
-            total_load_mw=scenario.total_load_mw(),
-            total_critical_mw=scenario.total_critical_mw())
+    if formed:
+        state.advance_time(FORMATION_DELAY_S)
+        for mg in formed:
+            state.grids[mg.id] = mg
+            state.record("S3")
 
-    state.advance_time(FORMATION_DELAY_S)
-    for mg in formed:
-        state.grids[mg.id] = mg
-        state.record("S3")
+        state.advance_time(FOLLOWER_DELAY_S)
+        for gid in sorted(state.grids):
+            before = state.grids[gid]
+            after = reconnect_followers(before, scenario)
+            state.grids[gid] = after
+            if set(after.started_units) != set(before.started_units):
+                state.record("S4")
 
-    state.advance_time(FOLLOWER_DELAY_S)
-    for gid in sorted(state.grids):
-        before = state.grids[gid]
-        after = reconnect_followers(before, scenario)
-        state.grids[gid] = after
-        if set(after.started_units) != set(before.started_units):
-            state.record("S4")
-
-    max_rounds = max(4 * (len(scenario.areas) + len(scenario.switches) + 4) ** 2, 64)
-    for _ in range(max_rounds):
-        state.advance_time(ROUND_DELAY_S)
-        if not agent_round(state, state.comm_graph()):
-            break
-
-    state.record("S5'")
+        compiled = state.compiled
+        max_rounds = max(4 * (len(compiled.areas) + len(scenario.switches) + 4) ** 2, 64)
+        for _ in range(max_rounds):
+            state.advance_time(ROUND_DELAY_S)
+            if not agent_round(state, state.comm_graph()):
+                break
+        state.record("S5'")
     return RestorationTimeline(
         events=tuple(state.events),
         merge_attempts=tuple(state.merge_attempts),
-        total_load_mw=scenario.total_load_mw(),
-        total_critical_mw=scenario.total_critical_mw())
+        total_load_mw=state.compiled.total_load_mw,
+        total_critical_mw=state.compiled.total_critical_mw)
 
 
 @dataclass(frozen=True)
@@ -662,24 +769,25 @@ def monte_carlo(scenario: RestorationScenario, p_battery: float,
     uses common random numbers keyed by (seed, run, bus): raising
     p_battery can only add batteries to a given run, never remove them,
     so the restored-load trend is monotone run by run.
+
+    The runs share the scenario's compiled geometry and one set of comm
+    cells. cell_radius_km is checked against the CommNode row it fills
+    and the battery draws are bools, so no per-run scenario is built.
     """
-    if not (0.0 <= p_battery <= 1.0):
+    if type(p_battery) is bool or not (isinstance(p_battery, numbers.Real)
+                                       and 0.0 <= p_battery <= 1.0):
         raise InvalidInputError("p_battery: must be in [0, 1]")
-    if not (math.isfinite(cell_radius_km) and cell_radius_km > 0):
-        raise InvalidInputError("cell_radius_km: must be > 0")
-    if not 1 <= runs <= MAX_RUNS:
-        raise InvalidInputError(f"runs: must be in [1, {MAX_RUNS}]")
+    if problem := row(CommNode, "cell_radius_km").check(cell_radius_km):
+        raise InvalidInputError(f"cell_radius_km: {problem}")
+    if type(runs) is bool or not (isinstance(runs, int) and 1 <= runs <= MAX_RUNS):
+        raise InvalidInputError(f"runs: must be an integer in [1, {MAX_RUNS}]")
+    compiled = scenario.compiled
+    cells = _CommCells(compiled, np.full(len(compiled.comm), float(cell_radius_km)))
     fractions = []
-    comm_sorted = sorted(scenario.comm, key=lambda c: c.bus)
     for k in range(runs):
-        draw_rng = random.Random(f"gridres-mc:{seed}:{k}")
-        new_comm = []
-        for c in comm_sorted:
-            u = draw_rng.random()
-            new_comm.append(replace(c, has_battery=u < p_battery,
-                                    cell_radius_km=cell_radius_km))
-        run_scenario = replace(scenario, comm=tuple(new_comm))
-        timeline = run_restoration(run_scenario, seed=f"{seed}:{k}")
+        draw = random.Random(f"gridres-mc:{seed}:{k}").random
+        battery = sum(1 << i for i in range(len(compiled.comm)) if draw() < p_battery)
+        timeline = run_restoration(scenario, f"{seed}:{k}", cells, battery)
         fractions.append(timeline.restored_fraction)
     return MonteCarloResult(
         restored_fractions=tuple(fractions),

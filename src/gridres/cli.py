@@ -207,18 +207,19 @@ def _cmd_protection(network, fault, settings, out_dir, seed):
               help="Comm cell radius for Monte Carlo mode.")
 @click.option("--runs", type=int, default=None, help="Monte Carlo runs.")
 def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
-    """Run a restoration scenario, or a Monte Carlo study with --p/--runs."""
+    """Run a restoration scenario, or a Monte Carlo study with --p and
+    --radius-km (and --runs, default 1)."""
     seed = _resolve_seed(seed)
     restoration = schemas.load_restoration_scenario(_load_json(scenario))
 
-    if p_battery is None and (runs or 0) <= 1:
+    if p_battery is None and radius_km is None and runs is None:
         _write_csv(out_dir / "timeline.csv", schemas.write_timeline_csv,
                    bs.run_restoration(restoration, seed=seed))
         return
     if p_battery is None or radius_km is None:
         raise InvalidInputError("monte carlo mode needs both --p and --radius-km")
-    result = bs.monte_carlo(restoration, p_battery, radius_km, runs=runs or 1,
-                            seed=seed)
+    result = bs.monte_carlo(restoration, p_battery, radius_km,
+                            runs=1 if runs is None else runs, seed=seed)
     _write_csv(out_dir / "monte_carlo.csv", schemas.write_monte_carlo_csv, result)
     summary = {
         "runs": len(result.restored_fractions),

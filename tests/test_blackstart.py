@@ -1,11 +1,16 @@
 """Restoration tests: formation, followers, sync gate, agents, Monte Carlo."""
 
+import hashlib
 import io
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
+from gridres import blackstart
 from gridres import schemas
 from gridres.blackstart import (STAGE_RANK, AreaSwitch, BusPoint, CommNode,
                                 DerAsset, DerCapability, LoadAsset, Microgrid,
@@ -86,6 +91,146 @@ class TestCommReachable:
     def test_edge_uses_smaller_radius(self):
         graph = self.base([0.0, 1.5], [5.0, 1.0], {"B0", "B1"})
         assert not graph.connected("B0", "B1")
+
+    # The distance from the origin is exactly 5.0 (a 3-4-5 triangle), or
+    # math.dist = 1.3892443989449805 where np.hypot and the square root of
+    # the summed squares both give ...808.
+    AT_RADIUS = [((3.0, 4.0), 5.0, True),
+                 ((3.0, 4.0), math.nextafter(5.0, 0.0), False),
+                 ((7 * 0.1, 12 * 0.1), 1.3892443989449805, True)]
+
+    @pytest.mark.parametrize("point,smaller,linked", AT_RADIUS)
+    def test_edge_at_exactly_the_smaller_radius(self, point, smaller, linked):
+        scenario = RestorationScenario(
+            buses=(BusPoint("B0", 0.0, 0.0, "A0"), BusPoint("B1", *point, "A0")),
+            loads=(), ders=(), switches=(),
+            comm=(CommNode("B0", False, 0.0, 0.5, 7.0),
+                  CommNode("B1", False, 0.0, 0.5, smaller)))
+        assert comm_reachable(scenario, {"B0", "B1"}).connected("B0", "B1") is linked
+
+    @pytest.mark.parametrize("battery_kwh,charge,up", [
+        (5.0, 0.0, False), (5.0, 1e-300, True), (0.0, None, False)])
+    def test_battery_at_exactly_zero_kwh_is_offline(self, battery_kwh, charge, up):
+        scenario = RestorationScenario(
+            buses=(BusPoint("B0", 0.0, 0.0, "A0"), BusPoint("B1", 1.0, 0.0, "A0")),
+            loads=(), ders=(), switches=(),
+            comm=(CommNode("B0", False, 0.0, 0.5, 2.0),
+                  CommNode("B1", True, battery_kwh, 0.5, 2.0)))
+        charges = None if charge is None else {"B1": charge}
+        assert comm_reachable(scenario, {"B0"}, charges).connected("B0", "B1") is up
+
+
+# The comm graph and dead-area gate as they were before the scenario was
+# compiled: an O(N^2) pair loop with math.dist, and a math.dist coverage
+# scan. Kept as the reference the compiled code must match exactly.
+
+def _oracle_comm_reachable(scenario, powered_buses, battery_charge_kwh=None):
+    powered = set(powered_buses)
+    charge = battery_charge_kwh or {}
+    nodes = {}
+    for c in scenario.comm:
+        remaining = charge.get(c.bus, c.battery_kwh if c.has_battery else 0.0)
+        if c.bus in powered or (c.has_battery and remaining > 0):
+            nodes[c.bus] = c
+    pos = {b.id: (b.x_km, b.y_km) for b in scenario.buses}
+    ids = sorted(nodes)
+    neighbors = {i: set() for i in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            d = math.dist(pos[a], pos[b])
+            if d <= min(nodes[a].cell_radius_km, nodes[b].cell_radius_km):
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+    component_of = {}
+    comp = 0
+    for start in ids:
+        if start in component_of:
+            continue
+        stack = [start]
+        component_of[start] = comp
+        while stack:
+            n = stack.pop()
+            for m in neighbors[n]:
+                if m not in component_of:
+                    component_of[m] = comp
+                    stack.append(m)
+        comp += 1
+    return frozenset(ids), component_of
+
+
+def _oracle_dead_area_reachable(scenario, operational, component_of,
+                                grid_buses, area):
+    grid_comps = {component_of[b] for b in grid_buses if b in operational}
+    if not grid_comps:
+        return False
+    area_buses = [b for b in scenario.buses if b.area == area]
+    for b in area_buses:
+        if b.id in operational and component_of[b.id] in grid_comps:
+            return True
+    reachable_nodes = [c for c in scenario.comm if c.bus in operational
+                       and component_of[c.bus] in grid_comps]
+    pos = {b.id: (b.x_km, b.y_km) for b in scenario.buses}
+    for b in area_buses:
+        if not any(math.dist(pos[c.bus], (b.x_km, b.y_km)) <= c.cell_radius_km
+                   for c in reachable_nodes):
+            return False
+    return True
+
+
+@st.composite
+def comm_layouts(draw):
+    """Buses on a scaled integer grid (3-4-5 offsets put points exactly at
+    a radius) or anywhere; radii fixed, random, or exactly the distance
+    to another bus or node; batteries full, partly or fully drained."""
+    n = draw(st.integers(1, 9))
+    scale = draw(st.sampled_from([1.0, 0.1, 1.7]))
+    coord = st.integers(0, 12).map(lambda k: k * scale) | st.floats(0.0, 12.0)
+    buses = tuple(BusPoint(f"B{k:02d}", draw(coord), draw(coord),
+                           draw(st.sampled_from(["A0", "A1", "A2"])))
+                  for k in range(n))
+    nodes = draw(st.lists(st.sampled_from(buses), unique=True))
+
+    def radius(bus):
+        kind = draw(st.sampled_from(["fixed", "float", "to_bus", "to_node"]))
+        targets = [b for b in (buses if kind == "to_bus" else nodes)
+                   if (b.x_km, b.y_km) != (bus.x_km, bus.y_km)]
+        if kind == "float":
+            return draw(st.floats(0.1, 15.0))
+        if kind == "fixed" or not targets:
+            return scale * draw(st.sampled_from(
+                [3.0, 4.0, 5.0, math.nextafter(5.0, 0.0), 2.5]))
+        other = draw(st.sampled_from(targets))
+        return math.dist((bus.x_km, bus.y_km), (other.x_km, other.y_km))
+
+    comm = tuple(CommNode(b.id, draw(st.booleans()),
+                          draw(st.sampled_from([0.0, 0.5, 5.0])), 0.5, radius(b))
+                 for b in nodes)
+    scenario = RestorationScenario(buses=buses, loads=(), ders=(), switches=(),
+                                   comm=comm)
+    powered = draw(st.sets(st.sampled_from([b.id for b in buses])))
+    charge = {c.bus: draw(st.sampled_from([0.0, 1e-9, 2.0]))
+              for c in comm if draw(st.booleans())}
+    return scenario, powered, charge or None
+
+
+class TestCompiledMatchesReplacedLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(comm_layouts())
+    def test_graph_and_dead_area_gate_match_the_oracle(self, layout):
+        scenario, powered, charge = layout
+        graph = comm_reachable(scenario, powered, charge)
+        operational, component_of = _oracle_comm_reachable(scenario, powered, charge)
+        assert graph.operational == operational
+        assert graph.component_of == component_of
+        state = RestorationState(scenario)
+        compiled = scenario.compiled
+        for grid_areas in ({"A0"}, {"A1"}, {"A0", "A2"}):
+            reach = graph.reach(compiled.comm_bits(grid_areas & set(compiled.areas)))
+            grid_buses = {b.id for b in scenario.buses if b.area in grid_areas}
+            for area in set(compiled.areas) - grid_areas:
+                assert state._dead_area_reachable(area, reach) == \
+                    _oracle_dead_area_reachable(scenario, operational, component_of,
+                                                grid_buses, area)
 
 
 class TestFormMicrogrids:
@@ -318,6 +463,29 @@ class TestRunRestoration:
         # A0 alone serves its local 6 MW of the 10 MW total.
         assert without.restored_fraction == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("battery_kwh,fraction", [
+        (2.0, 0.6), (math.nextafter(2.0, 3.0), 1.0)])
+    def test_battery_drained_to_exactly_zero_is_offline(self, battery_kwh, fraction):
+        # 60 kW drains exactly 1.0 + 0.5 + 0.5 kWh by the first agent round.
+        scenario = scenario_two_areas(a1_battery=True)
+        drained = replace(scenario, comm=tuple(
+            replace(c, battery_kwh=battery_kwh, drain_kw=60.0) for c in scenario.comm))
+        assert run_restoration(drained, seed=1).restored_fraction == \
+            pytest.approx(fraction)
+
+    @pytest.mark.parametrize("point,radius,covered", TestCommReachable.AT_RADIUS)
+    def test_dead_area_bus_at_exactly_the_radius_is_covered(self, point, radius,
+                                                            covered):
+        # The island's node at the origin reaches the dead bus, which has
+        # no node of its own, only if the bus lies within its cell.
+        scenario = RestorationScenario(
+            buses=(BusPoint("B0", 0.0, 0.0, "A0"), BusPoint("B1", *point, "A1")),
+            loads=(LoadAsset("B0", 1.0), LoadAsset("B1", 1.0)),
+            ders=(DerAsset("G", "B0", DerCapability.GRID_FORMING, 5.0),),
+            switches=(AreaSwitch("S", "A0", "A1"),),
+            comm=(CommNode("B0", False, 0.0, 0.5, radius),))
+        assert run_restoration(scenario).restored_fraction == (1.0 if covered else 0.5)
+
     def test_battery_drain_kills_late_coordination(self):
         # A battery that only lasts a few seconds dies before the agent
         # round that would energize its area.
@@ -397,6 +565,90 @@ class TestMonteCarlo:
     def test_invalid_runs_rejected(self):
         with pytest.raises(InvalidInputError):
             monte_carlo(bm.benchmark_restoration_scenario(), 0.5, 2.0, runs=0)
+
+    @pytest.mark.parametrize("p_battery,radius,runs", [
+        (0.5, 2.0, 2.5), (0.5, 2.0, True), (0.5, 2.0, "3"),
+        (True, 2.0, 3), (False, 2.0, 3), (0.5, True, 3), ("0.5", 2.0, 3),
+        (math.nan, 2.0, 3), (0.5, math.inf, 3)],
+        ids=["runs_float", "runs_bool", "runs_str", "p_true", "p_false",
+             "radius_bool", "p_str", "p_nan", "radius_inf"])
+    def test_argument_types_rejected(self, p_battery, radius, runs):
+        with pytest.raises(InvalidInputError):
+            monte_carlo(bm.benchmark_restoration_scenario(), p_battery, radius,
+                        runs=runs)
+
+
+def two_tile_scenario():
+    """Two copies of the benchmark joined by two switches, with mixed radii
+    and batteries that are full, short-lived or missing."""
+    base = bm.benchmark_restoration_scenario()
+    shift = 5 * bm.AREA_SPACING_KM
+    buses, loads, ders, switches, comm = [], [], [], [], []
+    for tag, dx in (("", 0.0), ("t1", shift)):
+        buses += [BusPoint(tag + b.id, b.x_km + dx, b.y_km, tag + b.area)
+                  for b in base.buses]
+        loads += [replace(l, bus=tag + l.bus) for l in base.loads]
+        ders += [replace(d, id=tag + d.id, bus=tag + d.bus) for d in base.ders]
+        switches += [AreaSwitch(tag + s.id, tag + s.area_a, tag + s.area_b)
+                     for s in base.switches]
+        for k, c in enumerate(base.comm):
+            comm.append(CommNode(
+                tag + c.bus, has_battery=k % 3 != 1,
+                battery_kwh=(5.0, 0.02, 0.0125)[k % 3 if tag else (k // 3) % 3],
+                drain_kw=0.5, cell_radius_km=(2.0, 3.0, 4.5, 1.4)[k % 4]))
+    switches += [AreaSwitch("x0", "A40", "t1A00"), AreaSwitch("x1", "A41", "t1A01")]
+    return RestorationScenario(buses=tuple(buses), loads=tuple(loads),
+                               ders=tuple(ders), switches=tuple(switches),
+                               comm=tuple(comm), sync_policy=base.sync_policy)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestCompiledScenario:
+    def test_compiled_once_per_scenario(self, monkeypatch):
+        builds = []
+
+        class Counting(blackstart._CompiledRestoration):
+            def __init__(self, scn):
+                builds.append(scn)
+                super().__init__(scn)
+
+        monkeypatch.setattr(blackstart, "_CompiledRestoration", Counting)
+        scenario = bm.benchmark_restoration_scenario()
+        run_restoration(scenario, seed=1)
+        monte_carlo(scenario, 0.5, 2.0, runs=4, seed=1)
+        monte_carlo(scenario, 0.9, 6.0, runs=4, seed=2)
+        comm_reachable(scenario, set())
+        assert scenario.compiled is scenario.compiled
+        assert builds == [scenario]
+
+    # Recorded before the scenario was compiled, on the code that rebuilt
+    # the comm graph every round and a scenario copy for every run.
+    @pytest.mark.parametrize("seed,expected", [
+        (0, "d8ac53c9a606ef79"), (3, "d80abe8f846e52de"), (8, "363b384cb4f6ac48")])
+    def test_two_tile_timeline_and_merges_are_pinned(self, seed, expected):
+        timeline = run_restoration(two_tile_scenario(), seed=seed)
+        buf = io.StringIO()
+        schemas.write_timeline_csv(buf, timeline)
+        assert any(m.accepted for m in timeline.merge_attempts)
+        assert _digest(buf.getvalue() + "".join(
+            f"{m!r}\n" for m in timeline.merge_attempts)) == expected
+
+    @pytest.mark.parametrize("scenario,grid,runs,seed,expected", [
+        (bm.benchmark_restoration_scenario,
+         [(p, r) for p in (0.1, 0.5, 0.9) for r in (2.0, 6.0, 10.0)], 6, 11,
+         "9ef1262f512cb79c"),
+        (two_tile_scenario, [(0.5, 3.0)], 4, 2, "d2a000d64c5c4d51"),
+    ], ids=["benchmark", "two_tile"])
+    def test_monte_carlo_fractions_are_pinned(self, scenario, grid, runs, seed,
+                                              expected):
+        scn = scenario()
+        assert _digest("".join(
+            f"{p} {r} " + " ".join(f.hex() for f in monte_carlo(
+                scn, p, r, runs, seed).restored_fractions) + "\n"
+            for p, r in grid)) == expected
 
 
 class TestScenarioValidation:

@@ -270,6 +270,21 @@ class TestCliExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--runs", "0"], ["--runs", "-5"], ["--runs", "1"], ["--runs", "3"],
+        ["--radius-km", "-3"], ["--radius-km", "2"],
+        ["--p", "0.5", "--radius-km", "2", "--runs", "0"],
+        ["--p", "0.5", "--runs", "3"],
+    ], ids=["runs_0", "runs_minus_5", "runs_1", "runs_3", "radius_minus_3",
+            "radius_2", "with_p_runs_0", "with_p_no_radius"])
+    def test_blackstart_rejects_incomplete_monte_carlo_flags(self, workspace,
+                                                              capsys, flags):
+        out = workspace["root"] / "o"
+        assert run_cli("blackstart", "--scenario", workspace["bs.json"],
+                       "--out", out, *flags) == EXIT_VALIDATION
+        assert "gridres: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_reports_all_violations(self, workspace, capsys):
         doc = json.loads(workspace["net.json"].read_text())
         doc["lines"].append({"id": "LOOP", "from_bus": "F1B", "to_bus": "F2B",
