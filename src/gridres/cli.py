@@ -18,6 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import blackstart as bs
 from . import coordination as co
@@ -213,6 +214,9 @@ def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
     restoration = schemas.load_restoration_scenario(_load_json(scenario))
 
     if p_battery is None and radius_km is None and runs is None:
+        source = click.get_current_context().get_parameter_source("fmt")
+        if source is not click.core.ParameterSource.DEFAULT:
+            raise InvalidInputError("--format applies to monte carlo mode only")
         _write_csv(out_dir / "timeline.csv", schemas.write_timeline_csv,
                    bs.run_restoration(restoration, seed=seed))
         return
@@ -274,14 +278,17 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
                                         total_critical_mw=0.0)
         trajectory = mt.service_from_restoration(holder, total_load_mw)
 
+    t, level = trajectory.t, trajectory.level
     payload = {
         "degradation_area": mt.degradation_area(trajectory, baseline=baseline,
                                                 clip=True),
-        "min_level": float(min(p.level for p in trajectory.points)),
-        "final_level": trajectory.points[-1].level,
-        "span_s": trajectory.points[-1].t - trajectory.points[0].t,
+        "min_level": float(level.min()),
+        "final_level": float(level[-1]),
+        "span_s": float(t[-1] - t[0]),
     }
-    annotation = None
+    # The phase column holds each sample's label or, given all four marks,
+    # its phase: the number of phase starts at or before it (as phase_at).
+    names, index = trajectory.labels, trajectory.code
     marks = (challenge_t, detection_t, remediation_t, recovery_t)
     if all(m is not None for m in marks):
         annotation = mt.annotate_phases(trajectory, *marks)
@@ -291,13 +298,13 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
             "remediation_time_s": annotation.remediation_time_s,
             "recovery_time_s": annotation.recovery_time_s,
         })
+        names = [iv.phase for iv in annotation.intervals]
+        index = np.searchsorted([iv.t_start for iv in annotation.intervals[1:]],
+                                t, side="right")
     _write_payload(out_dir, "metrics", payload, fmt)
-
-    lines = ["t,level,phase"]
-    for point in trajectory.points:
-        phase = mt.phase_at(annotation, point.t) if annotation else point.label
-        lines.append(f"{point.t:.9g},{point.level:.9g},{phase}")
-    _write_atomic(out_dir / "service.csv", "\n".join(lines) + "\n")
+    phases = [names[k] for k in index.tolist()]
+    _write_atomic(out_dir / "service.csv", "t,level,phase\n" + "".join(map(
+        "%.9g,%.9g,%s\n".__mod__, zip(t.tolist(), level.tolist(), phases))))
 
 
 @cli.command("validate")

@@ -146,9 +146,6 @@ class FrequencyTrace:
         rocof[-1] = rocof[-2]
         return cls(t=t, f=f, rocof=rocof, dt=dt)
 
-    def to_rows(self):
-        return zip(self.t.tolist(), self.f.tolist(), self.rocof.tolist())
-
 
 @dataclass(frozen=True)
 class TraceMetrics:

@@ -21,41 +21,33 @@ from .frequency import FrequencyTrace, SystemParameters
 DEFAULT_FLOOR_DEVIATION_HZ = 2.5
 
 
-@dataclass(frozen=True)
-class ServicePoint:
-    t: float
-    level: float          # fraction of required service in [0, 1]
-    label: str            # operational-state label
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServiceTrajectory:
-    """Time-indexed service level with operational-state labels."""
+    """Time-indexed service level with operational-state labels.
 
-    points: tuple[ServicePoint, ...]
+    Three equal-length columns: t (s, finite and strictly increasing),
+    level (fraction of required service in [0, 1]) and code (int8), the
+    index of each sample's operational-state label in labels.
+    """
+
+    t: np.ndarray
+    level: np.ndarray
+    code: np.ndarray
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        violations = []
-        prev_t = -math.inf
-        for i, p in enumerate(self.points):
-            if not (math.isfinite(p.t) and p.t > prev_t):
-                violations.append(f"points[{i}].t: must be finite and strictly increasing")
-            prev_t = p.t
-            if not (0.0 <= p.level <= 1.0):
-                violations.append(f"points[{i}].level: must be in [0, 1]")
-        if violations:
-            raise InvalidInputError("; ".join(violations))
+        t, level, code = self.t, self.level, self.code
+        if not len(t) == len(level) == len(code):
+            raise InvalidInputError("t, level, code: must have equal lengths")
+        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise InvalidInputError("t: must be finite and strictly increasing")
+        if not ((level >= 0.0) & (level <= 1.0)).all():
+            raise InvalidInputError("level: must be in [0, 1]")
+        if not ((code >= 0) & (code < len(self.labels))).all():
+            raise InvalidInputError("code: must index labels")
 
     def __len__(self):
-        return len(self.points)
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    @property
-    def level(self) -> np.ndarray:
-        return np.array([p.level for p in self.points])
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -131,35 +123,35 @@ def service_from_frequency(trace: FrequencyTrace, params: SystemParameters,
         raise InvalidInputError(
             "floor_deviation_hz: must exceed the band half width")
     band = params.band_half_width_hz
-    span = floor_deviation_hz - band
-    points = []
-    for t, f in zip(trace.t.tolist(), trace.f.tolist()):
-        dev = abs(f - params.f_n)
-        if dev <= band:
-            level, label = 1.0, "in_band"
-        elif dev >= floor_deviation_hz:
-            level, label = 0.0, "floor"
-        else:
-            level, label = 1.0 - (dev - band) / span, "outside_band"
-        points.append(ServicePoint(t=t, level=level, label=label))
-    return ServiceTrajectory(points=tuple(points))
+    dev = np.abs(trace.f - params.f_n)
+    inside, beyond = dev <= band, dev >= floor_deviation_hz
+    level = np.where(inside, 1.0, np.where(
+        beyond, 0.0, 1.0 - (dev - band) / (floor_deviation_hz - band)))
+    code = np.where(inside, 0, np.where(beyond, 2, 1)).astype(np.int8)
+    return ServiceTrajectory(t=trace.t, level=level, code=code,
+                             labels=("in_band", "outside_band", "floor"))
 
 
 def service_from_restoration(timeline, total_load_mw: float) -> ServiceTrajectory:
     """Served-load fraction over a restoration timeline, labeled by stage."""
     if not (math.isfinite(total_load_mw) and total_load_mw > 0):
         raise InvalidInputError("total_load_mw: must be > 0")
-    points = []
+    times, levels, codes = [], [], []
+    index: dict[str, int] = {}    # stage -> code, in order of first use
     last_t = -math.inf
     for ev in timeline.events:
         t = ev.t_s
         if t <= last_t:  # events may share a timestamp; nudge for strictness
             t = math.nextafter(last_t, math.inf)
         last_t = t
-        points.append(ServicePoint(
-            t=t, level=min(ev.served_total_mw / total_load_mw, 1.0),
-            label=ev.stage))
-    return ServiceTrajectory(points=tuple(points))
+        times.append(t)
+        levels.append(min(ev.served_total_mw / total_load_mw, 1.0))
+        codes.append(index.setdefault(ev.stage, len(index)))
+    if len(index) > 128:   # codes are int8
+        raise InvalidInputError("timeline: at most 128 distinct stages")
+    return ServiceTrajectory(t=np.array(times, dtype=float),
+                             level=np.array(levels, dtype=float),
+                             code=np.array(codes, dtype=np.int8), labels=tuple(index))
 
 
 def annotate_phases(trajectory: ServiceTrajectory, challenge_t: float,
@@ -177,8 +169,8 @@ def annotate_phases(trajectory: ServiceTrajectory, challenge_t: float,
     events = (challenge_t, detection_t, remediation_start_t, recovery_complete_t)
     if not all(math.isfinite(t) for t in events):
         raise InvalidInputError("events: must be finite")
-    t0 = trajectory.points[0].t
-    t_end = trajectory.points[-1].t
+    t0 = float(trajectory.t[0])
+    t_end = float(trajectory.t[-1])
     marks = [t0, *events, t_end]
     if any(b < a for a, b in zip(marks, marks[1:])):
         raise InvalidInputError(
@@ -218,29 +210,22 @@ def state_space_path(trajectory: ServiceTrajectory,
     """
     if len(trajectory) == 0:
         raise InvalidInputError("trajectory: must be non-empty")
-    missing = sorted({p.label for p in trajectory.points} - set(state_metric))
+    used = [trajectory.labels[k] for k in np.unique(trajectory.code).tolist()]
+    missing = sorted(set(used) - set(state_metric))
     if missing:
         raise InvalidInputError(f"state_metric: unmapped labels: {', '.join(missing)}")
     for label, value in state_metric.items():
         if not (0.0 <= value <= 1.0):
             raise InvalidInputError(f"state_metric[{label}]: must be in [0, 1]")
 
-    points: list[StatePoint] = []
-    transitions: list[StateTransition] = []
-    for p in trajectory.points:
-        nxt = StatePoint(degradation=state_metric[p.label], level=p.level)
-        if points and nxt == points[-1]:
-            continue
-        if points:
-            prev = points[-1]
-            d_deg = nxt.degradation - prev.degradation
-            d_lvl = nxt.level - prev.level
-            if d_deg > 0 or d_lvl < 0:
-                kind = "challenge"
-            elif d_deg < 0:
-                kind = "recovery"
-            else:
-                kind = "remediation"
-            transitions.append(StateTransition(kind=kind, start=prev, end=nxt))
-        points.append(nxt)
-    return StateSpacePath(points=tuple(points), transitions=tuple(transitions))
+    degradation = np.array([float(state_metric.get(label, 0.0))  # unused if unmapped
+                            for label in trajectory.labels])[trajectory.code]
+    plane = np.stack([degradation, trajectory.level])
+    keep = np.concatenate(([True], np.diff(plane, axis=1).any(axis=0)))
+    deg, lvl = plane[:, keep]
+    d_deg, d_lvl = np.diff(deg), np.diff(lvl)
+    kinds = np.where((d_deg > 0) | (d_lvl < 0), "challenge",
+                     np.where(d_deg < 0, "recovery", "remediation"))
+    points = tuple(map(StatePoint, deg.tolist(), lvl.tolist()))
+    return StateSpacePath(points=points, transitions=tuple(map(
+        StateTransition, kinds.tolist(), points[:-1], points[1:])))

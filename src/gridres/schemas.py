@@ -13,6 +13,7 @@ documents may leave it out.
 """
 
 import csv
+import itertools
 import math
 import warnings
 
@@ -164,18 +165,14 @@ def load_fleet(doc) -> FleetCase:
 # CSV exchange formats (9 significant digits)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def write_trace_csv(fp, trace: fq.FrequencyTrace) -> None:
-    fp.write("t,f,rocof\n")
-    for t, f, r in trace.to_rows():
-        fp.write(f"{_fmt(t)},{_fmt(f)},{_fmt(r)}\n")
+    fp.write("t,f,rocof\n" + "".join(map("%.9g,%.9g,%.9g\n".__mod__, zip(
+        trace.t.tolist(), trace.f.tolist(), trace.rocof.tolist()))))
 
 
 def read_trace_csv(fp) -> fq.FrequencyTrace:
-    """A trace from its CSV: needs columns t and f, t in uniform steps."""
+    """A trace from its CSV: columns t and f, t in uniform steps, at most
+    fq.MAX_SAMPLES rows."""
     header = next(csv.reader([fp.readline()]), [])
     if "t" not in header or "f" not in header:
         raise InvalidInputError("trace csv: needs columns t and f")
@@ -183,9 +180,12 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # no data rows
             cells = np.loadtxt(fp, delimiter=",", comments=None, ndmin=2,
-                               usecols=(header.index("t"), header.index("f")))
+                               usecols=(header.index("t"), header.index("f")),
+                               max_rows=fq.MAX_SAMPLES + 1)
     except ValueError as err:
         raise InvalidInputError(f"trace csv: {err}") from None
+    if len(cells) > fq.MAX_SAMPLES:
+        raise InvalidInputError(f"trace csv: at most {fq.MAX_SAMPLES} rows")
     if len(cells) < 2 or not np.isfinite(cells).all():
         raise InvalidInputError("trace csv: needs two or more rows of finite numbers")
     t, f = cells[:, 0], cells[:, 1]
@@ -198,24 +198,28 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
 
 
 def write_timeline_csv(fp, timeline: bs.RestorationTimeline) -> None:
-    fp.write("t,stage,served_total,served_critical,service_class\n")
-    for ev in timeline.events:
-        fp.write(f"{_fmt(ev.t_s)},{ev.stage},{_fmt(ev.served_total_mw)},"
-                 f"{_fmt(ev.served_critical_mw)},{ev.service_class.value}\n")
+    fp.write("t,stage,served_total,served_critical,service_class\n" + "".join(
+        "%.9g,%s,%.9g,%.9g,%s\n" % (ev.t_s, ev.stage, ev.served_total_mw,
+                                     ev.served_critical_mw, ev.service_class.value)
+        for ev in timeline.events))
 
 
 def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
+    """Timeline events from their CSV: at most fq.MAX_SAMPLES rows."""
+    rows = itertools.islice(csv.DictReader(fp), fq.MAX_SAMPLES + 1)
     try:
         events = [bs.TimelineEvent(
             t_s=float(row["t"]), stage=row["stage"],
             served_total_mw=float(row["served_total"]),
             served_critical_mw=float(row["served_critical"]),
             service_class=bs.ServiceClass(row["service_class"]))
-            for row in csv.DictReader(fp)]
+            for row in rows]
     except (KeyError, TypeError, ValueError) as err:   # no such column, a short row, a bad cell
         raise InvalidInputError(f"timeline csv: {err!r}") from None
     if not events:
         raise InvalidInputError("timeline csv: no rows")
+    if len(events) > fq.MAX_SAMPLES:
+        raise InvalidInputError(f"timeline csv: at most {fq.MAX_SAMPLES} rows")
     if not all(math.isfinite(x) for ev in events
                for x in (ev.t_s, ev.served_total_mw, ev.served_critical_mw)):
         raise InvalidInputError("timeline csv: numbers must be finite")
@@ -223,6 +227,5 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
 
 
 def write_monte_carlo_csv(fp, result: bs.MonteCarloResult) -> None:
-    fp.write("run,restored_fraction\n")
-    for k, fraction in enumerate(result.restored_fractions):
-        fp.write(f"{k},{_fmt(fraction)}\n")
+    fp.write("run,restored_fraction\n" + "".join(
+        map("%d,%.9g\n".__mod__, enumerate(result.restored_fractions))))

@@ -25,7 +25,7 @@ from gridres.frequency import (DisturbanceEvent, DroopCurve, FcrProduct,
                                SystemParameters, evaluate_droop,
                                fcr_ramp_output, simulate_disturbance,
                                trace_metrics)
-from gridres.metrics import ServicePoint, ServiceTrajectory, degradation_area
+from gridres.metrics import ServiceTrajectory, degradation_area
 from gridres.protection import simulate_protection, solve_fault_currents
 
 from test_protection import (assert_matches_oracle, random_fault,
@@ -261,8 +261,10 @@ def test_criterion_12_degradation_metrics():
                        "pointwise dominance never increases the area "
                        "(1,000 random pairs)"):
         def trajectory(points):
-            return ServiceTrajectory(tuple(
-                ServicePoint(t, lvl, "x") for t, lvl in points))
+            t, level = zip(*points)
+            return ServiceTrajectory(
+                t=np.array(t, dtype=float), level=np.array(level, dtype=float),
+                code=np.zeros(len(points), dtype=np.int8), labels=("x",))
 
         constant = trajectory([(0, 1.0), (5, 1.0), (10, 1.0)])
         assert degradation_area(constant, 1.0) == 0.0

@@ -1,23 +1,38 @@
 """Resilience metrics tests: areas, service mappings, phases, state space."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
 from gridres.blackstart import (RestorationTimeline, ServiceClass,
                                 TimelineEvent, classify_service,
                                 run_restoration)
+from gridres.cli import EXIT_OK, main
 from gridres.errors import InvalidInputError
 from gridres.frequency import FrequencyTrace, SystemParameters
-from gridres.metrics import (ServicePoint, ServiceTrajectory,
+from gridres.metrics import (ServiceTrajectory, StatePoint, StateTransition,
                              annotate_phases, degradation_area, phase_at,
                              service_from_frequency, service_from_restoration,
                              state_space_path)
 
 
 def trajectory(points):
-    return ServiceTrajectory(tuple(ServicePoint(t, lvl, lab)
-                                   for t, lvl, lab in points))
+    """A trajectory from (t, level, label) rows."""
+    t, level, names = zip(*points) if points else ((), (), ())
+    labels = tuple(dict.fromkeys(names))
+    return ServiceTrajectory(
+        t=np.array(t, dtype=float), level=np.array(level, dtype=float),
+        code=np.array([labels.index(n) for n in names], dtype=np.int8),
+        labels=labels)
+
+
+def label_at(traj, i):
+    return traj.labels[traj.code[i]]
 
 
 def constant_fixture():
@@ -51,7 +66,7 @@ class TestDegradationArea:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(InvalidInputError):
-            degradation_area(ServiceTrajectory(()), 1.0)
+            degradation_area(trajectory([]), 1.0)
 
     @pytest.mark.parametrize("clip", [False, True])
     @pytest.mark.parametrize("baseline", [np.nan, np.inf, -np.inf])
@@ -100,19 +115,19 @@ class TestServiceFromFrequency:
 
     def test_nominal_frequency_full_service(self):
         traj = service_from_frequency(self.trace([50.0, 50.0]), self.params())
-        assert traj.points[0].level == 1.0
-        assert traj.points[0].label == "in_band"
+        assert traj.level[0] == 1.0
+        assert label_at(traj, 0) == "in_band"
 
     def test_floor_deviation_zero_service(self):
         traj = service_from_frequency(self.trace([47.5, 50.0]), self.params())
-        assert traj.points[0].level == 0.0
-        assert traj.points[0].label == "floor"
+        assert traj.level[0] == 0.0
+        assert label_at(traj, 0) == "floor"
 
     def test_linear_between_band_and_floor(self):
         # deviation 1.5 Hz with band 0.5 and floor 2.5: level 0.5.
         traj = service_from_frequency(self.trace([48.5, 50.0]), self.params())
-        assert traj.points[0].level == pytest.approx(0.5)
-        assert traj.points[0].label == "outside_band"
+        assert traj.level[0] == pytest.approx(0.5)
+        assert label_at(traj, 0) == "outside_band"
 
     def test_floor_must_exceed_band(self):
         with pytest.raises(InvalidInputError):
@@ -132,33 +147,51 @@ class TestServiceFromRestoration:
 
     def test_blackout_event_level_zero(self):
         traj = service_from_restoration(self.timeline([("S2", 0.0)]), 100.0)
-        assert traj.points[0].level == 0.0
-        assert traj.points[0].label == "S2"
+        assert traj.level[0] == 0.0
+        assert label_at(traj, 0) == "S2"
 
     def test_ratio(self):
         traj = service_from_restoration(
             self.timeline([("S2", 0.0), ("S3", 60.0)]), 100.0)
-        assert traj.points[1].level == pytest.approx(0.6)
+        assert traj.level[1] == pytest.approx(0.6)
 
     def test_full_restoration_level_one(self):
         traj = service_from_restoration(
             self.timeline([("S2", 0.0), ("S5'", 100.0)]), 100.0)
-        assert traj.points[-1].level == 1.0
+        assert traj.level[-1] == 1.0
 
     def test_zero_total_load_rejected(self):
         with pytest.raises(InvalidInputError):
             service_from_restoration(self.timeline([("S2", 0.0)]), 0.0)
 
+    def test_stage_codes_fit_int8(self):
+        stages = [(f"s{k}", 0.0) for k in range(129)]
+        traj = service_from_restoration(self.timeline(stages[:128]), 100.0)
+        assert traj.labels[traj.code[-1]] == "s127"
+        with pytest.raises(InvalidInputError, match="at most 128 distinct"):
+            service_from_restoration(self.timeline(stages), 100.0)
+
+    def test_shared_timestamps_are_nudged_and_labels_kept(self):
+        events = self.timeline([("S2", 0.0), ("S3", 40.0), ("S2", 60.0)]).events
+        events = tuple(replace(ev, t_s=10.0) for ev in events)
+        holder = RestorationTimeline(events=events, merge_attempts=(),
+                                     total_load_mw=100.0, total_critical_mw=0.0)
+        traj = service_from_restoration(holder, 100.0)
+        assert traj.t.tolist() == [10.0, math.nextafter(10.0, 11.0),
+                                   math.nextafter(math.nextafter(10.0, 11.0), 11.0)]
+        assert traj.labels == ("S2", "S3")
+        assert traj.code.tolist() == [0, 1, 0]
+
     def test_consistency_with_classify_service(self):
         # level 1.0 exactly when the event classifies as acceptable.
         timeline = run_restoration(bm.benchmark_restoration_scenario(), seed=4)
         traj = service_from_restoration(timeline, timeline.total_load_mw)
-        for point, event in zip(traj.points, timeline.events):
+        for level, event in zip(traj.level.tolist(), timeline.events):
             is_acceptable = classify_service(
                 event.served_critical_mw, timeline.total_critical_mw,
                 event.served_total_mw, timeline.total_load_mw) \
                 is ServiceClass.ACCEPTABLE
-            assert (point.level == pytest.approx(1.0)) == is_acceptable
+            assert (level == pytest.approx(1.0)) == is_acceptable
 
 
 class TestAnnotatePhases:
@@ -257,3 +290,149 @@ class TestServiceTrajectoryInvariants:
     def test_non_increasing_time_rejected(self):
         with pytest.raises(InvalidInputError):
             trajectory([(0, 0.5, "s"), (0, 0.6, "s")])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(InvalidInputError, match="t: must be finite"):
+            trajectory([(0, 0.5, "s"), (math.nan, 0.6, "s")])
+
+    def test_nan_level_rejected(self):
+        with pytest.raises(InvalidInputError, match="level: must be in"):
+            trajectory([(0, 0.5, "s"), (1, math.nan, "s")])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InvalidInputError, match="equal lengths"):
+            ServiceTrajectory(t=np.array([0.0, 1.0]), level=np.array([0.5]),
+                              code=np.zeros(2, dtype=np.int8), labels=("s",))
+
+    @pytest.mark.parametrize("code", [-1, 2])
+    def test_code_outside_labels_rejected(self, code):
+        with pytest.raises(InvalidInputError, match="code: must index labels"):
+            ServiceTrajectory(t=np.array([0.0, 1.0]), level=np.array([0.5, 0.5]),
+                              code=np.array([0, code], dtype=np.int8),
+                              labels=("a", "b"))
+
+
+# ---------------------------------------------------------------------------
+# The per-sample loops the columnar code replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_service_from_frequency(trace, params, floor_deviation_hz):
+    """(t, level, label) per sample, one Python step at a time."""
+    band = params.band_half_width_hz
+    span = floor_deviation_hz - band
+    rows = []
+    for t, f in zip(trace.t.tolist(), trace.f.tolist()):
+        dev = abs(f - params.f_n)
+        if dev <= band:
+            level, label = 1.0, "in_band"
+        elif dev >= floor_deviation_hz:
+            level, label = 0.0, "floor"
+        else:
+            level, label = 1.0 - (dev - band) / span, "outside_band"
+        rows.append((t, level, label))
+    return rows
+
+
+def _oracle_state_space_path(rows, state_metric):
+    """Points and transitions over (t, level, label) rows, one at a time."""
+    points, transitions = [], []
+    for _t, level, label in rows:
+        nxt = StatePoint(degradation=state_metric[label], level=level)
+        if points and nxt == points[-1]:
+            continue
+        if points:
+            prev = points[-1]
+            d_deg = nxt.degradation - prev.degradation
+            d_lvl = nxt.level - prev.level
+            if d_deg > 0 or d_lvl < 0:
+                kind = "challenge"
+            elif d_deg < 0:
+                kind = "recovery"
+            else:
+                kind = "remediation"
+            transitions.append(StateTransition(kind=kind, start=prev, end=nxt))
+        points.append(nxt)
+    return tuple(points), tuple(transitions)
+
+
+@st.composite
+def frequency_cases(draw):
+    """A trace, its system and a floor, with samples exactly at the band
+    and floor deviations (dyadic widths keep f_n + width - f_n exact)."""
+    f_n = draw(st.sampled_from([50.0, 60.0]))
+    band = draw(st.integers(1, 64)) / 64
+    floor = band + draw(st.integers(1, 192)) / 64
+    edges = [band, floor, math.nextafter(band, 0.0), math.nextafter(floor, 9.0)]
+    deviations = draw(st.lists(
+        st.sampled_from(edges + [-x for x in edges]) | st.floats(-5.0, 5.0),
+        min_size=2, max_size=40))
+    f = f_n + np.array(deviations)
+    dt = draw(st.sampled_from([0.01, 0.5, 1 / 3]))
+    trace = FrequencyTrace.from_frequencies(np.arange(len(f)) * dt, f, dt)
+    params = SystemParameters(f_n=f_n, s_base_mva=100.0, h_sys_s=5.0,
+                              band_half_width_hz=band)
+    state_metric = {"in_band": 0.0,
+                    "outside_band": draw(st.sampled_from([0.0, 0.4, 1.0])),
+                    "floor": draw(st.sampled_from([0.4, 1.0]))}
+    return trace, params, floor, state_metric
+
+
+class TestColumnarMatchesReplacedLoop:
+    @given(case=frequency_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_service_and_path_match_the_oracle(self, case):
+        trace, params, floor, state_metric = case
+        traj = service_from_frequency(trace, params, floor_deviation_hz=floor)
+        rows = _oracle_service_from_frequency(trace, params, floor)
+        t, level, labels = (np.array(col) for col in zip(*rows))
+
+        assert np.array_equal(traj.level, level)
+        assert traj.level.tobytes() == level.tobytes()   # bit for bit
+        assert traj.t.tobytes() == t.tobytes()
+        assert [traj.labels[k] for k in traj.code.tolist()] == labels.tolist()
+        deficit = np.maximum(1.0 - level, 0.0)
+        assert degradation_area(traj) == float(np.trapezoid(deficit, t))
+
+        points, transitions = _oracle_state_space_path(rows, state_metric)
+        path = state_space_path(traj, state_metric)
+        assert path.points == points
+        assert path.transitions == transitions
+
+    @given(rows=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0]),
+                                   st.sampled_from("abc")), min_size=1, max_size=30),
+           state_metric=st.fixed_dictionaries(
+               {k: st.sampled_from([0.0, 0.5, 1.0]) for k in "abc"}))
+    @settings(max_examples=200, deadline=None)
+    def test_path_matches_the_oracle_when_labels_change_at_equal_level(
+            self, rows, state_metric):
+        rows = [(float(k), level, label) for k, (level, label) in enumerate(rows)]
+        points, transitions = _oracle_state_space_path(rows, state_metric)
+        path = state_space_path(trajectory(rows), state_metric)
+        assert path.points == points
+        assert path.transitions == transitions
+
+    @pytest.mark.parametrize("marks", [
+        (2.0, 2.0, 3.0, 7.0),      # challenge = detection: Detect is empty
+        (0.0, 0.0, 0.0, 10.0),     # Defend and Detect empty at the start
+        (0.5, 1.0, 10.0, 10.0),    # Recover empty at the end
+        (3.0, 3.0, 3.0, 3.0),      # three empty phases in the middle
+        (0.25, 4.75, 5.0, 9.75),   # marks between samples
+    ])
+    def test_phase_column_matches_phase_at(self, tmp_path, marks):
+        t = np.arange(21) * 0.5
+        f = 50.0 - 2.0 * np.sin(t / 3.0)
+        csv = tmp_path / "trace.csv"
+        csv.write_text("t,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), f.tolist())))
+        flags = ("--challenge-t", "--detection-t", "--remediation-t",
+                 "--recovery-t")
+        argv = ["metrics", "--trace", csv, "--out", tmp_path / "o"]
+        for flag, mark in zip(flags, marks):
+            argv += [flag, repr(mark)]
+        assert main([str(a) for a in argv]) == EXIT_OK
+
+        trace = FrequencyTrace.from_frequencies(t, f, 0.5)
+        ann = annotate_phases(service_from_frequency(
+            trace, SystemParameters(band_half_width_hz=0.5)), *marks)
+        rows = (tmp_path / "o" / "service.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == \
+            [phase_at(ann, x) for x in t.tolist()]

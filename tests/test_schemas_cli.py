@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
+from gridres import frequency as fq
 from gridres import schemas
 from gridres.blackstart import CommNode, run_restoration
 from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
@@ -275,8 +276,10 @@ class TestCliExitCodes:
         ["--radius-km", "-3"], ["--radius-km", "2"],
         ["--p", "0.5", "--radius-km", "2", "--runs", "0"],
         ["--p", "0.5", "--runs", "3"],
+        ["--format", "csv"], ["--format", "json"],
     ], ids=["runs_0", "runs_minus_5", "runs_1", "runs_3", "radius_minus_3",
-            "radius_2", "with_p_runs_0", "with_p_no_radius"])
+            "radius_2", "with_p_runs_0", "with_p_no_radius", "format_csv",
+            "format_json"])
     def test_blackstart_rejects_incomplete_monte_carlo_flags(self, workspace,
                                                               capsys, flags):
         out = workspace["root"] / "o"
@@ -836,6 +839,30 @@ class TestCsvReaders:
     def test_malformed_timeline(self, text):
         with pytest.raises(InvalidInputError):
             schemas.read_timeline_csv(io.StringIO(text))
+
+    def test_trace_rows_are_capped(self, monkeypatch):
+        monkeypatch.setattr(fq, "MAX_SAMPLES", 5)
+        rows = [f"{k / 100},50,0\n" for k in range(6)]
+        assert len(self._trace("t,f,rocof\n" + "".join(rows[:5]))) == 5
+        with pytest.raises(InvalidInputError, match="at most 5 rows"):
+            self._trace("t,f,rocof\n" + "".join(rows))
+
+    def test_timeline_rows_are_capped(self, monkeypatch):
+        monkeypatch.setattr(fq, "MAX_SAMPLES", 5)
+        header = "t,stage,served_total,served_critical,service_class\n"
+        rows = [f"{k},S2,0,0,unacceptable\n" for k in range(6)]
+        read = schemas.read_timeline_csv
+        assert len(read(io.StringIO(header + "".join(rows[:5])))) == 5
+        with pytest.raises(InvalidInputError, match="at most 5 rows"):
+            read(io.StringIO(header + "".join(rows)))
+
+    def test_metrics_cli_exits_1_on_too_many_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fq, "MAX_SAMPLES", 5)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,f\n" + "".join(f"{k},50\n" for k in range(6)))
+        code, _out, err = _cli("metrics", "--trace", trace, "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and "at most 5 rows" in err
+        assert not (tmp_path / "o").exists()
 
     def test_metrics_cli_exits_1_on_bad_csv(self, tmp_path):
         trace = tmp_path / "trace.csv"
