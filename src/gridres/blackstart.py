@@ -22,14 +22,18 @@ which battery flags or cell radii change. A run turns its radii into
 link and coverage sets, and the disk-graph components of each
 operational node set are computed once and reused by later rounds and,
 within one Monte Carlo study, by later runs. Single runs and Monte Carlo
-runs go through one driver.
+runs go through run_restoration.
+
+What an island's bus or area set fixes, its load split, its follower
+candidates and its comm nodes, is built once per distinct set and kept
+with the compiled scenario.
 """
 
 import math
 import numbers
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -73,6 +77,8 @@ class ServiceClass(str, Enum):
 # reconnection, then interleaved expansion into dead areas (S4') and
 # island merges (S5), closed by the maximum-extent marker S5'.
 STAGE_RANK = {"S1": 0, "S2": 1, "S3": 2, "S4": 3, "S4'": 4, "S5": 4, "S5'": 5}
+# Grid-supporting units reconnect before grid-feeding ones.
+_FOLLOWER_RANK = {DerCapability.GRID_SUPPORTING: 0, DerCapability.GRID_FEEDING: 1}
 
 
 @table
@@ -202,10 +208,18 @@ class _CompiledRestoration:
     Comm nodes are numbered in bus-id order (comm[i]), buses as in
     scenario.buses. cover_dist[i, k] is the distance from comm node i to
     bus k, and bus comm_at[i] holds node i. Sets of comm nodes and of
-    buses are ints with one bit per index.
+    buses are ints with one bit per index. The load split, follower
+    candidates and comm nodes of an island are memoised per bus or area
+    set, for every run of the scenario.
     """
 
     def __init__(self, scn: RestorationScenario):
+        self.loads = scn.loads
+        self.followers = tuple(d for d in scn.ders
+                               if d.capability is not DerCapability.GRID_FORMING)
+        self._load_split: dict[frozenset[str], tuple[float, float]] = {}
+        self._candidates: dict[frozenset[str], tuple[DerAsset, ...]] = {}
+        self._comm_bits: dict[frozenset[str], int] = {}
         self.comm = tuple(sorted(scn.comm, key=lambda c: c.bus))
         self.comm_bus = tuple(c.bus for c in self.comm)
         bus_index = {b.id: k for k, b in enumerate(scn.buses)}
@@ -242,9 +256,35 @@ class _CompiledRestoration:
 
     def comm_bits(self, areas) -> int:
         """The comm nodes inside a set of areas."""
-        out = 0
-        for a in areas:
-            out |= self.area_comm_bits[a]
+        areas = frozenset(areas)
+        out = self._comm_bits.get(areas)
+        if out is None:
+            out = 0
+            for a in areas:
+                out |= self.area_comm_bits[a]
+            self._comm_bits[areas] = out
+        return out
+
+    def load_split(self, buses) -> tuple[float, float]:
+        """(critical, other) demand on a set of buses, summed in
+        scenario.loads order."""
+        buses = frozenset(buses)
+        split = self._load_split.get(buses)
+        if split is None:
+            split = self._load_split[buses] = (
+                sum(l.demand_mw for l in self.loads if l.bus in buses and l.critical),
+                sum(l.demand_mw for l in self.loads if l.bus in buses and not l.critical))
+        return split
+
+    def candidates(self, buses) -> tuple[DerAsset, ...]:
+        """The non-forming units on a set of buses: grid-supporting before
+        grid-feeding, then by bus and id."""
+        buses = frozenset(buses)
+        out = self._candidates.get(buses)
+        if out is None:
+            out = self._candidates[buses] = tuple(sorted(
+                (d for d in self.followers if d.bus in buses),
+                key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id)))
         return out
 
 
@@ -434,8 +474,7 @@ def comm_reachable(scenario: RestorationScenario, powered_buses,
 def _dispatch(scenario: RestorationScenario, buses: frozenset[str],
               generation_mw: float) -> tuple[float, float]:
     """Critical-first load dispatch inside one island. Loads are divisible."""
-    crit = sum(l.demand_mw for l in scenario.loads if l.bus in buses and l.critical)
-    rest = sum(l.demand_mw for l in scenario.loads if l.bus in buses and not l.critical)
+    crit, rest = scenario.compiled.load_split(buses)
     served_crit = min(crit, generation_mw)
     served_rest = min(rest, generation_mw - served_crit)
     return served_crit + served_rest, served_crit
@@ -481,12 +520,8 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
     started = set(mg.started_units)
     generation = mg.generation_mw
     served, served_crit = mg.served_total_mw, mg.served_critical_mw
-    rank = {DerCapability.GRID_SUPPORTING: 0, DerCapability.GRID_FEEDING: 1}
-    candidates = sorted(
-        (d for d in scenario.ders
-         if d.bus in mg.buses and d.id not in started
-         and d.capability is not DerCapability.GRID_FORMING),
-        key=lambda d: (rank[d.capability], d.bus, d.id))
+    candidates = [d for d in scenario.compiled.candidates(mg.buses)
+                  if d.id not in started]
     for _ in range(len(candidates) + 1):
         progressed = False
         for d in candidates:
@@ -500,9 +535,9 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
             progressed = True
         if not progressed:
             break
-    return replace(mg, started_units=tuple(sorted(started)),
-                   generation_mw=generation, served_total_mw=served,
-                   served_critical_mw=served_crit)
+    return Microgrid(mg.id, mg.areas, mg.buses, mg.forming_units,
+                     tuple(sorted(started)), generation, served, served_crit,
+                     mg.frequency_hz, mg.phase_rad)
 
 
 def _wrapped_phase_distance(a_rad: float, b_rad: float) -> float:
@@ -623,8 +658,9 @@ class RestorationState:
         grid = self.grids[grid_id]
         buses = grid.buses | self.compiled.area_buses[area]
         served, crit = _dispatch(self.scenario, buses, grid.generation_mw)
-        grown = replace(grid, areas=grid.areas | {area}, buses=buses,
-                        served_total_mw=served, served_critical_mw=crit)
+        grown = Microgrid(grid.id, grid.areas | {area}, buses, grid.forming_units,
+                          grid.started_units, grid.generation_mw, served, crit,
+                          grid.frequency_hz, grid.phase_rad)
         self.grids[grid_id] = reconnect_followers(grown, self.scenario)
 
     def _attempt_merge(self, ga: str, gb: str) -> bool:
@@ -635,8 +671,10 @@ class RestorationState:
         window = math.pi / (2 ** attempt)
         draw = self.rng.uniform(0.0, window)
         self.pair_attempts[key] = attempt + 1
-        b_aligned = replace(b, frequency_hz=a.frequency_hz,
-                            phase_rad=a.phase_rad + draw)
+        b_aligned = Microgrid(b.id, b.areas, b.buses, b.forming_units,
+                              b.started_units, b.generation_mw, b.served_total_mw,
+                              b.served_critical_mw, a.frequency_hz,
+                              a.phase_rad + draw)
         try:
             merged = synchronize_and_merge(a, b_aligned,
                                            self.scenario.sync_policy,

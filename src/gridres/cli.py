@@ -260,6 +260,9 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
     """Compute resilience metrics from a trace or timeline CSV."""
     if (trace is None) == (timeline is None):
         raise InvalidInputError("metrics: pass exactly one of --trace/--timeline")
+    marks = (challenge_t, detection_t, remediation_t, recovery_t)
+    if sum(m is None for m in marks) not in (0, len(marks)):
+        raise InvalidInputError("phase marks: pass all four or none")
 
     if trace is not None:
         with open(trace) as fp:
@@ -289,8 +292,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
     # The phase column holds each sample's label or, given all four marks,
     # its phase: the number of phase starts at or before it (as phase_at).
     names, index = trajectory.labels, trajectory.code
-    marks = (challenge_t, detection_t, remediation_t, recovery_t)
-    if all(m is not None for m in marks):
+    if challenge_t is not None:
         annotation = mt.annotate_phases(trajectory, *marks)
         payload.update({
             "detection_latency_s": annotation.detection_latency_s,

@@ -27,6 +27,8 @@ from .errors import InvalidInputError, ScenarioValidationError
 from .fields import dump, duplicates, load, num, obj, seq, table
 
 SCHEMA_VERSION = 1
+# Characters that a CSV cell holds only when quoted.
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def detect_kind(doc) -> str:
@@ -173,7 +175,10 @@ def write_trace_csv(fp, trace: fq.FrequencyTrace) -> None:
 def read_trace_csv(fp) -> fq.FrequencyTrace:
     """A trace from its CSV: columns t and f, t in uniform steps, at most
     fq.MAX_SAMPLES rows."""
-    header = next(csv.reader([fp.readline()]), [])
+    try:
+        header = next(csv.reader([fp.readline()]), [])
+    except csv.Error as err:
+        raise InvalidInputError(f"trace csv: {err}") from None
     if "t" not in header or "f" not in header:
         raise InvalidInputError("trace csv: needs columns t and f")
     try:
@@ -214,7 +219,8 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
             served_critical_mw=float(row["served_critical"]),
             service_class=bs.ServiceClass(row["service_class"]))
             for row in rows]
-    except (KeyError, TypeError, ValueError) as err:   # no such column, a short row, a bad cell
+    # No such column, a short row, a bad cell, a row the csv module rejects.
+    except (KeyError, TypeError, ValueError, csv.Error) as err:
         raise InvalidInputError(f"timeline csv: {err!r}") from None
     if not events:
         raise InvalidInputError("timeline csv: no rows")
@@ -223,6 +229,11 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
     if not all(math.isfinite(x) for ev in events
                for x in (ev.t_s, ev.served_total_mw, ev.served_critical_mw)):
         raise InvalidInputError("timeline csv: numbers must be finite")
+    # Stages are written back unquoted (service.csv, write_timeline_csv).
+    for ev in events:
+        if not _CSV_SPECIAL.isdisjoint(ev.stage):
+            raise InvalidInputError(f"timeline csv: stage {ev.stage!r} must not hold "
+                                    "a comma, a quote or a line break")
     return events
 
 

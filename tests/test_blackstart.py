@@ -3,7 +3,8 @@
 import hashlib
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,31 @@ class TestReconnectFollowers:
         grown = reconnect_followers(mg, scenario)
         assert set(grown.started_units) == {"G"}
 
+    def test_copies_every_field_it_does_not_change(self):
+        # A hand-built island: its areas and buses do not match, its
+        # frequency and phase are off nominal and it has a second former.
+        scenario = RestorationScenario(
+            buses=(BusPoint("B0", 0, 0, "A0"), BusPoint("B1", 1, 0, "A1")),
+            loads=(LoadAsset("B0", 3.0, critical=True), LoadAsset("B1", 4.0)),
+            ders=(DerAsset("G", "B0", DerCapability.GRID_FORMING, 5.0),
+                  DerAsset("S", "B1", DerCapability.GRID_SUPPORTING, 3.0)),
+            switches=(), comm=())
+        mg = Microgrid(id="isl", areas=frozenset({"A0", "A7"}),
+                       buses=frozenset({"B0", "B1"}), forming_units=("G", "Gx"),
+                       started_units=("G",), generation_mw=5.0,
+                       served_total_mw=5.0, served_critical_mw=3.0,
+                       frequency_hz=49.93, phase_rad=1.25)
+        grown = reconnect_followers(mg, scenario)
+        kept = {"id", "areas", "buses", "forming_units", "frequency_hz", "phase_rad"}
+        changed = {"started_units", "generation_mw", "served_total_mw",
+                   "served_critical_mw"}
+        assert {f.name for f in fields(Microgrid)} == kept | changed
+        for name in kept:
+            assert getattr(grown, name) == getattr(mg, name), name
+        assert grown.started_units == ("G", "S")
+        assert (grown.generation_mw, grown.served_total_mw,
+                grown.served_critical_mw) == (8.0, 7.0, 3.0)
+
 
 def microgrid(gid, gen=5.0, phase=0.0, freq=50.0):
     return Microgrid(id=gid, areas=frozenset({gid}), buses=frozenset({gid + "b"}),
@@ -606,6 +632,13 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _timeline_text(timeline) -> str:
+    """timeline.csv followed by the repr of every merge attempt."""
+    buf = io.StringIO()
+    schemas.write_timeline_csv(buf, timeline)
+    return buf.getvalue() + "".join(f"{m!r}\n" for m in timeline.merge_attempts)
+
+
 class TestCompiledScenario:
     def test_compiled_once_per_scenario(self, monkeypatch):
         builds = []
@@ -630,11 +663,8 @@ class TestCompiledScenario:
         (0, "d8ac53c9a606ef79"), (3, "d80abe8f846e52de"), (8, "363b384cb4f6ac48")])
     def test_two_tile_timeline_and_merges_are_pinned(self, seed, expected):
         timeline = run_restoration(two_tile_scenario(), seed=seed)
-        buf = io.StringIO()
-        schemas.write_timeline_csv(buf, timeline)
         assert any(m.accepted for m in timeline.merge_attempts)
-        assert _digest(buf.getvalue() + "".join(
-            f"{m!r}\n" for m in timeline.merge_attempts)) == expected
+        assert _digest(_timeline_text(timeline)) == expected
 
     @pytest.mark.parametrize("scenario,grid,runs,seed,expected", [
         (bm.benchmark_restoration_scenario,
@@ -649,6 +679,156 @@ class TestCompiledScenario:
             f"{p} {r} " + " ".join(f.hex() for f in monte_carlo(
                 scn, p, r, runs, seed).restored_fractions) + "\n"
             for p, r in grid)) == expected
+
+
+def _oracle_dispatch(scenario, buses, generation_mw):
+    """_dispatch as it was before the load split was memoised."""
+    crit = sum(l.demand_mw for l in scenario.loads if l.bus in buses and l.critical)
+    rest = sum(l.demand_mw for l in scenario.loads if l.bus in buses and not l.critical)
+    served_crit = min(crit, generation_mw)
+    served_rest = min(rest, generation_mw - served_crit)
+    return served_crit + served_rest, served_crit
+
+
+def _oracle_reconnect_followers(mg, scenario):
+    """reconnect_followers as it was before its candidates were memoised."""
+    started = set(mg.started_units)
+    generation = mg.generation_mw
+    served, served_crit = mg.served_total_mw, mg.served_critical_mw
+    rank = {DerCapability.GRID_SUPPORTING: 0, DerCapability.GRID_FEEDING: 1}
+    candidates = sorted(
+        (d for d in scenario.ders
+         if d.bus in mg.buses and d.id not in started
+         and d.capability is not DerCapability.GRID_FORMING),
+        key=lambda d: (rank[d.capability], d.bus, d.id))
+    for _ in range(len(candidates) + 1):
+        progressed = False
+        for d in candidates:
+            if d.id in started:
+                continue
+            if d.aux_power_mw > (generation - served_crit) + blackstart._EQ_TOL:
+                continue
+            started.add(d.id)
+            generation += d.capacity_mw
+            served, served_crit = _oracle_dispatch(scenario, mg.buses, generation)
+            progressed = True
+        if not progressed:
+            break
+    return replace(mg, started_units=tuple(sorted(started)),
+                   generation_mw=generation, served_total_mw=served,
+                   served_critical_mw=served_crit)
+
+
+def awkward_two_tile_scenario():
+    """two_tile_scenario with demands, capacities and auxiliary powers
+    that are not sums of powers of two, so summing loads or starting
+    units in another order changes the bits."""
+    scn = two_tile_scenario()
+    return replace(
+        scn,
+        loads=tuple(replace(l, demand_mw=l.demand_mw * (1 + k % 7 / 10) / 3)
+                    for k, l in enumerate(scn.loads)),
+        ders=tuple(replace(d, capacity_mw=d.capacity_mw * (1 + k % 5 / 10) / 3,
+                           aux_power_mw=(0.0, 0.1, 0.9, 2.5)[k % 4])
+                   for k, d in enumerate(scn.ders)))
+
+
+@cache
+def _shared_scenario(name):
+    """One scenario per name for every example, so its memos warm up."""
+    return {"benchmark": bm.benchmark_restoration_scenario,
+            "two_tile": two_tile_scenario,
+            "awkward": awkward_two_tile_scenario}[name]()
+
+
+def _exact(values):
+    """Numbers by type and float.hex(), so 0 and 0.0 or two floats one
+    ulp apart differ."""
+    return [(type(v).__name__, float(v).hex()) if isinstance(v, (int, float))
+            and not isinstance(v, bool) else v for v in values]
+
+
+def _exact_grid(mg):
+    return _exact(getattr(mg, f.name) for f in fields(Microgrid))
+
+
+@st.composite
+def islands(draw):
+    """An island on one of the shared scenarios: whole areas plus a few
+    stray buses, some followers already started, any generation."""
+    scenario = _shared_scenario(draw(st.sampled_from(["benchmark", "two_tile",
+                                                       "awkward"])))
+    compiled = scenario.compiled
+    areas = draw(st.sets(st.sampled_from(compiled.areas), max_size=6))
+    stray = draw(st.sets(st.sampled_from([b.id for b in scenario.buses]), max_size=4))
+    buses = frozenset(stray).union(*(compiled.area_buses[a] for a in areas))
+    on_buses = [d for d in scenario.ders if d.bus in buses]
+    formers = tuple(d.id for d in on_buses
+                    if d.capability is DerCapability.GRID_FORMING) or ("X",)
+    followers = [d.id for d in on_buses
+                 if d.capability is not DerCapability.GRID_FORMING]
+    started = formers + tuple(d for d in followers if draw(st.integers(0, 3)) == 0)
+    generation = draw(st.floats(0.0, 12.0) | st.floats(0.0, 400.0)
+                      | st.sampled_from([0.0, 1e-9, 17.5]))
+    served, served_crit = _oracle_dispatch(scenario, buses, generation)
+    mg = Microgrid(id="isl", areas=frozenset(compiled.area_of[b] for b in buses),
+                   buses=buses, forming_units=formers, started_units=started,
+                   generation_mw=generation, served_total_mw=served,
+                   served_critical_mw=served_crit,
+                   frequency_hz=draw(st.floats(49.0, 51.0)),
+                   phase_rad=draw(st.floats(-4.0, 4.0)))
+    return scenario, mg
+
+
+class TestIslandMemos:
+    @settings(max_examples=300, deadline=None)
+    @given(islands())
+    def test_dispatch_and_followers_match_the_oracles(self, island):
+        scenario, mg = island
+        for generation in (mg.generation_mw, 0.5 * mg.generation_mw, 1e6):
+            assert _exact(blackstart._dispatch(scenario, mg.buses, generation)) == \
+                _exact(_oracle_dispatch(scenario, mg.buses, generation))
+        assert _exact_grid(reconnect_followers(mg, scenario)) == \
+            _exact_grid(_oracle_reconnect_followers(mg, scenario))
+        assert scenario.compiled.comm_bits(mg.areas) == \
+            sum(1 << i for i, c in enumerate(scenario.compiled.comm)
+                if scenario.compiled.area_of[c.bus] in mg.areas)
+
+    @pytest.mark.parametrize("name", ["benchmark", "two_tile", "awkward"])
+    def test_every_pair_of_areas_matches_the_oracles(self, name):
+        scenario = _shared_scenario(name)
+        compiled = scenario.compiled
+        formers = tuple(d.id for d in scenario.ders
+                        if d.capability is DerCapability.GRID_FORMING)
+        for k, a in enumerate(compiled.areas):
+            for b in compiled.areas[k:]:
+                buses = compiled.area_buses[a] | compiled.area_buses[b]
+                for generation in (0.3, 2.0, 7.7, 25.0):
+                    served, crit = _oracle_dispatch(scenario, buses, generation)
+                    mg = Microgrid("isl", frozenset({a, b}), buses, formers, formers,
+                                   generation, served, crit)
+                    assert _exact_grid(reconnect_followers(mg, scenario)) == \
+                        _exact_grid(_oracle_reconnect_followers(mg, scenario))
+
+    @pytest.mark.parametrize("make,seed", [
+        (two_tile_scenario, 0), (two_tile_scenario, 3), (two_tile_scenario, 8),
+        (awkward_two_tile_scenario, 0), (awkward_two_tile_scenario, 5)])
+    def test_warm_memos_write_the_same_bytes(self, make, seed):
+        warm = make()
+        monte_carlo(warm, 0.5, 3.0, 4, seed=2)
+        run_restoration(warm, seed=seed + 1)
+        compiled = warm.compiled
+
+        def sizes():
+            return [len(m) for m in (compiled._load_split, compiled._candidates,
+                                     compiled._comm_bits)]
+
+        assert all(sizes())
+        warm_text = _timeline_text(run_restoration(warm, seed=seed))
+        assert warm_text == _timeline_text(run_restoration(make(), seed=seed))
+        seen = sizes()
+        run_restoration(warm, seed=seed)    # a repeated run adds no entry
+        assert sizes() == seen
 
 
 class TestScenarioValidation:

@@ -1,6 +1,7 @@
 """Scenario schema and CLI behavior: validation, exit codes, determinism."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -269,6 +270,23 @@ class TestCliExitCodes:
         assert run_cli("metrics", "--trace", src / "trace.csv", "--out", out,
                        *flags) == EXIT_VALIDATION
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--challenge-t", "1"], ["--recovery-t", "30"],
+        ["--challenge-t", "1", "--detection-t", "2"],
+        ["--challenge-t", "1", "--detection-t", "2", "--remediation-t", "3"],
+        ["--detection-t", "2", "--remediation-t", "3", "--recovery-t", "30"],
+    ], ids=["challenge_only", "recovery_only", "two_marks", "three_marks",
+            "three_marks_no_challenge"])
+    def test_metrics_rejects_partial_phase_marks(self, workspace, capsys, flags):
+        src = workspace["root"] / "src"
+        run_cli("frequency", "--scenario", workspace["freq.json"], "--out", src)
+        out = workspace["root"] / "o"
+        assert run_cli("metrics", "--trace", src / "trace.csv", "--out", out,
+                       *flags) == EXIT_VALIDATION
+        assert "phase marks: pass all four or none" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -839,6 +857,41 @@ class TestCsvReaders:
     def test_malformed_timeline(self, text):
         with pytest.raises(InvalidInputError):
             schemas.read_timeline_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("stage", ["S2\rx", "S" * (csv.field_size_limit() + 1)],
+                             ids=["bare_cr", "oversized_cell"])
+    def test_timeline_csv_module_errors_are_invalid_input(self, stage):
+        text = ("t,stage,served_total,served_critical,service_class\n"
+                f"0,{stage},0,0,impaired\n")
+        with pytest.raises(InvalidInputError, match="timeline csv"):
+            schemas.read_timeline_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("stage", ["S2,x", 'S2"x', "S2\rx", "S2\nx"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_timeline_stage_must_not_need_quoting(self, stage):
+        # The csv module reads a quoted cell back whole; the writers would
+        # put it out unquoted and add a column or a row.
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC).writerows([
+            ["t", "stage", "served_total", "served_critical", "service_class"],
+            [0, stage, 0, 0, "unacceptable"]])
+        buf.seek(0)
+        with pytest.raises(InvalidInputError, match="stage"):
+            schemas.read_timeline_csv(buf)
+
+    def test_metrics_cli_exits_1_on_stage_with_comma(self, tmp_path):
+        timeline = tmp_path / "timeline.csv"
+        timeline.write_text("t,stage,served_total,served_critical,service_class\n"
+                            '0,"S2,x",0,0,unacceptable\n'
+                            "60,S3,5,1,impaired\n")
+        code, _out, err = _cli("metrics", "--timeline", timeline,
+                               "--total-load-mw", "10", "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and "S2,x" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_oversized_trace_header_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="trace csv"):
+            self._trace("t,f," + "x" * (csv.field_size_limit() + 1) + "\n0,50\n")
 
     def test_trace_rows_are_capped(self, monkeypatch):
         monkeypatch.setattr(fq, "MAX_SAMPLES", 5)
