@@ -18,7 +18,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import blackstart as bs
 from . import coordination as co
@@ -79,9 +78,9 @@ def _write_payload(out_dir: Path, stem: str, payload: dict, fmt: str) -> None:
     _write_atomic(out_dir / f"{stem}.{fmt}", text)
 
 
-def _write_csv(path: Path, writer, result) -> None:
+def _write_csv(path: Path, writer, *data) -> None:
     buf = io.StringIO()
-    writer(buf, result)
+    writer(buf, *data)
     _write_atomic(path, buf.getvalue())
 
 
@@ -246,9 +245,11 @@ def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
 @_out_option
 @_format_option
 @click.option("--baseline", type=float, default=1.0)
-@click.option("--f-n", type=float, default=50.0)
-@click.option("--band", "band_half_width_hz", type=float, default=0.5)
-@click.option("--floor-deviation", "floor_deviation_hz", type=float, default=2.5)
+@click.option("--f-n", type=float, default=fq.SystemParameters.f_n)
+@click.option("--band", "band_half_width_hz", type=float,
+              default=fq.SystemParameters.band_half_width_hz)
+@click.option("--floor-deviation", "floor_deviation_hz", type=float,
+              default=mt.DEFAULT_FLOOR_DEVIATION_HZ)
 @click.option("--total-load-mw", type=float, default=None)
 @click.option("--challenge-t", type=float, default=None)
 @click.option("--detection-t", type=float, default=None)
@@ -267,8 +268,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
     if trace is not None:
         with open(trace) as fp:
             samples = schemas.read_trace_csv(fp)
-        params = fq.SystemParameters(f_n=f_n, s_base_mva=100.0, h_sys_s=1.0,
-                                     band_half_width_hz=band_half_width_hz)
+        params = fq.SystemParameters(f_n=f_n, band_half_width_hz=band_half_width_hz)
         trajectory = mt.service_from_frequency(
             samples, params, floor_deviation_hz=floor_deviation_hz)
     else:
@@ -289,9 +289,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
         "final_level": float(level[-1]),
         "span_s": float(t[-1] - t[0]),
     }
-    # The phase column holds each sample's label or, given all four marks,
-    # its phase: the number of phase starts at or before it (as phase_at).
-    names, index = trajectory.labels, trajectory.code
+    annotation = None
     if challenge_t is not None:
         annotation = mt.annotate_phases(trajectory, *marks)
         payload.update({
@@ -300,13 +298,9 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
             "remediation_time_s": annotation.remediation_time_s,
             "recovery_time_s": annotation.recovery_time_s,
         })
-        names = [iv.phase for iv in annotation.intervals]
-        index = np.searchsorted([iv.t_start for iv in annotation.intervals[1:]],
-                                t, side="right")
     _write_payload(out_dir, "metrics", payload, fmt)
-    phases = [names[k] for k in index.tolist()]
-    _write_atomic(out_dir / "service.csv", "t,level,phase\n" + "".join(map(
-        "%.9g,%.9g,%s\n".__mod__, zip(t.tolist(), level.tolist(), phases))))
+    _write_csv(out_dir / "service.csv", schemas.write_service_csv, trajectory,
+               annotation)
 
 
 @cli.command("validate")
@@ -347,10 +341,7 @@ def main(argv=None) -> int:
             click.Context(cli))
         sys.stderr.write(f"{hint}\ngridres: error: {message}\n")
         return EXIT_USAGE
-    except ScenarioValidationError as err:
-        _emit_error(err, errors_json)
-        return EXIT_VALIDATION
-    except InvalidInputError as err:
+    except InvalidInputError as err:    # and ScenarioValidationError
         _emit_error(err, errors_json)
         return EXIT_VALIDATION
     except (GridResError, OSError) as err:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GridResError, InvalidInputError
-from .fields import flag, num, table, text
+from .fields import flag, num, row, table, text
 from .frequency import DroopCurve, evaluate_droop
 
 FCR_SINGLE_UNIT_CAP = 0.05  # max share of total containment reserve per unit
@@ -59,20 +59,29 @@ class DerUnit:
         return self.p_rating - self.p_available
 
 
-@dataclass(frozen=True)
+@table
+class FleetUnit(DerUnit):
+    """A fleet document's unit: a DerUnit with its containment-reserve share."""
+
+    fcr_share: float = num(0.0, ge=0)
+
+
+def headroom_violations(p0_irmax_pu: float, p0_ss_pu: float) -> list[str]:
+    """The headroom rule of the inertia exchange: P0_irmax >= P0_ss."""
+    return [] if p0_irmax_pu >= p0_ss_pu else ["p0_irmax_pu: must be >= p0_ss_pu"]
+
+
+@table
 class InertiaPhase1:
     """First exchange: expected worst ROCOF out, offered maximum back."""
 
-    rocof_max_hz_per_s: float
-    h_ag_max_s: float
-    p0_ss_pu: float
-    p0_irmax_pu: float
+    rocof_max_hz_per_s: float = num(gt=0)
+    h_ag_max_s: float = num(ge=0)
+    p0_ss_pu: float = num()
+    p0_irmax_pu: float = num()
 
-    def __post_init__(self):
-        if self.p0_irmax_pu < self.p0_ss_pu:
-            raise InvalidInputError("p0_irmax_pu: must be >= p0_ss_pu")
-        if self.h_ag_max_s < 0:
-            raise InvalidInputError("h_ag_max_s: must be >= 0")
+    def invariants(self):
+        return headroom_violations(self.p0_irmax_pu, self.p0_ss_pu)
 
 
 @dataclass(frozen=True)
@@ -132,9 +141,6 @@ class DroopEnvelope:
             raise InvalidInputError(
                 "envelope: p_agg_min must not exceed p_agg_max at any frequency")
 
-    def bounds_at(self, index: int) -> tuple[float, float]:
-        return self.p_agg_min[index], self.p_agg_max[index]
-
 
 @dataclass(frozen=True)
 class RuleViolation:
@@ -154,19 +160,28 @@ class ReserveRuleReport:
         return not self.violations
 
 
+def _check_exchange(rocof_max_hz_per_s: float, f_n: float,
+                    h_ag_tso_s: float = 0.0) -> None:
+    """The inputs the inertia formulas share, checked with the rows that
+    hold them: ROCOF and f_n finite and > 0, inertia finite and >= 0."""
+    rocof, h = row(InertiaPhase1, "rocof_max_hz_per_s"), row(InertiaPhase1, "h_ag_max_s")
+    problems = [f"{name}: {problem}" for name, spec, value in (
+        ("rocof_max_hz_per_s", rocof, rocof_max_hz_per_s),
+        ("f_n", row(FrequencyGrid, "f_n"), f_n), ("h_ag_tso_s", h, h_ag_tso_s))
+        if (problem := spec.check(value))]
+    if problems:
+        raise InvalidInputError("; ".join(problems))
+
+
 def compute_h_ag_max(p0_irmax_pu: float, p0_ss_pu: float, f_n: float,
                      rocof_max_hz_per_s: float) -> float:
     """Maximum inertia constant an aggregated grid can offer.
 
     H = (f_n / 2) * (P0_irmax - P0_ss) / ROCOF_max
     """
-    if not (math.isfinite(rocof_max_hz_per_s) and rocof_max_hz_per_s > 0):
-        raise InvalidInputError("rocof_max_hz_per_s: must be > 0")
-    if not (math.isfinite(f_n) and f_n > 0):
-        raise InvalidInputError("f_n: must be > 0")
-    if p0_irmax_pu < p0_ss_pu:
-        raise InfeasibleHeadroomError(
-            "p0_irmax below p0_ss leaves no headroom for inertial response")
+    _check_exchange(rocof_max_hz_per_s, f_n)
+    if problems := headroom_violations(p0_irmax_pu, p0_ss_pu):
+        raise InfeasibleHeadroomError("; ".join(problems))
     return (f_n / 2.0) * (p0_irmax_pu - p0_ss_pu) / rocof_max_hz_per_s
 
 
@@ -177,10 +192,7 @@ def compute_p0_ir(h_ag_tso_s: float, rocof_max_hz_per_s: float, f_n: float,
     P0_ir = 2 * H * ROCOF_max / f_n + P0_ss; the algebraic inverse of
     compute_h_ag_max.
     """
-    if not (math.isfinite(f_n) and f_n > 0):
-        raise InvalidInputError("f_n: must be > 0")
-    if not (math.isfinite(h_ag_tso_s) and h_ag_tso_s >= 0):
-        raise InvalidInputError("h_ag_tso_s: must be >= 0")
+    _check_exchange(rocof_max_hz_per_s, f_n, h_ag_tso_s)
     return 2.0 * h_ag_tso_s * rocof_max_hz_per_s / f_n + p0_ss_pu
 
 
@@ -207,12 +219,7 @@ def distribute_inertia(h_ag_tso_s: float, units: list[DerUnit],
     inertia constant against each unit's rating. Units with no headroom
     receive zero.
     """
-    if not (math.isfinite(rocof_max_hz_per_s) and rocof_max_hz_per_s > 0):
-        raise InvalidInputError("rocof_max_hz_per_s: must be > 0")
-    if not (math.isfinite(f_n) and f_n > 0):
-        raise InvalidInputError("f_n: must be > 0")
-    if not (math.isfinite(h_ag_tso_s) and h_ag_tso_s >= 0):
-        raise InvalidInputError("h_ag_tso_s: must be >= 0")
+    _check_exchange(rocof_max_hz_per_s, f_n, h_ag_tso_s)
     s_ag = sum(u.p_rating for u in units)
     required_power = 2.0 * h_ag_tso_s * (s_ag / f_n) * rocof_max_hz_per_s
     total_headroom = sum(u.headroom for u in units)
@@ -237,8 +244,6 @@ def compute_droop_envelope(units: list[DerUnit], grid: FrequencyGrid) -> DroopEn
     maximum is every unit at full rating, at each frequency row.
     """
     freqs = grid.frequencies()
-    if not freqs:
-        raise InvalidInputError("grid: produced an empty frequency grid")
     p_max_total = sum(u.p_rating for u in units)
     p_min = tuple(0.0 for _ in freqs)
     p_max = tuple(p_max_total for _ in freqs)
@@ -263,12 +268,9 @@ def select_droop(envelope: DroopEnvelope, candidate: DroopCurve) -> DroopCurve:
     frequencies otherwise.
     """
     tol = 1e-12
-    offending = []
-    for i, f in enumerate(envelope.frequencies):
-        p = evaluate_droop(candidate, f)
-        lo, hi = envelope.bounds_at(i)
-        if p < lo - tol or p > hi + tol:
-            offending.append(f)
+    offending = [f for f, lo, hi in zip(envelope.frequencies, envelope.p_agg_min,
+                                        envelope.p_agg_max)
+                 if not lo - tol <= evaluate_droop(candidate, f) <= hi + tol]
     if offending:
         raise FeasibilityViolationError(offending)
     return candidate
@@ -313,10 +315,17 @@ def check_reserve_rules(fcr_shares_pu: dict[str, float], total_fcr_pu: float,
     """Regulatory diversity checks on a containment-reserve portfolio.
 
     Flags any unit contributing more than 5% of the total, and any
-    contributing unit that was part of the reference incident.
+    contributing unit that was part of the reference incident. Every
+    share obeys the FleetUnit.fcr_share row (finite and >= 0).
     """
     if not (math.isfinite(total_fcr_pu) and total_fcr_pu > 0):
         raise InvalidInputError("total_fcr_pu: must be > 0")
+    share_row = row(FleetUnit, "fcr_share")
+    problems = [f"fcr_shares_pu[{unit_id}]: {problem}"
+                for unit_id, share in fcr_shares_pu.items()
+                if (problem := share_row.check(share))]
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     incident = set(incident_unit_ids)
     violations = []
     for unit_id in sorted(fcr_shares_pu):

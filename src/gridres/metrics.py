@@ -25,9 +25,9 @@ DEFAULT_FLOOR_DEVIATION_HZ = 2.5
 class ServiceTrajectory:
     """Time-indexed service level with operational-state labels.
 
-    Three equal-length columns: t (s, finite and strictly increasing),
-    level (fraction of required service in [0, 1]) and code (int8), the
-    index of each sample's operational-state label in labels.
+    Three equal-length, non-empty columns: t (s, finite and strictly
+    increasing), level (fraction of required service in [0, 1]) and code
+    (int8), the index of each sample's operational-state label in labels.
     """
 
     t: np.ndarray
@@ -39,6 +39,8 @@ class ServiceTrajectory:
         t, level, code = self.t, self.level, self.code
         if not len(t) == len(level) == len(code):
             raise InvalidInputError("t, level, code: must have equal lengths")
+        if len(t) == 0:
+            raise InvalidInputError("trajectory: must be non-empty")
         if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise InvalidInputError("t: must be finite and strictly increasing")
         if not ((level >= 0.0) & (level <= 1.0)).all():
@@ -96,8 +98,6 @@ def degradation_area(trajectory: ServiceTrajectory, baseline: float = 1.0,
     resilient response to the same challenge. Unless clip is set, the
     baseline must dominate every sample.
     """
-    if len(trajectory) == 0:
-        raise InvalidInputError("trajectory: must be non-empty")
     if not math.isfinite(baseline):
         raise InvalidInputError("baseline: must be finite")
     level = trajectory.level
@@ -164,8 +164,6 @@ def annotate_phases(trajectory: ServiceTrajectory, challenge_t: float,
     reports the four durations (detection latency, activation time,
     remediation time, recovery time).
     """
-    if len(trajectory) == 0:
-        raise InvalidInputError("trajectory: must be non-empty")
     events = (challenge_t, detection_t, remediation_start_t, recovery_complete_t)
     if not all(math.isfinite(t) for t in events):
         raise InvalidInputError("events: must be finite")
@@ -208,8 +206,6 @@ def state_space_path(trajectory: ServiceTrajectory,
     recovery (state improves) or remediation (service improves at equal
     state).
     """
-    if len(trajectory) == 0:
-        raise InvalidInputError("trajectory: must be non-empty")
     used = [trajectory.labels[k] for k in np.unique(trajectory.code).tolist()]
     missing = sorted(set(used) - set(state_metric))
     if missing:

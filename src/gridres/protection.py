@@ -162,16 +162,16 @@ class RadialNetwork:
         return _CompiledFeeder(self)
 
 
-def check_settings(settings, breakers=()) -> list[str]:
+def check_settings(settings, breaker_ids=()) -> list[str]:
     """All violations of a breaker-id -> trip-current map (empty if valid).
 
     Every trip current obeys the Breaker.i_trip_pu row (finite and > 0; a
-    NaN setting never trips), and every breaker in breakers has one.
+    NaN setting never trips), and every id in breaker_ids has one.
     """
     trip = row(Breaker, "i_trip_pu")
     out = [f"settings[{bid}]: {problem}" for bid, value in settings.items()
            if (problem := trip.check(value))]
-    missing = [b.id for b in breakers if b.id not in settings]
+    missing = [bid for bid in breaker_ids if bid not in settings]
     if missing:
         out.append(f"settings: missing breakers: {', '.join(missing)}")
     return out
@@ -289,12 +289,6 @@ class FaultScenario:
     def is_fault(self) -> bool:
         return math.isfinite(self.impedance_pu)
 
-    @property
-    def splits_line(self) -> bool:
-        """A fault strictly inside its line, splitting it at a fault node."""
-        return (self.is_fault and self.element_kind == "line"
-                and 1e-9 < self.position < 1.0 - 1e-9)
-
 
 @dataclass
 class FaultSolution:
@@ -326,7 +320,11 @@ class FaultSolution:
         nodes = {b: 0.0 for b in network.buses}
         for bus, inj in self.bus_injections.items():
             nodes[bus] = nodes.get(bus, 0.0) + inj
-        split = fault.element_id if fault is not None and fault.splits_line else None
+        split = None
+        if fault is not None and fault.is_fault:
+            top, low, _z = _fault_point(network, fault)
+            if top != low:
+                split = fault.element_id
         for ln in network.lines:
             flow = self.branch_currents.get(ln.id, 0.0)
             nodes[ln.from_bus] -= flow
@@ -521,7 +519,7 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
     topology, and repeats until quiescent. Afterwards the three
     DER-induced misoperations are detected and attached.
     """
-    violations = check_settings(settings, network.breakers)
+    violations = check_settings(settings, network.compiled.breaker)
     if violations:
         raise InvalidInputError("; ".join(violations))
     breaker = network.compiled.breaker
@@ -651,17 +649,14 @@ class SettingGroupTable:
     """
 
     def __init__(self, groups: dict[TopologyKey, dict[str, float]],
-                 breaker_ids=None):
+                 breaker_ids=()):
         if not groups:
             raise InvalidInputError("setting groups: table must be non-empty")
-        if breaker_ids is not None:
-            expected = set(breaker_ids)
-            for key, settings in groups.items():
-                missing = expected - set(settings)
-                if missing:
-                    raise InvalidInputError(
-                        f"setting group {key}: missing breakers "
-                        f"{', '.join(sorted(missing))}")
+        for key, settings in groups.items():
+            violations = check_settings(settings, breaker_ids)
+            if violations:
+                raise InvalidInputError(
+                    f"setting group {key}: {'; '.join(violations)}")
         self.groups = dict(groups)
         self._last: dict[str, float] | None = None
 

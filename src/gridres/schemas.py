@@ -22,9 +22,10 @@ import numpy as np
 from . import blackstart as bs
 from . import coordination as co
 from . import frequency as fq
+from . import metrics as mt
 from . import protection as pt
 from .errors import InvalidInputError, ScenarioValidationError
-from .fields import dump, duplicates, load, num, obj, seq, table
+from .fields import dump, duplicates, load, num, obj, row, seq, table
 
 SCHEMA_VERSION = 1
 # Characters that a CSV cell holds only when quoted.
@@ -82,11 +83,7 @@ class FrequencyScenario:
             self.droop_fleet, horizon_s=self.horizon_s, dt_s=self.dt_s)
 
 
-@table
-class FleetUnit(co.DerUnit):
-    """A fleet document's unit: a DerUnit with its containment-reserve share."""
-
-    fcr_share: float = num(0.0, ge=0)
+FleetUnit = co.FleetUnit
 
 
 @table
@@ -105,11 +102,15 @@ class FleetCase:
 
     def invariants(self):
         out = duplicates("units", [u.id for u in self.units])
-        if self.p0_irmax_pu < self.p0_ss_pu:
-            return out + ["inertia.p0_irmax_pu: must be >= p0_ss_pu"]
+        if not math.isfinite(sum(u.p_rating for u in self.units)):
+            out.append("units: total p_rating must be finite")
+        if headroom := co.headroom_violations(self.p0_irmax_pu, self.p0_ss_pu):
+            return out + [f"inertia.{v}" for v in headroom]
         h_max = co.compute_h_ag_max(self.p0_irmax_pu, self.p0_ss_pu, self.f_n,
                                     self.rocof_max_hz_per_s)
-        if not self.h_ag_tso_s < h_max:
+        if problem := row(co.InertiaPhase1, "h_ag_max_s").check(h_max):
+            out.append(f"inertia.p0_irmax_pu: the offered h_ag_max_s {problem}")
+        elif not self.h_ag_tso_s < h_max:
             out.append(f"inertia.h_ag_tso_s: must be below the offered "
                        f"maximum h_ag_max_s = {h_max:g}")
         return out
@@ -229,7 +230,7 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
     if not all(math.isfinite(x) for ev in events
                for x in (ev.t_s, ev.served_total_mw, ev.served_critical_mw)):
         raise InvalidInputError("timeline csv: numbers must be finite")
-    # Stages are written back unquoted (service.csv, write_timeline_csv).
+    # Stages are written back unquoted (write_service_csv, write_timeline_csv).
     for ev in events:
         if not _CSV_SPECIAL.isdisjoint(ev.stage):
             raise InvalidInputError(f"timeline csv: stage {ev.stage!r} must not hold "
@@ -240,3 +241,15 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
 def write_monte_carlo_csv(fp, result: bs.MonteCarloResult) -> None:
     fp.write("run,restored_fraction\n" + "".join(
         map("%d,%.9g\n".__mod__, enumerate(result.restored_fractions))))
+
+
+def write_service_csv(fp, trajectory: mt.ServiceTrajectory, annotation=None) -> None:
+    """Each sample's t, level and label or, given a PhaseAnnotation, its
+    phase: the number of phase starts at or before it (as phase_at)."""
+    t, names, index = trajectory.t, trajectory.labels, trajectory.code
+    if annotation is not None:
+        names = [iv.phase for iv in annotation.intervals]
+        index = np.searchsorted([iv.t_start for iv in annotation.intervals[1:]],
+                                t, side="right")
+    fp.write("t,level,phase\n" + "".join(map("%.9g,%.9g,%s\n".__mod__, zip(
+        t.tolist(), trajectory.level.tolist(), [names[k] for k in index.tolist()]))))

@@ -1,5 +1,7 @@
 """Operator coordination tests: inertia formulas, envelope, distribution."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,11 @@ class TestInertiaFormulas:
     def test_rejects_nonpositive_rocof(self):
         with pytest.raises(InvalidInputError):
             compute_h_ag_max(0.2, 0.0, 50.0, 0.0)
+
+    @pytest.mark.parametrize("rocof", [math.nan, 0.0, -1.0])
+    def test_p0_ir_rejects_invalid_rocof(self, rocof):
+        with pytest.raises(InvalidInputError, match="rocof_max_hz_per_s"):
+            compute_p0_ir(5.0, rocof, 50.0, 0.3)
 
     def test_infeasible_headroom(self):
         with pytest.raises(InfeasibleHeadroomError):
@@ -300,6 +307,11 @@ class TestReserveRules:
             is False  # u2 over the cap
         report = check_reserve_rules({f"u{i}": 0.05 for i in range(20)}, 1.0)
         assert report.compliant
+
+    @pytest.mark.parametrize("share", [math.nan, -0.1])
+    def test_invalid_share_rejected(self, share):
+        with pytest.raises(InvalidInputError, match=r"fcr_shares_pu\[u1\]"):
+            check_reserve_rules({"u1": share, "u2": 0.04}, 1.0)
 
     def test_nonpositive_total_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -299,6 +299,11 @@ class TestServiceTrajectoryInvariants:
         with pytest.raises(InvalidInputError, match="level: must be in"):
             trajectory([(0, 0.5, "s"), (1, math.nan, "s")])
 
+    def test_empty_columns_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            ServiceTrajectory(t=np.array([]), level=np.array([]),
+                              code=np.array([], dtype=np.int8), labels=())
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(InvalidInputError, match="equal lengths"):
             ServiceTrajectory(t=np.array([0.0, 1.0]), level=np.array([0.5]),

@@ -529,6 +529,12 @@ class TestSettingGroups:
             SettingGroupTable({TopologyKey.of(False, set()): {"A": 1.0}},
                               breaker_ids=("A", "B"))
 
+    @pytest.mark.parametrize("current", [math.nan, math.inf, 0.0, -1.0, "x", True])
+    def test_group_with_invalid_trip_current_rejected(self, current):
+        # The Breaker.i_trip_pu row, as for a settings document.
+        with pytest.raises(InvalidInputError, match=r"settings\[A\]"):
+            SettingGroupTable({TopologyKey.of(False, set()): {"A": current}})
+
     def test_island_group_drives_simulation(self):
         # In islanded operation only the healthy feeder's DER feeds the
         # fault (2.0 pu through A and B). The grid-connected setting of
@@ -571,6 +577,17 @@ class TestCentralizedScheme:
                                           tolerance=0.1)
         assert result.location == ("bus", "MAIN")
         assert set(result.breakers_to_open) == {"A", "B", "C"}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"position": math.nan},
+        {"position": 1.5},
+        {"fault_impedance_pu": -1.0},
+        {"candidates": [("node", "L2")]},
+    ])
+    def test_map_rejects_invalid_fault_arguments(self, kwargs):
+        # Each candidate is a FaultScenario, checked against its rows.
+        with pytest.raises(InvalidInputError):
+            build_fault_signature_map(self.network(), **kwargs)
 
     def test_zero_measurement_means_no_fault(self):
         fmap = build_fault_signature_map(self.network())

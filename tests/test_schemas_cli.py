@@ -21,7 +21,7 @@ from gridres import schemas
 from gridres.blackstart import CommNode, run_restoration
 from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          EXIT_VALIDATION, main)
-from gridres.coordination import DerUnit
+from gridres.coordination import DerUnit, InertiaPhase1
 from gridres.errors import GridResError, InvalidInputError, ScenarioValidationError
 from gridres.fields import dump
 from gridres.frequency import DisturbanceEvent, FrequencyTrace, SystemParameters
@@ -629,6 +629,10 @@ class TestAnyDocument:
 ENGINE_KINDS = ("frequency", "restoration", "fleet")
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} written into a JSON output")
+
+
 class TestValidateCleanMeansEngineAccepts:
     @given(doc=damaged_docs(kinds=ENGINE_KINDS) | perturbed_docs(ENGINE_KINDS))
     @settings(max_examples=60, deadline=None)
@@ -649,7 +653,11 @@ class TestValidateCleanMeansEngineAccepts:
                     path.write_text(json.dumps(doc))
                     code, _out, err = _cli("coordinate", "--scenario", path,
                                            "--out", Path(tmp) / "out")
-                assert code in (EXIT_OK, EXIT_RUNTIME), err
+                    assert code in (EXIT_OK, EXIT_RUNTIME), err
+                    if code == EXIT_OK:   # NaN and Infinity are not JSON
+                        for written in (Path(tmp) / "out").iterdir():
+                            json.loads(written.read_text(),
+                                       parse_constant=_reject_constant)
         except InvalidInputError as err:
             raise AssertionError(f"validate-clean document rejected: {err}")
         except GridResError:
@@ -702,6 +710,10 @@ def _set(doc, path, value):
     return doc
 
 
+# Two units whose ratings sum to inf.
+HUGE_UNITS = [{"id": f"u{i}", "p_rating": 1e308, "p_available": 0.3}
+              for i in range(2)]
+
 # One example per defect that crashed, or that validate accepted although
 # an engine rejected it or it was wrong.
 REGRESSIONS = [
@@ -736,6 +748,10 @@ REGRESSIONS = [
     ("fleet", ("schema_version",), 1.0, "schema_version"),
     ("frequency", ("event", "delta_p_pu"), -1e300, "event.delta_p_pu"),
     ("frequency", ("event", "delta_p_pu"), 1.5, "event.delta_p_pu"),
+    # An offered maximum h_ag_max_s that overflows to inf.
+    ("fleet", ("inertia", "p0_irmax_pu"), 7.190772539449264e306,
+     "inertia.p0_irmax_pu"),
+    ("fleet", ("units",), HUGE_UNITS, "units: total p_rating must be finite"),
 ]
 
 
@@ -752,6 +768,20 @@ class TestRegressions:
         code, _out, err = _cli(*flags, "validate", "--scenario", scenario)
         assert code == EXIT_VALIDATION
         assert expected in (json.loads(err)["message"] if errors_json else err)
+
+    @pytest.mark.parametrize("path,value", [
+        (("inertia", "p0_irmax_pu"), 7.190772539449264e306),
+        (("units",), HUGE_UNITS),
+    ])
+    def test_coordinate_rejects_fleet_with_non_finite_totals(self, tmp_path,
+                                                             path, value):
+        scenario = tmp_path / "fleet.json"
+        scenario.write_text(json.dumps(_set(fleet_doc(), path, value)))
+        for flags in ([], ["--errors-json"]):
+            code, _out, _err = _cli(*flags, "coordinate", "--scenario", scenario,
+                                    "--out", tmp_path / "out")
+            assert code == EXIT_VALIDATION
+            assert not (tmp_path / "out").exists()
 
     def test_fault_document_that_is_a_list(self, workspace):
         fault = workspace["root"] / "fault_list.json"
@@ -813,6 +843,12 @@ class TestDirectConstruction:
                         units=schemas.load_fleet(fleet_doc()).units * 2),
         lambda: replace(schemas.load_fleet(fleet_doc()), h_ag_tso_s=5.0),
         lambda: DisturbanceEvent(t_event_s=1.0, delta_p_pu=-1e300),
+        lambda: InertiaPhase1(rocof_max_hz_per_s=math.nan, h_ag_max_s=5.0,
+                              p0_ss_pu=0.3, p0_irmax_pu=0.5),
+        lambda: InertiaPhase1(rocof_max_hz_per_s=1.0, h_ag_max_s=math.nan,
+                              p0_ss_pu=0.3, p0_irmax_pu=0.5),
+        lambda: InertiaPhase1(rocof_max_hz_per_s=1.0, h_ag_max_s=math.inf,
+                              p0_ss_pu=0.3, p0_irmax_pu=0.5),
     ])
     def test_rejected(self, make):
         with pytest.raises(InvalidInputError):
