@@ -17,16 +17,16 @@ across parameter cells, which makes the restored-load trend monotone in
 battery availability and cell radius run by run.
 
 Each scenario is compiled once (RestorationScenario.compiled): comm-node
-and bus distances, area bus sets and the area-switch adjacency, none of
-which battery flags or cell radii change. A run turns its radii into
-link and coverage sets, and the disk-graph components of each
-operational node set are computed once and reused by later rounds and,
-within one Monte Carlo study, by later runs. Single runs and Monte Carlo
-runs go through run_restoration.
+and bus distances and the area-switch adjacency, none of which battery
+flags or cell radii change. A run turns its radii into link and coverage
+sets, and the disk-graph components of each operational node set are
+computed once and reused by later rounds and, within one Monte Carlo
+study, by later runs. Single runs and Monte Carlo runs go through
+run_restoration.
 
-What an island's bus or area set fixes, its load split, its follower
-candidates and its comm nodes, is built once per distinct set and kept
-with the compiled scenario.
+An island is its set of areas. What that set fixes, its load split, its
+follower candidates and its comm nodes, is built once per distinct area
+set and kept with the compiled scenario.
 """
 
 import math
@@ -36,6 +36,7 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,6 +202,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _Island(NamedTuple):
+    """Demand, non-forming units and comm nodes of a set of areas."""
+
+    critical_mw: float
+    other_mw: float
+    candidates: tuple[DerAsset, ...]
+    comm: int
+
+
 class _CompiledRestoration:
     """What every run of a scenario shares; battery flags and cell radii
     change none of it.
@@ -209,17 +219,15 @@ class _CompiledRestoration:
     scenario.buses. cover_dist[i, k] is the distance from comm node i to
     bus k, and bus comm_at[i] holds node i. Sets of comm nodes and of
     buses are ints with one bit per index. The load split, follower
-    candidates and comm nodes of an island are memoised per bus or area
-    set, for every run of the scenario.
+    candidates and comm nodes of an island are memoised per area set
+    (island), for every run of the scenario.
     """
 
     def __init__(self, scn: RestorationScenario):
         self.loads = scn.loads
         self.followers = tuple(d for d in scn.ders
                                if d.capability is not DerCapability.GRID_FORMING)
-        self._load_split: dict[frozenset[str], tuple[float, float]] = {}
-        self._candidates: dict[frozenset[str], tuple[DerAsset, ...]] = {}
-        self._comm_bits: dict[frozenset[str], int] = {}
+        self._islands: dict[frozenset[str], _Island] = {}
         self.comm = tuple(sorted(scn.comm, key=lambda c: c.bus))
         self.comm_bus = tuple(c.bus for c in self.comm)
         bus_index = {b.id: k for k, b in enumerate(scn.buses)}
@@ -228,12 +236,9 @@ class _CompiledRestoration:
         self.cover_dist = _distances([points[k] for k in self.comm_at], points)
         self.area_of = {b.id: b.area for b in scn.buses}
         self.areas = sorted(set(self.area_of.values()))
-        members = {a: [] for a in self.areas}
         self.area_bus_bits = dict.fromkeys(self.areas, 0)
         for k, b in enumerate(scn.buses):
-            members[b.area].append(b.id)
             self.area_bus_bits[b.area] |= 1 << k
-        self.area_buses = {a: frozenset(ids) for a, ids in members.items()}
         self.area_comm_bits = dict.fromkeys(self.areas, 0)
         for i, c in enumerate(self.comm):
             self.area_comm_bits[self.area_of[c.bus]] |= 1 << i
@@ -254,38 +259,20 @@ class _CompiledRestoration:
     def switch_adjacent(self, areas_a, areas_b) -> bool:
         return any(self.adjacent[a] & areas_b for a in areas_a)
 
-    def comm_bits(self, areas) -> int:
-        """The comm nodes inside a set of areas."""
-        areas = frozenset(areas)
-        out = self._comm_bits.get(areas)
-        if out is None:
-            out = 0
-            for a in areas:
-                out |= self.area_comm_bits[a]
-            self._comm_bits[areas] = out
-        return out
-
-    def load_split(self, buses) -> tuple[float, float]:
-        """(critical, other) demand on a set of buses, summed in
-        scenario.loads order."""
-        buses = frozenset(buses)
-        split = self._load_split.get(buses)
-        if split is None:
-            split = self._load_split[buses] = (
-                sum(l.demand_mw for l in self.loads if l.bus in buses and l.critical),
-                sum(l.demand_mw for l in self.loads if l.bus in buses and not l.critical))
-        return split
-
-    def candidates(self, buses) -> tuple[DerAsset, ...]:
-        """The non-forming units on a set of buses: grid-supporting before
-        grid-feeding, then by bus and id."""
-        buses = frozenset(buses)
-        out = self._candidates.get(buses)
-        if out is None:
-            out = self._candidates[buses] = tuple(sorted(
-                (d for d in self.followers if d.bus in buses),
-                key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id)))
-        return out
+    def island(self, areas: frozenset[str]) -> _Island:
+        """What a set of areas fixes, built on first use and kept. Loads
+        are summed in scenario.loads order; grid-supporting units come
+        before grid-feeding ones, then by bus and id."""
+        island = self._islands.get(areas)
+        if island is None:
+            loads = [l for l in self.loads if self.area_of[l.bus] in areas]
+            island = self._islands[areas] = _Island(
+                sum(l.demand_mw for l in loads if l.critical),
+                sum(l.demand_mw for l in loads if not l.critical),
+                tuple(sorted((d for d in self.followers if self.area_of[d.bus] in areas),
+                             key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id))),
+                sum(self.area_comm_bits[a] for a in areas))   # areas share no node
+        return island
 
 
 @dataclass(frozen=True)
@@ -294,7 +281,6 @@ class Microgrid:
 
     id: str
     areas: frozenset[str]
-    buses: frozenset[str]                  # every bus of those areas
     forming_units: tuple[str, ...]
     started_units: tuple[str, ...]
     generation_mw: float
@@ -413,7 +399,7 @@ class _CommCells:
     def __init__(self, compiled: _CompiledRestoration, radii: np.ndarray):
         near = compiled.cover_dist <= radii[:, None]
         mutual = near[:, compiled.comm_at]      # node i's cell holds node j
-        self.buses = compiled.comm_bus
+        self.comm_bus = compiled.comm_bus
         self.cover = _bit_rows(near)
         self.link = [a & b for a, b in zip(_bit_rows(mutual), _bit_rows(mutual.T))]
         self._graphs: dict[int, CommGraph] = {}
@@ -421,7 +407,7 @@ class _CommCells:
     def graph(self, working: int) -> CommGraph:
         graph = self._graphs.get(working)
         if graph is None:
-            graph = self._graphs[working] = CommGraph(self.buses,
+            graph = self._graphs[working] = CommGraph(self.comm_bus,
                                                       self._components(working))
         return graph
 
@@ -471,10 +457,10 @@ def comm_reachable(scenario: RestorationScenario, powered_buses,
     return _own_cells(compiled).graph(working)
 
 
-def _dispatch(scenario: RestorationScenario, buses: frozenset[str],
+def _dispatch(scenario: RestorationScenario, areas: frozenset[str],
               generation_mw: float) -> tuple[float, float]:
     """Critical-first load dispatch inside one island. Loads are divisible."""
-    crit, rest = scenario.compiled.load_split(buses)
+    crit, rest, _, _ = scenario.compiled.island(areas)
     served_crit = min(crit, generation_mw)
     served_rest = min(rest, generation_mw - served_crit)
     return served_crit + served_rest, served_crit
@@ -494,11 +480,11 @@ def form_microgrids(scenario: RestorationScenario) -> list[Microgrid]:
     grids = []
     for area in sorted(by_area):
         formers = sorted(by_area[area], key=lambda d: (d.bus, d.id))
-        buses = compiled.area_buses[area]
+        areas = frozenset([area])
         generation = sum(d.capacity_mw for d in formers)
-        served, served_crit = _dispatch(scenario, buses, generation)
+        served, served_crit = _dispatch(scenario, areas, generation)
         grids.append(Microgrid(
-            id=area, areas=frozenset([area]), buses=buses,
+            id=area, areas=areas,
             forming_units=tuple(d.id for d in formers),
             started_units=tuple(d.id for d in formers),
             generation_mw=generation, served_total_mw=served,
@@ -520,7 +506,7 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
     started = set(mg.started_units)
     generation = mg.generation_mw
     served, served_crit = mg.served_total_mw, mg.served_critical_mw
-    candidates = [d for d in scenario.compiled.candidates(mg.buses)
+    candidates = [d for d in scenario.compiled.island(mg.areas).candidates
                   if d.id not in started]
     for _ in range(len(candidates) + 1):
         progressed = False
@@ -531,13 +517,12 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
                 continue  # deferred until the crank margin grows
             started.add(d.id)
             generation += d.capacity_mw
-            served, served_crit = _dispatch(scenario, mg.buses, generation)
+            served, served_crit = _dispatch(scenario, mg.areas, generation)
             progressed = True
         if not progressed:
             break
-    return Microgrid(mg.id, mg.areas, mg.buses, mg.forming_units,
-                     tuple(sorted(started)), generation, served, served_crit,
-                     mg.frequency_hz, mg.phase_rad)
+    return Microgrid(mg.id, mg.areas, mg.forming_units, tuple(sorted(started)),
+                     generation, served, served_crit, mg.frequency_hz, mg.phase_rad)
 
 
 def _wrapped_phase_distance(a_rad: float, b_rad: float) -> float:
@@ -562,11 +547,11 @@ def synchronize_and_merge(a: Microgrid, b: Microgrid,
         raise SyncRejectedError(freq_delta, phase_delta)
     # Larger generation keeps its reference; ties go to the lower id.
     leader = a if (a.generation_mw, b.id) >= (b.generation_mw, a.id) else b
-    buses = a.buses | b.buses
+    areas = a.areas | b.areas
     generation = a.generation_mw + b.generation_mw
-    served, served_crit = _dispatch(scenario, buses, generation)
+    served, served_crit = _dispatch(scenario, areas, generation)
     return Microgrid(
-        id=min(a.id, b.id), areas=a.areas | b.areas, buses=buses,
+        id=min(a.id, b.id), areas=areas,
         forming_units=tuple(sorted(set(a.forming_units) | set(b.forming_units))),
         started_units=tuple(sorted(set(a.started_units) | set(b.started_units))),
         generation_mw=generation, served_total_mw=served,
@@ -605,7 +590,7 @@ class RestorationState:
     def _powered_comm(self) -> int:
         out = 0
         for g in self.grids.values():
-            out |= self.compiled.comm_bits(g.areas)
+            out |= self.compiled.island(g.areas).comm
         return out
 
     def advance_time(self, dt_s: float):
@@ -637,7 +622,7 @@ class RestorationState:
 
     def _agent_reach(self, grid: Microgrid, comm: CommGraph) -> int:
         """The comm nodes the island's agents talk to."""
-        return comm.reach(self.compiled.comm_bits(grid.areas))
+        return comm.reach(self.compiled.island(grid.areas).comm)
 
     def _dead_area_reachable(self, area: str, reach: int) -> bool:
         """Gate for energizing a dead neighbor area.
@@ -656,11 +641,11 @@ class RestorationState:
 
     def _expand_into(self, grid_id: str, area: str):
         grid = self.grids[grid_id]
-        buses = grid.buses | self.compiled.area_buses[area]
-        served, crit = _dispatch(self.scenario, buses, grid.generation_mw)
-        grown = Microgrid(grid.id, grid.areas | {area}, buses, grid.forming_units,
-                          grid.started_units, grid.generation_mw, served, crit,
-                          grid.frequency_hz, grid.phase_rad)
+        areas = grid.areas | {area}
+        served, crit = _dispatch(self.scenario, areas, grid.generation_mw)
+        grown = Microgrid(grid.id, areas, grid.forming_units, grid.started_units,
+                          grid.generation_mw, served, crit, grid.frequency_hz,
+                          grid.phase_rad)
         self.grids[grid_id] = reconnect_followers(grown, self.scenario)
 
     def _attempt_merge(self, ga: str, gb: str) -> bool:
@@ -671,10 +656,9 @@ class RestorationState:
         window = math.pi / (2 ** attempt)
         draw = self.rng.uniform(0.0, window)
         self.pair_attempts[key] = attempt + 1
-        b_aligned = Microgrid(b.id, b.areas, b.buses, b.forming_units,
-                              b.started_units, b.generation_mw, b.served_total_mw,
-                              b.served_critical_mw, a.frequency_hz,
-                              a.phase_rad + draw)
+        b_aligned = Microgrid(b.id, b.areas, b.forming_units, b.started_units,
+                              b.generation_mw, b.served_total_mw,
+                              b.served_critical_mw, a.frequency_hz, a.phase_rad + draw)
         try:
             merged = synchronize_and_merge(a, b_aligned,
                                            self.scenario.sync_policy,

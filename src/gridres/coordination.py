@@ -4,14 +4,15 @@ Phase 1 estimates the maximum contribution an aggregated distribution
 grid can offer (maximum inertia constant, droop feasibility envelope).
 Phase 2 selects a target and distributes it to the individual units.
 Distribution uses proportional rules (headroom for inertia, rating for
-droop). Regulatory reserve checks live here as well.
+droop). Regulatory reserve checks and the fleet document (FleetCase),
+which holds both exchanges and the reserve, live here as well.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import GridResError, InvalidInputError
-from .fields import flag, num, row, table, text
+from .fields import duplicates, flag, num, obj, row, seq, table, text
 from .frequency import DroopCurve, evaluate_droop
 
 FCR_SINGLE_UNIT_CAP = 0.05  # max share of total containment reserve per unit
@@ -71,6 +72,13 @@ def headroom_violations(p0_irmax_pu: float, p0_ss_pu: float) -> list[str]:
     return [] if p0_irmax_pu >= p0_ss_pu else ["p0_irmax_pu: must be >= p0_ss_pu"]
 
 
+def selection_violations(h_ag_tso_s: float, h_ag_max_s: float) -> list[str]:
+    """The selection rule of the inertia exchange: H_tso < H_max."""
+    if h_ag_tso_s < h_ag_max_s:
+        return []
+    return [f"h_ag_tso_s: must be below the offered maximum h_ag_max_s = {h_ag_max_s:g}"]
+
+
 @table
 class InertiaPhase1:
     """First exchange: expected worst ROCOF out, offered maximum back."""
@@ -116,6 +124,33 @@ class FrequencyGrid:
             k += 1
             rows.append(self.f_min + k * self.f_step)
         return rows
+
+
+@table
+class FleetCase:
+    """A fleet document: units plus the two phase-2 selections."""
+
+    rocof_max_hz_per_s: float = num(gt=0, key="inertia.rocof_max_hz_per_s")
+    p0_ss_pu: float = num(key="inertia.p0_ss_pu")
+    p0_irmax_pu: float = num(key="inertia.p0_irmax_pu")
+    h_ag_tso_s: float = num(ge=0, key="inertia.h_ag_tso_s")
+    grid: FrequencyGrid = obj(FrequencyGrid, key="droop.grid")
+    candidate: DroopCurve = obj(DroopCurve, key="droop.candidate")
+    f_n: float = num(50.0, gt=0)
+    units: tuple[FleetUnit, ...] = seq(FleetUnit, ())
+    total_fcr_pu: float = num(1.0, gt=0)
+
+    def invariants(self):
+        out = duplicates("units", [u.id for u in self.units])
+        if not math.isfinite(sum(u.p_rating for u in self.units)):
+            out.append("units: total p_rating must be finite")
+        if headroom := headroom_violations(self.p0_irmax_pu, self.p0_ss_pu):
+            return out + [f"inertia.{v}" for v in headroom]
+        h_max = compute_h_ag_max(self.p0_irmax_pu, self.p0_ss_pu, self.f_n,
+                                 self.rocof_max_hz_per_s)
+        if problem := row(InertiaPhase1, "h_ag_max_s").check(h_max):
+            return out + [f"inertia.p0_irmax_pu: the offered h_ag_max_s {problem}"]
+        return out + [f"inertia.{v}" for v in selection_violations(self.h_ag_tso_s, h_max)]
 
 
 @dataclass(frozen=True)
@@ -202,10 +237,8 @@ def make_inertia_assignment(phase1: InertiaPhase1, h_ag_tso_s: float,
 
     The selected constant must be strictly below the offered maximum.
     """
-    if not h_ag_tso_s < phase1.h_ag_max_s:
-        raise InvalidInputError(
-            f"h_ag_tso_s: must be strictly below the offered maximum "
-            f"({h_ag_tso_s:g} >= {phase1.h_ag_max_s:g})")
+    if problems := selection_violations(h_ag_tso_s, phase1.h_ag_max_s):
+        raise InvalidInputError("; ".join(problems))
     per_unit = distribute_inertia(h_ag_tso_s, units, phase1.rocof_max_hz_per_s, f_n)
     return InertiaAssignment(h_ag_tso_s=h_ag_tso_s, per_unit_h_s=per_unit)
 
@@ -315,11 +348,12 @@ def check_reserve_rules(fcr_shares_pu: dict[str, float], total_fcr_pu: float,
     """Regulatory diversity checks on a containment-reserve portfolio.
 
     Flags any unit contributing more than 5% of the total, and any
-    contributing unit that was part of the reference incident. Every
-    share obeys the FleetUnit.fcr_share row (finite and >= 0).
+    contributing unit that was part of the reference incident. The total
+    obeys the FleetCase.total_fcr_pu row (finite and > 0), every share
+    the FleetUnit.fcr_share row (finite and >= 0).
     """
-    if not (math.isfinite(total_fcr_pu) and total_fcr_pu > 0):
-        raise InvalidInputError("total_fcr_pu: must be > 0")
+    if problem := row(FleetCase, "total_fcr_pu").check(total_fcr_pu):
+        raise InvalidInputError(f"total_fcr_pu: {problem}")
     share_row = row(FleetUnit, "fcr_share")
     problems = [f"fcr_shares_pu[{unit_id}]: {problem}"
                 for unit_id, share in fcr_shares_pu.items()

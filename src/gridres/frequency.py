@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SimulationError
-from .fields import num, obj, table
+from .fields import num, obj, row, table
 
 # Containment-reserve activation envelope: half output after 15 s, full
 # output after 30 s, which is a constant ramp rate of capacity/30 per second.
@@ -203,14 +203,16 @@ def inertial_power(h_s: float, rocof_hz_per_s: float, f_n: float,
                    s_base_mva: float) -> float:
     """Inertial power exchange (MW) for a given ROCOF.
 
-    P = 2 * H * (S / f_n) * ROCOF; sign follows the ROCOF sign.
+    P = 2 * H * (S / f_n) * ROCOF; sign follows the ROCOF sign. H, S and
+    f_n obey the SystemParameters rows that hold them.
     """
-    if not (math.isfinite(f_n) and f_n > 0):
-        raise InvalidInputError("f_n: must be finite and > 0")
-    if not (math.isfinite(h_s) and h_s >= 0):
-        raise InvalidInputError("h_s: must be finite and >= 0")
-    if not math.isfinite(rocof_hz_per_s) or not math.isfinite(s_base_mva):
-        raise InvalidInputError("rocof and s_base must be finite")
+    problems = [f"{name}: {problem}" for name, attr, value in (
+        ("h_s", "h_sys_s", h_s), ("f_n", "f_n", f_n), ("s_base_mva", "s_base_mva", s_base_mva))
+        if (problem := row(SystemParameters, attr).check(value))]
+    if not math.isfinite(rocof_hz_per_s):
+        problems.append("rocof_hz_per_s: must be finite")
+    if problems:
+        raise InvalidInputError("; ".join(problems))
     return 2.0 * h_s * (s_base_mva / f_n) * rocof_hz_per_s
 
 

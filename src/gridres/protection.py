@@ -759,8 +759,10 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     by escalating outward to the next one, and the plan is re-solved to
     report whether the fault persists.
     """
-    if tolerance <= 0:
-        raise InvalidInputError("tolerance: must be > 0")
+    if not 0 < tolerance < math.inf:
+        raise InvalidInputError("tolerance: must be finite and > 0")
+    if not all(map(math.isfinite, measured.values())):
+        raise InvalidInputError("measured: injections must be finite")
     vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids], dtype=float)
     if np.all(np.abs(vec) <= 1e-12):
         raise NoFaultDetectedError("measurement vector is zero; grid looks healthy")

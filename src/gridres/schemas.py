@@ -25,7 +25,7 @@ from . import frequency as fq
 from . import metrics as mt
 from . import protection as pt
 from .errors import InvalidInputError, ScenarioValidationError
-from .fields import dump, duplicates, load, num, obj, row, seq, table
+from .fields import dump, load, num, obj, seq, table
 
 SCHEMA_VERSION = 1
 # Characters that a CSV cell holds only when quoted.
@@ -83,37 +83,7 @@ class FrequencyScenario:
             self.droop_fleet, horizon_s=self.horizon_s, dt_s=self.dt_s)
 
 
-FleetUnit = co.FleetUnit
-
-
-@table
-class FleetCase:
-    """Parsed coordination case: units plus the two phase-2 selections."""
-
-    rocof_max_hz_per_s: float = num(gt=0, key="inertia.rocof_max_hz_per_s")
-    p0_ss_pu: float = num(key="inertia.p0_ss_pu")
-    p0_irmax_pu: float = num(key="inertia.p0_irmax_pu")
-    h_ag_tso_s: float = num(ge=0, key="inertia.h_ag_tso_s")
-    grid: co.FrequencyGrid = obj(co.FrequencyGrid, key="droop.grid")
-    candidate: fq.DroopCurve = obj(fq.DroopCurve, key="droop.candidate")
-    f_n: float = num(50.0, gt=0)
-    units: tuple[FleetUnit, ...] = seq(FleetUnit, ())
-    total_fcr_pu: float = num(1.0, gt=0)
-
-    def invariants(self):
-        out = duplicates("units", [u.id for u in self.units])
-        if not math.isfinite(sum(u.p_rating for u in self.units)):
-            out.append("units: total p_rating must be finite")
-        if headroom := co.headroom_violations(self.p0_irmax_pu, self.p0_ss_pu):
-            return out + [f"inertia.{v}" for v in headroom]
-        h_max = co.compute_h_ag_max(self.p0_irmax_pu, self.p0_ss_pu, self.f_n,
-                                    self.rocof_max_hz_per_s)
-        if problem := row(co.InertiaPhase1, "h_ag_max_s").check(h_max):
-            out.append(f"inertia.p0_irmax_pu: the offered h_ag_max_s {problem}")
-        elif not self.h_ag_tso_s < h_max:
-            out.append(f"inertia.h_ag_tso_s: must be below the offered "
-                       f"maximum h_ag_max_s = {h_max:g}")
-        return out
+FleetUnit, FleetCase = co.FleetUnit, co.FleetCase
 
 
 def load_frequency_scenario(doc) -> FrequencyScenario:

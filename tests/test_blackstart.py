@@ -226,7 +226,8 @@ class TestCompiledMatchesReplacedLoop:
         state = RestorationState(scenario)
         compiled = scenario.compiled
         for grid_areas in ({"A0"}, {"A1"}, {"A0", "A2"}):
-            reach = graph.reach(compiled.comm_bits(grid_areas & set(compiled.areas)))
+            reach = graph.reach(compiled.island(frozenset(grid_areas)
+                                                & set(compiled.areas)).comm)
             grid_buses = {b.id for b in scenario.buses if b.area in grid_areas}
             for area in set(compiled.areas) - grid_areas:
                 assert state._dead_area_reachable(area, reach) == \
@@ -262,7 +263,7 @@ class TestFormMicrogrids:
             switches=(), comm=())
         grids = form_microgrids(scenario)
         assert len(grids) == 2
-        assert grids[0].buses.isdisjoint(grids[1].buses)
+        assert grids[0].areas.isdisjoint(grids[1].areas)
 
 
 class TestReconnectFollowers:
@@ -315,21 +316,20 @@ class TestReconnectFollowers:
         assert set(grown.started_units) == {"G"}
 
     def test_copies_every_field_it_does_not_change(self):
-        # A hand-built island: its areas and buses do not match, its
-        # frequency and phase are off nominal and it has a second former.
+        # A hand-built island: its frequency and phase are off nominal and
+        # it has a second former.
         scenario = RestorationScenario(
             buses=(BusPoint("B0", 0, 0, "A0"), BusPoint("B1", 1, 0, "A1")),
             loads=(LoadAsset("B0", 3.0, critical=True), LoadAsset("B1", 4.0)),
             ders=(DerAsset("G", "B0", DerCapability.GRID_FORMING, 5.0),
                   DerAsset("S", "B1", DerCapability.GRID_SUPPORTING, 3.0)),
             switches=(), comm=())
-        mg = Microgrid(id="isl", areas=frozenset({"A0", "A7"}),
-                       buses=frozenset({"B0", "B1"}), forming_units=("G", "Gx"),
-                       started_units=("G",), generation_mw=5.0,
+        mg = Microgrid(id="isl", areas=frozenset({"A0", "A1"}),
+                       forming_units=("G", "Gx"), started_units=("G",), generation_mw=5.0,
                        served_total_mw=5.0, served_critical_mw=3.0,
                        frequency_hz=49.93, phase_rad=1.25)
         grown = reconnect_followers(mg, scenario)
-        kept = {"id", "areas", "buses", "forming_units", "frequency_hz", "phase_rad"}
+        kept = {"id", "areas", "forming_units", "frequency_hz", "phase_rad"}
         changed = {"started_units", "generation_mw", "served_total_mw",
                    "served_critical_mw"}
         assert {f.name for f in fields(Microgrid)} == kept | changed
@@ -341,8 +341,8 @@ class TestReconnectFollowers:
 
 
 def microgrid(gid, gen=5.0, phase=0.0, freq=50.0):
-    return Microgrid(id=gid, areas=frozenset({gid}), buses=frozenset({gid + "b"}),
-                     forming_units=(gid + "_g",), started_units=(gid + "_g",),
+    return Microgrid(id=gid, areas=frozenset({gid}), forming_units=(gid + "_g",),
+                     started_units=(gid + "_g",),
                      generation_mw=gen, served_total_mw=0.0,
                      served_critical_mw=0.0, frequency_hz=freq, phase_rad=phase)
 
@@ -690,15 +690,20 @@ def _oracle_dispatch(scenario, buses, generation_mw):
     return served_crit + served_rest, served_crit
 
 
-def _oracle_reconnect_followers(mg, scenario):
-    """reconnect_followers as it was before its candidates were memoised."""
+def _buses_of(scenario, areas):
+    return frozenset(b.id for b in scenario.buses if b.area in areas)
+
+
+def _oracle_reconnect_followers(mg, buses, scenario):
+    """reconnect_followers as it was before its candidates were memoised,
+    on an island that also listed its buses."""
     started = set(mg.started_units)
     generation = mg.generation_mw
     served, served_crit = mg.served_total_mw, mg.served_critical_mw
     rank = {DerCapability.GRID_SUPPORTING: 0, DerCapability.GRID_FEEDING: 1}
     candidates = sorted(
         (d for d in scenario.ders
-         if d.bus in mg.buses and d.id not in started
+         if d.bus in buses and d.id not in started
          and d.capability is not DerCapability.GRID_FORMING),
         key=lambda d: (rank[d.capability], d.bus, d.id))
     for _ in range(len(candidates) + 1):
@@ -710,7 +715,7 @@ def _oracle_reconnect_followers(mg, scenario):
                 continue
             started.add(d.id)
             generation += d.capacity_mw
-            served, served_crit = _oracle_dispatch(scenario, mg.buses, generation)
+            served, served_crit = _oracle_dispatch(scenario, buses, generation)
             progressed = True
         if not progressed:
             break
@@ -754,14 +759,13 @@ def _exact_grid(mg):
 
 @st.composite
 def islands(draw):
-    """An island on one of the shared scenarios: whole areas plus a few
-    stray buses, some followers already started, any generation."""
+    """An island on one of the shared scenarios: a few areas, some
+    followers already started, any generation."""
     scenario = _shared_scenario(draw(st.sampled_from(["benchmark", "two_tile",
                                                        "awkward"])))
     compiled = scenario.compiled
-    areas = draw(st.sets(st.sampled_from(compiled.areas), max_size=6))
-    stray = draw(st.sets(st.sampled_from([b.id for b in scenario.buses]), max_size=4))
-    buses = frozenset(stray).union(*(compiled.area_buses[a] for a in areas))
+    areas = frozenset(draw(st.sets(st.sampled_from(compiled.areas), max_size=6)))
+    buses = _buses_of(scenario, areas)
     on_buses = [d for d in scenario.ders if d.bus in buses]
     formers = tuple(d.id for d in on_buses
                     if d.capability is DerCapability.GRID_FORMING) or ("X",)
@@ -771,26 +775,25 @@ def islands(draw):
     generation = draw(st.floats(0.0, 12.0) | st.floats(0.0, 400.0)
                       | st.sampled_from([0.0, 1e-9, 17.5]))
     served, served_crit = _oracle_dispatch(scenario, buses, generation)
-    mg = Microgrid(id="isl", areas=frozenset(compiled.area_of[b] for b in buses),
-                   buses=buses, forming_units=formers, started_units=started,
+    mg = Microgrid(id="isl", areas=areas, forming_units=formers, started_units=started,
                    generation_mw=generation, served_total_mw=served,
                    served_critical_mw=served_crit,
                    frequency_hz=draw(st.floats(49.0, 51.0)),
                    phase_rad=draw(st.floats(-4.0, 4.0)))
-    return scenario, mg
+    return scenario, mg, buses
 
 
 class TestIslandMemos:
     @settings(max_examples=300, deadline=None)
     @given(islands())
     def test_dispatch_and_followers_match_the_oracles(self, island):
-        scenario, mg = island
+        scenario, mg, buses = island
         for generation in (mg.generation_mw, 0.5 * mg.generation_mw, 1e6):
-            assert _exact(blackstart._dispatch(scenario, mg.buses, generation)) == \
-                _exact(_oracle_dispatch(scenario, mg.buses, generation))
+            assert _exact(blackstart._dispatch(scenario, mg.areas, generation)) == \
+                _exact(_oracle_dispatch(scenario, buses, generation))
         assert _exact_grid(reconnect_followers(mg, scenario)) == \
-            _exact_grid(_oracle_reconnect_followers(mg, scenario))
-        assert scenario.compiled.comm_bits(mg.areas) == \
+            _exact_grid(_oracle_reconnect_followers(mg, buses, scenario))
+        assert scenario.compiled.island(mg.areas).comm == \
             sum(1 << i for i, c in enumerate(scenario.compiled.comm)
                 if scenario.compiled.area_of[c.bus] in mg.areas)
 
@@ -802,13 +805,13 @@ class TestIslandMemos:
                         if d.capability is DerCapability.GRID_FORMING)
         for k, a in enumerate(compiled.areas):
             for b in compiled.areas[k:]:
-                buses = compiled.area_buses[a] | compiled.area_buses[b]
+                buses = _buses_of(scenario, {a, b})
                 for generation in (0.3, 2.0, 7.7, 25.0):
                     served, crit = _oracle_dispatch(scenario, buses, generation)
-                    mg = Microgrid("isl", frozenset({a, b}), buses, formers, formers,
+                    mg = Microgrid("isl", frozenset({a, b}), formers, formers,
                                    generation, served, crit)
                     assert _exact_grid(reconnect_followers(mg, scenario)) == \
-                        _exact_grid(_oracle_reconnect_followers(mg, scenario))
+                        _exact_grid(_oracle_reconnect_followers(mg, buses, scenario))
 
     @pytest.mark.parametrize("make,seed", [
         (two_tile_scenario, 0), (two_tile_scenario, 3), (two_tile_scenario, 8),
@@ -817,18 +820,13 @@ class TestIslandMemos:
         warm = make()
         monte_carlo(warm, 0.5, 3.0, 4, seed=2)
         run_restoration(warm, seed=seed + 1)
-        compiled = warm.compiled
-
-        def sizes():
-            return [len(m) for m in (compiled._load_split, compiled._candidates,
-                                     compiled._comm_bits)]
-
-        assert all(sizes())
+        islands = warm.compiled._islands
+        assert islands
         warm_text = _timeline_text(run_restoration(warm, seed=seed))
         assert warm_text == _timeline_text(run_restoration(make(), seed=seed))
-        seen = sizes()
+        seen = dict(islands)
         run_restoration(warm, seed=seed)    # a repeated run adds no entry
-        assert sizes() == seen
+        assert islands == seen
 
 
 class TestScenarioValidation:

@@ -13,7 +13,7 @@ from gridres.coordination import (DerUnit, DistributionError, DroopEnvelope,
                                   compute_droop_envelope, compute_h_ag_max,
                                   compute_p0_ir, distribute_droop,
                                   distribute_inertia, make_inertia_assignment,
-                                  select_droop)
+                                  select_droop, selection_violations)
 from gridres.errors import InvalidInputError
 from gridres.frequency import DroopCurve, evaluate_droop
 
@@ -130,6 +130,16 @@ class TestDistributeInertia:
         assert assignment.h_ag_tso_s == 4.0
         with pytest.raises(InvalidInputError):
             make_inertia_assignment(phase1, 5.0, units, 50.0)
+
+    @pytest.mark.parametrize("h_tso", [5.0, 6.0, math.nan])
+    def test_assignment_and_fleet_document_share_the_selection_rule(self, h_tso):
+        # The message a fleet document lists under inertia.h_ag_tso_s.
+        phase1 = InertiaPhase1(rocof_max_hz_per_s=1.0, h_ag_max_s=5.0,
+                               p0_ss_pu=0.3, p0_irmax_pu=0.5)
+        with pytest.raises(InvalidInputError) as err:
+            make_inertia_assignment(phase1, h_tso, self.units([0.4, 0.4]), 50.0)
+        assert [str(err.value)] == selection_violations(h_tso, 5.0) == [
+            "h_ag_tso_s: must be below the offered maximum h_ag_max_s = 5"]
 
 
 def grid_1hz():
@@ -316,6 +326,11 @@ class TestReserveRules:
     def test_nonpositive_total_rejected(self):
         with pytest.raises(InvalidInputError):
             check_reserve_rules({"u1": 0.1}, 0.0)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0, True, "1"])
+    def test_total_obeys_the_fleet_row(self, total):
+        with pytest.raises(InvalidInputError, match="total_fcr_pu"):
+            check_reserve_rules({"u1": 0.1}, total)
 
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100, deadline=None)

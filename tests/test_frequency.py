@@ -116,6 +116,19 @@ class TestInertialPower:
         with pytest.raises(InvalidInputError):
             inertial_power(-1.0, 1.0, 50.0, 100.0)
 
+    @pytest.mark.parametrize("s_base", [-100.0, 0.0, math.nan])
+    def test_rejects_bad_system_base(self, s_base):
+        # Finite bases that only the s_base_mva row rejects.
+        with pytest.raises(InvalidInputError, match="s_base_mva"):
+            inertial_power(5.0, -0.5, 50.0, s_base)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 50.0, 100.0),
+                                      (5.0, math.inf, 50.0, 100.0),
+                                      (5.0, 1.0, math.inf, 100.0)])
+    def test_rejects_non_finite_arguments(self, args):
+        with pytest.raises(InvalidInputError):
+            inertial_power(*args)
+
     def test_exact_linearity_in_h_for_binary_scalings(self):
         # Power-of-two scalings are exact in binary floating point.
         base = inertial_power(1.3, 0.7, 50.0, 150.0)

@@ -601,6 +601,25 @@ class TestCentralizedScheme:
             centralized_locate_fault({"DER_A": 40.0, "DER_B": 40.0}, fmap,
                                      tolerance=0.1)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -0.1])
+    def test_non_finite_or_non_positive_tolerance_rejected(self, tolerance):
+        # Against a NaN tolerance every distance test is false, so a
+        # measurement 111 pu from every signature would be located.
+        fmap = build_fault_signature_map(self.network())
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            centralized_locate_fault({"DER_A": 111.0, "DER_B": 1.0}, fmap,
+                                     tolerance=tolerance)
+
+    @pytest.mark.parametrize("measured", [
+        {"DER_A": math.nan, "DER_B": 1.0}, {"DER_A": 2.0, "DER_B": math.inf},
+        {"DER_A": 2.0, "DER_B": 1.0, "DER_X": -math.inf}])
+    def test_non_finite_measurement_rejected(self, measured):
+        # A NaN injection makes every distance NaN, and the stable sort
+        # would then pick the first candidate.
+        fmap = build_fault_signature_map(self.network())
+        with pytest.raises(InvalidInputError, match="measured"):
+            centralized_locate_fault(measured, fmap, tolerance=0.1)
+
     def test_ambiguous_on_electrically_equivalent_candidates(self):
         # A fault at the very end of a line and one at its terminal bus
         # are the same electrical point, so their signatures coincide.
