@@ -21,8 +21,9 @@ and bus distances and the area-switch adjacency, none of which battery
 flags or cell radii change. A run turns its radii into link and coverage
 sets, and the disk-graph components of each operational node set are
 computed once and reused by later rounds and, within one Monte Carlo
-study, by later runs. Single runs and Monte Carlo runs go through
-run_restoration.
+study, by later runs; a comm graph is just that tuple of components,
+one int bitset of comm nodes each. Single runs and Monte Carlo runs go
+through run_restoration.
 
 An island is its set of areas. What that set fixes, its load split, its
 follower candidates and its comm nodes, is built once per distinct area
@@ -229,7 +230,6 @@ class _CompiledRestoration:
                                if d.capability is not DerCapability.GRID_FORMING)
         self._islands: dict[frozenset[str], _Island] = {}
         self.comm = tuple(sorted(scn.comm, key=lambda c: c.bus))
-        self.comm_bus = tuple(c.bus for c in self.comm)
         bus_index = {b.id: k for k, b in enumerate(scn.buses)}
         points = [(float(b.x_km), float(b.y_km)) for b in scn.buses]   # as math.dist
         self.comm_at = [bus_index[c.bus] for c in self.comm]
@@ -327,41 +327,6 @@ class RestorationTimeline:
         return self.final_served_total_mw / self.total_load_mw
 
 
-@dataclass(frozen=True)
-class CommGraph:
-    """Operational comm nodes and their disk-graph components.
-
-    buses names the comm nodes in bus-id order; components holds each
-    component as a set bit per node index, in the order of the
-    component's smallest bus id, which is also its number.
-    """
-
-    buses: tuple[str, ...]
-    components: tuple[int, ...]
-
-    @cached_property
-    def operational(self) -> frozenset[str]:
-        """Bus ids with a working node."""
-        return frozenset(self.component_of)
-
-    @cached_property
-    def component_of(self) -> dict[str, int]:
-        return {self.buses[i]: k for k, nodes in enumerate(self.components)
-                for i in _bits(nodes)}
-
-    def connected(self, bus_a: str, bus_b: str) -> bool:
-        ca = self.component_of.get(bus_a)
-        return ca is not None and ca == self.component_of.get(bus_b)
-
-    def reach(self, nodes: int) -> int:
-        """Every node in a component with one of the given nodes."""
-        out = 0
-        for comp in self.components:
-            if comp & nodes:
-                out |= comp
-        return out
-
-
 def classify_service(served_critical: float, total_critical: float,
                      served_total: float, total_load: float) -> ServiceClass:
     """Service class from served and required load quantities.
@@ -392,38 +357,34 @@ class _CommCells:
     """The comm cells of a compiled scenario at one set of radii.
 
     cover[i] holds the buses in node i's cell; link[i] the nodes within
-    both cell radii of node i. The CommGraph of each working-node set is
-    computed once.
+    both cell radii of node i. The comm graph of a working-node set is
+    its disk-graph components, each a set bit per node, numbered by
+    their lowest node; graph computes them once per set.
     """
 
     def __init__(self, compiled: _CompiledRestoration, radii: np.ndarray):
         near = compiled.cover_dist <= radii[:, None]
         mutual = near[:, compiled.comm_at]      # node i's cell holds node j
-        self.comm_bus = compiled.comm_bus
         self.cover = _bit_rows(near)
         self.link = [a & b for a, b in zip(_bit_rows(mutual), _bit_rows(mutual.T))]
-        self._graphs: dict[int, CommGraph] = {}
+        self._graphs: dict[int, tuple[int, ...]] = {}
 
-    def graph(self, working: int) -> CommGraph:
-        graph = self._graphs.get(working)
-        if graph is None:
-            graph = self._graphs[working] = CommGraph(self.comm_bus,
-                                                      self._components(working))
-        return graph
-
-    def _components(self, working: int) -> tuple[int, ...]:
-        out = []
-        while working:
-            seen = frontier = working & -working    # the lowest index left
-            while frontier:
-                linked = 0
-                for i in _bits(frontier):
-                    linked |= self.link[i]
-                frontier = linked & working & ~seen
-                seen |= frontier
-            out.append(seen)
-            working &= ~seen
-        return tuple(out)
+    def graph(self, working: int) -> tuple[int, ...]:
+        components = self._graphs.get(working)
+        if components is None:
+            out, left = [], working
+            while left:
+                seen = frontier = left & -left    # the lowest node left
+                while frontier:
+                    linked = 0
+                    for i in _bits(frontier):
+                        linked |= self.link[i]
+                    frontier = linked & left & ~seen
+                    seen |= frontier
+                out.append(seen)
+                left &= ~seen
+            components = self._graphs[working] = tuple(out)
+        return components
 
     def covered(self, nodes: int) -> int:
         """The buses inside the cell of at least one of the nodes."""
@@ -440,12 +401,14 @@ def _own_cells(compiled: _CompiledRestoration) -> _CommCells:
 
 
 def comm_reachable(scenario: RestorationScenario, powered_buses,
-                   battery_charge_kwh: dict[str, float] | None = None) -> CommGraph:
-    """Disk-graph of operational comm nodes.
+                   battery_charge_kwh: dict[str, float] | None = None
+                   ) -> tuple[int, ...]:
+    """Disk-graph components of the operational comm nodes.
 
     A node works when its bus is powered or its battery still holds
     charge; an edge exists when both endpoints work and their distance
-    is within both cell radii.
+    is within both cell radii. Each component is a set bit per node of
+    scenario.compiled.comm (bus-id order), numbered by its lowest node.
     """
     compiled = scenario.compiled
     powered = set(powered_buses)
@@ -455,6 +418,15 @@ def comm_reachable(scenario: RestorationScenario, powered_buses,
         if c.bus in powered or (c.has_battery and charge.get(c.bus, c.battery_kwh) > 0):
             working |= 1 << i
     return _own_cells(compiled).graph(working)
+
+
+def _reach(components: tuple[int, ...], nodes: int) -> int:
+    """Every node in a component with one of the given nodes."""
+    out = 0
+    for comp in components:
+        if comp & nodes:
+            out |= comp
+    return out
 
 
 def _dispatch(scenario: RestorationScenario, areas: frozenset[str],
@@ -525,9 +497,10 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
                      generation, served, served_crit, mg.frequency_hz, mg.phase_rad)
 
 
-def _wrapped_phase_distance(a_rad: float, b_rad: float) -> float:
-    d = abs(a_rad - b_rad) % (2 * math.pi)
-    return 2 * math.pi - d if d > math.pi else d
+def _sync_deltas(a: Microgrid, b: Microgrid) -> tuple[float, float]:
+    """|df| and the wrapped phase shift, in [0, pi], between two islands."""
+    d = abs(a.phase_rad - b.phase_rad) % (2 * math.pi)
+    return abs(a.frequency_hz - b.frequency_hz), 2 * math.pi - d if d > math.pi else d
 
 
 def synchronize_and_merge(a: Microgrid, b: Microgrid,
@@ -541,8 +514,7 @@ def synchronize_and_merge(a: Microgrid, b: Microgrid,
     """
     if a is b or a.id == b.id:
         raise InvalidInputError("cannot merge a microgrid with itself")
-    freq_delta = abs(a.frequency_hz - b.frequency_hz)
-    phase_delta = _wrapped_phase_distance(a.phase_rad, b.phase_rad)
+    freq_delta, phase_delta = _sync_deltas(a, b)
     if freq_delta > policy.max_freq_diff_hz or not phase_delta < policy.max_phase_shift_rad:
         raise SyncRejectedError(freq_delta, phase_delta)
     # Larger generation keeps its reference; ties go to the lower id.
@@ -601,7 +573,7 @@ class RestorationState:
                 self.charged &= ~(1 << i)
         self.t_s += dt_s
 
-    def comm_graph(self) -> CommGraph:
+    def comm_graph(self) -> tuple[int, ...]:
         return self.cells.graph(self._powered_comm() | self.charged)
 
     def served_totals(self) -> tuple[float, float]:
@@ -620,9 +592,9 @@ class RestorationState:
 
     # -- agent coordination ---------------------------------------------
 
-    def _agent_reach(self, grid: Microgrid, comm: CommGraph) -> int:
+    def _agent_reach(self, grid: Microgrid, comm: tuple[int, ...]) -> int:
         """The comm nodes the island's agents talk to."""
-        return comm.reach(self.compiled.island(grid.areas).comm)
+        return _reach(comm, self.compiled.island(grid.areas).comm)
 
     def _dead_area_reachable(self, area: str, reach: int) -> bool:
         """Gate for energizing a dead neighbor area.
@@ -660,26 +632,20 @@ class RestorationState:
                               b.generation_mw, b.served_total_mw,
                               b.served_critical_mw, a.frequency_hz, a.phase_rad + draw)
         try:
-            merged = synchronize_and_merge(a, b_aligned,
-                                           self.scenario.sync_policy,
+            merged = synchronize_and_merge(a, b_aligned, self.scenario.sync_policy,
                                            self.scenario)
-        except SyncRejectedError as err:
-            self.merge_attempts.append(MergeAttempt(
-                t_s=self.t_s, grid_a=ga, grid_b=gb,
-                freq_delta_hz=err.freq_delta_hz,
-                phase_delta_rad=err.phase_delta_rad, accepted=False))
-            return False
+        except SyncRejectedError:
+            merged = None
         self.merge_attempts.append(MergeAttempt(
-            t_s=self.t_s, grid_a=ga, grid_b=gb,
-            freq_delta_hz=abs(a.frequency_hz - b_aligned.frequency_hz),
-            phase_delta_rad=_wrapped_phase_distance(a.phase_rad, b_aligned.phase_rad),
-            accepted=True))
+            self.t_s, ga, gb, *_sync_deltas(a, b_aligned), accepted=merged is not None))
+        if merged is None:
+            return False
         del self.grids[ga], self.grids[gb]
         self.grids[merged.id] = reconnect_followers(merged, self.scenario)
         return True
 
 
-def agent_round(state: RestorationState, comm: CommGraph) -> bool:
+def agent_round(state: RestorationState, comm: tuple[int, ...]) -> bool:
     """One coordination round among the area agents.
 
     Agents of comm-connected areas exchange load and generation

@@ -25,7 +25,7 @@ from . import frequency as fq
 from . import metrics as mt
 from . import protection as pt
 from . import schemas
-from .errors import GridResError, InvalidInputError, ScenarioValidationError
+from .errors import GridResError, InvalidInputError, ScenarioValidationError, SimulationError
 from .fields import dump
 
 DEFAULT_SEED = 1234
@@ -56,7 +56,10 @@ def _write_atomic(path: Path, content: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:   # NaN and infinity are not JSON
+        raise SimulationError(f"result is not finite: {err}") from err
 
 
 def _load_json(path: Path):
@@ -82,6 +85,13 @@ def _write_csv(path: Path, writer, *data) -> None:
     buf = io.StringIO()
     writer(buf, *data)
     _write_atomic(path, buf.getvalue())
+
+
+def _given(*names: str) -> list[str]:
+    """The flags, among the named parameters, that the command line set."""
+    ctx = click.get_current_context()
+    return [p.opts[0] for p in ctx.command.params if p.name in names
+            and ctx.get_parameter_source(p.name) is not click.core.ParameterSource.DEFAULT]
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +223,7 @@ def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
     restoration = schemas.load_restoration_scenario(_load_json(scenario))
 
     if p_battery is None and radius_km is None and runs is None:
-        source = click.get_current_context().get_parameter_source("fmt")
-        if source is not click.core.ParameterSource.DEFAULT:
+        if _given("fmt"):
             raise InvalidInputError("--format applies to monte carlo mode only")
         _write_csv(out_dir / "timeline.csv", schemas.write_timeline_csv,
                    bs.run_restoration(restoration, seed=seed))
@@ -266,12 +275,16 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
         raise InvalidInputError("phase marks: pass all four or none")
 
     if trace is not None:
+        if _given("total_load_mw"):
+            raise InvalidInputError("metrics: --total-load-mw applies to --timeline only")
         with open(trace) as fp:
             samples = schemas.read_trace_csv(fp)
         params = fq.SystemParameters(f_n=f_n, band_half_width_hz=band_half_width_hz)
         trajectory = mt.service_from_frequency(
             samples, params, floor_deviation_hz=floor_deviation_hz)
     else:
+        if foreign := _given("f_n", "band_half_width_hz", "floor_deviation_hz"):
+            raise InvalidInputError(f"metrics: {', '.join(foreign)} apply to --trace only")
         with open(timeline) as fp:
             events = schemas.read_timeline_csv(fp)
         if total_load_mw is None:

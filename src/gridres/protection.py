@@ -533,27 +533,18 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
     t_now = 0.0
     solution = initial
     for _ in range(len(network.breakers) + 1):
-        over = set()
-        for b in network.breakers:
-            if b.line in open_lines:
-                continue
-            if solution.branch_magnitude(b.line) > settings[b.id]:
-                over.add(b.id)
-                if b.id not in armed:
-                    armed[b.id] = t_now + b.delay_s
-        for bid in list(armed):
-            if bid not in over:
-                del armed[bid]  # current receded before the delay elapsed
+        # A breaker stays armed, with the deadline it got when first
+        # armed, while its current exceeds the setting; else it disarms.
+        armed = {b.id: armed.get(b.id, t_now + b.delay_s) for b in network.breakers
+                 if b.line not in open_lines
+                 and solution.branch_magnitude(b.line) > settings[b.id]}
         if not armed:
             break
-        t_next = min(armed.values())
-        now_tripping = sorted(bid for bid, deadline in armed.items()
-                              if deadline <= t_next + 1e-12)
-        t_now = t_next
-        for bid in now_tripping:
+        t_now = min(armed.values())
+        for bid in sorted(bid for bid, deadline in armed.items()
+                          if deadline <= t_now + 1e-12):
             open_lines.add(breaker[bid].line)
             tripped.append(TripEvent(breaker_id=bid, time_s=t_now))
-            del armed[bid]
         solution = solve_fault_currents(network, fault, open_lines=open_lines,
                                         allow_dead_fault=True)
 

@@ -492,6 +492,89 @@ class TestTwoFeederBenchmark:
         assert len(report.issues_of("EnergizedAfterTrip")) == 1
 
 
+def _oracle_fixpoint(network, fault, trip_settings):
+    """The breaker fixpoint as it was before armed was rebuilt each round:
+    an over set, the armed map, and a disarm loop and per-trip deletes
+    that kept the two in step. Issues are screened from its trips and
+    open lines with the public helpers. Kept as the reference that
+    simulate_protection must match exactly."""
+    breaker = {b.id: b for b in network.breakers}
+    open_lines, tripped, armed, t_now = set(), [], {}, 0.0
+    initial = solution = solve_fault_currents(network, fault, allow_dead_fault=True)
+    for _ in range(len(network.breakers) + 1):
+        over = set()
+        for b in network.breakers:
+            if b.line in open_lines:
+                continue
+            if solution.branch_magnitude(b.line) > trip_settings[b.id]:
+                over.add(b.id)
+                if b.id not in armed:
+                    armed[b.id] = t_now + b.delay_s
+        for bid in list(armed):
+            if bid not in over:
+                del armed[bid]
+        if not armed:
+            break
+        t_next = min(armed.values())
+        now_tripping = sorted(bid for bid, deadline in armed.items()
+                              if deadline <= t_next + 1e-12)
+        t_now = t_next
+        for bid in now_tripping:
+            open_lines.add(breaker[bid].line)
+            tripped.append((bid, t_now))
+            del armed[bid]
+        solution = solve_fault_currents(network, fault, open_lines=open_lines,
+                                        allow_dead_fault=True)
+    path = source_fault_path_lines(network, fault)
+    no_der = solve_fault_currents(network, fault, allow_dead_fault=True,
+                                  der_injecting={d.id: False for d in network.ders})
+    tripped_ids = {bid for bid, _t in tripped}
+    issues = [("Blinding", (b.id, b.line)) for b in network.breakers
+              if b.id not in tripped_ids and b.line in path
+              and initial.branch_magnitude(b.line) <= trip_settings[b.id]
+              < no_der.branch_magnitude(b.line)]
+    issues += [("SympatheticTrip", (bid, breaker[bid].line)) for bid, _t in tripped
+               if breaker[bid].line not in path]
+    issues += [(i.kind, i.elements) for i in detect_energized(network, open_lines)]
+    return tripped, issues, tuple(sorted(open_lines))
+
+
+@st.composite
+def protected_cases(draw):
+    """A general network and fault with zero to two breakers per line.
+    Delays come from a small set, so deadlines tie, exactly or within
+    the 1e-12 slack (0 and 1e-13, 0.1 + 0.2 and 0.3); a setting is a
+    multiple of the line's pre-trip current, sometimes exactly that
+    current."""
+    net = draw(general_networks())
+    fault = draw(general_faults(net))
+    initial = solve_fault_currents(net, fault, allow_dead_fault=True)
+    breakers, trip_settings = [], {}
+    for line in net.lines:
+        for k in range(draw(st.integers(0, 2))):
+            bid = f"{line.id}_{k}"
+            breakers.append(Breaker(bid, line.id, 1.0, draw(
+                st.sampled_from([0.0, 1e-13, 0.1, 0.2, 0.3]) | st.floats(0.0, 1.0))))
+            current = initial.branch_magnitude(line.id)
+            scale = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.1, 2.0))
+            trip_settings[bid] = current * scale if current > 0 else draw(
+                st.floats(0.01, 5.0))
+    return replace(net, breakers=tuple(breakers)), fault, trip_settings
+
+
+class TestFixpointMatchesReplacedLoop:
+    @given(protected_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_trips_issues_and_open_lines_match_the_oracle(self, case):
+        net, fault, trip_settings = case
+        report = simulate_protection(net, fault, trip_settings)
+        tripped, issues, open_lines = _oracle_fixpoint(net, fault, trip_settings)
+        assert [(ev.breaker_id, ev.time_s.hex()) for ev in report.trips] == \
+            [(bid, t.hex()) for bid, t in tripped]
+        assert [(i.kind, i.elements) for i in report.issues] == issues
+        assert report.open_lines == open_lines
+
+
 class TestSettingGroups:
     def groups(self):
         key_grid = TopologyKey.of(False, {"DER_A", "DER_B"})

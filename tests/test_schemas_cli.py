@@ -289,6 +289,27 @@ class TestCliExitCodes:
         assert not (out / "metrics.json").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode,flags,message", [
+        ("trace", ["--total-load-mw", "5"],
+         "--total-load-mw applies to --timeline only"),
+        ("timeline", ["--f-n", "60", "--band", "0.2", "--floor-deviation", "9"],
+         "--f-n, --band, --floor-deviation apply to --trace only"),
+    ], ids=["trace_with_total_load", "timeline_with_frequency_flags"])
+    def test_metrics_rejects_flags_of_the_other_mode(self, workspace, capsys,
+                                                    mode, flags, message):
+        src = workspace["root"] / "src"
+        if mode == "trace":
+            run_cli("frequency", "--scenario", workspace["freq.json"], "--out", src)
+            inputs = ["--trace", src / "trace.csv"]
+        else:
+            run_cli("blackstart", "--scenario", workspace["bs.json"], "--out", src)
+            inputs = ["--timeline", src / "timeline.csv", "--total-load-mw", "65"]
+        capsys.readouterr()
+        out = workspace["root"] / "o"
+        assert run_cli("metrics", *inputs, "--out", out, *flags) == EXIT_VALIDATION
+        assert f"metrics: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--runs", "0"], ["--runs", "-5"], ["--runs", "1"], ["--runs", "3"],
         ["--radius-km", "-3"], ["--radius-km", "2"],
@@ -782,6 +803,34 @@ class TestRegressions:
                                     "--out", tmp_path / "out")
             assert code == EXIT_VALIDATION
             assert not (tmp_path / "out").exists()
+
+    def test_coordinate_exits_2_on_a_result_that_overflows(self, tmp_path):
+        # Validate-clean, but power_i * f_n overflows in distribute_inertia,
+        # which once wrote "pv_north": Infinity into inertia_assignment.json.
+        doc = fleet_doc()
+        doc["units"][0]["p_rating"] = 2.247116418577895e307
+        assert schemas.validate_document(doc) == []
+        scenario = tmp_path / "fleet.json"
+        scenario.write_text(json.dumps(doc))
+        for flags in ([], ["--errors-json"]):
+            code, _out, err = _cli(*flags, "coordinate", "--scenario", scenario,
+                                   "--out", tmp_path / "out")
+            assert code == EXIT_RUNTIME
+            assert "not finite" in err
+            assert not (tmp_path / "out").exists()
+
+    def test_metrics_exits_2_on_an_area_that_overflows(self, workspace):
+        # A finite baseline of 1e308 over a 30 s trace once wrote
+        # "degradation_area": Infinity into metrics.json.
+        src = workspace["root"] / "src"
+        run_cli("frequency", "--scenario", workspace["freq.json"], "--out", src)
+        out = workspace["root"] / "o"
+        with np.errstate(over="ignore"):
+            code, _out, err = _cli("metrics", "--trace", src / "trace.csv",
+                                   "--baseline", "1e308", "--out", out)
+        assert code == EXIT_RUNTIME
+        assert "not finite" in err
+        assert not out.exists()
 
     def test_fault_document_that_is_a_list(self, workspace):
         fault = workspace["root"] / "fault_list.json"
