@@ -72,12 +72,11 @@ def _load_json(path: Path):
 
 def _write_payload(out_dir: Path, stem: str, payload: dict, fmt: str) -> None:
     """Write a payload to <stem>.json, or a flat one as key,value rows to
-    <stem>.csv."""
+    <stem>.csv. Either way a NaN or infinity ends the command unwritten."""
+    text = _dump_json(payload)
     if fmt == "csv":
         text = "key,value\n" + "".join(f"{key},{payload[key]}\n"
                                        for key in sorted(payload))
-    else:
-        text = _dump_json(payload)
     _write_atomic(out_dir / f"{stem}.{fmt}", text)
 
 

@@ -107,7 +107,8 @@ def degradation_area(trajectory: ServiceTrajectory, baseline: float = 1.0,
     if len(trajectory) == 1:
         return 0.0
     deficit = np.maximum(baseline - level, 0.0)
-    return float(np.trapezoid(deficit, trajectory.t))
+    with np.errstate(over="ignore"):   # an area beyond the float range is inf
+        return float(np.trapezoid(deficit, trajectory.t))
 
 
 def service_from_frequency(trace: FrequencyTrace, params: SystemParameters,

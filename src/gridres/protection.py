@@ -11,8 +11,9 @@ line and its orientation, the impedance z from the root, breaker
 indexes, and a lowest-common-ancestor table (Bender & Farach-Colton,
 "The LCA Problem Revisited", 2000). A fault solve places the source,
 DER and fault currents as nodal injections and sums them over subtrees
-in one bottom-up pass, which gives every branch current and is exact on
-radial networks; an open line cuts its subtree off.
+in one bottom-up Python loop (the backward sweep of radial load flow, in
+an order that fixes the sums' bits), giving every line current as one
+array; exact on radial networks, and an open line cuts its subtree off.
 
 A DER feeding a source-fed fault f splits its current where its path
 meets the source-fault path, at junction j. The share that arrives is
@@ -39,9 +40,6 @@ import numpy as np
 
 from .errors import GridResError, InvalidInputError
 from .fields import choice, duplicates, flag, num, obj, row, seq, table, text
-
-_FAULT_NODE = "__fault__"
-_FAR_SUFFIX = "#far"
 
 
 class UnreachableFaultError(GridResError):
@@ -186,6 +184,7 @@ class _CompiledFeeder:
     come before children and bus v's subtree is the order slice
     [tin[v], tout[v]). Line k hangs bus child[k] below parent[child[k]];
     sign[v] is +1 when the line above v is stored parent -> v, else -1.
+    bottom_up is (bus, parent) in reversed preorder; a root's parent is n.
     """
 
     def __init__(self, net: RadialNetwork):
@@ -193,12 +192,16 @@ class _CompiledFeeder:
         self.line_index = {ln.id: k for k, ln in enumerate(net.lines)}
         self.line_ids = [ln.id for ln in net.lines]
         self.breaker = {b.id: b for b in net.breakers}
+        self.breaker_rows = np.array([self.line_index[b.line] for b in net.breakers], int)
         self.line_breakers = [[] for _ in net.lines]
         for b in net.breakers:
             self.line_breakers[self.line_index[b.line]].append(b)
         n = len(net.buses)
         self.ends = [(self.bus_index[ln.from_bus], self.bus_index[ln.to_bus])
                      for ln in net.lines]
+        self.live = [(d, self.bus_index[d.bus]) for d in net.ders
+                     if d.injecting and d.i_max_pu > 0]
+        self.load_rows = [(self.bus_index[ld.bus], -ld.current_pu) for ld in net.loads]
         self.incident = [[] for _ in range(n)]
         for k, (a, b) in enumerate(self.ends):
             self.incident[a].append((k, b))
@@ -220,15 +223,15 @@ class _CompiledFeeder:
                         self.child[k] = w
                         stack.append(w)
         self.order, self.parent, self.up_line, self.sign = order, parent, up_line, sign
-        self.bottom_up = [v for v in reversed(order) if parent[v] >= 0]
+        self.bottom_up = [(v, n if parent[v] < 0 else parent[v]) for v in reversed(order)]
         self.z = np.array(z)
         self.line_sign = np.array(sign)[self.child]
-        size = [1] * n
-        for v in self.bottom_up:
-            size[parent[v]] += size[v]
+        size = [1] * (n + 1)
+        for v, p in self.bottom_up:
+            size[p] += size[v]
         self.tin = np.empty(n, dtype=int)
         self.tin[order] = np.arange(n)
-        self.tout = self.tin + np.array(size)
+        self.tout = self.tin + np.array(size[:n])
         self.root_pre = np.array(root)[order]
         # Sparse table over the preorder: min_depth[k, i] is the slot of
         # least depth in slots [i, i + 2**k).
@@ -240,6 +243,7 @@ class _CompiledFeeder:
             a, b = prev[:-half], prev[half:]
             rows.append(np.where(self.depth_pre[a] <= self.depth_pre[b], a, b))
         self.min_depth = np.array([np.pad(row, (0, n - len(row))) for row in rows])
+        self.roots = self.pieces(()).tolist()
 
     def lca(self, u, v):
         """Lowest common ancestor of bus indices u and v, elementwise: for
@@ -290,50 +294,38 @@ class FaultScenario:
         return math.isfinite(self.impedance_pu)
 
 
-@dataclass
+@dataclass(eq=False)
 class FaultSolution:
-    """Signed branch currents plus the fault-current bookkeeping.
+    """Signed line currents plus the fault-current bookkeeping.
 
-    branch_currents is keyed by line id (positive from from_bus toward
-    to_bus); a mid-line fault adds a '<line>#far' entry for the far-side
-    segment. i_grid_pu is the net current the external grid feeds into
-    the network; der_contributions_pu are the full injections of
-    connected, injecting units; der_fault_arrivals_pu is the share of
-    each injection that arrives at the fault, which is what makes a
-    measurement characteristic for the fault location.
+    line_currents[k] is the current of network.lines[k], positive from
+    from_bus toward to_bus; on the line split_line that a mid-line fault
+    splits, the near segment's, and far_pu the far segment's. The
+    branch_currents dict, built on first read, keys them by line id and
+    '<line>#far'. i_grid_pu is the net current the grid feeds in;
+    der_contributions_pu are the full injections of connected, injecting
+    units; der_fault_arrivals_pu is the share of each that arrives at the
+    fault, which makes a measurement characteristic of the location.
     """
 
-    branch_currents: dict[str, float]
+    network: RadialNetwork = field(repr=False)
+    line_currents: np.ndarray
     i_fault_pu: float
     i_grid_pu: float
     der_contributions_pu: dict[str, float]
     der_fault_arrivals_pu: dict[str, float]
     source_feeds_fault: bool = False
-    bus_injections: dict[str, float] = field(default_factory=dict, repr=False)
+    split_line: str | None = None
+    far_pu: float = 0.0
+
+    @cached_property
+    def branch_currents(self) -> dict[str, float]:
+        currents = dict(zip(self.network.compiled.line_ids, self.line_currents.tolist()))
+        return currents | ({} if self.split_line is None
+                           else {self.split_line + "#far": self.far_pu})
 
     def branch_magnitude(self, line_id: str) -> float:
         return abs(self.branch_currents.get(line_id, 0.0))
-
-    def kirchhoff_residuals(self, network: RadialNetwork,
-                            fault: FaultScenario | None = None) -> dict[str, float]:
-        """Net current imbalance at every node; all zero when consistent."""
-        nodes = {b: 0.0 for b in network.buses}
-        for bus, inj in self.bus_injections.items():
-            nodes[bus] = nodes.get(bus, 0.0) + inj
-        split = None
-        if fault is not None and fault.is_fault:
-            top, low, _z = _fault_point(network, fault)
-            if top != low:
-                split = fault.element_id
-        for ln in network.lines:
-            flow = self.branch_currents.get(ln.id, 0.0)
-            nodes[ln.from_bus] -= flow
-            if ln.id == split:
-                far = self.branch_currents.get(ln.id + _FAR_SUFFIX, 0.0)
-                nodes[_FAULT_NODE] = nodes.get(_FAULT_NODE, 0.0) + flow - far
-                flow = far
-            nodes[ln.to_bus] += flow
-        return nodes
 
 
 @dataclass(frozen=True)
@@ -399,7 +391,9 @@ def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus):
 
 def _live_ders(network: RadialNetwork, der_injecting=None):
     """(DER, bus index) of every injecting unit; der_injecting overrides flags."""
-    flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting or {})
+    if not der_injecting:
+        return network.compiled.live
+    flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting)
     return [(d, network.compiled.bus_index[d.bus]) for d in network.ders
             if flags.get(d.id) and d.i_max_pu > 0]
 
@@ -420,10 +414,12 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
     tree = network.compiled
     live = _live_ders(network, der_injecting)
     cut = tree.cut_below(open_lines)
-    piece = tree.pieces(cut).tolist()
+    piece = tree.pieces(cut).tolist() if cut else tree.roots
     src = network.source
     s = tree.bus_index[src.bus]
-    inj, contributions, arrivals = {}, {}, {}
+    n = len(network.buses)
+    acc = [0.0] * (n + 1)   # net injection, then subtree sum, per bus
+    contributions, arrivals = {}, {}
     i_fault = i_grid = 0.0
     fed, split, at = False, False, None
 
@@ -441,15 +437,15 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
         shares = [1.0] * len(ders)
         if fed:
             i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
-            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top,
-                                  low, z_f, np.array([v for _, v in ders], dtype=int)
-                                  ).tolist()
+        if fed and ders:
+            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top, low,
+                                  z_f, np.array([v for _, v in ders], int)).tolist()
         for (d, v), share in zip(ders, shares):
             i_fault += d.i_max_pu * share
             i_grid -= d.i_max_pu * (1 - share)
             contributions[d.id] = d.i_max_pu
             arrivals[d.id] = d.i_max_pu * share
-            inj[v] = inj.get(v, 0.0) + d.i_max_pu
+            acc[v] += d.i_max_pu
         if not fed and i_fault == 0.0 and not allow_dead_fault:
             raise UnreachableFaultError(
                 "fault is disconnected from the external source and from any "
@@ -460,42 +456,40 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
         # Healthy load flow in the source's piece: net injections stream
         # to the source.
         total = 0.0
-        for v, amount in ([(v, d.i_max_pu) for d, v in live]
-                          + [(tree.bus_index[ld.bus], -ld.current_pu) for ld in network.loads]):
+        for v, amount in [(v, d.i_max_pu) for d, v in live] + tree.load_rows:
             if piece[v] == piece[s]:
-                inj[v] = inj.get(v, 0.0) + amount
+                acc[v] += amount
                 total += amount
         i_grid = -total
     if src.available:
-        inj[s] = inj.get(s, 0.0) + i_grid
-
-    acc = [0.0] * len(network.buses)
-    for v, amount in inj.items():
-        acc[v] = amount
-    bus_injections = {network.buses[v]: amount for v, amount in inj.items()}
+        acc[s] += i_grid
     if at is not None:
         acc[at] -= i_fault
-        node = _FAULT_NODE if split else network.buses[at]
-        bus_injections[node] = bus_injections.get(node, 0.0) - i_fault
-    parent = tree.parent
-    for v in tree.bottom_up:
-        if v not in cut:
-            acc[parent[v]] += acc[v]
+    ups = tree.bottom_up
+    if cut:
+        # An open line passes its subtree's sum to the spare slot n instead;
+        # bus v's pair is entry n - 1 - tin[v] of bottom_up.
+        ups = ups.copy()
+        for v in cut:
+            ups[n - 1 - tree.tin[v]] = (v, n)
+    for v, p in ups:
+        acc[p] += acc[v]
 
-    values = 0.0 - tree.line_sign * np.array(acc)[tree.child]
-    values[[tree.up_line[v] for v in cut]] = 0.0
-    currents = dict(zip(tree.line_ids, values.tolist()))
+    values = 0.0 - tree.line_sign * np.array(acc, dtype=float)[tree.child]
+    if cut:
+        values[[tree.up_line[v] for v in cut]] = 0.0
+    split_line, far = None, 0.0
     if split:
         # The segment below the fault carries the current of low's subtree.
         up_lower = 0.0 if lower_open else acc[low] + (i_fault if upper_open else 0.0)
         up_upper = 0.0 if upper_open else up_lower - i_fault
-        lid = tree.line_ids[tree.up_line[low]]
-        currents[lid], currents[lid + _FAR_SUFFIX] = (
-            (-up_upper, -up_lower) if near_up else (up_lower, up_upper))
-    return FaultSolution(branch_currents=currents, i_fault_pu=i_fault,
+        k = tree.up_line[low]
+        split_line = tree.line_ids[k]
+        values[k], far = (-up_upper, -up_lower) if near_up else (up_lower, up_upper)
+    return FaultSolution(network=network, line_currents=values, i_fault_pu=i_fault,
                          i_grid_pu=i_grid, der_contributions_pu=contributions,
-                         der_fault_arrivals_pu=arrivals,
-                         source_feeds_fault=fed, bus_injections=bus_injections)
+                         der_fault_arrivals_pu=arrivals, source_feeds_fault=fed,
+                         split_line=split_line, far_pu=far)
 
 
 def source_fault_path_lines(network: RadialNetwork, fault: FaultScenario) -> set[str]:
@@ -522,22 +516,23 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
     violations = check_settings(settings, network.compiled.breaker)
     if violations:
         raise InvalidInputError("; ".join(violations))
-    breaker = network.compiled.breaker
+    breaker, rows = network.compiled.breaker, network.compiled.breaker_rows
+    trip = np.array([settings[b.id] for b in network.breakers])
 
     initial = solve_fault_currents(network, fault, allow_dead_fault=True)
     path_lines = source_fault_path_lines(network, fault)
 
     open_lines: set[str] = set()
     tripped: list[TripEvent] = []
-    armed: dict[str, float] = {}
-    t_now = 0.0
-    solution = initial
+    armed, t_now, solution = {}, 0.0, initial
     for _ in range(len(network.breakers) + 1):
         # A breaker stays armed, with the deadline it got when first
         # armed, while its current exceeds the setting; else it disarms.
-        armed = {b.id: armed.get(b.id, t_now + b.delay_s) for b in network.breakers
-                 if b.line not in open_lines
-                 and solution.branch_magnitude(b.line) > settings[b.id]}
+        # An open line carries no current and every setting is > 0, so
+        # the breakers of open lines never arm.
+        over = np.flatnonzero(np.abs(solution.line_currents[rows]) > trip).tolist()
+        armed = {b.id: armed.get(b.id, t_now + b.delay_s)
+                 for b in map(network.breakers.__getitem__, over)}
         if not armed:
             break
         t_now = min(armed.values())
@@ -556,11 +551,10 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
         network, fault, der_injecting={d.id: False for d in network.ders},
         allow_dead_fault=True)
     tripped_ids = {ev.breaker_id for ev in tripped}
-    for b in network.breakers:
+    currents = np.abs([initial.line_currents[rows], no_der.line_currents[rows]])
+    for b, i_with, i_without in zip(network.breakers, *currents.tolist()):
         if b.id in tripped_ids or b.line not in path_lines:
             continue
-        i_with = initial.branch_magnitude(b.line)
-        i_without = no_der.branch_magnitude(b.line)
         if i_with <= settings[b.id] < i_without:
             issues.append(ProtectionIssue(
                 kind="Blinding", elements=(b.id, b.line),
@@ -757,15 +751,19 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids], dtype=float)
     if np.all(np.abs(vec) <= 1e-12):
         raise NoFaultDetectedError("measurement vector is zero; grid looks healthy")
-    dist = np.linalg.norm(fmap.signatures - vec, axis=1)
-    ranked = np.argsort(dist, kind="stable")[:2]
-    best_d, best_loc = float(dist[ranked[0]]), fmap.candidates[ranked[0]]
+    # np.linalg.norm(gap, axis=1)'s bits without its conj() and .real copies.
+    gap = fmap.signatures - vec
+    dist = np.sqrt(np.add.reduce(np.multiply(gap, gap, out=gap), axis=1))
+    best = int(np.argmin(dist))   # the lowest row wins a tie
+    best_d, best_loc = float(dist[best]), fmap.candidates[best]
     if best_d > tolerance:
         raise NoFaultDetectedError(
             f"nearest signature ({best_loc[0]} {best_loc[1]}) is {best_d:.4f} pu "
             f"away, beyond tolerance {tolerance:g}")
-    if len(ranked) > 1 and dist[ranked[1]] - best_d < tolerance:
-        second = fmap.candidates[ranked[1]]
+    dist[best] = np.inf   # a lone row's runner-up is inf: never within tolerance
+    runner_up = int(np.argmin(dist))
+    if dist[runner_up] - best_d < tolerance:
+        second = fmap.candidates[runner_up]
         raise AmbiguousLocationError(
             f"{best_loc[0]} {best_loc[1]} and {second[0]} {second[1]} "
             f"both match within tolerance")

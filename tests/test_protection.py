@@ -16,6 +16,7 @@ from gridres.protection import (AmbiguousLocationError, Breaker, DerSource,
                                 Line, LoadPoint, NoFaultDetectedError,
                                 RadialNetwork, SettingGroupTable, TopologyKey,
                                 UnconfiguredError, UnreachableFaultError,
+                                _fault_point, _fault_share, _isolating_breakers,
                                 apply_setting_group, build_fault_signature_map,
                                 centralized_locate_fault, detect_energized,
                                 simulate_protection, solve_fault_currents,
@@ -122,6 +123,114 @@ def dense_nodal_solve(network, fault):
         branch[eid] = (v[index[a]] - v[index[b]]) / z
     i_grid = (src.voltage_pu - v[i_src]) / src.impedance_pu if src.available else 0.0
     return branch, float(i_fault), float(i_grid)
+
+
+# ---------------------------------------------------------------------------
+# Second oracle: the tree solve as it was when it built an id-keyed dict of
+# branch currents and of nodal injections on every call. The array-first
+# solve must match it bit for bit; its injections also feed the Kirchhoff
+# residuals below.
+# ---------------------------------------------------------------------------
+
+def dict_solve(network, fault, open_lines=frozenset(), der_injecting=None,
+               allow_dead_fault=False):
+    """(branch currents, i_fault, i_grid, contributions, arrivals, fed,
+    bus injections) by the replaced dict-building solve."""
+    tree = network.compiled
+    flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting or {})
+    live = [(d, tree.bus_index[d.bus]) for d in network.ders
+            if flags.get(d.id) and d.i_max_pu > 0]
+    cut = tree.cut_below(open_lines)
+    piece = tree.pieces(cut).tolist()
+    src = network.source
+    s = tree.bus_index[src.bus]
+    inj, contributions, arrivals = {}, {}, {}
+    i_fault = i_grid = 0.0
+    fed, split, at = False, False, None
+
+    if fault is not None and fault.is_fault:
+        top, low, z_f = _fault_point(network, fault)
+        split = top != low
+        near_up = tree.sign[low] > 0
+        upper_open = split and low in cut and near_up
+        lower_open = split and low in cut and not near_up
+        f_piece = piece[low] if upper_open else piece[top]
+        fed = src.available and piece[s] == f_piece
+        ders = [(d, v) for d, v in live if piece[v] == f_piece]
+        shares = [1.0] * len(ders)
+        if fed:
+            i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
+            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top,
+                                  low, z_f, np.array([v for _, v in ders], dtype=int)
+                                  ).tolist()
+        for (d, v), share in zip(ders, shares):
+            i_fault += d.i_max_pu * share
+            i_grid -= d.i_max_pu * (1 - share)
+            contributions[d.id] = d.i_max_pu
+            arrivals[d.id] = d.i_max_pu * share
+            inj[v] = inj.get(v, 0.0) + d.i_max_pu
+        if not fed and i_fault == 0.0 and not allow_dead_fault:
+            raise UnreachableFaultError("fault is disconnected")
+        at = low if upper_open else top
+
+    if src.available and not fed:
+        total = 0.0
+        for v, amount in ([(v, d.i_max_pu) for d, v in live]
+                          + [(tree.bus_index[ld.bus], -ld.current_pu) for ld in network.loads]):
+            if piece[v] == piece[s]:
+                inj[v] = inj.get(v, 0.0) + amount
+                total += amount
+        i_grid = -total
+    if src.available:
+        inj[s] = inj.get(s, 0.0) + i_grid
+
+    acc = [0.0] * len(network.buses)
+    for v, amount in inj.items():
+        acc[v] = amount
+    bus_injections = {network.buses[v]: amount for v, amount in inj.items()}
+    if at is not None:
+        acc[at] -= i_fault
+        node = FAULT_NODE if split else network.buses[at]
+        bus_injections[node] = bus_injections.get(node, 0.0) - i_fault
+    parent = tree.parent
+    for v in reversed(tree.order):
+        if parent[v] >= 0 and v not in cut:
+            acc[parent[v]] += acc[v]
+
+    values = 0.0 - tree.line_sign * np.array(acc)[tree.child]
+    values[[tree.up_line[v] for v in cut]] = 0.0
+    currents = dict(zip(tree.line_ids, values.tolist()))
+    if split:
+        up_lower = 0.0 if lower_open else acc[low] + (i_fault if upper_open else 0.0)
+        up_upper = 0.0 if upper_open else up_lower - i_fault
+        lid = tree.line_ids[tree.up_line[low]]
+        currents[lid], currents[lid + "#far"] = (
+            (-up_upper, -up_lower) if near_up else (up_lower, up_upper))
+    return currents, i_fault, i_grid, contributions, arrivals, fed, bus_injections
+
+
+def kirchhoff_residuals(network, fault, sol, open_lines=frozenset()):
+    """Net current imbalance at every node of a solution, with the nodal
+    injections of dict_solve; all zero when consistent."""
+    *_, bus_injections = dict_solve(network, fault, open_lines,
+                                    allow_dead_fault=True)
+    nodes = {b: 0.0 for b in network.buses}
+    for bus, inj in bus_injections.items():
+        nodes[bus] = nodes.get(bus, 0.0) + inj
+    split = None
+    if fault is not None and fault.is_fault:
+        top, low, _z = _fault_point(network, fault)
+        if top != low:
+            split = fault.element_id
+    for ln in network.lines:
+        flow = sol.branch_currents.get(ln.id, 0.0)
+        nodes[ln.from_bus] -= flow
+        if ln.id == split:
+            far = sol.branch_currents.get(ln.id + "#far", 0.0)
+            nodes[FAULT_NODE] = nodes.get(FAULT_NODE, 0.0) + flow - far
+            flow = far
+        nodes[ln.to_bus] += flow
+    return nodes
 
 
 def random_radial_network(rng, n_buses, with_loads=False):
@@ -258,7 +367,7 @@ class TestFaultSolver:
             net = random_radial_network(rng, rng.randint(2, 6))
             fault = random_fault(rng, net)
             sol = solve_fault_currents(net, fault, allow_dead_fault=True)
-            residuals = sol.kirchhoff_residuals(net, fault)
+            residuals = kirchhoff_residuals(net, fault, sol)
             assert max(abs(r) for r in residuals.values()) < 1e-9
 
     def test_matches_dense_oracle_on_random_networks(self):
@@ -297,7 +406,7 @@ class TestFaultSolver:
             [ln.id for ln in net.lines]) if net.lines else st.nothing()))
         sol = solve_fault_currents(net, fault, open_lines=open_lines,
                                    allow_dead_fault=True)
-        residuals = sol.kirchhoff_residuals(net, fault)
+        residuals = kirchhoff_residuals(net, fault, sol, open_lines)
         assert max(abs(r) for r in residuals.values()) < 1e-9
         if not open_lines:
             assert_matches_oracle(net, fault)
@@ -344,6 +453,77 @@ class TestFaultSolver:
         assert sol.i_fault_pu == pytest.approx(1.5)
         assert sol.i_grid_pu == 0.0
         assert sol.der_fault_arrivals_pu["D1"] == pytest.approx(1.5)
+
+
+def assert_solves_match(net, fault, open_lines=frozenset(), der_injecting=None,
+                        allow_dead_fault=True):
+    """The array-first solve against dict_solve, by float.hex()."""
+    def hexes(values):
+        return {key: float(value).hex() for key, value in values.items()}
+
+    try:
+        currents, i_fault, i_grid, contributions, arrivals, fed, _inj = dict_solve(
+            net, fault, open_lines, der_injecting, allow_dead_fault)
+    except UnreachableFaultError:
+        with pytest.raises(UnreachableFaultError):
+            solve_fault_currents(net, fault, open_lines, der_injecting, allow_dead_fault)
+        return
+    sol = solve_fault_currents(net, fault, open_lines, der_injecting, allow_dead_fault)
+    expected = hexes(currents)
+    assert [x.hex() for x in sol.line_currents.tolist()] == \
+        [expected[ln.id] for ln in net.lines]
+    if sol.split_line is None:
+        assert len(expected) == len(net.lines)
+    else:
+        assert sol.far_pu.hex() == expected[sol.split_line + "#far"]
+    assert list(hexes(sol.branch_currents).items()) == list(expected.items())
+    assert (sol.i_fault_pu.hex(), sol.i_grid_pu.hex()) == (i_fault.hex(), i_grid.hex())
+    assert hexes(sol.der_fault_arrivals_pu) == hexes(arrivals)
+    assert hexes(sol.der_contributions_pu) == hexes(contributions)
+    assert sol.source_feeds_fault == fed
+
+
+class TestSolveMatchesReplacedSolve:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_general_networks_match_bit_for_bit(self, data):
+        net = data.draw(general_networks())
+        fault = data.draw(general_faults(net) | st.none())
+        line_ids = [ln.id for ln in net.lines]
+        open_lines = set(data.draw(st.sets(st.sampled_from(line_ids)))) if line_ids else set()
+        if fault is not None and fault.element_kind == "line" and data.draw(st.booleans()):
+            open_lines.add(fault.element_id)     # an open split line
+        der_injecting = data.draw(st.none() | st.dictionaries(
+            st.sampled_from([d.id for d in net.ders]), st.booleans())) if net.ders else None
+        assert_solves_match(net, fault, frozenset(open_lines), der_injecting,
+                            data.draw(st.booleans()))
+
+    @pytest.mark.parametrize("stored_down", [True, False])
+    @pytest.mark.parametrize("position", [0.3, 0.5, 0.8])
+    def test_open_split_line_on_either_side(self, stored_down, position):
+        # The near segment of an opened faulted line is the upper one when
+        # the line is stored from its upper bus, else the lower one.
+        ends = ("A", "B") if stored_down else ("B", "A")
+        net = RadialNetwork(
+            buses=("S", "A", "B", "C"),
+            lines=(Line("L1", "S", "A", 0.1), Line("L2", *ends, 0.2),
+                   Line("L3", "B", "C", 0.1)),
+            source=ExternalSource(bus="S"),
+            ders=(DerSource("DA", "A", 0.7), DerSource("DC", "C", 0.4)),
+            loads=(LoadPoint("B", 0.1),))
+        fault = FaultScenario("line", "L2", 0.05, position)
+        for open_lines in ({"L2"}, {"L1", "L2"}, {"L2", "L3"}):
+            assert_solves_match(net, fault, frozenset(open_lines))
+
+    def test_random_feeders_match_bit_for_bit(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            net = random_radial_network(rng, rng.randint(10, 60), with_loads=True)
+            fault = random_fault(rng, net) if rng.random() < 0.8 else None
+            open_lines = frozenset(ln.id for ln in net.lines if rng.random() < 0.1)
+            quiet = ({d.id: rng.random() < 0.5 for d in net.ders}
+                     if rng.random() < 0.3 else None)
+            assert_solves_match(net, fault, open_lines, quiet)
 
 
 class TestNetworkValidation:
@@ -631,6 +811,89 @@ class TestSettingGroups:
         island_settings = apply_setting_group(table, key_island).settings
         report = simulate_protection(net, bm.two_feeder_fault(), island_settings)
         assert any(ev.breaker_id == "A" for ev in report.trips)
+
+
+def norm_locate_decision(measured, fmap, tolerance):
+    """The replaced ranking: np.linalg.norm distances and a stable argsort.
+    ("located", location), or the error type and message it raised."""
+    vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids], dtype=float)
+    if np.all(np.abs(vec) <= 1e-12):
+        return NoFaultDetectedError, "measurement vector is zero; grid looks healthy"
+    dist = np.linalg.norm(fmap.signatures - vec, axis=1)
+    ranked = np.argsort(dist, kind="stable")[:2]
+    best_d, best_loc = float(dist[ranked[0]]), fmap.candidates[ranked[0]]
+    if best_d > tolerance:
+        return NoFaultDetectedError, (
+            f"nearest signature ({best_loc[0]} {best_loc[1]}) is {best_d:.4f} pu "
+            f"away, beyond tolerance {tolerance:g}")
+    if len(ranked) > 1 and dist[ranked[1]] - best_d < tolerance:
+        second = fmap.candidates[ranked[1]]
+        return AmbiguousLocationError, (
+            f"{best_loc[0]} {best_loc[1]} and {second[0]} {second[1]} "
+            f"both match within tolerance")
+    return "located", best_loc
+
+
+@st.composite
+def located_measurements(draw):
+    """A signature map and a measurement near, on or far from one of its
+    rows: exact rows (which tie wherever two candidates share a
+    signature), small offsets, and injections whose squared gaps overflow
+    to inf."""
+    net = draw(general_networks() | st.integers(0, 2 ** 32).map(
+        lambda seed: random_radial_network(random.Random(seed), 12)))
+    candidates = ([("line", ln.id) for ln in net.lines]
+                  + [("bus", b) for b in net.buses])
+    fmap = build_fault_signature_map(
+        net, candidates, draw(st.just(0.0) | st.floats(0.02, 0.5)),
+        draw(st.sampled_from([0.0, 0.5, 1.0])))
+    row = fmap.signatures[draw(st.integers(0, len(fmap.candidates) - 1))]
+    entry = draw(st.sampled_from([
+        st.just,                                             # on the row
+        lambda v: st.floats(-1e-3, 1e-3).map(lambda e: v + e),
+        lambda v: (st.just(v) | st.floats(-3.0, 3.0)
+                   | st.sampled_from([1e155, -1e200, 1.7e308, 1e-13]))]))
+    measured = {der_id: draw(entry(value))
+                for der_id, value in zip(fmap.der_ids, row.tolist())}
+    return fmap, measured, draw(st.sampled_from([1e-3, 0.05, 0.1])
+                                | st.floats(1e-6, 5.0))
+
+
+class TestLocatorMatchesReplacedRanking:
+    @given(located_measurements())
+    @settings(max_examples=300, deadline=None)
+    def test_same_decision_location_and_message(self, case):
+        fmap, measured, tolerance = case
+        with np.errstate(over="ignore"):
+            expected = norm_locate_decision(measured, fmap, tolerance)
+        try:
+            with np.errstate(over="ignore"):
+                result = centralized_locate_fault(measured, fmap, tolerance)
+        except (NoFaultDetectedError, AmbiguousLocationError) as err:
+            assert (type(err), str(err)) == expected
+        except IsolationError:
+            # Located, but no working breaker isolates the location.
+            assert expected[0] == "located"
+            with pytest.raises(IsolationError):
+                _isolating_breakers(fmap.network, expected[1], set(), fmap.position)
+        else:
+            assert ("located", result.location) == expected
+
+    def test_exact_tie_goes_to_the_lowest_row(self):
+        # At position 1.0 a fault on L2 is one at bus F1B: rows 0 and 2
+        # (bus F1B and line L2) are equal to the bit, so a measurement on
+        # row 2 ties them, and the tie names row 0 first.
+        net = bm.two_feeder_network(der_a_injection_pu=2.0, der_b_injection_pu=4.5)
+        fmap = build_fault_signature_map(
+            net, [("line", "L2"), ("bus", "F1B"), ("bus", "F2B")], position=1.0)
+        assert fmap.signatures[0].tobytes() == fmap.signatures[2].tobytes()
+        measured = dict(zip(fmap.der_ids, fmap.signatures[2].tolist()))
+        expected = norm_locate_decision(measured, fmap, 0.1)
+        assert expected[0] is AmbiguousLocationError
+        assert expected[1].startswith("bus F1B and line L2")
+        with pytest.raises(AmbiguousLocationError) as err:
+            centralized_locate_fault(measured, fmap, 0.1)
+        assert str(err.value) == expected[1]
 
 
 class TestCentralizedScheme:

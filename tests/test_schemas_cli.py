@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import random
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +40,49 @@ def frequency_doc():
 
 def network_doc():
     return schemas.dump_network(bm.two_feeder_network(der_a_injection_pu=2.0))
+
+
+def large_feeder_docs(seed=12):
+    """A 101-bus feeder, a fault on it and its settings, as documents.
+
+    A 20-line trunk from the source t0 carries eight 10-bus laterals,
+    each behind a head breaker H<j>; impedances, loads and the lateral
+    DER sizes are seeded. A resistive fault halfway down lateral 6's
+    head line trips H6 at 0.2 s and leaves the far segment with the
+    lateral's DER (EnergizedAfterTrip). H2 is set below its lateral's
+    DER in-feed and trips first, at 0.1 s (SympatheticTrip). The 1.5 pu
+    DER G at t12 blinds trunk breaker KT on T11, upstream of it.
+    """
+    rng = random.Random(seed)
+    trunk = [f"t{i}" for i in range(21)]
+    buses, lines, ders = list(trunk), [], []
+    for i in range(1, 21):
+        lines.append({"id": f"T{i}", "from_bus": trunk[i - 1], "to_bus": trunk[i],
+                      "impedance_pu": rng.uniform(0.002, 0.006)})
+    for j in range(8):
+        prev = trunk[2 + 2 * j]
+        for k in range(10):
+            bus = f"a{j}_{k}"
+            buses.append(bus)
+            lines.append({"id": f"A{j}_{k}", "from_bus": prev, "to_bus": bus,
+                          "impedance_pu": rng.uniform(0.003, 0.008)})
+            if k % 3 == 2:
+                ders.append({"id": f"D{j}_{k}", "bus": bus,
+                             "i_max_pu": rng.uniform(0.01, 0.03)})
+            prev = bus
+    ders.append({"id": "G", "bus": "t12", "i_max_pu": 1.5})
+    loads = [{"bus": b, "current_pu": rng.uniform(0.002, 0.006)} for b in buses[1:]]
+    breakers = [{"id": "K0", "line": "T1", "i_trip_pu": 5.0, "delay_s": 0.5},
+                {"id": "KT", "line": "T11", "i_trip_pu": 2.0, "delay_s": 0.4}]
+    breakers += [{"id": f"H{j}", "line": f"A{j}_0",
+                  "i_trip_pu": 0.04 if j == 2 else 1.5,
+                  "delay_s": 0.1 if j == 2 else 0.2} for j in range(8)]
+    network = {"schema_version": 1, "buses": buses, "lines": lines,
+               "source": {"bus": "t0", "voltage_pu": 1.0, "impedance_pu": 0.05},
+               "ders": ders, "breakers": breakers, "loads": loads}
+    fault = {"element": {"kind": "line", "id": "A6_0"}, "impedance_pu": 0.3,
+             "position": 0.5}
+    return network, fault, {b["id"]: b["i_trip_pu"] for b in breakers}
 
 
 def restoration_doc():
@@ -197,6 +242,10 @@ def workspace(tmp_path):
          "position": 0.5}))
     paths["settings.json"] = tmp_path / "settings.json"
     paths["settings.json"].write_text(json.dumps(bm.TWO_FEEDER_SETTINGS))
+    for name, doc in zip(("feeder_net.json", "feeder_fault.json",
+                          "feeder_settings.json"), large_feeder_docs()):
+        paths[name] = tmp_path / name
+        paths[name].write_text(json.dumps(doc))
     paths["root"] = tmp_path
     return paths
 
@@ -499,6 +548,12 @@ PINNED_ARTIFACTS = {
     "protection": (["protection", "--network", "net.json", "--fault",
                     "fault.json", "--settings", "settings.json"],
                    {"report.json": "c91c06a45126b610"}),
+    # Trips at 0.1 and 0.2 s, a Blinding, a SympatheticTrip and two
+    # EnergizedAfterTrip, one behind a split line under an open breaker.
+    "protection_feeder": (["protection", "--network", "feeder_net.json",
+                           "--fault", "feeder_fault.json",
+                           "--settings", "feeder_settings.json"],
+                          {"report.json": "c4077ca4482e5b83"}),
     "blackstart": (["blackstart", "--scenario", "bs.json", "--seed", "5"],
                    {"timeline.csv": "85f83ae225d30786"}),
     "monte_carlo": (["blackstart", "--scenario", "bs.json", "--seed", "5",
@@ -830,6 +885,21 @@ class TestRegressions:
                                    "--baseline", "1e308", "--out", out)
         assert code == EXIT_RUNTIME
         assert "not finite" in err
+        assert not out.exists()
+
+    def test_metrics_csv_exits_2_on_an_area_that_overflows(self, workspace):
+        # The same area once went to metrics.csv as "degradation_area,inf",
+        # with numpy's overflow warning on stderr.
+        src = workspace["root"] / "src"
+        run_cli("frequency", "--scenario", workspace["freq.json"], "--out", src)
+        out = workspace["root"] / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _out, err = _cli("metrics", "--trace", src / "trace.csv",
+                                   "--baseline", "1e308", "--format", "csv",
+                                   "--out", out)
+        assert code == EXIT_RUNTIME
+        assert "not finite" in err and "Warning" not in err
         assert not out.exists()
 
     def test_fault_document_that_is_a_list(self, workspace):
