@@ -31,7 +31,6 @@ set and kept with the compiled scenario.
 """
 
 import math
-import numbers
 import random
 import statistics
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridResError, InvalidInputError
-from .fields import choice, duplicates, flag, num, obj, row, seq, table, text
+from .fields import choice, duplicates, flag, num, number, obj, require, row, seq, table, text
 
 FORMATION_DELAY_S = 60.0       # collapse to first island
 FOLLOWER_DELAY_S = 30.0        # island formation to follower reconnection
@@ -762,11 +761,8 @@ def monte_carlo(scenario: RestorationScenario, p_battery: float,
     cells. cell_radius_km is checked against the CommNode row it fills
     and the battery draws are bools, so no per-run scenario is built.
     """
-    if type(p_battery) is bool or not (isinstance(p_battery, numbers.Real)
-                                       and 0.0 <= p_battery <= 1.0):
-        raise InvalidInputError("p_battery: must be in [0, 1]")
-    if problem := row(CommNode, "cell_radius_km").check(cell_radius_km):
-        raise InvalidInputError(f"cell_radius_km: {problem}")
+    require(("p_battery", number(ge=0, le=1), p_battery),
+            ("cell_radius_km", row(CommNode, "cell_radius_km"), cell_radius_km))
     if type(runs) is bool or not (isinstance(runs, int) and 1 <= runs <= MAX_RUNS):
         raise InvalidInputError(f"runs: must be an integer in [1, {MAX_RUNS}]")
     compiled = scenario.compiled

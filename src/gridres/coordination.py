@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import GridResError, InvalidInputError
-from .fields import duplicates, flag, num, obj, row, seq, table, text
-from .frequency import DroopCurve, evaluate_droop
+from .fields import duplicates, flag, num, obj, require, row, seq, table, text
+from .frequency import DroopCurve, _droop, _droop_anchors
 
 FCR_SINGLE_UNIT_CAP = 0.05  # max share of total containment reserve per unit
 MAX_GRID_ROWS = 10**5       # most rows of a frequency grid
@@ -195,17 +195,13 @@ class ReserveRuleReport:
         return not self.violations
 
 
-def _check_exchange(rocof_max_hz_per_s: float, f_n: float,
-                    h_ag_tso_s: float = 0.0) -> None:
-    """The inputs the inertia formulas share, checked with the rows that
-    hold them: ROCOF and f_n finite and > 0, inertia finite and >= 0."""
-    rocof, h = row(InertiaPhase1, "rocof_max_hz_per_s"), row(InertiaPhase1, "h_ag_max_s")
-    problems = [f"{name}: {problem}" for name, spec, value in (
-        ("rocof_max_hz_per_s", rocof, rocof_max_hz_per_s),
-        ("f_n", row(FrequencyGrid, "f_n"), f_n), ("h_ag_tso_s", h, h_ag_tso_s))
-        if (problem := spec.check(value))]
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+def _check_exchange(**inputs: float) -> None:
+    """The inputs of the inertia formulas, checked with the rows that hold
+    them: f_n with FrequencyGrid's, h_ag_tso_s with h_ag_max_s's and the
+    others with the InertiaPhase1 row of their own name."""
+    rows = {"f_n": row(FrequencyGrid, "f_n"), "h_ag_tso_s": row(InertiaPhase1, "h_ag_max_s")}
+    require(*((name, rows.get(name) or row(InertiaPhase1, name), value)
+              for name, value in inputs.items()))
 
 
 def compute_h_ag_max(p0_irmax_pu: float, p0_ss_pu: float, f_n: float,
@@ -214,7 +210,8 @@ def compute_h_ag_max(p0_irmax_pu: float, p0_ss_pu: float, f_n: float,
 
     H = (f_n / 2) * (P0_irmax - P0_ss) / ROCOF_max
     """
-    _check_exchange(rocof_max_hz_per_s, f_n)
+    _check_exchange(rocof_max_hz_per_s=rocof_max_hz_per_s, f_n=f_n,
+                    p0_irmax_pu=p0_irmax_pu, p0_ss_pu=p0_ss_pu)
     if problems := headroom_violations(p0_irmax_pu, p0_ss_pu):
         raise InfeasibleHeadroomError("; ".join(problems))
     return (f_n / 2.0) * (p0_irmax_pu - p0_ss_pu) / rocof_max_hz_per_s
@@ -227,7 +224,8 @@ def compute_p0_ir(h_ag_tso_s: float, rocof_max_hz_per_s: float, f_n: float,
     P0_ir = 2 * H * ROCOF_max / f_n + P0_ss; the algebraic inverse of
     compute_h_ag_max.
     """
-    _check_exchange(rocof_max_hz_per_s, f_n, h_ag_tso_s)
+    _check_exchange(rocof_max_hz_per_s=rocof_max_hz_per_s, f_n=f_n,
+                    h_ag_tso_s=h_ag_tso_s, p0_ss_pu=p0_ss_pu)
     return 2.0 * h_ag_tso_s * rocof_max_hz_per_s / f_n + p0_ss_pu
 
 
@@ -252,7 +250,7 @@ def distribute_inertia(h_ag_tso_s: float, units: list[DerUnit],
     inertia constant against each unit's rating. Units with no headroom
     receive zero.
     """
-    _check_exchange(rocof_max_hz_per_s, f_n, h_ag_tso_s)
+    _check_exchange(rocof_max_hz_per_s=rocof_max_hz_per_s, f_n=f_n, h_ag_tso_s=h_ag_tso_s)
     s_ag = sum(u.p_rating for u in units)
     required_power = 2.0 * h_ag_tso_s * (s_ag / f_n) * rocof_max_hz_per_s
     total_headroom = sum(u.headroom for u in units)
@@ -300,10 +298,10 @@ def select_droop(envelope: DroopEnvelope, candidate: DroopCurve) -> DroopCurve:
     Returns the curve on acceptance; raises with the offending grid
     frequencies otherwise.
     """
-    tol = 1e-12
+    tol, anchors = 1e-12, _droop_anchors(candidate)   # evaluate_droop on finite rows
     offending = [f for f, lo, hi in zip(envelope.frequencies, envelope.p_agg_min,
                                         envelope.p_agg_max)
-                 if not lo - tol <= evaluate_droop(candidate, f) <= hi + tol]
+                 if not lo - tol <= _droop(f, anchors) <= hi + tol]
     if offending:
         raise FeasibilityViolationError(offending)
     return candidate
@@ -352,14 +350,10 @@ def check_reserve_rules(fcr_shares_pu: dict[str, float], total_fcr_pu: float,
     obeys the FleetCase.total_fcr_pu row (finite and > 0), every share
     the FleetUnit.fcr_share row (finite and >= 0).
     """
-    if problem := row(FleetCase, "total_fcr_pu").check(total_fcr_pu):
-        raise InvalidInputError(f"total_fcr_pu: {problem}")
     share_row = row(FleetUnit, "fcr_share")
-    problems = [f"fcr_shares_pu[{unit_id}]: {problem}"
-                for unit_id, share in fcr_shares_pu.items()
-                if (problem := share_row.check(share))]
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    require(("total_fcr_pu", row(FleetCase, "total_fcr_pu"), total_fcr_pu),
+            *((f"fcr_shares_pu[{unit_id}]", share_row, share)
+              for unit_id, share in fcr_shares_pu.items()))
     incident = set(incident_unit_ids)
     violations = []
     for unit_id in sorted(fcr_shares_pu):

@@ -8,6 +8,11 @@ load() walks a JSON document, collects every violation with its JSON
 path (lines[3].impedance_pu: must be finite and > 0) and builds the
 objects without checking them again; dump() writes an object as JSON.
 
+A number has one test, its row's check: a real, not a bool, that a float
+holds and that lies inside the row's bounds; load() applies it after the
+JSON type gate. require() applies rows, or number() rules, to the scalar
+arguments of the engine functions and raises one InvalidInputError.
+
 A rule spanning several fields is the class's invariants() method, run
 on both paths once every field is valid. A list drops its items that
 have violations, so the rules of the object holding it still run. JSON
@@ -69,20 +74,21 @@ class _Number(_Type):
                         f"must be finite and {cond}" if cond else "must be finite")
 
     def parse(self, raw, path, key, out):
+        if type(raw) is float and self.ok(raw):    # check's float path, inlined
+            return raw
         if raw is None:
             return self.null
-        if type(raw) is int:
-            try:
-                raw = float(raw)
-            except OverflowError:
-                return _fail(out, path, key, self.message)
-        elif type(raw) is not float:
-            return _fail(out, path, key, "must be a number")
-        return raw if self.ok(raw) else _fail(out, path, key, self.message)
+        problem = self.check(raw) if type(raw) in (float, int) else "must be a number"
+        return float(raw) if problem is None else _fail(out, path, key, problem)
 
     def check(self, x):
-        if type(x) is not float and (type(x) is bool or not isinstance(x, numbers.Real)):
-            return "must be a number"
+        if type(x) is not float:
+            if type(x) is bool or not isinstance(x, numbers.Real):
+                return "must be a number"
+            try:
+                x = float(x)
+            except OverflowError:    # an int beyond the float range
+                return self.message
         return None if self.ok(x) else self.message
 
 
@@ -207,19 +213,27 @@ def row(cls, attr):
     return cls.__table__.specs[attr]
 
 
+def number(*, gt=None, ge=None, le=None):
+    """The rule of a number row, for an argument that no table holds."""
+    return _Number(gt, ge, le)
+
+
+def require(*checks):
+    """Check (name, rule, value) triples, a rule being a row or a number();
+    raise one InvalidInputError listing name: problem for each rejected value."""
+    out = [f"{name}: {problem}" for name, rule, value in checks
+           if (problem := rule.check(value))]
+    if out:
+        raise InvalidInputError("; ".join(dict.fromkeys(out)))
+
+
 def _post_init(self):
-    table = type(self).__table__
-    for attr, check in table.checks:
-        if check(getattr(self, attr)) is not None:
-            break
-    else:
-        problems = table.rule(self)
-        if not problems:
-            return
-    name = type(self).__name__
-    out = [f"{name}.{attr}: {problem}" for attr, check in table.checks
-           if (problem := check(getattr(self, attr)))]
-    raise InvalidInputError("; ".join(out or [f"{name}.{v}" for v in problems]))
+    table, out = type(self).__table__, []
+    for attr, check in table.checks:     # a loop: no comprehension frame per object
+        if problem := check(getattr(self, attr)):
+            out.append(f"{attr}: {problem}")
+    if out := out or table.rule(self):
+        raise InvalidInputError("; ".join(f"{type(self).__name__}.{v}" for v in out))
 
 
 def _node(doc, parents, path, out):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SimulationError
-from .fields import num, obj, row, table
+from .fields import num, number, obj, require, row, table
 
 # Containment-reserve activation envelope: half output after 15 s, full
 # output after 30 s, which is a constant ramp rate of capacity/30 per second.
@@ -30,6 +30,8 @@ DEFAULT_DEAD_BAND_HZ = 0.02
 # Most samples in one simulated run. The largest use is the fine-step
 # nadir oracle's 75,001 samples.
 MAX_SAMPLES = 10**6
+
+_FINITE, _POSITIVE = number(), number(gt=0)
 
 
 class ZeroInertiaError(SimulationError):
@@ -116,9 +118,9 @@ class DisturbanceEvent:
 
 def run_violations(t_event_s, horizon_s, dt_s) -> list[str]:
     """Violations of a run's horizon and step; a run holds 2 to MAX_SAMPLES."""
-    if not (math.isfinite(dt_s) and dt_s > 0):
+    if _POSITIVE.check(dt_s):
         return ["dt_s: must be finite and > 0"]
-    if not (math.isfinite(horizon_s) and horizon_s > t_event_s):
+    if _FINITE.check(horizon_s) or not horizon_s > t_event_s:
         return ["horizon_s: must be finite and exceed event.t_event_s"]
     if not 1 <= round(min(horizon_s / dt_s, MAX_SAMPLES)) < MAX_SAMPLES:
         return [f"horizon_s / dt_s: a run must have 2 to {MAX_SAMPLES} samples"]
@@ -163,8 +165,7 @@ def evaluate_droop(curve: DroopCurve, f: float) -> float:
     Nominal power inside the dead band, linear toward each anchor outside
     it, clamped beyond the anchors.
     """
-    if not (isinstance(f, (int, float)) and math.isfinite(f)):
-        raise InvalidInputError("f: must be a finite frequency")
+    require(("f", _FINITE, f))
     return _droop(f, _droop_anchors(curve))
 
 
@@ -194,8 +195,7 @@ def _droop(f: float, anchors: tuple) -> float:
 
 def fcr_ramp_output(t_since_activation_s: float, product: FcrProduct) -> float:
     """Containment-reserve output (MW) t seconds after the activation trigger."""
-    if not (math.isfinite(t_since_activation_s) and t_since_activation_s >= 0):
-        raise InvalidInputError("t_since_activation_s: must be finite and >= 0")
+    require(("t_since_activation_s", number(ge=0), t_since_activation_s))
     return product.capacity_mw * min(t_since_activation_s / FCR_T_FULL_S, 1.0)
 
 
@@ -206,13 +206,10 @@ def inertial_power(h_s: float, rocof_hz_per_s: float, f_n: float,
     P = 2 * H * (S / f_n) * ROCOF; sign follows the ROCOF sign. H, S and
     f_n obey the SystemParameters rows that hold them.
     """
-    problems = [f"{name}: {problem}" for name, attr, value in (
-        ("h_s", "h_sys_s", h_s), ("f_n", "f_n", f_n), ("s_base_mva", "s_base_mva", s_base_mva))
-        if (problem := row(SystemParameters, attr).check(value))]
-    if not math.isfinite(rocof_hz_per_s):
-        problems.append("rocof_hz_per_s: must be finite")
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    require(("h_s", row(SystemParameters, "h_sys_s"), h_s),
+            ("f_n", row(SystemParameters, "f_n"), f_n),
+            ("s_base_mva", row(SystemParameters, "s_base_mva"), s_base_mva),
+            ("rocof_hz_per_s", _FINITE, rocof_hz_per_s))
     return 2.0 * h_s * (s_base_mva / f_n) * rocof_hz_per_s
 
 

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .fields import number, require
 from .frequency import FrequencyTrace, SystemParameters
 
 DEFAULT_FLOOR_DEVIATION_HZ = 2.5
+
+_FINITE, _FRACTION = number(), number(ge=0, le=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +101,7 @@ def degradation_area(trajectory: ServiceTrajectory, baseline: float = 1.0,
     resilient response to the same challenge. Unless clip is set, the
     baseline must dominate every sample.
     """
-    if not math.isfinite(baseline):
-        raise InvalidInputError("baseline: must be finite")
+    require(("baseline", _FINITE, baseline))
     level = trajectory.level
     if not clip and float(level.max()) > baseline + 1e-12:
         raise InvalidInputError(
@@ -119,11 +121,8 @@ def service_from_frequency(trace: FrequencyTrace, params: SystemParameters,
     Full service inside the allowed band, linear decline from the band
     edge to zero at the floor deviation, zero beyond.
     """
-    if not (math.isfinite(floor_deviation_hz)
-            and floor_deviation_hz > params.band_half_width_hz):
-        raise InvalidInputError(
-            "floor_deviation_hz: must exceed the band half width")
     band = params.band_half_width_hz
+    require(("floor_deviation_hz", number(gt=band), floor_deviation_hz))
     dev = np.abs(trace.f - params.f_n)
     inside, beyond = dev <= band, dev >= floor_deviation_hz
     level = np.where(inside, 1.0, np.where(
@@ -135,8 +134,7 @@ def service_from_frequency(trace: FrequencyTrace, params: SystemParameters,
 
 def service_from_restoration(timeline, total_load_mw: float) -> ServiceTrajectory:
     """Served-load fraction over a restoration timeline, labeled by stage."""
-    if not (math.isfinite(total_load_mw) and total_load_mw > 0):
-        raise InvalidInputError("total_load_mw: must be > 0")
+    require(("total_load_mw", number(gt=0), total_load_mw))
     times, levels, codes = [], [], []
     index: dict[str, int] = {}    # stage -> code, in order of first use
     last_t = -math.inf
@@ -166,8 +164,7 @@ def annotate_phases(trajectory: ServiceTrajectory, challenge_t: float,
     remediation time, recovery time).
     """
     events = (challenge_t, detection_t, remediation_start_t, recovery_complete_t)
-    if not all(math.isfinite(t) for t in events):
-        raise InvalidInputError("events: must be finite")
+    require(*(("events", _FINITE, t) for t in events))
     t0 = float(trajectory.t[0])
     t_end = float(trajectory.t[-1])
     marks = [t0, *events, t_end]
@@ -190,12 +187,17 @@ def annotate_phases(trajectory: ServiceTrajectory, challenge_t: float,
     )
 
 
+def phase_index(annotation: PhaseAnnotation, t):
+    """Index in annotation.intervals of the phase covering t (a time or an
+    array): the number of later phase starts at or before t, so a time
+    before the span is in Defend and one past its end in Recover."""
+    return np.searchsorted([iv.t_start for iv in annotation.intervals[1:]], t,
+                           side="right")
+
+
 def phase_at(annotation: PhaseAnnotation, t: float) -> str:
-    """Phase name covering time t (final interval closed on the right)."""
-    for iv in annotation.intervals:
-        if iv.t_start <= t < iv.t_end:
-            return iv.phase
-    return annotation.intervals[-1].phase
+    """Phase name covering time t (phase_index)."""
+    return annotation.intervals[phase_index(annotation, t)].phase
 
 
 def state_space_path(trajectory: ServiceTrajectory,
@@ -211,9 +213,8 @@ def state_space_path(trajectory: ServiceTrajectory,
     missing = sorted(set(used) - set(state_metric))
     if missing:
         raise InvalidInputError(f"state_metric: unmapped labels: {', '.join(missing)}")
-    for label, value in state_metric.items():
-        if not (0.0 <= value <= 1.0):
-            raise InvalidInputError(f"state_metric[{label}]: must be in [0, 1]")
+    require(*((f"state_metric[{label}]", _FRACTION, value)
+              for label, value in state_metric.items()))
 
     degradation = np.array([float(state_metric.get(label, 0.0))  # unused if unmapped
                             for label in trajectory.labels])[trajectory.code]

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridResError, InvalidInputError
-from .fields import choice, duplicates, flag, num, obj, row, seq, table, text
+from .fields import choice, duplicates, flag, num, number, obj, require, row, seq, table, text
 
 
 class UnreachableFaultError(GridResError):
@@ -733,6 +733,9 @@ class LocateResult:
     residual_fault_current_pu: float
 
 
+_TOLERANCE = number(gt=0)
+
+
 def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap,
                              tolerance: float,
                              failed_breakers=frozenset()) -> LocateResult:
@@ -744,13 +747,18 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     by escalating outward to the next one, and the plan is re-solved to
     report whether the fault persists.
     """
-    if not 0 < tolerance < math.inf:
-        raise InvalidInputError("tolerance: must be finite and > 0")
-    if not all(map(math.isfinite, measured.values())):
+    require(("tolerance", _TOLERANCE, tolerance))
+    try:    # one pass: a string raises TypeError, an int beyond a float OverflowError
+        finite = all(map(math.isfinite, measured.values()))
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
         raise InvalidInputError("measured: injections must be finite")
     vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids], dtype=float)
     if np.all(np.abs(vec) <= 1e-12):
         raise NoFaultDetectedError("measurement vector is zero; grid looks healthy")
+    if not fmap.candidates:
+        raise NoFaultDetectedError("the signature map holds no candidate location")
     # np.linalg.norm(gap, axis=1)'s bits without its conj() and .real copies.
     gap = fmap.signatures - vec
     dist = np.sqrt(np.add.reduce(np.multiply(gap, gap, out=gap), axis=1))

@@ -215,11 +215,10 @@ def write_monte_carlo_csv(fp, result: bs.MonteCarloResult) -> None:
 
 def write_service_csv(fp, trajectory: mt.ServiceTrajectory, annotation=None) -> None:
     """Each sample's t, level and label or, given a PhaseAnnotation, its
-    phase: the number of phase starts at or before it (as phase_at)."""
+    phase (metrics.phase_index)."""
     t, names, index = trajectory.t, trajectory.labels, trajectory.code
     if annotation is not None:
         names = [iv.phase for iv in annotation.intervals]
-        index = np.searchsorted([iv.t_start for iv in annotation.intervals[1:]],
-                                t, side="right")
+        index = mt.phase_index(annotation, t)
     fp.write("t,level,phase\n" + "".join(map("%.9g,%.9g,%s\n".__mod__, zip(
         t.tolist(), trajectory.level.tolist(), [names[k] for k in index.tolist()]))))

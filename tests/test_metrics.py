@@ -242,6 +242,10 @@ class TestAnnotatePhases:
         assert phase_at(ann, 30) == "Remediate"
         assert phase_at(ann, 60) == "Recover"
 
+    def test_time_before_the_span_is_in_defend(self):
+        ann = annotate_phases(self.span(), 10, 12, 15, 40)
+        assert phase_at(ann, ann.intervals[0].t_start - 1.0) == "Defend"
+
 
 class TestStateSpacePath:
     def test_constant_trajectory_single_point(self):

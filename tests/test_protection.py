@@ -958,13 +958,20 @@ class TestCentralizedScheme:
 
     @pytest.mark.parametrize("measured", [
         {"DER_A": math.nan, "DER_B": 1.0}, {"DER_A": 2.0, "DER_B": math.inf},
-        {"DER_A": 2.0, "DER_B": 1.0, "DER_X": -math.inf}])
+        {"DER_A": 2.0, "DER_B": 1.0, "DER_X": -math.inf},
+        {"DER_A": "x", "DER_B": 1.0}, {"DER_A": 10**400, "DER_B": 1.0}])
     def test_non_finite_measurement_rejected(self, measured):
         # A NaN injection makes every distance NaN, and the stable sort
         # would then pick the first candidate.
         fmap = build_fault_signature_map(self.network())
         with pytest.raises(InvalidInputError, match="measured"):
             centralized_locate_fault(measured, fmap, tolerance=0.1)
+
+    def test_map_without_candidates_means_no_fault(self):
+        fmap = build_fault_signature_map(self.network(), candidates=[])
+        with pytest.raises(NoFaultDetectedError, match="no candidate"):
+            centralized_locate_fault({"DER_A": 2.0, "DER_B": 1.0}, fmap,
+                                     tolerance=0.1)
 
     def test_ambiguous_on_electrically_equivalent_candidates(self):
         # A fault at the very end of a line and one at its terminal bus

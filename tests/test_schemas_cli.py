@@ -27,7 +27,7 @@ from gridres.coordination import DerUnit, InertiaPhase1
 from gridres.errors import GridResError, InvalidInputError, ScenarioValidationError
 from gridres.fields import dump
 from gridres.frequency import DisturbanceEvent, FrequencyTrace, SystemParameters
-from gridres.protection import FaultScenario
+from gridres.protection import FaultScenario, Line
 
 
 def frequency_doc():
@@ -902,6 +902,21 @@ class TestRegressions:
         assert "not finite" in err and "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("errors_json", [False, True])
+    def test_setting_beyond_the_float_range(self, workspace, errors_json):
+        # A JSON integer that no float holds once passed the settings check
+        # and crashed in float() with an OverflowError traceback.
+        settings = workspace["root"] / "huge_settings.json"
+        settings.write_text(json.dumps({**bm.TWO_FEEDER_SETTINGS, "A": 10**400}))
+        out = workspace["root"] / "o"
+        flags = ["--errors-json"] if errors_json else []
+        code, _out, err = _cli(*flags, "protection", "--network", workspace["net.json"],
+                               "--fault", workspace["fault.json"], "--settings", settings,
+                               "--out", out)
+        assert code == EXIT_VALIDATION
+        assert "settings[A]" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     def test_fault_document_that_is_a_list(self, workspace):
         fault = workspace["root"] / "fault_list.json"
         fault.write_text(json.dumps([FAULT_DOC]))
@@ -968,6 +983,7 @@ class TestDirectConstruction:
                               p0_ss_pu=0.3, p0_irmax_pu=0.5),
         lambda: InertiaPhase1(rocof_max_hz_per_s=1.0, h_ag_max_s=math.inf,
                               p0_ss_pu=0.3, p0_irmax_pu=0.5),
+        lambda: Line("x", "a", "b", 10**400),
     ])
     def test_rejected(self, make):
         with pytest.raises(InvalidInputError):
