@@ -4,7 +4,7 @@ Subcommands dispatch to the engines: frequency, coordinate, protection,
 blackstart, metrics, plus validate for scenario files. All randomness
 flows from one seed (--seed flag, GRIDRES_SEED environment variable, or
 the fixed default), so identical invocations produce byte-identical
-output files. Outputs are written atomically (temp file then rename).
+output files. A command writes all of its files or none of them.
 
 Exit codes: 0 success, 1 scenario validation error, 2 simulation or I/O
 error, 64 usage error.
@@ -48,42 +48,47 @@ def _resolve_seed(seed: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _write_atomic(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(content)
-    os.replace(tmp, path)
-
-
-def _dump_json(obj) -> str:
+def _write(out_dir: Path, files: dict[str, str]) -> None:
+    """Write all of a command's files or none: stage each, then rename all."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = {out_dir / name: out_dir / f"{name}.tmp{os.getpid()}" for name in files}
+    renamed = []
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        for path, text in zip(tmp.values(), files.values()):
+            path.write_text(text)
+        for target, path in tmp.items():
+            os.replace(path, target)
+            renamed.append(target)
+    except BaseException:
+        for path in [*tmp.values(), *renamed]:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _format(payload: dict, fmt: str = "json") -> str:
+    """A payload as JSON, or a flat one as key,value rows for --format csv.
+    Either way a NaN or infinity ends the command before it writes."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as err:   # NaN and infinity are not JSON
         raise SimulationError(f"result is not finite: {err}") from err
+    return text if fmt == "json" else "key,value\n" + "".join(
+        f"{key},{payload[key]}\n" for key in sorted(payload))
+
+
+def _csv(writer, *data) -> str:
+    buf = io.StringIO()
+    writer(buf, *data)
+    return buf.getvalue()
 
 
 def _load_json(path: Path):
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             return json.load(fp)
-    except json.JSONDecodeError as err:
+    # Not UTF-8, not JSON, an integer past the digit limit, or nested too deep.
+    except (ValueError, RecursionError) as err:
         raise ScenarioValidationError([f"{path}: not valid JSON: {err}"]) from err
-
-
-def _write_payload(out_dir: Path, stem: str, payload: dict, fmt: str) -> None:
-    """Write a payload to <stem>.json, or a flat one as key,value rows to
-    <stem>.csv. Either way a NaN or infinity ends the command unwritten."""
-    text = _dump_json(payload)
-    if fmt == "csv":
-        text = "key,value\n" + "".join(f"{key},{payload[key]}\n"
-                                       for key in sorted(payload))
-    _write_atomic(out_dir / f"{stem}.{fmt}", text)
-
-
-def _write_csv(path: Path, writer, *data) -> None:
-    buf = io.StringIO()
-    writer(buf, *data)
-    _write_atomic(path, buf.getvalue())
 
 
 def _given(*names: str) -> list[str]:
@@ -130,8 +135,8 @@ def _cmd_frequency(scenario, out_dir, seed, fmt):
     freq = schemas.load_frequency_scenario(_load_json(scenario))
     trace = freq.simulate()
     summary = fq.trace_metrics(trace, freq.system)
-    _write_csv(out_dir / "trace.csv", schemas.write_trace_csv, trace)
-    _write_payload(out_dir, "metrics", asdict(summary), fmt)
+    _write(out_dir, {"trace.csv": _csv(schemas.write_trace_csv, trace),
+                     f"metrics.{fmt}": _format(asdict(summary), fmt)})
 
 
 @cli.command("coordinate")
@@ -178,9 +183,9 @@ def _cmd_coordinate(scenario, out_dir, seed):
                        for v in report.violations],
     }
 
-    _write_payload(out_dir, "inertia_assignment", inertia_doc, "json")
-    _write_payload(out_dir, "droop_assignment", droop_doc, "json")
-    _write_payload(out_dir, "rule_report", report_doc, "json")
+    _write(out_dir, {"inertia_assignment.json": _format(inertia_doc),
+                     "droop_assignment.json": _format(droop_doc),
+                     "rule_report.json": _format(report_doc)})
 
 
 @cli.command("protection")
@@ -202,7 +207,7 @@ def _cmd_protection(network, fault, settings, out_dir, seed):
                     "explanation": i.explanation} for i in report.issues],
         "open_lines": list(report.open_lines),
     }
-    _write_payload(out_dir, "report", payload, "json")
+    _write(out_dir, {"report.json": _format(payload)})
 
 
 @cli.command("blackstart")
@@ -224,14 +229,13 @@ def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
     if p_battery is None and radius_km is None and runs is None:
         if _given("fmt"):
             raise InvalidInputError("--format applies to monte carlo mode only")
-        _write_csv(out_dir / "timeline.csv", schemas.write_timeline_csv,
-                   bs.run_restoration(restoration, seed=seed))
+        _write(out_dir, {"timeline.csv": _csv(
+            schemas.write_timeline_csv, bs.run_restoration(restoration, seed=seed))})
         return
     if p_battery is None or radius_km is None:
         raise InvalidInputError("monte carlo mode needs both --p and --radius-km")
     result = bs.monte_carlo(restoration, p_battery, radius_km,
                             runs=1 if runs is None else runs, seed=seed)
-    _write_csv(out_dir / "monte_carlo.csv", schemas.write_monte_carlo_csv, result)
     summary = {
         "runs": len(result.restored_fractions),
         "p_battery": result.p_battery,
@@ -242,7 +246,8 @@ def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
         "min_restored_fraction": min(result.restored_fractions),
         "max_restored_fraction": max(result.restored_fractions),
     }
-    _write_payload(out_dir, "summary", summary, fmt)
+    _write(out_dir, {"monte_carlo.csv": _csv(schemas.write_monte_carlo_csv, result),
+                     f"summary.{fmt}": _format(summary, fmt)})
 
 
 @cli.command("metrics")
@@ -276,7 +281,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
     if trace is not None:
         if _given("total_load_mw"):
             raise InvalidInputError("metrics: --total-load-mw applies to --timeline only")
-        with open(trace) as fp:
+        with open(trace, encoding="utf-8") as fp:
             samples = schemas.read_trace_csv(fp)
         params = fq.SystemParameters(f_n=f_n, band_half_width_hz=band_half_width_hz)
         trajectory = mt.service_from_frequency(
@@ -284,14 +289,11 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
     else:
         if foreign := _given("f_n", "band_half_width_hz", "floor_deviation_hz"):
             raise InvalidInputError(f"metrics: {', '.join(foreign)} apply to --trace only")
-        with open(timeline) as fp:
+        with open(timeline, encoding="utf-8") as fp:
             events = schemas.read_timeline_csv(fp)
         if total_load_mw is None:
             raise InvalidInputError("metrics: --timeline needs --total-load-mw")
-        holder = bs.RestorationTimeline(events=tuple(events), merge_attempts=(),
-                                        total_load_mw=total_load_mw,
-                                        total_critical_mw=0.0)
-        trajectory = mt.service_from_restoration(holder, total_load_mw)
+        trajectory = mt.service_from_restoration(events, total_load_mw)
 
     t, level = trajectory.t, trajectory.level
     payload = {
@@ -310,9 +312,9 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
             "remediation_time_s": annotation.remediation_time_s,
             "recovery_time_s": annotation.recovery_time_s,
         })
-    _write_payload(out_dir, "metrics", payload, fmt)
-    _write_csv(out_dir / "service.csv", schemas.write_service_csv, trajectory,
-               annotation)
+    _write(out_dir, {f"metrics.{fmt}": _format(payload, fmt),
+                     "service.csv": _csv(schemas.write_service_csv, trajectory,
+                                         annotation)})
 
 
 @cli.command("validate")
@@ -321,10 +323,10 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
 def _cmd_validate(scenario, out_dir):
     """Check a scenario document against every type invariant."""
     violations = schemas.validate_document(_load_json(scenario))
-    text = _dump_json({"valid": not violations, "violations": violations})
+    text = _format({"valid": not violations, "violations": violations})
     sys.stdout.write(text)
     if out_dir is not None:
-        _write_atomic(out_dir / "validation.json", text)
+        _write(out_dir, {"validation.json": text})
     if violations:
         raise ScenarioValidationError(violations)
 

@@ -132,13 +132,13 @@ def service_from_frequency(trace: FrequencyTrace, params: SystemParameters,
                              labels=("in_band", "outside_band", "floor"))
 
 
-def service_from_restoration(timeline, total_load_mw: float) -> ServiceTrajectory:
-    """Served-load fraction over a restoration timeline, labeled by stage."""
+def service_from_restoration(events, total_load_mw: float) -> ServiceTrajectory:
+    """Served-load fraction over timeline events, labeled by stage."""
     require(("total_load_mw", number(gt=0), total_load_mw))
     times, levels, codes = [], [], []
     index: dict[str, int] = {}    # stage -> code, in order of first use
     last_t = -math.inf
-    for ev in timeline.events:
+    for ev in events:
         t = ev.t_s
         if t <= last_t:  # events may share a timestamp; nudge for strictness
             t = math.nextafter(last_t, math.inf)

@@ -148,7 +148,7 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
     fq.MAX_SAMPLES rows."""
     try:
         header = next(csv.reader([fp.readline()]), [])
-    except csv.Error as err:
+    except (csv.Error, UnicodeDecodeError) as err:   # readline decodes past the header
         raise InvalidInputError(f"trace csv: {err}") from None
     if "t" not in header or "f" not in header:
         raise InvalidInputError("trace csv: needs columns t and f")

@@ -101,7 +101,7 @@ ARGUMENTS = {
         fq.FrequencyTrace.from_frequencies(np.arange(3.0), np.full(3, 50.0), 1.0),
         fq.SystemParameters(), v), 2.5),
     "service_from_restoration.total_load_mw": (lambda v: mt.service_from_restoration(
-        bs.run_restoration(bm.benchmark_restoration_scenario()), v), 10.0),
+        bs.run_restoration(bm.benchmark_restoration_scenario()).events, v), 10.0),
     **_positional("annotate_phases", lambda *marks: mt.annotate_phases(_trajectory(), *marks),
                   ("challenge_t", "detection_t", "remediation_start_t",
                    "recovery_complete_t"), (0.5, 1.0, 1.5, 2.0)),

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
-from gridres.blackstart import (RestorationTimeline, ServiceClass,
-                                TimelineEvent, classify_service,
+from gridres.blackstart import (ServiceClass, TimelineEvent, classify_service,
                                 run_restoration)
 from gridres.cli import EXIT_OK, main
 from gridres.errors import InvalidInputError
@@ -136,47 +135,43 @@ class TestServiceFromFrequency:
 
 
 class TestServiceFromRestoration:
-    def timeline(self, served_rows, total=100.0):
-        events = tuple(
+    def events(self, served_rows):
+        return tuple(
             TimelineEvent(t_s=float(i * 10), stage=stage,
                           served_total_mw=served, served_critical_mw=0.0,
                           service_class=ServiceClass.UNACCEPTABLE)
             for i, (stage, served) in enumerate(served_rows))
-        return RestorationTimeline(events=events, merge_attempts=(),
-                                   total_load_mw=total, total_critical_mw=0.0)
 
     def test_blackout_event_level_zero(self):
-        traj = service_from_restoration(self.timeline([("S2", 0.0)]), 100.0)
+        traj = service_from_restoration(self.events([("S2", 0.0)]), 100.0)
         assert traj.level[0] == 0.0
         assert label_at(traj, 0) == "S2"
 
     def test_ratio(self):
         traj = service_from_restoration(
-            self.timeline([("S2", 0.0), ("S3", 60.0)]), 100.0)
+            self.events([("S2", 0.0), ("S3", 60.0)]), 100.0)
         assert traj.level[1] == pytest.approx(0.6)
 
     def test_full_restoration_level_one(self):
         traj = service_from_restoration(
-            self.timeline([("S2", 0.0), ("S5'", 100.0)]), 100.0)
+            self.events([("S2", 0.0), ("S5'", 100.0)]), 100.0)
         assert traj.level[-1] == 1.0
 
     def test_zero_total_load_rejected(self):
         with pytest.raises(InvalidInputError):
-            service_from_restoration(self.timeline([("S2", 0.0)]), 0.0)
+            service_from_restoration(self.events([("S2", 0.0)]), 0.0)
 
     def test_stage_codes_fit_int8(self):
         stages = [(f"s{k}", 0.0) for k in range(129)]
-        traj = service_from_restoration(self.timeline(stages[:128]), 100.0)
+        traj = service_from_restoration(self.events(stages[:128]), 100.0)
         assert traj.labels[traj.code[-1]] == "s127"
         with pytest.raises(InvalidInputError, match="at most 128 distinct"):
-            service_from_restoration(self.timeline(stages), 100.0)
+            service_from_restoration(self.events(stages), 100.0)
 
     def test_shared_timestamps_are_nudged_and_labels_kept(self):
-        events = self.timeline([("S2", 0.0), ("S3", 40.0), ("S2", 60.0)]).events
+        events = self.events([("S2", 0.0), ("S3", 40.0), ("S2", 60.0)])
         events = tuple(replace(ev, t_s=10.0) for ev in events)
-        holder = RestorationTimeline(events=events, merge_attempts=(),
-                                     total_load_mw=100.0, total_critical_mw=0.0)
-        traj = service_from_restoration(holder, 100.0)
+        traj = service_from_restoration(events, 100.0)
         assert traj.t.tolist() == [10.0, math.nextafter(10.0, 11.0),
                                    math.nextafter(math.nextafter(10.0, 11.0), 11.0)]
         assert traj.labels == ("S2", "S3")
@@ -185,7 +180,7 @@ class TestServiceFromRestoration:
     def test_consistency_with_classify_service(self):
         # level 1.0 exactly when the event classifies as acceptable.
         timeline = run_restoration(bm.benchmark_restoration_scenario(), seed=4)
-        traj = service_from_restoration(timeline, timeline.total_load_mw)
+        traj = service_from_restoration(timeline.events, timeline.total_load_mw)
         for level, event in zip(traj.level.tolist(), timeline.events):
             is_acceptable = classify_service(
                 event.served_critical_mw, timeline.total_critical_mw,

@@ -462,6 +462,41 @@ class TestCliArtifacts:
         assert 0 < payload["final_level"] <= 1.0
 
 
+FREQUENCY_ARGS = ("frequency", "--scenario", "freq.json")
+COORDINATE_ARGS = ("coordinate", "--scenario", "fleet.json")
+MONTE_CARLO_ARGS = ("blackstart", "--scenario", "bs.json", "--p", "0.5",
+                    "--radius-km", "2", "--runs", "3")
+METRICS_ARGS = ("metrics", "--trace", "src/trace.csv")
+PROTECTION_ARGS = ("protection", "--network", "net.json", "--fault", "fault.json",
+                   "--settings", "settings.json")
+# Every artifact of the commands that write more than one, and protection's.
+ARTIFACTS = [
+    (FREQUENCY_ARGS, "trace.csv"), (FREQUENCY_ARGS, "metrics.json"),
+    (COORDINATE_ARGS, "inertia_assignment.json"),
+    (COORDINATE_ARGS, "droop_assignment.json"), (COORDINATE_ARGS, "rule_report.json"),
+    (MONTE_CARLO_ARGS, "monte_carlo.csv"), (MONTE_CARLO_ARGS, "summary.json"),
+    (METRICS_ARGS, "metrics.json"), (METRICS_ARGS, "service.csv"),
+    (PROTECTION_ARGS, "report.json"),
+]
+
+
+class TestAllOrNone:
+    @pytest.mark.parametrize("args,artifact", ARTIFACTS,
+                             ids=[f"{a[0]}-{name}" for a, name in ARTIFACTS])
+    def test_a_blocked_artifact_leaves_no_other_file(self, workspace, args, artifact):
+        # A directory where the artifact goes makes its rename fail, after
+        # every file of the command is staged and some are renamed.
+        root = workspace["root"]
+        run_cli("frequency", "--scenario", workspace["freq.json"], "--out", root / "src")
+        out = root / "out"
+        (out / artifact).mkdir(parents=True)
+        argv = [root / a if a.endswith((".json", ".csv")) else a for a in args]
+        code, _out, err = _cli(*argv, "--out", out)
+        assert code == EXIT_RUNTIME, err
+        assert [p.name for p in out.iterdir()] == [artifact]
+        assert not any((out / artifact).iterdir())
+
+
 class TestCliReproducibility:
     def _read_all(self, out_dir: Path) -> dict[str, bytes]:
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
@@ -917,6 +952,26 @@ class TestRegressions:
         assert "settings[A]" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("text", [
+        b"\xff{}",
+        b'{"A": 1' + b"0" * 4400 + b', "B": 3.8, "C": 8.0}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not_utf8", "4401_digits", "nested_100000_deep"])
+    @pytest.mark.parametrize("errors_json", [False, True])
+    def test_json_the_decoder_rejects(self, workspace, text, errors_json):
+        # Each once ended in a UnicodeDecodeError, ValueError or
+        # RecursionError traceback rather than exit 1.
+        settings = workspace["root"] / "undecodable.json"
+        settings.write_bytes(text)
+        out = workspace["root"] / "o"
+        flags = ["--errors-json"] if errors_json else []
+        code, _out, err = _cli(*flags, "protection", "--network", workspace["net.json"],
+                               "--fault", workspace["fault.json"], "--settings", settings,
+                               "--out", out)
+        assert code == EXIT_VALIDATION
+        assert "undecodable.json: not valid JSON" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_fault_document_that_is_a_list(self, workspace):
         fault = workspace["root"] / "fault_list.json"
         fault.write_text(json.dumps([FAULT_DOC]))
@@ -1087,6 +1142,21 @@ class TestCsvReaders:
         code, _out, err = _cli("metrics", "--trace", trace, "--out", tmp_path / "o")
         assert code == EXIT_VALIDATION and "at most 5 rows" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags,text", [
+        (["--trace"], b"t,f\n0,50\n\xff,1\n"),
+        (["--trace"], b"t,f\n" + b"".join(b"%d,50\n" % k for k in range(20_000))
+         + b"\xff,1\n"),
+        (["--total-load-mw", "10", "--timeline"],
+         b"t,stage,served_total,served_critical,service_class\n"
+         b"0,S2,0,0,unacceptable\n\xff,S3,5,1,impaired\n"),
+    ], ids=["trace", "trace_past_the_first_chunk", "timeline"])
+    def test_metrics_cli_exits_1_on_input_that_is_not_utf8(self, tmp_path, flags, text):
+        src = tmp_path / "input.csv"
+        src.write_bytes(text)
+        code, _out, err = _cli("metrics", *flags, src, "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and "utf-8" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     def test_metrics_cli_exits_1_on_bad_csv(self, tmp_path):
         trace = tmp_path / "trace.csv"
