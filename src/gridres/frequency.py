@@ -224,12 +224,6 @@ def _fleet_dead_band(droop_fleet: list[RatedDroopCurve]) -> float:
 SEC_K_TRACK = 1.0
 
 
-def _clamp(x: float, c: float) -> float:
-    """max(-c, min(c, x)) without the cost of the two builtin calls."""
-    x = x if x < c else c
-    return x if x > -c else -c
-
-
 def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
                          fcr: FcrProduct, secondary: SecondaryReserve,
                          droop_fleet: list[RatedDroopCurve] | None = None,
@@ -305,7 +299,8 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     # deviation first leaves the dead band.
     t_act = sec_start = math.inf
 
-    def rhs(tt, ff, ps):
+    # Each clamp is max(-c, min(c, x)) written as two conditional expressions.
+    def dfdt(tt, ff, ps):
         p_fleet = 0.0
         for rating, anchors, base in fleet:
             p_fleet += rating * _droop(ff, anchors) - base
@@ -317,13 +312,23 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
             if abs(dev) > dead_band:
                 frac = (abs(dev) - dead_band) / span
                 demand = math.copysign(fcr_cap * (1.0 if frac > 1.0 else frac), dev)
-            p_fcr = _clamp(demand, envelope)
-        dpdt = 0.0
-        if tt >= sec_start:
-            demand = _clamp(cover + sec_bias * (f_n - ff), sec_cap)
-            dpdt = _clamp(SEC_K_TRACK * (demand - ps), sec_rate)
+            p_fcr = demand if demand < envelope else envelope
+            p_fcr = p_fcr if p_fcr > -envelope else -envelope
         p = p_event + p_fleet + p_fcr + ps - damping * (ff - f_n) * s_base
-        return f_n * p / denom, dpdt
+        return f_n * p / denom
+
+    def dpsdt(tt, ff, ps):
+        if tt < sec_start:
+            return 0.0
+        demand = cover + sec_bias * (f_n - ff)
+        demand = demand if demand < sec_cap else sec_cap
+        demand = demand if demand > -sec_cap else -sec_cap
+        rate = SEC_K_TRACK * (demand - ps)
+        rate = rate if rate < sec_rate else sec_rate
+        return rate if rate > -sec_rate else -sec_rate
+
+    def rhs(tt, ff, ps):
+        return dfdt(tt, ff, ps), dpsdt(tt, ff, ps)
 
     # The pre-event system sits exactly at equilibrium; integration starts
     # at the event instant so the sample there is still f_n and the step
@@ -340,12 +345,28 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
         first += 1
     fi, ps, dev_after = f_n, 0.0, 0.0
     for j in range(first, n):
-        k1f, k1p = rhs(t0, fi, ps)
-        k2f, k2p = rhs(t0 + h / 2, fi + k1f * h / 2, ps + k1p * h / 2)
-        k3f, k3p = rhs(t0 + h / 2, fi + k2f * h / 2, ps + k2p * h / 2)
-        k4f, k4p = rhs(t0 + h, fi + k3f * h, ps + k3p * h)
-        fi = fi + h * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0
-        ps = ps + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+        if t0 + h < sec_start:
+            # Every stage precedes the restoration reserve: ps stays 0.0.
+            k1 = dfdt(t0, fi, ps)
+            k2 = dfdt(t0 + h / 2, fi + k1 * h / 2, ps)
+            k3 = dfdt(t0 + h / 2, fi + k2 * h / 2, ps)
+            k4 = dfdt(t0 + h, fi + k3 * h, ps)
+            fi = fi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        else:
+            k1f, k1p = rhs(t0, fi, ps)
+            k2f, k2p = rhs(t0 + h / 2, fi + k1f * h / 2, ps + k1p * h / 2)
+            k3f, k3p = rhs(t0 + h / 2, fi + k2f * h / 2, ps + k2p * h / 2)
+            k4f, k4p = rhs(t0 + h, fi + k3f * h, ps + k3p * h)
+            f_next = fi + h * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0
+            p_next = ps + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+            # Past sec_start with the containment envelope at capacity, no
+            # stage depends on time: a step that returns its own state repeats
+            # for ever. fi and ps are never -0.0 and NaN != NaN, so == is bitwise.
+            if (f_next == fi and p_next == ps and t0 >= sec_start
+                    and fcr_rate * (t0 - t_act) >= fcr_cap):
+                f[j:] = fi
+                return
+            fi, ps = f_next, p_next
         f[j] = fi
         if t_act == math.inf:
             dev_before, dev_after = dev_after, abs(fi - f_n)

@@ -139,8 +139,9 @@ def load_fleet(doc) -> FleetCase:
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(fp, trace: fq.FrequencyTrace) -> None:
-    fp.write("t,f,rocof\n" + "".join(map("%.9g,%.9g,%.9g\n".__mod__, zip(
-        trace.t.tolist(), trace.f.tolist(), trace.rocof.tolist()))))
+    # Row-major cells: t, f and rocof of each sample in turn, for one % call.
+    cells = np.stack((trace.t, trace.f, trace.rocof), axis=1).ravel().tolist()
+    fp.write(("t,f,rocof\n" + "%.9g,%.9g,%.9g\n" * len(trace)) % tuple(cells))
 
 
 def read_trace_csv(fp) -> fq.FrequencyTrace:
@@ -191,8 +192,9 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
             service_class=bs.ServiceClass(row["service_class"]))
             for row in rows]
     # No such column, a short row, a bad cell, a row the csv module rejects.
+    # A cell, or a decode error's chunk, can be as long as the file: bound the text.
     except (KeyError, TypeError, ValueError, csv.Error) as err:
-        raise InvalidInputError(f"timeline csv: {err!r}") from None
+        raise InvalidInputError(f"timeline csv: {type(err).__name__}: {str(err):.100}") from None
     if not events:
         raise InvalidInputError("timeline csv: no rows")
     if len(events) > fq.MAX_SAMPLES:
@@ -203,7 +205,7 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
     # Stages are written back unquoted (write_service_csv, write_timeline_csv).
     for ev in events:
         if not _CSV_SPECIAL.isdisjoint(ev.stage):
-            raise InvalidInputError(f"timeline csv: stage {ev.stage!r} must not hold "
+            raise InvalidInputError(f"timeline csv: stage {ev.stage[:60]!r} must not hold "
                                     "a comma, a quote or a line break")
     return events
 

@@ -426,6 +426,41 @@ class TestKernelMatchesReplacedLoop:
             return
         assert np.array_equal(simulate_disturbance(**run).f, expected)
 
+    @pytest.mark.parametrize("delta_p_pu", [-0.04, -0.16])
+    @pytest.mark.parametrize("h_sys_s", [2.0, 2.5, 3.5, 4.0, 5.0])
+    def test_sweep_shapes_match_oracle(self, h_sys_s, delta_p_pu):
+        # The benchmark sweep's runs: the restoration reserve starts about
+        # 31 s after the event, so each run integrates both kernel phases.
+        run = dict(params=bm.benchmark_system(h_sys_s),
+                   event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=delta_p_pu),
+                   fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+                   droop_fleet=bm.benchmark_droop_fleet(), horizon_s=36.0, dt_s=0.01)
+        assert np.array_equal(simulate_disturbance(**run).f, _oracle_frequencies(**run))
+
+    def test_settled_runs_match_oracle(self):
+        # A fast restoration reserve brings f to a fixed point well inside
+        # the horizon, where the kernel fills the rest of the trace at once.
+        settled = []
+
+        @given(h_sys_s=st.floats(1.0, 6.0), delta_p_pu=st.floats(-0.18, -0.02),
+               full_activation_time_s=st.floats(31.0, 60.0),
+               horizon_s=st.floats(150.0, 300.0), dt_s=st.sampled_from([0.02, 0.05]))
+        @settings(max_examples=4, deadline=None)
+        def check(h_sys_s, delta_p_pu, full_activation_time_s, horizon_s, dt_s):
+            run = dict(params=bm.benchmark_system(h_sys_s),
+                       event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=delta_p_pu),
+                       fcr=bm.benchmark_fcr(),
+                       secondary=SecondaryReserve(
+                           capacity_mw=20.0, full_activation_time_s=full_activation_time_s),
+                       droop_fleet=bm.benchmark_droop_fleet(), horizon_s=horizon_s, dt_s=dt_s)
+            expected = _oracle_frequencies(**run)
+            assert simulate_disturbance(**run).f.tobytes() == expected.tobytes()
+            # Settled: the last 10 s of the trace hold one value.
+            settled.append(bool((expected[-round(10.0 / dt_s):] == expected[-1]).all()))
+
+        check()
+        assert any(settled)
+
     # sha256 of the frequency samples and of the written trace CSV, as the
     # replaced controller loop produced them.
     PINNED = {

@@ -1158,6 +1158,25 @@ class TestCsvReaders:
         assert code == EXIT_VALIDATION and "utf-8" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        b"t,stage,served_total,served_critical,service_class\n"
+        + b"".join(b"%d,S2,0,0,unacceptable\n" % k for k in range(300))
+        + b"\xff,S3,5,1,impaired\n",
+        b"t,stage,served_total,served_critical,service_class\n"
+        b"0,S2," + b"x" * 100_000 + b",0,impaired\n",
+        b"t,stage,served_total,served_critical,service_class\n"
+        b'0,"' + b"x" * 100_000 + b',y",0,0,unacceptable\n',
+    ], ids=["byte_that_is_not_utf8", "long_cell_that_is_not_a_number",
+            "long_stage_with_a_comma"])
+    def test_metrics_cli_timeline_error_text_is_bounded(self, tmp_path, text):
+        # The message must not echo the decoded chunk or a whole cell.
+        src = tmp_path / "timeline.csv"
+        src.write_bytes(text)
+        code, _out, err = _cli("metrics", "--total-load-mw", "10", "--timeline", src,
+                               "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and len(err.encode()) < 300
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     def test_metrics_cli_exits_1_on_bad_csv(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("t,f,rocof\n0,50,0\n0.01,49.9,0\n5,49.8,0\n5.01,49.8,0\n")
