@@ -179,18 +179,14 @@ def _droop_anchors(curve: DroopCurve) -> tuple:
 
 
 def _droop(f: float, anchors: tuple) -> float:
-    """evaluate_droop on _droop_anchors(curve), with no input check."""
+    """evaluate_droop on _droop_anchors(curve), with no input check. _integrate
+    inlines it; TestKernelMatchesReplacedLoop checks that copy against it."""
     lo, hi, p_nominal, f_min, p_max, rise, run_under, f_max, p_min, fall, run_over = anchors
     if lo <= f <= hi:
         return p_nominal
-    if f < lo:
-        if f <= f_min:
-            return p_max
-        # linear between (f_min, p_max) and (lo, p_nominal)
-        return p_max + (f - f_min) * rise / run_under
-    if f >= f_max:
-        return p_min
-    return p_nominal + (f - hi) * fall / run_over
+    if f < lo:      # linear between (f_min, p_max) and (lo, p_nominal)
+        return p_max if f <= f_min else p_max + (f - f_min) * rise / run_under
+    return p_min if f >= f_max else p_nominal + (f - hi) * fall / run_over
 
 
 def fcr_ramp_output(t_since_activation_s: float, product: FcrProduct) -> float:
@@ -270,7 +266,8 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
 
     Runs on Python floats with every constant taken out of the loop; each
     expression keeps one fixed operation order, so a trace is a bit-exact
-    function of the inputs.
+    function of the inputs. The stage function evaluates the droop law
+    inline, keeping _droop's branch order and expressions.
 
     The containment reserve deploys proportionally to the frequency
     deviation (full deployment at the band edge) but never faster than
@@ -291,9 +288,9 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     sec_rate = sec_cap / secondary.full_activation_time_s
     sec_bias = sec_cap / params.band_half_width_hz        # MW per Hz
     cover = -event.delta_p_pu * s_base
-    # (rating, droop anchors, baseline output): only the change relative to
-    # the baseline injects power.
-    fleet = [(r.rating_mw, _droop_anchors(r.curve), r.rating_mw * evaluate_droop(r.curve, f_n))
+    # (rating, *droop anchors, baseline output): only the change relative
+    # to the baseline injects power.
+    fleet = [(r.rating_mw, *_droop_anchors(r.curve), r.rating_mw * evaluate_droop(r.curve, f_n))
              for r in droop_fleet]
     # Containment activation instant and restoration start, inf until the
     # deviation first leaves the dead band.
@@ -302,33 +299,40 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     # Each clamp is max(-c, min(c, x)) written as two conditional expressions.
     def dfdt(tt, ff, ps):
         p_fleet = 0.0
-        for rating, anchors, base in fleet:
-            p_fleet += rating * _droop(ff, anchors) - base
+        for (rating, lo, hi, p_nom, f_min, p_max, rise, run_under,
+             f_max, p_min, fall, run_over, base) in fleet:
+            if lo <= ff <= hi:
+                out = p_nom
+            elif ff < lo:
+                out = p_max if ff <= f_min else p_max + (ff - f_min) * rise / run_under
+            else:
+                out = p_min if ff >= f_max else p_nom + (ff - hi) * fall / run_over
+            p_fleet += rating * out - base
         p_fcr = 0.0
         if tt >= t_act:
             envelope = fcr_rate * (tt - t_act)
             dev = f_n - ff
             demand = 0.0
-            if abs(dev) > dead_band:
-                frac = (abs(dev) - dead_band) / span
-                demand = math.copysign(fcr_cap * (1.0 if frac > 1.0 else frac), dev)
+            if dev > dead_band:
+                frac = (dev - dead_band) / span
+                demand = fcr_cap * (1.0 if frac > 1.0 else frac)
+            elif -dev > dead_band:
+                frac = (-dev - dead_band) / span
+                demand = -(fcr_cap * (1.0 if frac > 1.0 else frac))
             p_fcr = demand if demand < envelope else envelope
             p_fcr = p_fcr if p_fcr > -envelope else -envelope
         p = p_event + p_fleet + p_fcr + ps - damping * (ff - f_n) * s_base
         return f_n * p / denom
 
-    def dpsdt(tt, ff, ps):
+    def rhs(tt, ff, ps):
         if tt < sec_start:
-            return 0.0
+            return dfdt(tt, ff, ps), 0.0
         demand = cover + sec_bias * (f_n - ff)
         demand = demand if demand < sec_cap else sec_cap
         demand = demand if demand > -sec_cap else -sec_cap
         rate = SEC_K_TRACK * (demand - ps)
         rate = rate if rate < sec_rate else sec_rate
-        return rate if rate > -sec_rate else -sec_rate
-
-    def rhs(tt, ff, ps):
-        return dfdt(tt, ff, ps), dpsdt(tt, ff, ps)
+        return dfdt(tt, ff, ps), (rate if rate > -sec_rate else -sec_rate)
 
     # The pre-event system sits exactly at equilibrium; integration starts
     # at the event instant so the sample there is still f_n and the step
@@ -343,13 +347,14 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
         t0, h = event.t_event_s, t0 - event.t_event_s
     else:
         first += 1
-    fi, ps, dev_after = f_n, 0.0, 0.0
+    fi, ps, dev_after, active = f_n, 0.0, 0.0, False
     for j in range(first, n):
         if t0 + h < sec_start:
             # Every stage precedes the restoration reserve: ps stays 0.0.
+            t_mid = t0 + h / 2
             k1 = dfdt(t0, fi, ps)
-            k2 = dfdt(t0 + h / 2, fi + k1 * h / 2, ps)
-            k3 = dfdt(t0 + h / 2, fi + k2 * h / 2, ps)
+            k2 = dfdt(t_mid, fi + k1 * h / 2, ps)
+            k3 = dfdt(t_mid, fi + k2 * h / 2, ps)
             k4 = dfdt(t0 + h, fi + k3 * h, ps)
             fi = fi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         else:
@@ -368,9 +373,10 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
                 return
             fi, ps = f_next, p_next
         f[j] = fi
-        if t_act == math.inf:
+        if not active:
             dev_before, dev_after = dev_after, abs(fi - f_n)
             if dev_after > dead_band:
+                active = True
                 # Locate the crossing inside the step by linear interpolation.
                 frac = 0.0
                 if dev_after > dev_before:

@@ -242,7 +242,9 @@ class _CompiledFeeder:
             prev, half = rows[-1], 2 ** (len(rows) - 1)
             a, b = prev[:-half], prev[half:]
             rows.append(np.where(self.depth_pre[a] <= self.depth_pre[b], a, b))
-        self.min_depth = np.array([np.pad(row, (0, n - len(row))) for row in rows])
+        self.min_depth = np.zeros((len(rows), n), dtype=int)
+        for k, row in enumerate(rows):
+            self.min_depth[k, :len(row)] = row
         self.roots = self.pieces(()).tolist()
 
     def lca(self, u, v):

@@ -483,6 +483,31 @@ class TestKernelMatchesReplacedLoop:
         assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
                 hashlib.sha256(buf.getvalue().encode()).hexdigest()) == self.PINNED[horizon_s]
 
+    def test_over_frequency_trace_bytes_are_pinned(self):
+        # The bundled scenario with a 0.2 pu load loss and two more curves.
+        # f peaks at 50.23 Hz, past every curve's f_max, so each droop
+        # branch, the over-frequency containment demand and both kernel
+        # phases run. Digests as the replaced controller loop produced them.
+        fleet = bm.benchmark_droop_fleet() + [
+            RatedDroopCurve(curve=DroopCurve(f_n=50.0, dead_band_half_width=dead_band,
+                                             p_nominal=0.5, p_max=1.0, f_min=f_min,
+                                             p_min=0.0, f_max=f_max), rating_mw=rating)
+            for rating, dead_band, f_min, f_max in ((10.0, 0.01, 49.7, 50.2),
+                                                    (2.0, 0.0, 49.9, 50.03))]
+        run = dict(params=bm.benchmark_system(),
+                   event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=0.2),
+                   fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+                   droop_fleet=fleet, horizon_s=60.0, dt_s=0.01)
+        trace = simulate_disturbance(**run)
+        assert trace.f.max() > 50.23
+        assert np.array_equal(trace.f, _oracle_frequencies(**run))
+        buf = io.StringIO()
+        schemas.write_trace_csv(buf, trace)
+        assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (
+            "b792ed1800c8b6992efa55c88fdc9ea07695f7589a0109c3879d10b6aa783b78",
+            "ebc0c97bccdc1e9c22b19697556f29cea5f9c12f3fea006889c0bf3e257226a3")
+
 
 class TestTraceMetrics:
     def _trace(self, f_values, dt=1.0):

@@ -433,6 +433,20 @@ class TestFaultSolver:
         assert net.compiled is net.compiled
         assert replace(net, loads=()).compiled is not net.compiled
 
+    @pytest.mark.parametrize("n_buses", [1, 2, 3, 4, 5, 8, 9, 17])
+    def test_min_depth_matches_padded_rows(self, n_buses):
+        # The sparse table as the replaced construction built it: each row
+        # zero-padded to n by np.pad.
+        tree = random_radial_network(random.Random(n_buses), n_buses).compiled
+        rows = [np.arange(n_buses)]
+        while 2 ** len(rows) <= n_buses:
+            prev, half = rows[-1], 2 ** (len(rows) - 1)
+            a, b = prev[:-half], prev[half:]
+            rows.append(np.where(tree.depth_pre[a] <= tree.depth_pre[b], a, b))
+        expected = np.array([np.pad(row, (0, n_buses - len(row))) for row in rows])
+        assert tree.min_depth.dtype == expected.dtype
+        assert np.array_equal(tree.min_depth, expected)
+
     def test_unreachable_fault_raises(self):
         net = RadialNetwork(
             buses=("S", "A", "B"),
