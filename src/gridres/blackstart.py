@@ -9,8 +9,7 @@ battery lasts, and their radio range is a disk of the cell radius.
 
 A merge of two live islands additionally passes a synchronization check:
 equal frequency and a phase shift below the policy threshold. Phase
-alignment is abstracted as a seeded draw whose window halves on every
-retry, so a comm-feasible merge always succeeds after a few rounds.
+alignment is a seeded draw whose window halves on every retry.
 
 Monte Carlo studies sample battery placement with common random numbers
 across parameter cells, which makes the restored-load trend monotone in
@@ -25,11 +24,13 @@ study, by later runs; a comm graph is just that tuple of components,
 one int bitset of comm nodes each. Single runs and Monte Carlo runs go
 through run_restoration.
 
-An island is its set of areas. What that set fixes, its load split, its
-follower candidates and its comm nodes, is built once per distinct area
-set and kept with the compiled scenario.
+An island is its set of areas, an int with one bit per area in
+sorted-name order. What that set fixes, its load split, its follower
+candidates and its comm nodes, is built once per distinct area set and
+kept with the compiled scenario.
 """
 
+import itertools
 import math
 import random
 import statistics
@@ -216,70 +217,69 @@ class _CompiledRestoration:
     change none of it.
 
     Comm nodes are numbered in bus-id order (comm[i]), buses as in
-    scenario.buses. cover_dist[i, k] is the distance from comm node i to
-    bus k, and bus comm_at[i] holds node i. Sets of comm nodes and of
-    buses are ints with one bit per index. The load split, follower
-    candidates and comm nodes of an island are memoised per area set
-    (island), for every run of the scenario.
+    scenario.buses, areas in name order (areas[a]). cover_dist[i, k] is
+    the distance from comm node i to bus k, and bus comm_at[i] holds node
+    i. Sets of comm nodes, buses and areas are ints with one bit per
+    index; area_of maps a bus id to its area's number. The load split,
+    follower candidates and comm nodes of an island are memoised per
+    area set (island), for every run of the scenario.
     """
 
     def __init__(self, scn: RestorationScenario):
         self.loads = scn.loads
         self.followers = tuple(d for d in scn.ders
                                if d.capability is not DerCapability.GRID_FORMING)
-        self._islands: dict[frozenset[str], _Island] = {}
+        self._islands: dict[int, _Island] = {}
         self.comm = tuple(sorted(scn.comm, key=lambda c: c.bus))
         bus_index = {b.id: k for k, b in enumerate(scn.buses)}
         points = [(float(b.x_km), float(b.y_km)) for b in scn.buses]   # as math.dist
         self.comm_at = [bus_index[c.bus] for c in self.comm]
         self.cover_dist = _distances([points[k] for k in self.comm_at], points)
-        self.area_of = {b.id: b.area for b in scn.buses}
-        self.areas = sorted(set(self.area_of.values()))
-        self.area_bus_bits = dict.fromkeys(self.areas, 0)
+        self.areas = scn.areas
+        number = {a: i for i, a in enumerate(self.areas)}
+        self.area_of = {b.id: number[b.area] for b in scn.buses}
+        self.area_bus_bits = [0] * len(self.areas)
         for k, b in enumerate(scn.buses):
-            self.area_bus_bits[b.area] |= 1 << k
-        self.area_comm_bits = dict.fromkeys(self.areas, 0)
+            self.area_bus_bits[number[b.area]] |= 1 << k
+        self.area_comm_bits = [0] * len(self.areas)
         for i, c in enumerate(self.comm):
             self.area_comm_bits[self.area_of[c.bus]] |= 1 << i
-        self.adjacent = {a: set() for a in self.areas}
+        self.adjacent = [0] * len(self.areas)
         for s in scn.switches:
-            self.adjacent[s.area_a].add(s.area_b)
-            self.adjacent[s.area_b].add(s.area_a)
+            self.adjacent[number[s.area_a]] |= 1 << number[s.area_b]
+            self.adjacent[number[s.area_b]] |= 1 << number[s.area_a]
         self.total_load_mw = scn.total_load_mw()
         self.total_critical_mw = scn.total_critical_mw()
 
-    def neighbors(self, areas) -> list[str]:
-        """Areas one switch away from a set of areas, sorted."""
-        out = set()
-        for a in areas:
+    def neighbors(self, areas: int) -> int:
+        """The areas one switch away from a set of areas."""
+        out = 0
+        for a in _bits(areas):
             out |= self.adjacent[a]
-        return sorted(out - areas)
+        return out & ~areas
 
-    def switch_adjacent(self, areas_a, areas_b) -> bool:
-        return any(self.adjacent[a] & areas_b for a in areas_a)
-
-    def island(self, areas: frozenset[str]) -> _Island:
+    def island(self, areas: int) -> _Island:
         """What a set of areas fixes, built on first use and kept. Loads
         are summed in scenario.loads order; grid-supporting units come
         before grid-feeding ones, then by bus and id."""
         island = self._islands.get(areas)
         if island is None:
-            loads = [l for l in self.loads if self.area_of[l.bus] in areas]
+            loads = [l for l in self.loads if areas >> self.area_of[l.bus] & 1]
             island = self._islands[areas] = _Island(
                 sum(l.demand_mw for l in loads if l.critical),
                 sum(l.demand_mw for l in loads if not l.critical),
-                tuple(sorted((d for d in self.followers if self.area_of[d.bus] in areas),
+                tuple(sorted((d for d in self.followers if areas >> self.area_of[d.bus] & 1),
                              key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id))),
-                sum(self.area_comm_bits[a] for a in areas))   # areas share no node
+                sum(self.area_comm_bits[a] for a in _bits(areas)))   # areas share no node
         return island
 
 
 @dataclass(frozen=True)
 class Microgrid:
-    """An independently supplied island of one or more areas."""
+    """An independently supplied island; areas has a bit per area it holds."""
 
     id: str
-    areas: frozenset[str]
+    areas: int
     forming_units: tuple[str, ...]
     started_units: tuple[str, ...]
     generation_mw: float
@@ -428,7 +428,7 @@ def _reach(components: tuple[int, ...], nodes: int) -> int:
     return out
 
 
-def _dispatch(scenario: RestorationScenario, areas: frozenset[str],
+def _dispatch(scenario: RestorationScenario, areas: int,
               generation_mw: float) -> tuple[float, float]:
     """Critical-first load dispatch inside one island. Loads are divisible."""
     crit, rest, _, _ = scenario.compiled.island(areas)
@@ -444,18 +444,17 @@ def form_microgrids(scenario: RestorationScenario) -> list[Microgrid]:
     their combined capacity, critical loads first.
     """
     compiled = scenario.compiled
-    by_area: dict[str, list[DerAsset]] = {}
+    by_area: dict[int, list[DerAsset]] = {}
     for d in scenario.ders:
         if d.capability is DerCapability.GRID_FORMING:
             by_area.setdefault(compiled.area_of[d.bus], []).append(d)
     grids = []
     for area in sorted(by_area):
         formers = sorted(by_area[area], key=lambda d: (d.bus, d.id))
-        areas = frozenset([area])
         generation = sum(d.capacity_mw for d in formers)
-        served, served_crit = _dispatch(scenario, areas, generation)
+        served, served_crit = _dispatch(scenario, 1 << area, generation)
         grids.append(Microgrid(
-            id=area, areas=areas,
+            id=compiled.areas[area], areas=1 << area,
             forming_units=tuple(d.id for d in formers),
             started_units=tuple(d.id for d in formers),
             generation_mw=generation, served_total_mw=served,
@@ -595,7 +594,7 @@ class RestorationState:
         """The comm nodes the island's agents talk to."""
         return _reach(comm, self.compiled.island(grid.areas).comm)
 
-    def _dead_area_reachable(self, area: str, reach: int) -> bool:
+    def _dead_area_reachable(self, area: int, reach: int) -> bool:
         """Gate for energizing a dead neighbor area.
 
         The island's agents coordinate the re-connection either through
@@ -610,9 +609,9 @@ class RestorationState:
             return True
         return not self.compiled.area_bus_bits[area] & ~self.cells.covered(reach)
 
-    def _expand_into(self, grid_id: str, area: str):
+    def _expand_into(self, grid_id: str, area: int):
         grid = self.grids[grid_id]
-        areas = grid.areas | {area}
+        areas = grid.areas | 1 << area
         served, crit = _dispatch(self.scenario, areas, grid.generation_mw)
         grown = Microgrid(grid.id, areas, grid.forming_units, grid.started_units,
                           grid.generation_mw, served, crit, grid.frequency_hz,
@@ -623,8 +622,8 @@ class RestorationState:
         a, b = self.grids[ga], self.grids[gb]
         key = (min(ga, gb), max(ga, gb))
         attempt = self.pair_attempts.get(key, 0)
-        # Alignment controller: each retry halves the residual phase window.
-        window = math.pi / (2 ** attempt)
+        # Alignment controller: each retry halves the phase window, to 0.0.
+        window = math.ldexp(math.pi, -attempt)
         draw = self.rng.uniform(0.0, window)
         self.pair_attempts[key] = attempt + 1
         b_aligned = Microgrid(b.id, b.areas, b.forming_units, b.started_units,
@@ -655,36 +654,28 @@ def agent_round(state: RestorationState, comm: tuple[int, ...]) -> bool:
     fixpoint by the caller.
     """
     changed = False
+    compiled, grids = state.compiled, state.grids
     # Energize dead neighbor areas (S4' path).
-    occupied = set()
-    for g in state.grids.values():
+    occupied = 0
+    for g in grids.values():
         occupied |= g.areas
-    for gid in sorted(state.grids):
-        grid = state.grids[gid]
+    for gid in sorted(grids):
+        grid = grids[gid]
         reach = state._agent_reach(grid, comm)
-        for area in state.compiled.neighbors(grid.areas):
-            if area in occupied:
-                continue
+        for area in _bits(compiled.neighbors(grid.areas) & ~occupied):
             if state._dead_area_reachable(area, reach):
                 state._expand_into(gid, area)
-                occupied.add(area)
+                occupied |= 1 << area
                 state.record("S4'")
                 changed = True
 
     # Merge live islands connected by a switch and a comm path (S5).
-    merge_candidates = []
-    reach = {gid: state._agent_reach(g, comm) for gid, g in state.grids.items()}
-    for ga in sorted(state.grids):
-        for gb in sorted(state.grids):
-            if gb <= ga:
-                continue
-            a, b = state.grids[ga], state.grids[gb]
-            if not state.compiled.switch_adjacent(a.areas, b.areas):
-                continue
-            if reach[ga] & reach[gb]:
-                merge_candidates.append((ga, gb))
+    reach = {gid: state._agent_reach(g, comm) for gid, g in grids.items()}
+    merge_candidates = [
+        (ga, gb) for ga, gb in itertools.combinations(sorted(grids), 2)
+        if reach[ga] & reach[gb] and compiled.neighbors(grids[ga].areas) & grids[gb].areas]
     for ga, gb in merge_candidates:
-        if ga not in state.grids or gb not in state.grids:
+        if ga not in grids or gb not in grids:
             continue  # consumed by an earlier merge this round
         if state._attempt_merge(ga, gb):
             state.record("S5")

@@ -67,6 +67,11 @@ def comm_components(scenario, powered, charge=None):
             for i in range(len(comm)) if nodes >> i & 1}
 
 
+def area_bits(compiled, names):
+    """A set of area names as the engine holds it, one bit per area."""
+    return sum(1 << i for i, a in enumerate(compiled.areas) if a in names)
+
+
 def connected(component_of, bus_a, bus_b):
     return bus_a in component_of and component_of[bus_a] == component_of.get(bus_b)
 
@@ -239,13 +244,70 @@ class TestCompiledMatchesReplacedLoop:
         state = RestorationState(scenario)
         compiled = scenario.compiled
         for grid_areas in ({"A0"}, {"A1"}, {"A0", "A2"}):
-            reach = blackstart._reach(graph, compiled.island(frozenset(grid_areas)
-                                                             & set(compiled.areas)).comm)
+            island = compiled.island(area_bits(compiled, grid_areas))
+            reach = blackstart._reach(graph, island.comm)
             grid_buses = {b.id for b in scenario.buses if b.area in grid_areas}
-            for area in set(compiled.areas) - grid_areas:
-                assert state._dead_area_reachable(area, reach) == \
-                    _oracle_dead_area_reachable(scenario, operational, component_of,
-                                                grid_buses, area)
+            for i, area in enumerate(compiled.areas):
+                if area not in grid_areas:
+                    assert state._dead_area_reachable(i, reach) == \
+                        _oracle_dead_area_reachable(scenario, operational, component_of,
+                                                    grid_buses, area)
+
+
+# Switch adjacency as it was before areas were numbered: a dict of
+# area-name sets, and islands as sets of area names.
+
+def _oracle_adjacent(scenario):
+    adjacent = {b.area: set() for b in scenario.buses}
+    for s in scenario.switches:
+        adjacent[s.area_a].add(s.area_b)
+        adjacent[s.area_b].add(s.area_a)
+    return adjacent
+
+
+def _oracle_neighbors(adjacent, areas):
+    out = set()
+    for a in areas:
+        out |= adjacent[a]
+    return sorted(out - areas)
+
+
+def _oracle_switch_adjacent(adjacent, areas_a, areas_b):
+    return any(adjacent[a] & areas_b for a in areas_a)
+
+
+@st.composite
+def switch_graphs(draw):
+    """1-8 or 65-100 areas (so an area set may be wider than a machine
+    word), whose name order ("A10" before "A2") is not their bus order,
+    random switches, and two disjoint area sets on them, as two islands
+    are."""
+    n = draw(st.integers(1, 8) | st.integers(65, 100))
+    names = [f"A{k}" for k in draw(st.permutations(range(n)))]
+    buses = tuple(BusPoint(f"B{k}", 0.0, 0.0, a) for k, a in enumerate(names))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
+    switches = tuple(AreaSwitch(f"S{k}", names[i], names[(i + d) % n])
+                     for k, (i, d) in enumerate(draw(st.lists(ends, max_size=2 * n))
+                                                if n > 1 else []))
+    scenario = RestorationScenario(buses=buses, loads=(), ders=(), switches=switches,
+                                   comm=())
+    area_sets = st.sets(st.sampled_from(names), max_size=len(names))
+    areas_a = draw(area_sets)
+    return scenario, areas_a, draw(area_sets) - areas_a
+
+
+class TestAreaBitsMatchTheNameSets:
+    @settings(max_examples=200, deadline=None)
+    @given(switch_graphs())
+    def test_neighbors_and_switch_adjacency_match_the_oracle(self, graph):
+        scenario, names_a, names_b = graph
+        compiled = scenario.compiled
+        adjacent = _oracle_adjacent(scenario)
+        near = compiled.neighbors(area_bits(compiled, names_a))
+        assert [compiled.areas[i] for i in blackstart._bits(near)] == \
+            _oracle_neighbors(adjacent, names_a)
+        assert bool(near & area_bits(compiled, names_b)) == \
+            _oracle_switch_adjacent(adjacent, names_a, names_b)
 
 
 class TestFormMicrogrids:
@@ -276,7 +338,7 @@ class TestFormMicrogrids:
             switches=(), comm=())
         grids = form_microgrids(scenario)
         assert len(grids) == 2
-        assert grids[0].areas.isdisjoint(grids[1].areas)
+        assert (grids[0].areas, grids[1].areas) == (0b01, 0b10)
 
 
 class TestReconnectFollowers:
@@ -337,7 +399,7 @@ class TestReconnectFollowers:
             ders=(DerAsset("G", "B0", DerCapability.GRID_FORMING, 5.0),
                   DerAsset("S", "B1", DerCapability.GRID_SUPPORTING, 3.0)),
             switches=(), comm=())
-        mg = Microgrid(id="isl", areas=frozenset({"A0", "A1"}),
+        mg = Microgrid(id="isl", areas=0b11,    # A0 and A1
                        forming_units=("G", "Gx"), started_units=("G",), generation_mw=5.0,
                        served_total_mw=5.0, served_critical_mw=3.0,
                        frequency_hz=49.93, phase_rad=1.25)
@@ -354,7 +416,9 @@ class TestReconnectFollowers:
 
 
 def microgrid(gid, gen=5.0, phase=0.0, freq=50.0):
-    return Microgrid(id=gid, areas=frozenset({gid}), forming_units=(gid + "_g",),
+    """The island of area gid, "A" or "B": bit 0 or 1 in a scenario from
+    empty_scenario_for, which numbers its areas in name order."""
+    return Microgrid(id=gid, areas=1 << "AB".index(gid), forming_units=(gid + "_g",),
                      started_units=(gid + "_g",),
                      generation_mw=gen, served_total_mw=0.0,
                      served_critical_mw=0.0, frequency_hz=freq, phase_rad=phase)
@@ -372,7 +436,7 @@ class TestSynchronizeAndMerge:
         a, b = microgrid("A"), microgrid("B", phase=0.1)
         merged = synchronize_and_merge(a, b, SyncPolicy(),
                                        empty_scenario_for([a, b]))
-        assert merged.areas == {"A", "B"}
+        assert merged.areas == 0b11
         assert merged.generation_mw == pytest.approx(10.0)
 
     def test_large_phase_shift_rejected_with_deltas(self):
@@ -392,7 +456,7 @@ class TestSynchronizeAndMerge:
         b = microgrid("B", phase=2 * math.pi - 0.05)
         merged = synchronize_and_merge(a, b, SyncPolicy(),
                                        empty_scenario_for([a, b]))
-        assert merged.areas == {"A", "B"}
+        assert merged.areas == 0b11
 
     def test_self_merge_rejected(self):
         a = microgrid("A")
@@ -617,25 +681,40 @@ class TestMonteCarlo:
                         runs=runs)
 
 
-def two_tile_scenario():
-    """Two copies of the benchmark joined by two switches, with mixed radii
-    and batteries that are full, short-lived or missing."""
+def two_tile_scenario(cols=2, rows=1):
+    """cols x rows copies of the benchmark (two side by side by default),
+    with mixed radii and batteries that are full, short-lived or missing.
+    Facing boundary areas of neighbouring tiles are joined by switches:
+    two across a vertical seam, five across a horizontal one."""
     base = bm.benchmark_restoration_scenario()
-    shift = 5 * bm.AREA_SPACING_KM
+
+    def tag(x, y):
+        return f"t{y * cols + x}" if (x, y) != (0, 0) else ""
+
     buses, loads, ders, switches, comm = [], [], [], [], []
-    for tag, dx in (("", 0.0), ("t1", shift)):
-        buses += [BusPoint(tag + b.id, b.x_km + dx, b.y_km, tag + b.area)
-                  for b in base.buses]
-        loads += [replace(l, bus=tag + l.bus) for l in base.loads]
-        ders += [replace(d, id=tag + d.id, bus=tag + d.bus) for d in base.ders]
-        switches += [AreaSwitch(tag + s.id, tag + s.area_a, tag + s.area_b)
-                     for s in base.switches]
-        for k, c in enumerate(base.comm):
-            comm.append(CommNode(
-                tag + c.bus, has_battery=k % 3 != 1,
-                battery_kwh=(5.0, 0.02, 0.0125)[k % 3 if tag else (k // 3) % 3],
-                drain_kw=0.5, cell_radius_km=(2.0, 3.0, 4.5, 1.4)[k % 4]))
-    switches += [AreaSwitch("x0", "A40", "t1A00"), AreaSwitch("x1", "A41", "t1A01")]
+    for y in range(rows):
+        for x in range(cols):
+            t, dx, dy = tag(x, y), x * 5 * bm.AREA_SPACING_KM, y * 2 * bm.AREA_SPACING_KM
+            buses += [BusPoint(t + b.id, b.x_km + dx, b.y_km + dy, t + b.area)
+                      for b in base.buses]
+            loads += [replace(l, bus=t + l.bus) for l in base.loads]
+            ders += [replace(d, id=t + d.id, bus=t + d.bus) for d in base.ders]
+            switches += [AreaSwitch(t + s.id, t + s.area_a, t + s.area_b)
+                         for s in base.switches]
+            for k, c in enumerate(base.comm):
+                comm.append(CommNode(
+                    t + c.bus, has_battery=k % 3 != 1,
+                    battery_kwh=(5.0, 0.02, 0.0125)[k % 3 if t else (k // 3) % 3],
+                    drain_kw=0.5, cell_radius_km=(2.0, 3.0, 4.5, 1.4)[k % 4]))
+    for y in range(rows):
+        for x in range(cols):
+            t = tag(x, y)
+            if x + 1 < cols:
+                switches += [AreaSwitch(f"x{t}{r}", f"{t}A4{r}", f"{tag(x + 1, y)}A0{r}")
+                             for r in range(2)]
+            if y + 1 < rows:
+                switches += [AreaSwitch(f"y{t}{c}", f"{t}A{c}1", f"{tag(x, y + 1)}A{c}0")
+                             for c in range(5)]
     return RestorationScenario(buses=tuple(buses), loads=tuple(loads),
                                ders=tuple(ders), switches=tuple(switches),
                                comm=tuple(comm), sync_policy=base.sync_policy)
@@ -679,12 +758,23 @@ class TestCompiledScenario:
         assert any(m.accepted for m in timeline.merge_attempts)
         assert _digest(_timeline_text(timeline)) == expected
 
+    # 160 areas, so an island is wider than a machine word. Recorded while
+    # islands were sets of area names.
+    @pytest.mark.parametrize("seed,expected", [
+        (0, "c1371ee90a90bfb4"), (1, "133995fc20dcb839"), (4, "524d5d6e9cf1464e")])
+    def test_four_by_four_timeline_and_merges_are_pinned(self, seed, expected):
+        timeline = run_restoration(two_tile_scenario(4, 4), seed=seed)
+        assert any(m.accepted for m in timeline.merge_attempts)
+        assert _digest(_timeline_text(timeline)) == expected
+
     @pytest.mark.parametrize("scenario,grid,runs,seed,expected", [
         (bm.benchmark_restoration_scenario,
          [(p, r) for p in (0.1, 0.5, 0.9) for r in (2.0, 6.0, 10.0)], 6, 11,
          "9ef1262f512cb79c"),
         (two_tile_scenario, [(0.5, 3.0)], 4, 2, "d2a000d64c5c4d51"),
-    ], ids=["benchmark", "two_tile"])
+        (lambda: two_tile_scenario(4, 4), [(0.5, 3.0), (0.9, 6.0)], 3, 2,
+         "70ddbc018bd7123e"),
+    ], ids=["benchmark", "two_tile", "four_by_four"])
     def test_monte_carlo_fractions_are_pinned(self, scenario, grid, runs, seed,
                                               expected):
         scn = scenario()
@@ -777,8 +867,9 @@ def islands(draw):
     scenario = _shared_scenario(draw(st.sampled_from(["benchmark", "two_tile",
                                                        "awkward"])))
     compiled = scenario.compiled
-    areas = frozenset(draw(st.sets(st.sampled_from(compiled.areas), max_size=6)))
-    buses = _buses_of(scenario, areas)
+    names = draw(st.sets(st.sampled_from(compiled.areas), max_size=6))
+    areas = area_bits(compiled, names)
+    buses = _buses_of(scenario, names)
     on_buses = [d for d in scenario.ders if d.bus in buses]
     formers = tuple(d.id for d in on_buses
                     if d.capability is DerCapability.GRID_FORMING) or ("X",)
@@ -807,8 +898,7 @@ class TestIslandMemos:
         assert _exact_grid(reconnect_followers(mg, scenario)) == \
             _exact_grid(_oracle_reconnect_followers(mg, buses, scenario))
         assert scenario.compiled.island(mg.areas).comm == \
-            sum(1 << i for i, c in enumerate(scenario.compiled.comm)
-                if scenario.compiled.area_of[c.bus] in mg.areas)
+            sum(1 << i for i, c in enumerate(scenario.compiled.comm) if c.bus in buses)
 
     @pytest.mark.parametrize("name", ["benchmark", "two_tile", "awkward"])
     def test_every_pair_of_areas_matches_the_oracles(self, name):
@@ -816,12 +906,12 @@ class TestIslandMemos:
         compiled = scenario.compiled
         formers = tuple(d.id for d in scenario.ders
                         if d.capability is DerCapability.GRID_FORMING)
-        for k, a in enumerate(compiled.areas):
-            for b in compiled.areas[k:]:
+        for i, a in enumerate(compiled.areas):
+            for j, b in enumerate(compiled.areas[i:], i):
                 buses = _buses_of(scenario, {a, b})
                 for generation in (0.3, 2.0, 7.7, 25.0):
                     served, crit = _oracle_dispatch(scenario, buses, generation)
-                    mg = Microgrid("isl", frozenset({a, b}), formers, formers,
+                    mg = Microgrid("isl", 1 << i | 1 << j, formers, formers,
                                    generation, served, crit)
                     assert _exact_grid(reconnect_followers(mg, scenario)) == \
                         _exact_grid(_oracle_reconnect_followers(mg, buses, scenario))

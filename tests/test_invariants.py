@@ -5,11 +5,14 @@ the relations here hold for any implementation of the same model, so they
 still guard a change that is allowed to move bits within a stated tolerance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
+from gridres.blackstart import _EQ_TOL, monte_carlo, run_restoration
 from gridres.frequency import (DisturbanceEvent, DroopCurve, RatedDroopCurve,
                                simulate_disturbance)
 
@@ -50,3 +53,47 @@ class TestFrequencyMirror:
             bm.benchmark_fcr(), bm.benchmark_secondary(), fleet, horizon_s=120.0).f - 50.0
             for dp in (-size, size))
         assert np.abs(under + over).max() <= MIRROR_TOL_HZ
+
+
+def _at_most(served, total):
+    """served <= total with classify_service's relative slack: the two sum
+    the same loads in other orders."""
+    return served <= total + _EQ_TOL * max(1.0, total)
+
+
+@st.composite
+def restoration_cases(draw):
+    """The benchmark with its loads scaled by 0.2-5 (so runs range from
+    restoring everything to falling short of critical load) and every
+    load and capacity jittered (so sums are inexact), one cell radius, a
+    drawn battery per comm node, a battery probability and a seed."""
+    base = bm.benchmark_restoration_scenario()
+    radius, scale = draw(st.floats(0.5, 12.0)), draw(st.floats(0.2, 5.0))
+    scenario = replace(
+        base,
+        loads=tuple(replace(l, demand_mw=l.demand_mw * scale * draw(st.floats(0.5, 1.5)))
+                    for l in base.loads),
+        ders=tuple(replace(d, capacity_mw=d.capacity_mw * draw(st.floats(0.5, 1.5)))
+                   for d in base.ders),
+        comm=tuple(replace(c, has_battery=draw(st.booleans()), cell_radius_km=radius)
+                   for c in base.comm))
+    return scenario, radius, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**16))
+
+
+class TestBlackstartBounds:
+    @given(case=restoration_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_served_load_times_and_fractions_are_bounded(self, case):
+        scenario, radius, p_battery, seed = case
+        timeline = run_restoration(scenario, seed=seed)
+        total_load = scenario.total_load_mw()
+        for ev in timeline.events:
+            assert 0 <= ev.served_critical_mw
+            assert _at_most(ev.served_critical_mw, ev.served_total_mw)
+            assert _at_most(ev.served_total_mw, total_load)
+        times = [ev.t_s for ev in timeline.events]
+        assert times == sorted(times)
+        # restored_fraction is served_total / total_load, so it carries the
+        # same slack: an inexact sum may put a full restoration an ulp above 1.
+        for f in monte_carlo(scenario, p_battery, radius, 3, seed).restored_fractions:
+            assert 0 <= f and _at_most(f, 1.0)

@@ -972,6 +972,22 @@ class TestRegressions:
         assert "undecodable.json: not valid JSON" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--p", "0.9", "--radius-km", "6", "--runs", "3"]],
+        ids=["single_run", "monte_carlo"])
+    def test_blackstart_with_a_subnormal_phase_threshold(self, workspace, flags):
+        # Validate-clean, but no drawn phase shift falls below 1e-320 rad,
+        # so a pair reached its 1,024th merge attempt, whose window
+        # pi / 2**1024 ended in an OverflowError traceback.
+        doc = json.loads(workspace["bs.json"].read_text())
+        doc["sync_policy"]["max_phase_shift_rad"] = 1e-320
+        assert schemas.validate_document(doc) == []
+        scenario = workspace["root"] / "bs_tiny.json"
+        scenario.write_text(json.dumps(doc))
+        code, _out, err = _cli("blackstart", "--scenario", scenario, "--seed", "7",
+                               *flags, "--out", workspace["root"] / "o")
+        assert code == EXIT_OK and "Traceback" not in err
+
     def test_fault_document_that_is_a_list(self, workspace):
         fault = workspace["root"] / "fault_list.json"
         fault.write_text(json.dumps([FAULT_DOC]))
