@@ -26,8 +26,8 @@ through run_restoration.
 
 An island is its set of areas, an int with one bit per area in
 sorted-name order. What that set fixes, its load split, its follower
-candidates and its comm nodes, is built once per distinct area set and
-kept with the compiled scenario.
+candidates, its comm nodes and its switch neighbors, is built once per
+distinct area set and kept with the compiled scenario.
 """
 
 import itertools
@@ -204,12 +204,13 @@ def _bits(mask: int):
 
 
 class _Island(NamedTuple):
-    """Demand, non-forming units and comm nodes of a set of areas."""
+    """Demand, followers, comm nodes and switch neighbors of a set of areas."""
 
     critical_mw: float
     other_mw: float
     candidates: tuple[DerAsset, ...]
     comm: int
+    neighbors: int
 
 
 class _CompiledRestoration:
@@ -221,8 +222,8 @@ class _CompiledRestoration:
     the distance from comm node i to bus k, and bus comm_at[i] holds node
     i. Sets of comm nodes, buses and areas are ints with one bit per
     index; area_of maps a bus id to its area's number. The load split,
-    follower candidates and comm nodes of an island are memoised per
-    area set (island), for every run of the scenario.
+    follower candidates, comm nodes and switch neighbors of an island
+    are memoised per area set (island), for every run of the scenario.
     """
 
     def __init__(self, scn: RestorationScenario):
@@ -251,26 +252,24 @@ class _CompiledRestoration:
         self.total_load_mw = scn.total_load_mw()
         self.total_critical_mw = scn.total_critical_mw()
 
-    def neighbors(self, areas: int) -> int:
-        """The areas one switch away from a set of areas."""
-        out = 0
-        for a in _bits(areas):
-            out |= self.adjacent[a]
-        return out & ~areas
-
     def island(self, areas: int) -> _Island:
         """What a set of areas fixes, built on first use and kept. Loads
         are summed in scenario.loads order; grid-supporting units come
-        before grid-feeding ones, then by bus and id."""
+        before grid-feeding ones, then by bus and id; neighbors are the
+        areas one switch away, outside the set."""
         island = self._islands.get(areas)
         if island is None:
             loads = [l for l in self.loads if areas >> self.area_of[l.bus] & 1]
+            comm = near = 0
+            for a in _bits(areas):
+                comm |= self.area_comm_bits[a]
+                near |= self.adjacent[a]
             island = self._islands[areas] = _Island(
                 sum(l.demand_mw for l in loads if l.critical),
                 sum(l.demand_mw for l in loads if not l.critical),
                 tuple(sorted((d for d in self.followers if areas >> self.area_of[d.bus] & 1),
                              key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id))),
-                sum(self.area_comm_bits[a] for a in _bits(areas)))   # areas share no node
+                comm, near & ~areas)
         return island
 
 
@@ -431,9 +430,9 @@ def _reach(components: tuple[int, ...], nodes: int) -> int:
 def _dispatch(scenario: RestorationScenario, areas: int,
               generation_mw: float) -> tuple[float, float]:
     """Critical-first load dispatch inside one island. Loads are divisible."""
-    crit, rest, _, _ = scenario.compiled.island(areas)
-    served_crit = min(crit, generation_mw)
-    served_rest = min(rest, generation_mw - served_crit)
+    island = scenario.compiled.island(areas)
+    served_crit = min(island.critical_mw, generation_mw)
+    served_rest = min(island.other_mw, generation_mw - served_crit)
     return served_crit + served_rest, served_crit
 
 
@@ -590,10 +589,6 @@ class RestorationState:
 
     # -- agent coordination ---------------------------------------------
 
-    def _agent_reach(self, grid: Microgrid, comm: tuple[int, ...]) -> int:
-        """The comm nodes the island's agents talk to."""
-        return _reach(comm, self.compiled.island(grid.areas).comm)
-
     def _dead_area_reachable(self, area: int, reach: int) -> bool:
         """Gate for energizing a dead neighbor area.
 
@@ -660,9 +655,9 @@ def agent_round(state: RestorationState, comm: tuple[int, ...]) -> bool:
     for g in grids.values():
         occupied |= g.areas
     for gid in sorted(grids):
-        grid = grids[gid]
-        reach = state._agent_reach(grid, comm)
-        for area in _bits(compiled.neighbors(grid.areas) & ~occupied):
+        island = compiled.island(grids[gid].areas)
+        reach = _reach(comm, island.comm)    # the nodes its agents talk to
+        for area in _bits(island.neighbors & ~occupied):
             if state._dead_area_reachable(area, reach):
                 state._expand_into(gid, area)
                 occupied |= 1 << area
@@ -670,10 +665,11 @@ def agent_round(state: RestorationState, comm: tuple[int, ...]) -> bool:
                 changed = True
 
     # Merge live islands connected by a switch and a comm path (S5).
-    reach = {gid: state._agent_reach(g, comm) for gid, g in grids.items()}
+    islands = {gid: compiled.island(g.areas) for gid, g in grids.items()}
+    reach = {gid: _reach(comm, island.comm) for gid, island in islands.items()}
     merge_candidates = [
         (ga, gb) for ga, gb in itertools.combinations(sorted(grids), 2)
-        if reach[ga] & reach[gb] and compiled.neighbors(grids[ga].areas) & grids[gb].areas]
+        if reach[ga] & reach[gb] and islands[ga].neighbors & grids[gb].areas]
     for ga, gb in merge_candidates:
         if ga not in grids or gb not in grids:
             continue  # consumed by an earlier merge this round

@@ -303,7 +303,7 @@ class TestAreaBitsMatchTheNameSets:
         scenario, names_a, names_b = graph
         compiled = scenario.compiled
         adjacent = _oracle_adjacent(scenario)
-        near = compiled.neighbors(area_bits(compiled, names_a))
+        near = compiled.island(area_bits(compiled, names_a)).neighbors
         assert [compiled.areas[i] for i in blackstart._bits(near)] == \
             _oracle_neighbors(adjacent, names_a)
         assert bool(near & area_bits(compiled, names_b)) == \
