@@ -21,7 +21,6 @@ from .fields import num, number, obj, require, row, table
 
 # Containment-reserve activation envelope: half output after 15 s, full
 # output after 30 s, which is a constant ramp rate of capacity/30 per second.
-FCR_T_HALF_S = 15.0
 FCR_T_FULL_S = 30.0
 
 # Dead band applied when the simulation has no droop fleet to take one from.

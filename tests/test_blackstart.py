@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import random
 from dataclasses import fields, replace
 from functools import cache
 
@@ -37,6 +38,26 @@ class TestClassifyService:
     def test_served_above_total_rejected(self):
         with pytest.raises(InvalidInputError):
             classify_service(11, 10, 50, 100)
+
+    def test_an_ulp_short_of_a_large_total_is_served(self):
+        # The thresholds take the bounds' relative slack; an absolute 1e-9
+        # is below one ulp of 2.6e9 MW.
+        total, critical = 2.6e9, 3.3e8
+        short = math.nextafter(total, 0), math.nextafter(critical, 0)
+        assert classify_service(critical, critical, short[0], total) is ServiceClass.ACCEPTABLE
+        assert classify_service(short[1], critical, total / 2, total) is ServiceClass.IMPAIRED
+
+
+def rescaled_benchmark(rng, capacity_range, k=1.0):
+    """The benchmark with each load scaled by k * uniform(0.1, 3), then each
+    DER capacity by k * uniform(*capacity_range), drawn in document order."""
+    base = bm.benchmark_restoration_scenario()
+    return replace(
+        base,
+        loads=tuple(replace(l, demand_mw=l.demand_mw * (k * rng.uniform(0.1, 3)))
+                    for l in base.loads),
+        ders=tuple(replace(d, capacity_mw=d.capacity_mw * (k * rng.uniform(*capacity_range)))
+                   for d in base.ders))
 
 
 def scenario_two_areas(comm_radius=2.5, a1_battery=True, gap_km=3.0):
@@ -628,8 +649,23 @@ class TestRunRestoration:
         assert all(a.phase_delta_rad < 0.2 for a in accepted)
         assert all(a.freq_delta_hz <= 0.01 for a in accepted)
 
+    def test_a_full_restoration_of_a_large_grid_is_acceptable(self):
+        # Served total is 0.9999999999999998 of a 2.6e9 MW load here.
+        rng = random.Random(6)
+        k = 10 ** rng.uniform(5, 8)
+        final = run_restoration(rescaled_benchmark(rng, (5, 20), k), seed=6).events[-1]
+        assert final.service_class is ServiceClass.ACCEPTABLE
+
 
 class TestMonteCarlo:
+    def test_a_full_restoration_reads_exactly_one(self):
+        # The islands' served sums and the total load sum the same loads in
+        # other orders; uncapped, these fractions read 1.0000000000000002.
+        scenario = rescaled_benchmark(random.Random(2), (0.5, 20))
+        assert run_restoration(scenario, seed=2).restored_fraction == 1.0
+        assert monte_carlo(scenario, 1.0, 30.0, runs=2, seed=2).restored_fractions == \
+            (1.0, 1.0)
+
     def test_full_comm_reaches_capacity_limited_maximum(self):
         scenario = bm.benchmark_restoration_scenario()
         result = monte_carlo(scenario, p_battery=1.0, cell_radius_km=30.0,
