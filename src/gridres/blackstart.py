@@ -594,11 +594,13 @@ class RestorationState:
 
         The island's agents coordinate the re-connection either through
         a battery-backed comm node inside the dead area (the local agent
-        answers), or by covering every bus of the dead area with the
-        island's own comm cells, which lets it monitor the area remotely
-        while energizing it. Small cells therefore need battery relays
-        to advance; large cells can sweep across dead areas without
-        them.
+        answers), or by covering every bus of the dead area with comm
+        cells they reach: those of every operational node in a comm
+        component that holds one of the island's nodes, battery relays
+        and other islands' nodes included. That lets them monitor the
+        area remotely while energizing it. Small cells therefore need
+        battery relays to advance; large cells can sweep across dead
+        areas without them.
         """
         if reach & self.compiled.area_comm_bits[area]:
             return True
@@ -707,7 +709,7 @@ def run_restoration(scenario: RestorationScenario, seed=0,
             before = state.grids[gid]
             after = reconnect_followers(before, scenario)
             state.grids[gid] = after
-            if set(after.started_units) != set(before.started_units):
+            if len(after.started_units) != len(before.started_units):
                 state.record("S4")
 
         compiled = state.compiled

@@ -347,8 +347,6 @@ def main(argv=None) -> int:
     try:
         cli.main(args=args, standalone_mode=False)
         return EXIT_OK
-    except click.exceptions.Exit as err:
-        return err.exit_code
     except click.UsageError as err:
         message = err.format_message()
         hint = err.ctx.get_usage() if err.ctx is not None else cli.get_usage(

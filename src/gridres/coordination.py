@@ -260,7 +260,7 @@ def distribute_inertia(h_ag_tso_s: float, units: list[DerUnit],
             f"headroom {total_headroom:g} pu")
     per_unit: dict[str, float] = {}
     for u in units:
-        if total_headroom <= 0 or u.headroom <= 0 or u.p_rating <= 0:
+        if u.headroom <= 0:
             per_unit[u.id] = 0.0
             continue
         power_i = required_power * (u.headroom / total_headroom)

@@ -208,12 +208,6 @@ def inertial_power(h_s: float, rocof_hz_per_s: float, f_n: float,
     return 2.0 * h_s * (s_base_mva / f_n) * rocof_hz_per_s
 
 
-def _fleet_dead_band(droop_fleet: list[RatedDroopCurve]) -> float:
-    if not droop_fleet:
-        return DEFAULT_DEAD_BAND_HZ
-    return min(r.curve.dead_band_half_width for r in droop_fleet)
-
-
 # Tracking bandwidth of the restoration reserve, 1/s. Fast enough to lock
 # onto its demand, slow enough to keep the dynamics smooth.
 SEC_K_TRACK = 1.0
@@ -280,7 +274,8 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     denom = 2.0 * params.h_sys_s * s_base
     damping = params.damping_pu_per_hz
     p_event = event.delta_p_pu * s_base      # every stage lies at or after the event
-    dead_band = _fleet_dead_band(droop_fleet)
+    dead_band = min((r.curve.dead_band_half_width for r in droop_fleet),
+                    default=DEFAULT_DEAD_BAND_HZ)
     span = max(params.band_half_width_hz - dead_band, 1e-9)
     fcr_cap, fcr_rate = fcr.capacity_mw, fcr.capacity_mw / FCR_T_FULL_S
     sec_cap = secondary.capacity_mw
@@ -356,6 +351,15 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
             k3 = dfdt(t_mid, fi + k2 * h / 2, ps)
             k4 = dfdt(t0 + h, fi + k3 * h, ps)
             fi = fi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            if not active:
+                # sec_start is inf until activation, so only this body searches. Every
+                # earlier sample stayed in the band and the first step compares with 0.0,
+                # so dev_before <= dead_band < dev_after: the crossing lies in the step.
+                dev_before, dev_after = dev_after, abs(fi - f_n)
+                if dev_after > dead_band:
+                    active = True
+                    t_act = t0 + (dead_band - dev_before) / (dev_after - dev_before) * h
+                    sec_start = t_act + FCR_T_FULL_S
         else:
             k1f, k1p = rhs(t0, fi, ps)
             k2f, k2p = rhs(t0 + h / 2, fi + k1f * h / 2, ps + k1p * h / 2)
@@ -372,17 +376,6 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
                 return
             fi, ps = f_next, p_next
         f[j] = fi
-        if not active:
-            dev_before, dev_after = dev_after, abs(fi - f_n)
-            if dev_after > dead_band:
-                active = True
-                # Locate the crossing inside the step by linear interpolation.
-                frac = 0.0
-                if dev_after > dev_before:
-                    frac = (dead_band - dev_before) / (dev_after - dev_before)
-                    frac = min(max(frac, 0.0), 1.0)
-                t_act = t0 + frac * h
-                sec_start = t_act + FCR_T_FULL_S
         t0, h = t[j], dt_s
 
 

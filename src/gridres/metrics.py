@@ -106,8 +106,6 @@ def degradation_area(trajectory: ServiceTrajectory, baseline: float = 1.0,
     if not clip and float(level.max()) > baseline + 1e-12:
         raise InvalidInputError(
             "baseline: below the trajectory maximum; pass clip=True to clamp")
-    if len(trajectory) == 1:
-        return 0.0
     deficit = np.maximum(baseline - level, 0.0)
     with np.errstate(over="ignore"):   # an area beyond the float range is inf
         return float(np.trapezoid(deficit, trajectory.t))

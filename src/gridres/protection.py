@@ -366,7 +366,7 @@ def _fault_point(network: RadialNetwork, fault: FaultScenario):
         bus = tree.bus_index[fault.element_id]
         return bus, bus, float(tree.z[bus])
     if fault.element_id not in tree.line_index:
-        raise InvalidInputError(f"unknown line: {fault.element_id}")
+        raise InvalidInputError(f"fault.element_id: unknown line {fault.element_id!r}")
     k = tree.line_index[fault.element_id]
     pos = fault.position
     if pos <= 1e-9 or pos >= 1.0 - 1e-9:
@@ -391,15 +391,6 @@ def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus):
     return z_left / (z_left + ((z_fault - z_j) + z_f))
 
 
-def _live_ders(network: RadialNetwork, der_injecting=None):
-    """(DER, bus index) of every injecting unit; der_injecting overrides flags."""
-    if not der_injecting:
-        return network.compiled.live
-    flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting)
-    return [(d, network.compiled.bus_index[d.bus]) for d in network.ders
-            if flags.get(d.id) and d.i_max_pu > 0]
-
-
 def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
                          open_lines=frozenset(), der_injecting=None,
                          allow_dead_fault: bool = False) -> FaultSolution:
@@ -414,7 +405,11 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
     breaker sits on the near side).
     """
     tree = network.compiled
-    live = _live_ders(network, der_injecting)
+    live = tree.live   # (DER, bus index) of every injecting unit
+    if der_injecting:
+        flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting)
+        live = [(d, tree.bus_index[d.bus]) for d in network.ders
+                if flags.get(d.id) and d.i_max_pu > 0]
     cut = tree.cut_below(open_lines)
     piece = tree.pieces(cut).tolist() if cut else tree.roots
     src = network.source
@@ -581,8 +576,7 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
                             open_lines=tuple(sorted(open_lines)))
 
 
-def detect_energized(network: RadialNetwork, open_lines,
-                     der_injecting=None) -> list[ProtectionIssue]:
+def detect_energized(network: RadialNetwork, open_lines) -> list[ProtectionIssue]:
     """Flag islanded segments kept energized by injecting DER.
 
     A segment is any maximal group of buses connected through closed
@@ -592,7 +586,7 @@ def detect_energized(network: RadialNetwork, open_lines,
     piece = tree.pieces(tree.cut_below(open_lines))
     grid = piece[tree.bus_index[network.source.bus]] if network.source.available else -1
     live: dict[int, list[str]] = {}
-    for d, v in _live_ders(network, der_injecting):
+    for d, v in tree.live:
         live.setdefault(int(piece[v]), []).append(d.id)
     islands = [np.flatnonzero(piece == top) for top in live if top != grid]
     issues: list[ProtectionIssue] = []

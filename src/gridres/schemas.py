@@ -83,9 +83,6 @@ class FrequencyScenario:
             self.droop_fleet, horizon_s=self.horizon_s, dt_s=self.dt_s)
 
 
-FleetUnit, FleetCase = co.FleetUnit, co.FleetCase
-
-
 def load_frequency_scenario(doc) -> FrequencyScenario:
     return load(FrequencyScenario, doc, SCHEMA_VERSION)
 
@@ -125,13 +122,13 @@ def dump_restoration_scenario(sc: bs.RestorationScenario) -> dict:
     return {"schema_version": SCHEMA_VERSION, **dump(sc)}
 
 
-def load_fleet(doc) -> FleetCase:
+def load_fleet(doc) -> co.FleetCase:
     # A grid without an f_n of its own takes the fleet's nominal frequency.
     droop = doc.get("droop") if type(doc) is dict else None
     grid = droop.get("grid") if type(droop) is dict else None
     if type(grid) is dict and "f_n" not in grid and "f_n" in doc:
         doc = {**doc, "droop": {**droop, "grid": {**grid, "f_n": doc["f_n"]}}}
-    return load(FleetCase, doc, SCHEMA_VERSION)
+    return load(co.FleetCase, doc, SCHEMA_VERSION)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,11 @@ class TestReconnectFollowers:
         assert (grown.generation_mw, grown.served_total_mw,
                 grown.served_critical_mw) == (8.0, 7.0, 3.0)
 
+    def test_island_without_a_forming_unit_rejected(self):
+        mg = replace(microgrid("A"), forming_units=())
+        with pytest.raises(InvalidInputError, match="no forming unit"):
+            reconnect_followers(mg, empty_scenario_for([mg]))
+
 
 def microgrid(gid, gen=5.0, phase=0.0, freq=50.0):
     """The island of area gid, "A" or "B": bit 0 or 1 in a scenario from
@@ -986,3 +991,22 @@ class TestScenarioValidation:
             RestorationScenario(
                 buses=(BusPoint("B0", 0, 0, "A0"),), loads=(), ders=(),
                 switches=(AreaSwitch("S", "A0", "A0"),), comm=())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["switches"][0].update(area_b="A99"), r"switches\[sw_00_10\]: unknown area"),
+        (lambda d: [ld.update(demand_mw=1e308) for ld in d["loads"][:2]],
+         "loads: total demand_mw must be finite"),
+        (lambda d: [u.update(capacity_mw=1e308) for u in d["ders"][:2]],
+         "ders: total capacity_mw must be finite"),
+    ], ids=["unknown_area", "load_total_overflows", "capacity_total_overflows"])
+    def test_document_rejected(self, edit, message):
+        doc = schemas.dump_restoration_scenario(bm.benchmark_restoration_scenario())
+        edit(doc)
+        with pytest.raises(InvalidInputError, match=message):
+            schemas.load_restoration_scenario(doc)
+
+    def test_no_load_reads_fully_restored(self):
+        doc = schemas.dump_restoration_scenario(bm.benchmark_restoration_scenario())
+        doc["loads"] = []
+        scenario = schemas.load_restoration_scenario(doc)
+        assert run_restoration(scenario, seed=0).restored_fraction == 1.0

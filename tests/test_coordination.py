@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres.coordination import (DerUnit, DistributionError, DroopEnvelope,
-                                  FeasibilityViolationError, FrequencyGrid,
+                                  FeasibilityViolationError, FleetCase, FrequencyGrid,
                                   InertiaPhase1, InfeasibleAssignmentError,
                                   InfeasibleHeadroomError, check_reserve_rules,
                                   compute_droop_envelope, compute_h_ag_max,
@@ -185,6 +185,22 @@ class TestDroopEnvelope:
         with pytest.raises(InvalidInputError):
             FrequencyGrid(f_min=50.5, f_max=49.5, f_step=0.1)
 
+    @pytest.mark.parametrize("rows, message", [
+        (((50.0,), (0.0, 0.0), (1.0,)), "row lengths must match"),
+        (((), (), ()), "frequency grid is empty"),
+        (((50.0,), (2.0,), (1.0,)), "p_agg_min must not exceed p_agg_max"),
+    ], ids=["ragged_rows", "no_rows", "min_above_max"])
+    def test_malformed_envelope_rejected(self, rows, message):
+        with pytest.raises(InvalidInputError, match=message):
+            DroopEnvelope(grid_1hz(), *rows, corners={})
+
+    def test_fleet_headroom_rule(self):
+        curve = DroopCurve(f_n=50.0, dead_band_half_width=0.02, p_nominal=0.7,
+                           p_max=1.2, f_min=49.5, p_min=0.1, f_max=50.5)
+        with pytest.raises(InvalidInputError, match="inertia.p0_irmax_pu: must be >= p0_ss_pu"):
+            FleetCase(rocof_max_hz_per_s=1.0, p0_ss_pu=0.3, p0_irmax_pu=0.2,
+                      h_ag_tso_s=1.0, grid=grid_1hz(), candidate=curve)
+
 
 class TestSelectDroop:
     def fleet(self):
@@ -291,6 +307,12 @@ class TestDistributeDroop:
     def test_empty_fleet_with_nonzero_curve_rejected(self):
         with pytest.raises(DistributionError):
             distribute_droop(self.selected(), [], grid_1hz())
+
+    def test_unrated_fleet_with_a_zero_curve_gets_nothing(self):
+        zero = DroopCurve(f_n=50.0, dead_band_half_width=0.02, p_nominal=0.0,
+                          p_max=0.0, f_min=49.5, p_min=0.0, f_max=50.5)
+        unit = DerUnit(id="a", p_rating=0.0, p_available=0.0)
+        assert distribute_droop(zero, [unit], grid_1hz()) == {}
 
 
 class TestReserveRules:

@@ -131,3 +131,23 @@ def test_require_lists_every_rejected_value():
         fields.require(("a", fields.number(gt=0), 0.0), ("b", fields.number(), 1.0),
                        ("c", fields.number(ge=0, le=1), True))
     assert str(err.value) == "a: must be finite and > 0; c: must be a number"
+
+
+def _fleet_doc_with(**top):
+    fleet = co.FleetCase(rocof_max_hz_per_s=1.0, p0_ss_pu=0.3, p0_irmax_pu=0.5,
+                         h_ag_tso_s=4.0, grid=bm.benchmark_frequency_grid(),
+                         candidate=bm.benchmark_droop_fleet()[0].curve)
+    return {"schema_version": 1, **fields.dump(fleet), **top}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: pt.RadialNetwork(buses=("SRC", 3), lines=(), source=pt.ExternalSource(bus="SRC")),
+     "RadialNetwork.buses: must be a list of str"),
+    (lambda: schemas.load_fleet(_fleet_doc_with(inertia=5)), "inertia: must be an object"),
+    (lambda: schemas.load_fleet({k: v for k, v in _fleet_doc_with().items() if k != "inertia"}),
+     "inertia.rocof_max_hz_per_s: missing"),
+], ids=["seq_item_type", "dotted_parent_not_an_object", "dotted_parent_absent"])
+def test_shape_rejected(make, message):
+    assert schemas.validate_document(_fleet_doc_with()) == []   # valid but for the edit
+    with pytest.raises(InvalidInputError, match=message):
+        make()

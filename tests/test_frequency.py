@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from gridres import benchmarks as bm
 from gridres import schemas
 from gridres.errors import InvalidInputError, SimulationError
-from gridres.frequency import (FCR_T_FULL_S, DisturbanceEvent, DroopCurve,
-                               FcrProduct, FrequencyTrace, RatedDroopCurve,
+from gridres.frequency import (DEFAULT_DEAD_BAND_HZ, FCR_T_FULL_S,
+                               DisturbanceEvent, DroopCurve, FcrProduct,
+                               FrequencyTrace, RatedDroopCurve,
                                SecondaryReserve, SystemParameters,
-                               ZeroInertiaError, _fleet_dead_band,
-                               evaluate_droop, fcr_ramp_output,
+                               ZeroInertiaError, evaluate_droop, fcr_ramp_output,
                                inertia_preset_2030, inertial_power,
                                simulate_disturbance, trace_metrics)
 
@@ -158,6 +158,15 @@ class TestSimulateDisturbance:
         assert np.all(trace.f == params.f_n)
         assert np.all(trace.rocof == 0.0)
 
+    def test_event_after_the_last_sample_leaves_the_trace_flat(self):
+        # 1.004 / 0.01 rounds to 100 steps: the last sample is at 1.0 s.
+        params = bm.benchmark_system()
+        trace = simulate_disturbance(params, DisturbanceEvent(1.003, -0.1),
+                                     bm.benchmark_fcr(), bm.benchmark_secondary(),
+                                     bm.benchmark_droop_fleet(), horizon_s=1.004, dt_s=0.01)
+        assert len(trace) == 101
+        assert np.all(trace.f == params.f_n)
+
     def test_initial_rocof_matches_swing_equation(self):
         # No damping, no reserves: the first post-event step is exactly
         # linear, so the forward difference equals the analytic slope.
@@ -280,7 +289,8 @@ class _ReserveController:
         self.fcr = fcr
         self.secondary = secondary
         self.fleet = list(droop_fleet)
-        self.dead_band = _fleet_dead_band(self.fleet)
+        self.dead_band = min((r.curve.dead_band_half_width for r in self.fleet),
+                             default=DEFAULT_DEAD_BAND_HZ)
         self.fcr_rate = fcr.capacity_mw / FCR_T_FULL_S
         self.sec_rate = secondary.capacity_mw / secondary.full_activation_time_s
         self.sec_bias_mw_per_hz = secondary.capacity_mw / params.band_half_width_hz
@@ -545,6 +555,10 @@ class TestTraceMetrics:
                                rocof=np.array([]), dt=1.0)
         with pytest.raises(InvalidInputError):
             trace_metrics(empty, bm.benchmark_system())
+
+    def test_one_sample_trace_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least two samples"):
+            FrequencyTrace.from_frequencies(np.zeros(1), np.full(1, 50.0), 0.01)
 
 
 class TestInertiaPresets:

@@ -5,6 +5,7 @@ the relations here hold for any implementation of the same model, so they
 still guard a change that is allowed to move bits within a stated tolerance.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,9 @@ from gridres import benchmarks as bm
 from gridres.blackstart import _EQ_TOL, monte_carlo, run_restoration
 from gridres.frequency import (DisturbanceEvent, DroopCurve, RatedDroopCurve,
                                simulate_disturbance)
+from gridres.protection import simulate_protection, solve_fault_currents
 from test_blackstart import _shared_scenario
+from test_protection import protected_cases
 
 # Largest |(f+ - f_n) + (f- - f_n)| measured over H 2-5 s and |dP| 0.05-0.16:
 # 0.0 Hz with no fleet, 7.1e-15 Hz (one ulp at 50 Hz) with the benchmark
@@ -54,6 +57,65 @@ class TestFrequencyMirror:
             bm.benchmark_fcr(), bm.benchmark_secondary(), fleet, horizon_s=120.0).f - 50.0
             for dp in (-size, size))
         assert np.abs(under + over).max() <= MIRROR_TOL_HZ
+
+
+# Currents of a relabelled network, relative to the largest current. The
+# bottom-up sums may associate differently once the buses are reordered.
+RELABEL_RTOL = 1e-12
+
+
+def _relabelled(net, fault, trip_settings, data):
+    """The case with buses, lines and breakers in drawn document orders and
+    renamed under order-preserving maps, and the map from new ids to old."""
+    new_id = {}
+    for prefix, ids in (("N", net.buses), ("E", [ln.id for ln in net.lines]),
+                        ("K", [b.id for b in net.breakers])):
+        new_id |= {old: f"{prefix}{k:03d}" for k, old in enumerate(sorted(ids))}
+    shuffled = lambda items: data.draw(st.permutations(items))
+    net = replace(
+        net, buses=tuple(new_id[b] for b in shuffled(net.buses)),
+        lines=tuple(replace(ln, id=new_id[ln.id], from_bus=new_id[ln.from_bus],
+                            to_bus=new_id[ln.to_bus]) for ln in shuffled(net.lines)),
+        breakers=tuple(replace(b, id=new_id[b.id], line=new_id[b.line])
+                       for b in shuffled(net.breakers)),
+        source=replace(net.source, bus=new_id[net.source.bus]),
+        ders=tuple(replace(d, bus=new_id[d.bus]) for d in net.ders),
+        loads=tuple(replace(ld, bus=new_id[ld.bus]) for ld in net.loads))
+    fault = replace(fault, element_id=new_id[fault.element_id])
+    settings = {new_id[bid]: value for bid, value in trip_settings.items()}
+    return net, fault, settings, {new: old for old, new in new_id.items()}
+
+
+class TestProtectionRelabelling:
+    @given(case=protected_cases(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_keeps_trips_issues_and_currents(self, case, data):
+        net, fault, _ = case
+        # Settings at least 10 % away from the pre-trip current, so a
+        # current that moves by an ulp trips the same breakers.
+        initial = solve_fault_currents(net, fault, allow_dead_fault=True)
+        trip_settings = {}
+        for b in net.breakers:
+            current = initial.branch_magnitude(b.line)
+            scale = data.draw(st.floats(0.1, 0.9) | st.floats(1.1, 2.0))
+            trip_settings[b.id] = current * scale if current > 0 else data.draw(
+                st.floats(0.01, 5.0))
+        new_net, new_fault, new_settings, old_id = _relabelled(net, fault, trip_settings, data)
+
+        before = simulate_protection(net, fault, trip_settings)
+        after = simulate_protection(new_net, new_fault, new_settings)
+        assert [(old_id[ev.breaker_id], ev.time_s) for ev in after.trips] == \
+            [(ev.breaker_id, ev.time_s) for ev in before.trips]
+        assert tuple(old_id[ln] for ln in after.open_lines) == before.open_lines
+        assert Counter((i.kind, tuple(old_id.get(e, e) for e in i.elements))
+                       for i in after.issues) == \
+            Counter((i.kind, i.elements) for i in before.issues)
+
+        moved = solve_fault_currents(new_net, new_fault, allow_dead_fault=True)
+        old = np.array([initial.branch_currents[old_id[ln.id]] for ln in new_net.lines])
+        largest = max(np.abs(old).max(initial=0.0), abs(initial.i_fault_pu))
+        assert np.abs(moved.line_currents - old).max(initial=0.0) <= RELABEL_RTOL * largest
+        assert abs(moved.i_fault_pu - initial.i_fault_pu) <= RELABEL_RTOL * largest
 
 
 def _at_most(served, total):

@@ -337,6 +337,18 @@ def _oracle_service_from_frequency(trace, params, floor_deviation_hz):
     return rows
 
 
+def _oracle_phase(intervals, x):
+    """The phase holding time x, by walking the intervals: the non-empty
+    one whose [t_start, t_end) contains x; Defend before the span and
+    Recover at or past the last start."""
+    if x < intervals[0].t_start:
+        return "Defend"
+    if x >= intervals[-1].t_start:
+        return "Recover"
+    (phase,) = [iv.phase for iv in intervals if iv.t_start <= x < iv.t_end]
+    return phase
+
+
 def _oracle_state_space_path(rows, state_metric):
     """Points and transitions over (t, level, label) rows, one at a time."""
     points, transitions = [], []
@@ -435,8 +447,12 @@ class TestColumnarMatchesReplacedLoop:
         assert main([str(a) for a in argv]) == EXIT_OK
 
         trace = FrequencyTrace.from_frequencies(t, f, 0.5)
-        ann = annotate_phases(service_from_frequency(
-            trace, SystemParameters(band_half_width_hz=0.5)), *marks)
+        service = service_from_frequency(trace, SystemParameters(band_half_width_hz=0.5))
+        ann = annotate_phases(service, *marks)
         rows = (tmp_path / "o" / "service.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[2] for row in rows] == \
-            [phase_at(ann, x) for x in t.tolist()]
+        assert len(rows) == len(service)
+        walked = [_oracle_phase(ann.intervals, x) for x in t.tolist()]
+        assert [row.split(",")[2] for row in rows] == walked
+        times = [-1.0, *t.tolist(), 11.0]
+        assert [phase_at(ann, x) for x in times] == \
+            [_oracle_phase(ann.intervals, x) for x in times]

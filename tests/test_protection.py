@@ -561,6 +561,19 @@ class TestNetworkValidation:
                           lines=(Line("L1", "S", "A", 0.0),),
                           source=ExternalSource(bus="S"))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda net: replace(net, source=replace(net.source, bus="X")),
+         "source.bus: unknown bus 'X'"),
+        (lambda net: net.line_by_id("X"), "unknown line: X"),
+        (lambda net: solve_fault_currents(net, FaultScenario("bus", "X")),
+         "fault.element_id: unknown bus 'X'"),
+        (lambda net: solve_fault_currents(net, FaultScenario("line", "X")),
+         "fault.element_id: unknown line 'X'"),
+    ], ids=["source_bus", "line_by_id", "fault_bus", "fault_line"])
+    def test_unknown_id_rejected(self, call, message):
+        with pytest.raises(InvalidInputError, match=message):
+            call(bm.two_feeder_network())
+
 
 class TestTwoFeederBenchmark:
     """The two-feeder study: hand-computed currents, then the detectors."""
@@ -635,9 +648,9 @@ class TestTwoFeederBenchmark:
 
     def test_no_issue_when_der_stops(self):
         net = bm.two_feeder_network(der_a_injection_pu=0.5)
-        issues = detect_energized(net, open_lines={"L1"},
-                                  der_injecting={"DER_A": False})
-        assert issues == []
+        der_a, der_b = net.ders
+        net = replace(net, ders=(replace(der_a, injecting=False), der_b))
+        assert detect_energized(net, open_lines={"L1"}) == []
 
     def test_no_open_breakers_no_energized_issue(self):
         net = bm.two_feeder_network(der_a_injection_pu=0.5)

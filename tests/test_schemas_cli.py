@@ -23,7 +23,7 @@ from gridres import schemas
 from gridres.blackstart import CommNode, run_restoration
 from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          EXIT_VALIDATION, main)
-from gridres.coordination import DerUnit, InertiaPhase1
+from gridres.coordination import DerUnit, FleetUnit, InertiaPhase1
 from gridres.errors import GridResError, InvalidInputError, ScenarioValidationError
 from gridres.fields import dump
 from gridres.frequency import DisturbanceEvent, FrequencyTrace, SystemParameters
@@ -281,6 +281,21 @@ class TestCliExitCodes:
     def test_unknown_subcommand_exits_64(self, capsys):
         assert run_cli("explode") == EXIT_USAGE
         assert "Usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, code, stream, text", [
+        (("metrics", "--out", "m"), EXIT_VALIDATION, "err",
+         "metrics: pass exactly one of --trace/--timeline"),
+        (("metrics", "--timeline", "timeline.csv", "--out", "m"), EXIT_VALIDATION, "err",
+         "metrics: --timeline needs --total-load-mw"),
+        (("--help",), EXIT_OK, "out", "Usage"),
+    ], ids=["no_input", "timeline_without_total", "help"])
+    def test_argument_checks(self, workspace, capsys, monkeypatch, args, code, stream, text):
+        monkeypatch.chdir(workspace["root"])
+        Path("timeline.csv").write_text(
+            "t,stage,served_total,served_critical,service_class\n0,S2,0,0,unacceptable\n")
+        assert run_cli(*args) == code
+        assert text in getattr(capsys.readouterr(), stream)
+        assert not Path("m").exists()
 
     def test_errors_json_flag(self, workspace, capsys):
         doc = json.loads(workspace["freq.json"].read_text())
@@ -1035,8 +1050,7 @@ class TestDirectConstruction:
         lambda: DerUnit(id="u", p_rating=1.0, p_available=0.5, bus=3),
         lambda: DerUnit(id="u", p_rating=1.0, p_available=0.5,
                         in_reference_incident=1),
-        lambda: schemas.FleetUnit(id="u", p_rating=1.0, p_available=0.5,
-                                  fcr_share=math.nan),
+        lambda: FleetUnit(id="u", p_rating=1.0, p_available=0.5, fcr_share=math.nan),
         lambda: CommNode("B0", has_battery="yes"),
         lambda: FaultScenario("node", "L1"),
         lambda: FaultScenario("line", "L1", position=math.nan),
@@ -1099,6 +1113,19 @@ class TestCsvReaders:
     def test_malformed_timeline(self, text):
         with pytest.raises(InvalidInputError):
             schemas.read_timeline_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("read, text, message", [
+        (schemas.read_timeline_csv,
+         "t,stage,served_total,served_critical,service_class\n", "timeline csv: no rows"),
+        (schemas.read_timeline_csv,
+         "t,stage,served_total,served_critical,service_class\nnan,S2,0,0,impaired\n",
+         "timeline csv: numbers must be finite"),
+        (lambda fp: schemas.load_settings(json.load(fp)), "[1]",
+         "settings: must map breaker ids to trip currents"),
+    ], ids=["timeline_header_only", "timeline_nan", "settings_not_an_object"])
+    def test_rejected_with_message(self, read, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            read(io.StringIO(text))
 
     @pytest.mark.parametrize("stage", ["S2\rx", "S" * (csv.field_size_limit() + 1)],
                              ids=["bare_cr", "oversized_cell"])
