@@ -414,7 +414,10 @@ def disturbance_runs(draw):
                                 band_half_width_hz=draw(st.floats(0.2, 1.0))),
         event=DisturbanceEvent(t_event_s=t_event,
                                delta_p_pu=draw(st.floats(-0.3, 0.3).filter(bool))),
-        fcr=FcrProduct(draw(st.floats(0.0, 30.0))),
+        # A share of runs has a containment reserve so small that its
+        # envelope still clamps while the state repeats.
+        fcr=FcrProduct(draw(st.one_of(st.floats(0.0, 30.0),
+                                      st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)))),
         secondary=SecondaryReserve(capacity_mw=draw(st.floats(0.0, 40.0)),
                                    full_activation_time_s=draw(st.floats(31.0, 600.0))),
         droop_fleet=draw(st.lists(droop_curves(), max_size=3)),
@@ -445,7 +448,23 @@ class TestKernelMatchesReplacedLoop:
                    event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=delta_p_pu),
                    fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
                    droop_fleet=bm.benchmark_droop_fleet(), horizon_s=36.0, dt_s=0.01)
-        assert np.array_equal(simulate_disturbance(**run).f, _oracle_frequencies(**run))
+        expected = _oracle_frequencies(**run)
+        assert np.array_equal(simulate_disturbance(**run).f, expected)
+        # f holds one value over 20-30 s, before the restoration reserve
+        # starts, so the kernel's hold skips the f-only steps there.
+        assert (expected[2000:3001] == expected[2000]).all()
+
+    @pytest.mark.parametrize("fcr_mw", [1e-9, 1e-6])
+    @pytest.mark.parametrize("h_sys_s", [2.0, 5.0])
+    def test_repeats_under_a_clamping_envelope_match_oracle(self, h_sys_s, fcr_mw):
+        # A containment reserve this small stays on its envelope until the
+        # restoration reserve starts: steps repeat their state while the
+        # slopes still change with time, so the hold must not fill there.
+        run = dict(params=bm.benchmark_system(h_sys_s),
+                   event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=-0.1),
+                   fcr=FcrProduct(fcr_mw), secondary=bm.benchmark_secondary(),
+                   droop_fleet=bm.benchmark_droop_fleet(), horizon_s=36.0, dt_s=0.01)
+        assert simulate_disturbance(**run).f.tobytes() == _oracle_frequencies(**run).tobytes()
 
     def test_settled_runs_match_oracle(self):
         # A fast restoration reserve brings f to a fixed point well inside
@@ -492,6 +511,23 @@ class TestKernelMatchesReplacedLoop:
         schemas.write_trace_csv(buf, trace)
         assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
                 hashlib.sha256(buf.getvalue().encode()).hexdigest()) == self.PINNED[horizon_s]
+
+    def test_clamping_envelope_trace_bytes_are_pinned(self):
+        # The bundled 60 s scenario with a 1e-9 MW containment reserve: its
+        # envelope clamps until the restoration reserve starts, while steps
+        # repeat their state. Digests as the kernel produced them before it
+        # held its fixed point.
+        scenario = schemas.FrequencyScenario(
+            system=bm.benchmark_system(), event=bm.benchmark_event(),
+            fcr=FcrProduct(1e-9), secondary=bm.benchmark_secondary(),
+            droop_fleet=bm.benchmark_droop_fleet())
+        trace = scenario.simulate()
+        buf = io.StringIO()
+        schemas.write_trace_csv(buf, trace)
+        assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (
+            "e75597f45a59ab4eb97001cea9d029533e931e96bac991b20ab1e3009368e74e",
+            "2bb9a4e3c0f05ceb180a11cd315653e352e67b03919102f80bb26e6ce5214feb")
 
     def test_over_frequency_trace_bytes_are_pinned(self):
         # The bundled scenario with a 0.2 pu load loss and two more curves.
