@@ -9,11 +9,12 @@ Each network is compiled once into a rooted tree of bus indices
 (RadialNetwork.compiled): buses parent before child, each bus's parent
 line and its orientation, the impedance z from the root, breaker
 indexes, and a lowest-common-ancestor table (Bender & Farach-Colton,
-"The LCA Problem Revisited", 2000). A fault solve places the source,
-DER and fault currents as nodal injections and sums them over subtrees
-in one bottom-up Python loop (the backward sweep of radial load flow, in
-an order that fixes the sums' bits), giving every line current as one
-array; exact on radial networks, and an open line cuts its subtree off.
+"The LCA Problem Revisited", 2000). One function (_fault_feed) gives
+the source, DER and fault currents of a fault; a fault solve places
+them as nodal injections and sums them over subtrees in one bottom-up
+Python loop (the backward sweep of radial load flow, in an order that
+fixes the sums' bits), giving every line current as one array; exact
+on radial networks, and an open line cuts its subtree off.
 
 A DER feeding a source-fed fault f splits its current where its path
 meets the source-fault path, at junction j. The share that arrives is
@@ -28,13 +29,19 @@ current balance I_fault = I_grid + sum of injections hold exactly.
 The module also provides the two adaptive-protection schemes: local
 setting groups selected by topology (with a hold rule on communication
 failure) and a centralized locator that matches measured per-DER
-injections against precomputed fault signatures.
+injections against precomputed fault signatures. The locator screens
+every signature with one matrix-vector product under a stated rounding
+bound and takes exact distances only on the rows that can still win,
+so its decisions are those of exact distances over the whole map; it
+checks its trip plan with _fault_feed alone, without a line-current
+sweep.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,6 +275,11 @@ class _CompiledFeeder:
         return {int(self.child[self.line_index[lid]])
                 for lid in open_lines if lid in self.line_index}
 
+    def open(self, open_lines) -> tuple[set[int], list[int]]:
+        """cut_below(open_lines) and, as a list, the pieces of that cut."""
+        cut = self.cut_below(open_lines)
+        return cut, self.pieces(cut).tolist() if cut else self.roots
+
     def pieces(self, cut):
         """Top bus of every bus's connected piece once the lines above
         the buses in cut are open."""
@@ -391,18 +403,68 @@ def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus):
     return z_left / (z_left + ((z_fault - z_j) + z_f))
 
 
+class _Feed(NamedTuple):
+    """What feeds a fault: see _fault_feed."""
+
+    fed: bool
+    i_fault: float
+    i_grid: float
+    ders: list              # (DER, bus index) of the live units in the fault's piece
+    contributions: dict
+    arrivals: dict
+    top: int | None         # the fault's place (_fault_point); None without a fault
+    low: int | None
+    upper_open: bool        # the open near segment of a split line is its upper one
+
+
+def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, live, cut,
+                piece) -> _Feed:
+    """The currents that feed a fault once the lines above cut are open.
+
+    cut and piece are _CompiledFeeder.open of the open lines (piece is
+    the top bus of every bus's piece), live the (DER, bus index) pairs
+    that inject. The source drives
+    V / (Zs + z[f] + Zf) into a fault in its piece, and each DER of the
+    fault's piece delivers its arrival share, the rest flowing back to
+    the source; a fault the source cannot reach takes the DER's full
+    injections. Without a fault nothing feeds it.
+    """
+    if fault is None or not fault.is_fault:
+        return _Feed(False, 0.0, 0.0, [], {}, {}, None, None, False)
+    tree, src = network.compiled, network.source
+    top, low, z_f = _fault_point(network, fault)
+    # An open split line loses its near segment only: the upper one
+    # when the line is stored top -> low, else the lower one.
+    upper_open = top != low and low in cut and tree.sign[low] > 0
+    f_piece = piece[low] if upper_open else piece[top]
+    fed = src.available and piece[tree.bus_index[src.bus]] == f_piece
+    ders = [(d, v) for d, v in live if piece[v] == f_piece]
+    shares = [1.0] * len(ders)
+    i_fault = i_grid = 0.0
+    if fed:
+        i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
+        if ders:
+            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top, low,
+                                  z_f, np.array([v for _, v in ders], int)).tolist()
+    contributions, arrivals = {}, {}
+    for (d, _v), share in zip(ders, shares):
+        i_fault += d.i_max_pu * share
+        i_grid -= d.i_max_pu * (1 - share)
+        contributions[d.id] = d.i_max_pu
+        arrivals[d.id] = d.i_max_pu * share
+    return _Feed(fed, i_fault, i_grid, ders, contributions, arrivals, top, low, upper_open)
+
+
 def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
                          open_lines=frozenset(), der_injecting=None,
                          allow_dead_fault: bool = False) -> FaultSolution:
     """Solve branch currents for a fault (or the healthy network).
 
-    The source drives V / (Zs + z[f] + Zf) into a source-fed fault and
-    each injecting DER delivers its arrival share, the rest flowing back
-    to the source. A fault the source cannot reach takes the full
-    injections of the DER in its piece. der_injecting optionally
-    overrides the per-unit injecting flags. open_lines removes tripped
-    lines (the far side of a split faulted line stays connected, the
-    breaker sits on the near side).
+    _fault_feed gives the source, DER and fault currents of a fault;
+    this solve places them as nodal injections and sweeps them into line
+    currents. der_injecting optionally overrides the per-unit injecting
+    flags. open_lines removes tripped lines (the far side of a split
+    faulted line stays connected, the breaker sits on the near side).
     """
     tree = network.compiled
     live = tree.live   # (DER, bus index) of every injecting unit
@@ -410,45 +472,19 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
         flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting)
         live = [(d, tree.bus_index[d.bus]) for d in network.ders
                 if flags.get(d.id) and d.i_max_pu > 0]
-    cut = tree.cut_below(open_lines)
-    piece = tree.pieces(cut).tolist() if cut else tree.roots
+    cut, piece = tree.open(open_lines)
+    fed, i_fault, i_grid, ders, contributions, arrivals, top, low, upper_open = \
+        _fault_feed(network, fault, live, cut, piece)
+    if top is not None and not fed and i_fault == 0.0 and not allow_dead_fault:
+        raise UnreachableFaultError(
+            "fault is disconnected from the external source and from any "
+            "injecting DER")
     src = network.source
     s = tree.bus_index[src.bus]
     n = len(network.buses)
     acc = [0.0] * (n + 1)   # net injection, then subtree sum, per bus
-    contributions, arrivals = {}, {}
-    i_fault = i_grid = 0.0
-    fed, split, at = False, False, None
-
-    if fault is not None and fault.is_fault:
-        top, low, z_f = _fault_point(network, fault)
-        split = top != low
-        # An open split line loses its near segment only: the upper one
-        # when the line is stored top -> low, else the lower one.
-        near_up = tree.sign[low] > 0
-        upper_open = split and low in cut and near_up
-        lower_open = split and low in cut and not near_up
-        f_piece = piece[low] if upper_open else piece[top]
-        fed = src.available and piece[s] == f_piece
-        ders = [(d, v) for d, v in live if piece[v] == f_piece]
-        shares = [1.0] * len(ders)
-        if fed:
-            i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
-        if fed and ders:
-            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top, low,
-                                  z_f, np.array([v for _, v in ders], int)).tolist()
-        for (d, v), share in zip(ders, shares):
-            i_fault += d.i_max_pu * share
-            i_grid -= d.i_max_pu * (1 - share)
-            contributions[d.id] = d.i_max_pu
-            arrivals[d.id] = d.i_max_pu * share
-            acc[v] += d.i_max_pu
-        if not fed and i_fault == 0.0 and not allow_dead_fault:
-            raise UnreachableFaultError(
-                "fault is disconnected from the external source and from any "
-                "injecting DER")
-        at = low if upper_open else top   # a bus on the fault's side of the cut
-
+    for d, v in ders:
+        acc[v] += d.i_max_pu
     if src.available and not fed:
         # Healthy load flow in the source's piece: net injections stream
         # to the source.
@@ -460,8 +496,8 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
         i_grid = -total
     if src.available:
         acc[s] += i_grid
-    if at is not None:
-        acc[at] -= i_fault
+    if top is not None:
+        acc[low if upper_open else top] -= i_fault   # a bus on the fault's side of the cut
     ups = tree.bottom_up
     if cut:
         # An open line passes its subtree's sum to the spare slot n instead;
@@ -476,13 +512,14 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
     if cut:
         values[[tree.up_line[v] for v in cut]] = 0.0
     split_line, far = None, 0.0
-    if split:
+    if top is not None and top != low:
         # The segment below the fault carries the current of low's subtree.
+        lower_open = low in cut and not upper_open
         up_lower = 0.0 if lower_open else acc[low] + (i_fault if upper_open else 0.0)
         up_upper = 0.0 if upper_open else up_lower - i_fault
         k = tree.up_line[low]
         split_line = tree.line_ids[k]
-        values[k], far = (-up_upper, -up_lower) if near_up else (up_lower, up_upper)
+        values[k], far = (-up_upper, -up_lower) if tree.sign[low] > 0 else (up_lower, up_upper)
     return FaultSolution(network=network, line_currents=values, i_fault_pu=i_fault,
                          i_grid_pu=i_grid, der_contributions_pu=contributions,
                          der_fault_arrivals_pu=arrivals, source_feeds_fault=fed,
@@ -673,6 +710,12 @@ class FaultSignatureMap:
     fault_impedance_pu: float
     position: float
 
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Each row's squared Euclidean norm, which the locator's screen
+        reads (centralized_locate_fault)."""
+        return np.einsum("ij,ij->i", self.signatures, self.signatures)
+
     @property
     def entries(self) -> dict[tuple[str, str], tuple[float, ...]]:
         """Signature per candidate location, read from the matrix."""
@@ -740,8 +783,15 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     The nearest stored signature wins if it lies within tolerance and
     beats the second-best by at least the tolerance. The result carries
     the closest isolating breakers; breakers reported failed are bypassed
-    by escalating outward to the next one, and the plan is re-solved to
-    report whether the fault persists.
+    by escalating outward to the next one. The plan's check reads only
+    what still feeds the fault once the plan's lines are open
+    (_fault_feed), not the line currents.
+
+    A screen (_screen_rows) bounds every row's distance with one
+    matrix-vector product, and exact distances (_distances) are taken
+    only on the rows that can still win or tie within tolerance. The
+    decision, the rows it names and every message are those of exact
+    distances over the whole map.
     """
     require(("tolerance", _TOLERANCE, tolerance))
     try:    # one pass: a string raises TypeError, an int beyond a float OverflowError
@@ -755,11 +805,10 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
         raise NoFaultDetectedError("measurement vector is zero; grid looks healthy")
     if not fmap.candidates:
         raise NoFaultDetectedError("the signature map holds no candidate location")
-    # np.linalg.norm(gap, axis=1)'s bits without its conj() and .real copies.
-    gap = fmap.signatures - vec
-    dist = np.sqrt(np.add.reduce(np.multiply(gap, gap, out=gap), axis=1))
-    best = int(np.argmin(dist))   # the lowest row wins a tie
-    best_d, best_loc = float(dist[best]), fmap.candidates[best]
+    rows = _screen_rows(fmap, vec, tolerance)
+    dist = _distances(fmap, vec, rows)
+    best = int(np.argmin(dist))   # rows ascend, so the lowest row wins a tie
+    best_d, best_loc = float(dist[best]), fmap.candidates[rows[best]]
     if best_d > tolerance:
         raise NoFaultDetectedError(
             f"nearest signature ({best_loc[0]} {best_loc[1]}) is {best_d:.4f} pu "
@@ -767,24 +816,66 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     dist[best] = np.inf   # a lone row's runner-up is inf: never within tolerance
     runner_up = int(np.argmin(dist))
     if dist[runner_up] - best_d < tolerance:
-        second = fmap.candidates[runner_up]
+        second = fmap.candidates[rows[runner_up]]
         raise AmbiguousLocationError(
             f"{best_loc[0]} {best_loc[1]} and {second[0]} {second[1]} "
             f"both match within tolerance")
+    network = fmap.network
     breakers, escalated = _isolating_breakers(
-        fmap.network, best_loc, set(failed_breakers), fmap.position)
+        network, best_loc, set(failed_breakers), fmap.position)
 
-    # Re-solve with the plan executed (failed breakers stay closed) to
-    # check what still feeds the fault.
-    fault = FaultScenario(*best_loc, fmap.fault_impedance_pu, fmap.position)
-    plan_lines = {fmap.network.compiled.breaker[bid].line for bid in breakers}
-    after = solve_fault_currents(fmap.network, fault, open_lines=plan_lines,
-                                 allow_dead_fault=True)
+    # Execute the plan (failed breakers stay closed) and check what still
+    # feeds the fault.
+    tree = network.compiled
+    cut, piece = tree.open({tree.breaker[bid].line for bid in breakers})
+    after = _fault_feed(network, FaultScenario(*best_loc, fmap.fault_impedance_pu,
+                                               fmap.position),
+                        tree.live, cut, piece)
     return LocateResult(location=best_loc,
                         breakers_to_open=tuple(sorted(breakers)),
                         escalated=escalated,
-                        cleared_from_source=not after.source_feeds_fault,
-                        residual_fault_current_pu=after.i_fault_pu)
+                        cleared_from_source=not after.fed,
+                        residual_fault_current_pu=after.i_fault)
+
+
+def _screen_rows(fmap: FaultSignatureMap, vec: np.ndarray, tolerance: float) -> np.ndarray:
+    """The ascending signature rows that can win or tie within tolerance.
+
+    Row i's squared distance d2 = |s|^2 - 2 s.v + |v|^2 is screened as
+    q with one matrix-vector product and the stored |s|^2. With n DER and
+    unit roundoff u, Higham's bound for dot products and sums in any
+    order (Accuracy and Stability of Numerical Algorithms, 2002, 3.1)
+    gives |q - d2| <= 2 gamma(n+2) (|s|^2 + |v|^2), where gamma(k) =
+    k u / (1 - k u), and the exact pass's distance D has
+    |D^2 - d2| <= 2 gamma(n+4) (|s|^2 + |v|^2). slack, 16 (n + 4) u times
+    the computed |s|^2 + |v|^2, is about four times the sum of the two
+    bounds, which leaves room for the roundings of slack and of
+    q - slack. So D^2 lies within q +- slack, the least D is at most
+    h = sqrt(min(q + slack)), and a row whose D lies within tolerance of
+    the least has q - slack <= (h + tolerance)^2; the factor 1 + 2^-40
+    covers the few roundings of that limit. If a screen value is not
+    finite (an injection near the float range), every row is kept.
+    """
+    with np.errstate(all="ignore"):   # the overflow falls back to every row
+        vv = vec @ vec
+        q = fmap.sq_norms - 2.0 * (fmap.signatures @ vec) + vv
+        slack = (16 * (len(vec) + 4) * 2.0 ** -53) * (fmap.sq_norms + vv)
+        low = q - slack
+        if not np.isfinite(low).all():
+            return np.arange(len(fmap.candidates))
+        reach = math.sqrt(float(np.min(q + slack))) + tolerance
+        return np.flatnonzero(low <= reach * reach * (1.0 + 2.0 ** -40))
+
+
+def _distances(fmap: FaultSignatureMap, vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances from vec to the signature rows listed in rows.
+
+    np.linalg.norm(gap, axis=1)'s bits without its conj() and .real
+    copies. Each row is summed on its own, so a row's distance has the
+    same bits whichever rows are taken with it.
+    """
+    gap = fmap.signatures[rows] - vec
+    return np.sqrt(np.add.reduce(np.multiply(gap, gap, out=gap), axis=1))
 
 
 def _isolating_breakers(network: RadialNetwork, location, failed: set[str],

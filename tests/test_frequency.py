@@ -490,6 +490,23 @@ class TestKernelMatchesReplacedLoop:
         check()
         assert any(settled)
 
+    @pytest.mark.parametrize("delta_p_pu", [-1e-4, 1e-4])
+    @pytest.mark.parametrize("t_event_s", [1.0, 1.0 - 5e-13])
+    def test_dead_band_runs_match_oracle(self, t_event_s, delta_p_pu):
+        # f settles 0.01 Hz off nominal, inside the 0.02 Hz dead band, so
+        # containment never activates and f repeats its own state over the
+        # last 10 s. An event 5e-13 s before a sample takes a short first
+        # step that returns f_n; a kernel that held every repeated state
+        # would hold f_n there for the whole run.
+        run = dict(params=bm.benchmark_system(0.5),
+                   event=DisturbanceEvent(t_event_s=t_event_s, delta_p_pu=delta_p_pu),
+                   fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+                   droop_fleet=bm.benchmark_droop_fleet(), horizon_s=60.0, dt_s=0.01)
+        expected = _oracle_frequencies(**run)
+        assert simulate_disturbance(**run).f.tobytes() == expected.tobytes()
+        assert expected[100] == 50.0 != expected[101]
+        assert (expected[-1000:] == expected[-1]).all()
+
     # sha256 of the frequency samples and of the written trace CSV, as the
     # replaced controller loop produced them.
     PINNED = {
@@ -528,6 +545,23 @@ class TestKernelMatchesReplacedLoop:
                 hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (
             "e75597f45a59ab4eb97001cea9d029533e931e96bac991b20ab1e3009368e74e",
             "2bb9a4e3c0f05ceb180a11cd315653e352e67b03919102f80bb26e6ce5214feb")
+
+    def test_dead_band_trace_bytes_are_pinned(self):
+        # The bundled scenario with a -1e-4 pu step over 600 s: f never
+        # leaves the dead band and stops changing at about 420 s, so every
+        # later step repeats its state.
+        scenario = schemas.FrequencyScenario(
+            system=bm.benchmark_system(),
+            event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=-1e-4),
+            fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+            droop_fleet=bm.benchmark_droop_fleet(), horizon_s=600.0)
+        trace = scenario.simulate()
+        buf = io.StringIO()
+        schemas.write_trace_csv(buf, trace)
+        assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (
+            "c9b9901c6c8db5a820101e448b55e48573d767f13cdd1643c5ba0c63286036ef",
+            "2da68e73dfa774c75e2d05e5d1403ead1151ee3c90be79301b872cbb948dd9c1")
 
     def test_over_frequency_trace_bytes_are_pinned(self):
         # The bundled scenario with a 0.2 pu load loss and two more curves.

@@ -5,6 +5,7 @@ the relations here hold for any implementation of the same model, so they
 still guard a change that is allowed to move bits within a stated tolerance.
 """
 
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -18,7 +19,8 @@ from gridres.frequency import (DisturbanceEvent, DroopCurve, RatedDroopCurve,
                                simulate_disturbance)
 from gridres.protection import simulate_protection, solve_fault_currents
 from test_blackstart import _shared_scenario
-from test_protection import protected_cases
+from test_protection import (general_faults, general_networks, protected_cases,
+                             random_radial_network)
 
 # Largest |(f+ - f_n) + (f- - f_n)| measured over H 2-5 s and |dP| 0.05-0.16:
 # 0.0 Hz with no fleet, 7.1e-15 Hz (one ulp at 50 Hz) with the benchmark
@@ -116,6 +118,33 @@ class TestProtectionRelabelling:
         largest = max(np.abs(old).max(initial=0.0), abs(initial.i_fault_pu))
         assert np.abs(moved.line_currents - old).max(initial=0.0) <= RELABEL_RTOL * largest
         assert abs(moved.i_fault_pu - initial.i_fault_pu) <= RELABEL_RTOL * largest
+
+
+class TestProtectionInFeedMonotone:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_more_der_in_feed_raises_the_fault_current_and_lowers_the_grid_share(self, data):
+        # The mechanism behind protection blinding: a DER feeding a
+        # source-fed fault adds its arrival share to the fault current and
+        # takes the rest from the grid's share. Each share lies in [0, 1]
+        # and every sum is monotone in its terms, so the relation is exact.
+        net = data.draw(st.tuples(st.integers(0, 2 ** 32), st.integers(3, 40)).map(
+            lambda seed_size: random_radial_network(random.Random(seed_size[0]),
+                                                    seed_size[1]))
+            | general_networks())
+        if not net.ders:
+            return
+        fault = data.draw(general_faults(net))
+        k = data.draw(st.integers(0, len(net.ders) - 1))
+        raised = replace(net, ders=tuple(
+            replace(d, i_max_pu=d.i_max_pu * 1.5 + 0.1) if i == k else d
+            for i, d in enumerate(net.ders)))
+        before, after = (solve_fault_currents(n, fault, allow_dead_fault=True)
+                         for n in (net, raised))
+        if not before.source_feeds_fault:
+            return
+        assert after.i_fault_pu >= before.i_fault_pu
+        assert after.i_grid_pu <= before.i_grid_pu
 
 
 def _at_most(served, total):

@@ -16,7 +16,8 @@ from gridres.protection import (AmbiguousLocationError, Breaker, DerSource,
                                 Line, LoadPoint, NoFaultDetectedError,
                                 RadialNetwork, SettingGroupTable, TopologyKey,
                                 UnconfiguredError, UnreachableFaultError,
-                                _fault_point, _fault_share, _isolating_breakers,
+                                _distances, _fault_point, _fault_share,
+                                _isolating_breakers, _screen_rows,
                                 apply_setting_group, build_fault_signature_map,
                                 centralized_locate_fault, detect_energized,
                                 simulate_protection, solve_fault_currents,
@@ -886,25 +887,88 @@ def located_measurements(draw):
                                 | st.floats(1e-6, 5.0))
 
 
+@st.composite
+def screened_measurements(draw):
+    """A map of 40-200 buses with line and bus candidates (at positions 0
+    and 1 a line's row duplicates a bus's, 1e-8 from an end it nearly
+    does) and a measurement on a row, near it, far along one DER's axis,
+    or with injections whose squares overflow; tolerances 1e-9 to 5."""
+    net = random_radial_network(random.Random(draw(st.integers(0, 2 ** 32))),
+                                draw(st.integers(40, 200)))
+    fmap = build_fault_signature_map(
+        net, [("line", ln.id) for ln in net.lines] + [("bus", b) for b in net.buses],
+        draw(st.just(0.0) | st.floats(0.02, 0.5)),
+        draw(st.sampled_from([0.0, 0.5, 1.0, 1e-8, 1.0 - 1e-8])))
+    vec = fmap.signatures[draw(st.integers(0, len(fmap.candidates) - 1))].copy()
+    kind = draw(st.sampled_from(["on", "near", "far", "overflow"]))
+    if kind == "near":
+        scale = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.3]))
+        vec += np.array(draw(st.lists(st.floats(-scale, scale), min_size=len(vec),
+                                      max_size=len(vec))))
+    elif kind == "far" and len(vec):
+        vec[draw(st.integers(0, len(vec) - 1))] += draw(
+            st.sampled_from([1e3, 1e6, 1e8, -1e8, 1e12, 1e150]))
+    elif kind == "overflow" and len(vec):
+        vec[draw(st.integers(0, len(vec) - 1))] = draw(
+            st.sampled_from([1e155, -1e200, 1.7e308]))
+    tolerance = draw(st.sampled_from([1e-9, 3e-9, 1e-8])
+                     | st.floats(-9.0, math.log10(5.0)).map(lambda e: 10.0 ** e))
+    return fmap, dict(zip(fmap.der_ids, vec.tolist())), tolerance
+
+
+def assert_locator_matches_ranking(fmap, measured, tolerance):
+    """centralized_locate_fault's decision and message against
+    norm_locate_decision, and the exact distances of the screened rows
+    and of one row against the full pass's, by tobytes()."""
+    with np.errstate(over="ignore"):
+        expected = norm_locate_decision(measured, fmap, tolerance)
+    try:
+        with np.errstate(over="ignore"):
+            result = centralized_locate_fault(measured, fmap, tolerance)
+    except (NoFaultDetectedError, AmbiguousLocationError) as err:
+        assert (type(err), str(err)) == expected
+    except IsolationError:
+        # Located, but no working breaker isolates the location.
+        assert expected[0] == "located"
+        with pytest.raises(IsolationError):
+            _isolating_breakers(fmap.network, expected[1], set(), fmap.position)
+    else:
+        assert ("located", result.location) == expected
+    vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids])
+    if not fmap.candidates or not vec.any():
+        return None
+    with np.errstate(over="ignore"):
+        gap = fmap.signatures - vec    # the full pass the screen replaced
+        full = np.sqrt(np.add.reduce(gap * gap, axis=1))
+        rows = _screen_rows(fmap, vec, tolerance)
+        for subset in (rows, rows[-1:]):
+            assert _distances(fmap, vec, subset).tobytes() == full[subset].tobytes()
+    return rows
+
+
 class TestLocatorMatchesReplacedRanking:
     @given(located_measurements())
     @settings(max_examples=300, deadline=None)
     def test_same_decision_location_and_message(self, case):
-        fmap, measured, tolerance = case
-        with np.errstate(over="ignore"):
-            expected = norm_locate_decision(measured, fmap, tolerance)
-        try:
-            with np.errstate(over="ignore"):
-                result = centralized_locate_fault(measured, fmap, tolerance)
-        except (NoFaultDetectedError, AmbiguousLocationError) as err:
-            assert (type(err), str(err)) == expected
-        except IsolationError:
-            # Located, but no working breaker isolates the location.
-            assert expected[0] == "located"
-            with pytest.raises(IsolationError):
-                _isolating_breakers(fmap.network, expected[1], set(), fmap.position)
-        else:
-            assert ("located", result.location) == expected
+        assert_locator_matches_ranking(*case)
+
+    def test_screen_prunes_and_keeps_the_decision(self):
+        # Maps of 40-200 buses, where the screen drops most rows. At 1e-8
+        # from a line's end, the line's row lies about 1e-9 from its end
+        # bus's, so the two squared distances differ by far less than the
+        # screen's rounding: only its error bound keeps both rows, and with
+        # them the ambiguity, at a tolerance of 1e-9.
+        kept = []
+
+        @given(screened_measurements())
+        @settings(max_examples=120, deadline=None)
+        def check(case):
+            rows = assert_locator_matches_ranking(*case)
+            if rows is not None:
+                kept.append(len(rows) / len(case[0].candidates))
+
+        check()
+        assert sum(share < 0.5 for share in kept) >= len(kept) // 4
 
     def test_exact_tie_goes_to_the_lowest_row(self):
         # At position 1.0 a fault on L2 is one at bus F1B: rows 0 and 2
@@ -921,6 +985,56 @@ class TestLocatorMatchesReplacedRanking:
         with pytest.raises(AmbiguousLocationError) as err:
             centralized_locate_fault(measured, fmap, 0.1)
         assert str(err.value) == expected[1]
+
+
+@st.composite
+def planned_locations(draw):
+    """A general network or a random feeder with zero to two breakers per
+    line, a signature map over its lines and buses, a measurement on one
+    row and a set of failed breakers."""
+    net = draw(st.tuples(st.integers(0, 2 ** 32), st.integers(4, 16)).map(
+        lambda seed_size: random_radial_network(random.Random(seed_size[0]), seed_size[1]))
+        | general_networks())
+    breakers = tuple(Breaker(f"{ln.id}_{k}", ln.id, 1.0)
+                     for ln in net.lines for k in range(draw(st.integers(0, 2))))
+    net = replace(net, breakers=breakers)
+    fmap = build_fault_signature_map(
+        net, [("line", ln.id) for ln in net.lines] + [("bus", b) for b in net.buses],
+        draw(st.just(0.0) | st.floats(0.02, 0.5)), draw(st.sampled_from([0.3, 0.5, 0.8])))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    row = fmap.signatures[rng.randrange(len(fmap.candidates))]
+    failed = {b.id for b in breakers if rng.random() < 0.3}
+    return fmap, dict(zip(fmap.der_ids, row.tolist())), failed
+
+
+class TestLocatorPlanCheck:
+    def test_plan_check_matches_a_full_solve(self):
+        # The locator reads what feeds the fault with the plan's lines open;
+        # a full solve of the same case must agree to the bit.
+        residuals = []
+
+        @given(planned_locations())
+        @settings(max_examples=200, deadline=None)
+        def check(case):
+            fmap, measured, failed = case
+            try:
+                result = centralized_locate_fault(measured, fmap, 1e-9, failed)
+            except (NoFaultDetectedError, AmbiguousLocationError, IsolationError):
+                return
+            net = fmap.network
+            after = solve_fault_currents(
+                net, FaultScenario(*result.location, fmap.fault_impedance_pu, fmap.position),
+                open_lines={net.compiled.breaker[bid].line for bid in result.breakers_to_open},
+                allow_dead_fault=True)
+            assert (result.cleared_from_source, result.residual_fault_current_pu.hex()) == \
+                (not after.source_feeds_fault, after.i_fault_pu.hex())
+            residuals.append((result.escalated, result.residual_fault_current_pu))
+
+        check()
+        # Located cases with and without escalation, with and without DER
+        # in-feed left behind the plan.
+        assert {escalated for escalated, _ in residuals} == {False, True}
+        assert {residual > 0 for _, residual in residuals} == {False, True}
 
 
 class TestCentralizedScheme:
