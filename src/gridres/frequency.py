@@ -232,12 +232,11 @@ def simulate_disturbance(params: SystemParameters, event: DisturbanceEvent,
     leaves the open range (0, 2*f_n), or is not finite, is not physical
     and raises SimulationError.
 
-    Steps that cannot change the trace are not taken: once a step after
-    activation returns its own state and the same step taken at the last
-    time before the restoration reserve starts has the same slopes, the
-    state holds up to that start, and once a restoration-phase step repeats
-    its state with the containment envelope at capacity, it holds to the
-    end. Either way the trace is bit-identical to stepping every sample.
+    Steps that cannot change the trace are not taken: once a full-length
+    step returns its own state and the same step taken at the last step
+    time of its stretch (before activation, the containment ramp, after
+    the restoration start) has the same slopes, the state holds to the
+    stretch's end. The trace is bit-identical to stepping every sample.
     """
     droop_fleet = droop_fleet or []
     violations = run_violations(event.t_event_s, horizon_s, dt_s)
@@ -277,14 +276,11 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     activation time, which returns frequency to nominal and releases the
     spent containment reserve as it does so.
 
-    One loop steps f alone while every stage precedes the restoration
-    start, and a second steps both states after it. The first loop holds
-    f at a fixed point: when a step after activation returns its own
-    state, the same step is taken from that state at the start time of
-    the last f-only step, and if all four slopes are equal, every f-only
-    sample up to there takes the state at once. The second loop fills the
-    rest of the trace once a step repeats both states with the containment
-    envelope at capacity.
+    One loop steps f alone until the restoration start and both states
+    from there on. When a full-length step returns its own state, the same
+    step is taken from that state at the last step time of its segment;
+    if the slopes are equal, every sample up to the segment's end takes
+    the state at once.
     """
     f_n, s_base = params.f_n, params.s_base_mva
     denom = 2.0 * params.h_sys_s * s_base
@@ -334,15 +330,6 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
         p = p_event + p_fleet + p_fcr + ps - damping * (ff - f_n) * s_base
         return f_n * p / denom
 
-    def stages(tt, hh, ff):
-        """The four RK4 slopes of a step whose stages all precede the
-        restoration reserve, so that ps stays 0.0."""
-        t_mid = tt + hh / 2
-        k1 = dfdt(tt, ff, 0.0)
-        k2 = dfdt(t_mid, ff + k1 * hh / 2, 0.0)
-        k3 = dfdt(t_mid, ff + k2 * hh / 2, 0.0)
-        return k1, k2, k3, dfdt(tt + hh, ff + k3 * hh, 0.0)
-
     def rhs(tt, ff, ps):
         if tt < sec_start:
             return dfdt(tt, ff, ps), 0.0
@@ -352,6 +339,25 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
         rate = SEC_K_TRACK * (demand - ps)
         rate = rate if rate < sec_rate else sec_rate
         return dfdt(tt, ff, ps), (rate if rate > -sec_rate else -sec_rate)
+
+    def step(tt, hh, ff, ps):
+        """One RK4 step: the next f and ps, and the slopes that gave them,
+        f's four while the step ends before the restoration start (ps stays
+        0.0 there), and from there on f's four followed by ps's four."""
+        t_mid, t_end = tt + hh / 2, tt + hh
+        if t_end < sec_start:
+            k1 = dfdt(tt, ff, 0.0)
+            k2 = dfdt(t_mid, ff + k1 * hh / 2, 0.0)
+            k3 = dfdt(t_mid, ff + k2 * hh / 2, 0.0)
+            k4 = dfdt(t_end, ff + k3 * hh, 0.0)
+            return ff + hh * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, ps, (k1, k2, k3, k4)
+        k1f, k1p = rhs(tt, ff, ps)
+        k2f, k2p = rhs(t_mid, ff + k1f * hh / 2, ps + k1p * hh / 2)
+        k3f, k3p = rhs(t_mid, ff + k2f * hh / 2, ps + k2p * hh / 2)
+        k4f, k4p = rhs(t_end, ff + k3f * hh, ps + k3p * hh)
+        return (ff + hh * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0,
+                ps + hh * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0,
+                (k1f, k2f, k3f, k4f, k1p, k2p, k3p, k4p))
 
     # The pre-event system sits exactly at equilibrium; integration starts
     # at the event instant so the sample there is still f_n and the step
@@ -367,59 +373,50 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     else:
         first += 1
     fi, ps, dev_after, active = f_n, 0.0, 0.0, False
-    # held is the state the hold last checked; last, set at activation, is
-    # the last sample that the f-only body computes.
-    j, held = first, math.nan
-    while j < n and t0 + h < sec_start:
-        k1, k2, k3, k4 = slopes = stages(t0, h, fi)
-        f_next = fi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if f_next == fi and active and fi != held:
-            # The step returned its own state: take it once more from fi at
-            # the start of the last f-only step. Inside a stage, time enters
-            # only through the containment envelope fcr_rate * (tt - t_act),
-            # which never decreases as tt grows (before t_act p_fcr is 0.0,
-            # its clamp at a zero envelope), and each slope is a monotone
-            # function of the clamped p_fcr. So if the slopes are equal at
-            # the first and the last step time, every step between has the
-            # same slopes and returns fi as well. Checked once per held value:
-            # an envelope that still clamps pays one extra step per streak.
-            held = fi
-            if stages(t[last - 1], h, fi) == slopes:
-                f[j:last + 1] = fi
-                j, t0 = last + 1, t[last]
+    # A segment ends at last, the last f-only sample, while f steps alone
+    # after activation, and at n - 1 before activation and from the
+    # restoration start on. k_end holds the slopes of the held state's step
+    # at the last step time of its segment.
+    j, last, held, k_end = first, n - 1, None, None
+    while j < n:
+        f_next, p_next, k = step(t0, h, fi, ps)
+        # fi and ps are never -0.0 and NaN != NaN, so == is bitwise.
+        if f_next == fi and p_next == ps and h == dt_s:
+            # A full-length step returned its own state: compare its slopes
+            # with those of the same step at the last step time of its
+            # segment. Inside a stage, time enters only through the
+            # containment envelope fcr_rate * (tt - t_act), which never
+            # decreases as tt grows (before t_act p_fcr is 0.0, its clamp at
+            # a zero envelope), and through the restoration start, before
+            # which ps's slope is 0.0. At a fixed stage input each slope is
+            # monotone in both, so if the slopes are equal at the first and
+            # the last step time, every step between has the same stage
+            # inputs and slopes, and returns the state too. The end slopes
+            # cost one step per held state and segment; under an envelope
+            # that still clamps, the first step whose slopes match them fills.
+            # The short first step of an event between samples has its own h.
+            end = last if j <= last else n - 1
+            if (fi, ps, end) != held:
+                held, k_end = (fi, ps, end), step(t[end - 1], h, fi, ps)[2]
+            if k == k_end:
+                f[j:end + 1] = fi
+                j, t0 = end + 1, t[end]
                 continue
-        fi = f_next
+        fi, ps = f_next, p_next
         if not active:
-            # sec_start is inf until activation, so only this body searches. Every
-            # earlier sample stayed in the band and the first step compares with 0.0,
-            # so dev_before <= dead_band < dev_after: the crossing lies in the step.
+            # Every earlier sample stayed in the band and the first step compares
+            # with 0.0, so dev_before <= dead_band < dev_after: the crossing lies
+            # in the step.
             dev_before, dev_after = dev_after, abs(fi - f_n)
             if dev_after > dead_band:
                 active = True
                 t_act = t0 + (dead_band - dev_before) / (dev_after - dev_before) * h
                 sec_start = t_act + FCR_T_FULL_S
-                # The loop's own test: sample m is f-only while t[m-1] + dt_s < sec_start.
+                # step's own test: sample m is f-only while t[m-1] + dt_s < sec_start.
                 last = min(bisect.bisect_left(t, sec_start, j, key=lambda x: x + dt_s), n - 1)
         f[j] = fi
         t0, h = t[j], dt_s
         j += 1
-    for j in range(j, n):
-        k1f, k1p = rhs(t0, fi, ps)
-        k2f, k2p = rhs(t0 + h / 2, fi + k1f * h / 2, ps + k1p * h / 2)
-        k3f, k3p = rhs(t0 + h / 2, fi + k2f * h / 2, ps + k2p * h / 2)
-        k4f, k4p = rhs(t0 + h, fi + k3f * h, ps + k3p * h)
-        f_next = fi + h * (k1f + 2 * k2f + 2 * k3f + k4f) / 6.0
-        p_next = ps + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        # Past sec_start with the containment envelope at capacity, no
-        # stage depends on time: a step that returns its own state repeats
-        # for ever. fi and ps are never -0.0 and NaN != NaN, so == is bitwise.
-        if (f_next == fi and p_next == ps and t0 >= sec_start
-                and fcr_rate * (t0 - t_act) >= fcr_cap):
-            f[j:] = fi
-            return
-        fi, ps = f_next, p_next
-        f[j] = fi
-        t0 = t[j]
 
 
 def trace_metrics(trace: FrequencyTrace, params: SystemParameters) -> TraceMetrics:

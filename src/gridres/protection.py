@@ -872,10 +872,12 @@ def _distances(fmap: FaultSignatureMap, vec: np.ndarray, rows: np.ndarray) -> np
 
     np.linalg.norm(gap, axis=1)'s bits without its conj() and .real
     copies. Each row is summed on its own, so a row's distance has the
-    same bits whichever rows are taken with it.
+    same bits whichever rows are taken with it. A gap whose square
+    overflows gives an inf distance, with no warning.
     """
     gap = fmap.signatures[rows] - vec
-    return np.sqrt(np.add.reduce(np.multiply(gap, gap, out=gap), axis=1))
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(np.multiply(gap, gap, out=gap), axis=1))
 
 
 def _isolating_breakers(network: RadialNetwork, location, failed: set[str],

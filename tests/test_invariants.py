@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
 from gridres.blackstart import _EQ_TOL, monte_carlo, run_restoration
-from gridres.frequency import (DisturbanceEvent, DroopCurve, RatedDroopCurve,
-                               simulate_disturbance)
+from gridres.frequency import (DisturbanceEvent, DroopCurve, FcrProduct,
+                               RatedDroopCurve, simulate_disturbance)
 from gridres.protection import simulate_protection, solve_fault_currents
 from test_blackstart import _shared_scenario
 from test_protection import (general_faults, general_networks, protected_cases,
@@ -59,6 +59,35 @@ class TestFrequencyMirror:
             bm.benchmark_fcr(), bm.benchmark_secondary(), fleet, horizon_s=120.0).f - 50.0
             for dp in (-size, size))
         assert np.abs(under + over).max() <= MIRROR_TOL_HZ
+
+
+# Slack for the nadir relations. Over 300 draws of the ranges below no
+# change moved the nadir the wrong way at all; scaling the containment
+# demand down with capacity, by 1 - capacity/40, moved it the wrong way by
+# up to 1.08 Hz.
+NADIR_TOL_HZ = 1e-12
+
+
+class TestFrequencyNadirMonotone:
+    @given(h_sys_s=st.floats(1.5, 6.0), fcr_mw=st.floats(0.0, 30.0),
+           size=st.floats(0.02, 0.2), fleet=st.sampled_from(["none", "benchmark"]))
+    @settings(max_examples=30, deadline=None)
+    def test_inertia_and_reserve_never_deepen_and_loss_never_raises_the_nadir(
+            self, h_sys_s, fcr_mw, size, fleet):
+        # The paper's case for inertia and containment reserve: more of
+        # either never deepens the nadir, and a larger loss never raises it.
+        droop_fleet = bm.benchmark_droop_fleet() if fleet == "benchmark" else []
+
+        def nadir(h, fcr, dp):
+            return simulate_disturbance(
+                bm.benchmark_system(h), DisturbanceEvent(t_event_s=1.0, delta_p_pu=-dp),
+                FcrProduct(fcr), bm.benchmark_secondary(), droop_fleet,
+                horizon_s=40.0).f.min()
+
+        base = nadir(h_sys_s, fcr_mw, size)
+        assert nadir(h_sys_s * 1.1, fcr_mw, size) >= base - NADIR_TOL_HZ
+        assert nadir(h_sys_s, fcr_mw * 1.1 + 0.1, size) >= base - NADIR_TOL_HZ
+        assert nadir(h_sys_s, fcr_mw, size * 1.1) <= base + NADIR_TOL_HZ
 
 
 # Currents of a relabelled network, relative to the largest current. The

@@ -923,8 +923,7 @@ def assert_locator_matches_ranking(fmap, measured, tolerance):
     with np.errstate(over="ignore"):
         expected = norm_locate_decision(measured, fmap, tolerance)
     try:
-        with np.errstate(over="ignore"):
-            result = centralized_locate_fault(measured, fmap, tolerance)
+        result = centralized_locate_fault(measured, fmap, tolerance)
     except (NoFaultDetectedError, AmbiguousLocationError) as err:
         assert (type(err), str(err)) == expected
     except IsolationError:
@@ -969,6 +968,14 @@ class TestLocatorMatchesReplacedRanking:
 
         check()
         assert sum(share < 0.5 for share in kept) >= len(kept) // 4
+
+    def test_injection_whose_square_overflows_is_inf_pu_away(self):
+        # 1e155 squared passes the float range: the exact distance is inf,
+        # and no numpy overflow warning escapes on the way.
+        fmap = build_fault_signature_map(
+            bm.two_feeder_network(der_a_injection_pu=2.0, der_b_injection_pu=4.5))
+        with pytest.raises(NoFaultDetectedError, match=r"\) is inf pu away"):
+            centralized_locate_fault({"DER_A": 1e155, "DER_B": 1.0}, fmap, 0.1)
 
     def test_exact_tie_goes_to_the_lowest_row(self):
         # At position 1.0 a fault on L2 is one at bus F1B: rows 0 and 2
