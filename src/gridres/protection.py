@@ -153,6 +153,9 @@ class RadialNetwork:
                 for b in self.breakers if b.line not in line_set]
         out += [f"loads[{i}].bus: unknown bus {load.bus!r}"
                 for i, load in enumerate(self.loads) if load.bus not in bus_set]
+        if not math.isfinite(self.source.impedance_pu + sum(ln.impedance_pu for ln in self.lines)):
+            # Every impedance toward the source, and every share, is then finite.
+            out.append("lines: source and line impedances sum past the float range")
         return out
 
     def line_by_id(self, line_id: str) -> Line:
@@ -271,9 +274,13 @@ class _CompiledFeeder:
         return (self.tin[v] <= self.tin[u]) & (self.tin[u] < self.tout[v])
 
     def cut_below(self, open_lines) -> set[int]:
-        """The buses whose line to their parent is open."""
-        return {int(self.child[self.line_index[lid]])
-                for lid in open_lines if lid in self.line_index}
+        """The buses whose line to their parent is open; an unknown line
+        id raises InvalidInputError."""
+        try:
+            return {int(self.child[self.line_index[lid]]) for lid in open_lines}
+        except KeyError:
+            unknown = ", ".join(sorted(map(repr, set(open_lines) - self.line_index.keys())))
+            raise InvalidInputError(f"open_lines: unknown lines: {unknown}") from None
 
     def open(self, open_lines) -> tuple[set[int], list[int]]:
         """cut_below(open_lines) and, as a list, the pieces of that cut."""
@@ -396,11 +403,13 @@ def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus):
     The current splits at junction j inversely to the impedances toward
     the source (Zs + z[j]) and toward the fault (z[f] - z[j] + Zf). DER
     below a split line join at the fault node. Broadcasts over faults.
+    A loop impedance past the float range gives a share of 0.
     """
     z_j = np.where(tree.below(low, der_bus), z_fault,
                    tree.z[tree.lca(top, der_bus)])
     z_left = z_src + z_j
-    return z_left / (z_left + ((z_fault - z_j) + z_f))
+    with np.errstate(over="ignore"):
+        return z_left / (z_left + ((z_fault - z_j) + z_f))
 
 
 class _Feed(NamedTuple):
@@ -456,22 +465,19 @@ def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, live, cut,
 
 
 def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
-                         open_lines=frozenset(), der_injecting=None,
-                         allow_dead_fault: bool = False) -> FaultSolution:
+                         open_lines=frozenset(), *, allow_dead_fault: bool = False,
+                         grid_only: bool = False) -> FaultSolution:
     """Solve branch currents for a fault (or the healthy network).
 
     _fault_feed gives the source, DER and fault currents of a fault;
     this solve places them as nodal injections and sweeps them into line
-    currents. der_injecting optionally overrides the per-unit injecting
-    flags. open_lines removes tripped lines (the far side of a split
-    faulted line stays connected, the breaker sits on the near side).
+    currents. Each DER feeds in by its own injecting flag, or none does
+    with grid_only. open_lines removes tripped lines, known ids only (the
+    far side of a split faulted line stays connected, the breaker sits on
+    the near side).
     """
     tree = network.compiled
-    live = tree.live   # (DER, bus index) of every injecting unit
-    if der_injecting:
-        flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting)
-        live = [(d, tree.bus_index[d.bus]) for d in network.ders
-                if flags.get(d.id) and d.i_max_pu > 0]
+    live = [] if grid_only else tree.live   # (DER, bus index) of the injecting units
     cut, piece = tree.open(open_lines)
     fed, i_fault, i_grid, ders, contributions, arrivals, top, low, upper_open = \
         _fault_feed(network, fault, live, cut, piece)
@@ -545,7 +551,9 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
     whose current exceeds its trip setting, trips the earliest deadline
     (simultaneous deadlines trip together), re-solves on the post-trip
     topology, and repeats until quiescent. Afterwards the three
-    DER-induced misoperations are detected and attached.
+    DER-induced misoperations are detected and attached. DER in-feed
+    follows each unit's injecting flag, except in the one grid-only
+    solve (grid_only) that Blinding is judged against.
     """
     violations = check_settings(settings, network.compiled.breaker)
     if violations:
@@ -581,9 +589,7 @@ def simulate_protection(network: RadialNetwork, fault: FaultScenario,
 
     # Blinding: a path breaker that stayed closed although the grid alone
     # would have tripped it.
-    no_der = solve_fault_currents(
-        network, fault, der_injecting={d.id: False for d in network.ders},
-        allow_dead_fault=True)
+    no_der = solve_fault_currents(network, fault, allow_dead_fault=True, grid_only=True)
     tripped_ids = {ev.breaker_id for ev in tripped}
     currents = np.abs([initial.line_currents[rows], no_der.line_currents[rows]])
     for b, i_with, i_without in zip(network.breakers, *currents.tolist()):
@@ -783,8 +789,9 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     The nearest stored signature wins if it lies within tolerance and
     beats the second-best by at least the tolerance. The result carries
     the closest isolating breakers; breakers reported failed are bypassed
-    by escalating outward to the next one. The plan's check reads only
-    what still feeds the fault once the plan's lines are open
+    by escalating outward to the next one, and a failed breaker id the
+    network does not hold raises InvalidInputError. The plan's check
+    reads only what still feeds the fault once the plan's lines are open
     (_fault_feed), not the line currents.
 
     A screen (_screen_rows) bounds every row's distance with one
@@ -800,6 +807,10 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
         finite = False
     if not finite:
         raise InvalidInputError("measured: injections must be finite")
+    failed = set(failed_breakers)
+    unknown = ", ".join(sorted(map(repr, failed - fmap.network.compiled.breaker.keys())))
+    if unknown:
+        raise InvalidInputError(f"failed_breakers: unknown breakers: {unknown}")
     vec = np.array([measured.get(d, 0.0) for d in fmap.der_ids], dtype=float)
     if np.all(np.abs(vec) <= 1e-12):
         raise NoFaultDetectedError("measurement vector is zero; grid looks healthy")
@@ -822,7 +833,7 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
             f"both match within tolerance")
     network = fmap.network
     breakers, escalated = _isolating_breakers(
-        network, best_loc, set(failed_breakers), fmap.position)
+        network, best_loc, failed, fmap.position)
 
     # Execute the plan (failed breakers stay closed) and check what still
     # feeds the fault.

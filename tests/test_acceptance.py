@@ -185,9 +185,7 @@ def test_criterion_09_misoperation_suite():
         blinded = simulate_protection(blinded_net, fault, settings)
         assert blinded.trips == ()
         assert len(blinded.issues_of("Blinding")) == 1
-        no_der = solve_fault_currents(
-            blinded_net, fault,
-            der_injecting={d.id: False for d in blinded_net.ders})
+        no_der = solve_fault_currents(blinded_net, fault, grid_only=True)
         assert no_der.branch_currents["L1"] > settings["A"]
 
         sympathetic = simulate_protection(

@@ -21,6 +21,24 @@ from gridres.frequency import (DEFAULT_DEAD_BAND_HZ, FCR_T_FULL_S,
                                simulate_disturbance, trace_metrics)
 
 
+# sha256 of the frequency samples and of the written trace.csv of each
+# pinned run (TestKernelMatchesReplacedLoop). The console-script step of
+# .github/workflows/tests.yml checks the trace.csv digests of the same runs
+# against this table, so it is a plain literal.
+TRACE_PINS = {
+    "bundled_60s": ("080acc04db170856df39ce70cb1cfd79099a3ff6c225a04fa0849e676d156a81",
+                    "6e4bb37c69b2180fea49f924319ab2e543e5b7a5d1f1b2ae489dd6e8afa75c18"),
+    "bundled_600s": ("d070ea4466c5b11b96d97476ac2e414cf49ce24e854fbff79a1a8d002e65ef04",
+                     "aef82abf19829ebb461d7d7aae91c8e1a1746c78dac7f3c320d6b6a9053c1f06"),
+    "over_frequency": ("b792ed1800c8b6992efa55c88fdc9ea07695f7589a0109c3879d10b6aa783b78",
+                       "ebc0c97bccdc1e9c22b19697556f29cea5f9c12f3fea006889c0bf3e257226a3"),
+    "clamping_envelope": ("e75597f45a59ab4eb97001cea9d029533e931e96bac991b20ab1e3009368e74e",
+                          "2bb9a4e3c0f05ceb180a11cd315653e352e67b03919102f80bb26e6ce5214feb"),
+    "dead_band": ("c9b9901c6c8db5a820101e448b55e48573d767f13cdd1643c5ba0c63286036ef",
+                  "2da68e73dfa774c75e2d05e5d1403ead1151ee3c90be79301b872cbb948dd9c1"),
+}
+
+
 def reference_curve():
     return DroopCurve(f_n=50.0, dead_band_half_width=0.02, p_nominal=0.8,
                       p_max=1.0, f_min=49.8, p_min=0.0, f_max=50.2)
@@ -521,18 +539,10 @@ class TestKernelMatchesReplacedLoop:
         assert expected[100] == 50.0 != expected[101]
         assert (expected[-1000:] == expected[-1]).all()
 
-    # sha256 of the frequency samples and of the written trace CSV, as the
-    # replaced controller loop produced them.
-    PINNED = {
-        60.0: ("080acc04db170856df39ce70cb1cfd79099a3ff6c225a04fa0849e676d156a81",
-               "6e4bb37c69b2180fea49f924319ab2e543e5b7a5d1f1b2ae489dd6e8afa75c18"),
-        600.0: ("d070ea4466c5b11b96d97476ac2e414cf49ce24e854fbff79a1a8d002e65ef04",
-                "aef82abf19829ebb461d7d7aae91c8e1a1746c78dac7f3c320d6b6a9053c1f06"),
-    }
-
-    @pytest.mark.parametrize("horizon_s", sorted(PINNED))
+    @pytest.mark.parametrize("horizon_s", [60.0, 600.0])
     def test_bundled_scenario_trace_bytes_are_pinned(self, horizon_s):
-        # 60 s is the bundled scenario's default horizon.
+        # 60 s is the bundled scenario's default horizon. Digests as the
+        # replaced controller loop produced them.
         scenario = schemas.FrequencyScenario(
             system=bm.benchmark_system(), event=bm.benchmark_event(),
             fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
@@ -541,7 +551,8 @@ class TestKernelMatchesReplacedLoop:
         buf = io.StringIO()
         schemas.write_trace_csv(buf, trace)
         assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
-                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == self.PINNED[horizon_s]
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == \
+            TRACE_PINS[f"bundled_{horizon_s:g}s"]
 
     def test_clamping_envelope_trace_bytes_are_pinned(self):
         # The bundled 60 s scenario with a 1e-9 MW containment reserve: its
@@ -556,13 +567,8 @@ class TestKernelMatchesReplacedLoop:
         buf = io.StringIO()
         schemas.write_trace_csv(buf, trace)
         assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
-                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (
-            "e75597f45a59ab4eb97001cea9d029533e931e96bac991b20ab1e3009368e74e",
-            "2bb9a4e3c0f05ceb180a11cd315653e352e67b03919102f80bb26e6ce5214feb")
-
-    DEAD_BAND_DIGESTS = (
-        "c9b9901c6c8db5a820101e448b55e48573d767f13cdd1643c5ba0c63286036ef",
-        "2da68e73dfa774c75e2d05e5d1403ead1151ee3c90be79301b872cbb948dd9c1")
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == \
+            TRACE_PINS["clamping_envelope"]
 
     @staticmethod
     def _dead_band_digests(t_event_s):
@@ -581,7 +587,7 @@ class TestKernelMatchesReplacedLoop:
         # The bundled scenario with a -1e-4 pu step over 600 s: f never
         # leaves the dead band and stops changing at about 420 s, so every
         # later step repeats its state.
-        assert self._dead_band_digests(1.0) == self.DEAD_BAND_DIGESTS
+        assert self._dead_band_digests(1.0) == TRACE_PINS["dead_band"]
 
     def test_dead_band_between_samples_trace_bytes_are_pinned(self):
         # The same run with its event 5e-13 s before a sample: the short
@@ -589,7 +595,7 @@ class TestKernelMatchesReplacedLoop:
         # step is too short to move f, so the digests equal those of the
         # event at the sample, as the kernel produced them before it filled
         # a dead-band run.
-        assert self._dead_band_digests(1.0 - 5e-13) == self.DEAD_BAND_DIGESTS
+        assert self._dead_band_digests(1.0 - 5e-13) == TRACE_PINS["dead_band"]
 
     def test_over_frequency_trace_bytes_are_pinned(self):
         # The bundled scenario with a 0.2 pu load loss and two more curves.
@@ -612,9 +618,8 @@ class TestKernelMatchesReplacedLoop:
         buf = io.StringIO()
         schemas.write_trace_csv(buf, trace)
         assert (hashlib.sha256(trace.f.tobytes()).hexdigest(),
-                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (
-            "b792ed1800c8b6992efa55c88fdc9ea07695f7589a0109c3879d10b6aa783b78",
-            "ebc0c97bccdc1e9c22b19697556f29cea5f9c12f3fea006889c0bf3e257226a3")
+                hashlib.sha256(buf.getvalue().encode()).hexdigest()) == \
+            TRACE_PINS["over_frequency"]
 
 
 class TestTraceMetrics:

@@ -234,3 +234,20 @@ class TestBlackstartBatteryMonotone:
                 for p in sorted(p_battery)]
         for low, high in zip(runs, runs[1:]):
             assert all(_at_most(lo, hi) for lo, hi in zip(low, high))
+
+
+class TestBlackstartRadiusMonotone:
+    @given(name=st.sampled_from(["benchmark", "two_tile", "awkward"]),
+           radii=st.lists(st.floats(0.5, 15.0), min_size=3, max_size=3),
+           p_battery=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_a_larger_cell_radius_never_restores_less(self, name, radii, p_battery, seed):
+        # The paper's case for communication reach: a larger cell covers
+        # every bus and links every node that the smaller one does. Common
+        # random numbers give run k the same batteries at every radius.
+        # Every island here covers its critical load, as in the battery
+        # relation above.
+        runs = [monte_carlo(_shared_scenario(name), p_battery, radius, 4, seed)
+                .restored_fractions for radius in sorted(radii)]
+        for low, high in zip(runs, runs[1:]):
+            assert all(_at_most(lo, hi) for lo, hi in zip(low, high))

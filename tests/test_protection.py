@@ -133,14 +133,12 @@ def dense_nodal_solve(network, fault):
 # residuals below.
 # ---------------------------------------------------------------------------
 
-def dict_solve(network, fault, open_lines=frozenset(), der_injecting=None,
-               allow_dead_fault=False):
+def dict_solve(network, fault, open_lines=frozenset(), allow_dead_fault=False):
     """(branch currents, i_fault, i_grid, contributions, arrivals, fed,
     bus injections) by the replaced dict-building solve."""
     tree = network.compiled
-    flags = {d.id: d.injecting for d in network.ders} | dict(der_injecting or {})
     live = [(d, tree.bus_index[d.bus]) for d in network.ders
-            if flags.get(d.id) and d.i_max_pu > 0]
+            if d.injecting and d.i_max_pu > 0]
     cut = tree.cut_below(open_lines)
     piece = tree.pieces(cut).tolist()
     src = network.source
@@ -232,6 +230,17 @@ def kirchhoff_residuals(network, fault, sol, open_lines=frozenset()):
             flow = far
         nodes[ln.to_bus] += flow
     return nodes
+
+
+def with_injecting(network, flags):
+    """The network with the injecting flag of each DER in flags replaced."""
+    return replace(network, ders=tuple(replace(d, injecting=flags.get(d.id, d.injecting))
+                                       for d in network.ders))
+
+
+def silenced(network):
+    """The network with every DER's injecting flag off."""
+    return with_injecting(network, {d.id: False for d in network.ders})
 
 
 def random_radial_network(rng, n_buses, with_loads=False):
@@ -389,9 +398,7 @@ class TestFaultSolver:
         for _ in range(30):
             net = random_radial_network(rng, rng.randint(3, 6))
             fault = random_fault(rng, net)
-            quiet = {d.id: False for d in net.ders}
-            base = solve_fault_currents(net, fault, der_injecting=quiet,
-                                        allow_dead_fault=True)
+            base = solve_fault_currents(net, fault, allow_dead_fault=True, grid_only=True)
             full = solve_fault_currents(net, fault, allow_dead_fault=True)
             assert full.i_grid_pu <= base.i_grid_pu + 1e-12
 
@@ -417,14 +424,14 @@ class TestFaultSolver:
     def test_signature_map_equals_solved_arrivals(self, net, impedance):
         candidates = ([("line", ln.id) for ln in net.lines]
                       + [("bus", b) for b in net.buses])
-        all_on = {d.id: True for d in net.ders}
+        all_on = with_injecting(net, {d.id: True for d in net.ders})
         for position in (0.0, 0.5, 1.0):
             fmap = build_fault_signature_map(net, candidates, impedance, position)
             assert set(fmap.entries) == set(candidates)
             for (kind, element_id), signature in fmap.entries.items():
                 sol = solve_fault_currents(
-                    net, FaultScenario(kind, element_id, impedance, position),
-                    der_injecting=all_on, allow_dead_fault=True)
+                    all_on, FaultScenario(kind, element_id, impedance, position),
+                    allow_dead_fault=True)
                 expected = [sol.der_fault_arrivals_pu.get(d, 0.0)
                             for d in fmap.der_ids]
                 assert signature == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -470,20 +477,25 @@ class TestFaultSolver:
         assert sol.der_fault_arrivals_pu["D1"] == pytest.approx(1.5)
 
 
-def assert_solves_match(net, fault, open_lines=frozenset(), der_injecting=None,
-                        allow_dead_fault=True):
-    """The array-first solve against dict_solve, by float.hex()."""
+def assert_solves_match(net, fault, open_lines=frozenset(), allow_dead_fault=True,
+                        grid_only=False):
+    """The array-first solve against dict_solve, by float.hex(). A
+    grid-only solve is held to dict_solve with every DER's flag off."""
     def hexes(values):
         return {key: float(value).hex() for key, value in values.items()}
 
+    def solve():
+        return solve_fault_currents(net, fault, open_lines, allow_dead_fault=allow_dead_fault,
+                                    grid_only=grid_only)
+
     try:
         currents, i_fault, i_grid, contributions, arrivals, fed, _inj = dict_solve(
-            net, fault, open_lines, der_injecting, allow_dead_fault)
+            silenced(net) if grid_only else net, fault, open_lines, allow_dead_fault)
     except UnreachableFaultError:
         with pytest.raises(UnreachableFaultError):
-            solve_fault_currents(net, fault, open_lines, der_injecting, allow_dead_fault)
+            solve()
         return
-    sol = solve_fault_currents(net, fault, open_lines, der_injecting, allow_dead_fault)
+    sol = solve()
     expected = hexes(currents)
     assert [x.hex() for x in sol.line_currents.tolist()] == \
         [expected[ln.id] for ln in net.lines]
@@ -508,10 +520,11 @@ class TestSolveMatchesReplacedSolve:
         open_lines = set(data.draw(st.sets(st.sampled_from(line_ids)))) if line_ids else set()
         if fault is not None and fault.element_kind == "line" and data.draw(st.booleans()):
             open_lines.add(fault.element_id)     # an open split line
-        der_injecting = data.draw(st.none() | st.dictionaries(
-            st.sampled_from([d.id for d in net.ders]), st.booleans())) if net.ders else None
-        assert_solves_match(net, fault, frozenset(open_lines), der_injecting,
-                            data.draw(st.booleans()))
+        if net.ders:
+            net = with_injecting(net, data.draw(st.dictionaries(
+                st.sampled_from([d.id for d in net.ders]), st.booleans())))
+        assert_solves_match(net, fault, frozenset(open_lines), data.draw(st.booleans()),
+                            grid_only=data.draw(st.booleans()))
 
     @pytest.mark.parametrize("stored_down", [True, False])
     @pytest.mark.parametrize("position", [0.3, 0.5, 0.8])
@@ -536,9 +549,9 @@ class TestSolveMatchesReplacedSolve:
             net = random_radial_network(rng, rng.randint(10, 60), with_loads=True)
             fault = random_fault(rng, net) if rng.random() < 0.8 else None
             open_lines = frozenset(ln.id for ln in net.lines if rng.random() < 0.1)
-            quiet = ({d.id: rng.random() < 0.5 for d in net.ders}
-                     if rng.random() < 0.3 else None)
-            assert_solves_match(net, fault, open_lines, quiet)
+            if rng.random() < 0.3:
+                net = with_injecting(net, {d.id: rng.random() < 0.5 for d in net.ders})
+            assert_solves_match(net, fault, open_lines)
 
 
 class TestNetworkValidation:
@@ -570,10 +583,42 @@ class TestNetworkValidation:
          "fault.element_id: unknown bus 'X'"),
         (lambda net: solve_fault_currents(net, FaultScenario("line", "X")),
          "fault.element_id: unknown line 'X'"),
-    ], ids=["source_bus", "line_by_id", "fault_bus", "fault_line"])
+        # Dropping an unknown open line would solve the intact feeder, and
+        # detect_energized(net, {"l1"}) would miss the island {"L1"} leaves.
+        (lambda net: solve_fault_currents(net, bm.two_feeder_fault(),
+                                          open_lines={"nope", "L1"}),
+         "open_lines: unknown lines: 'nope'$"),
+        (lambda net: detect_energized(net, {"l1", "l0"}),
+         "open_lines: unknown lines: 'l0', 'l1'$"),
+    ], ids=["source_bus", "line_by_id", "fault_bus", "fault_line", "open_line",
+            "energized_open_line"])
     def test_unknown_id_rejected(self, call, message):
         with pytest.raises(InvalidInputError, match=message):
-            call(bm.two_feeder_network())
+            call(bm.two_feeder_network(der_a_injection_pu=0.5))
+
+    def test_impedances_that_sum_past_the_float_range_rejected(self):
+        net = bm.two_feeder_network()
+        lines = tuple(replace(ln, impedance_pu=1e308) for ln in net.lines[:2])
+        with pytest.raises(InvalidInputError, match="sum past the float range"):
+            replace(net, lines=lines + net.lines[2:])
+
+    def test_loop_impedance_past_the_float_range_gives_a_zero_share(self):
+        # A valid network and fault whose loop impedance overflows: the
+        # share is 0 with no numpy overflow warning, and the DER current
+        # flows back to the source.
+        net = bm.two_feeder_network(der_a_injection_pu=2.0)
+        net = replace(net, lines=(replace(net.lines[0], impedance_pu=1e308),) + net.lines[1:])
+        fault = FaultScenario("line", "L2", 1e308, 0.5)
+        sol = solve_fault_currents(net, fault)
+        assert (sol.i_fault_pu, sol.der_fault_arrivals_pu, sol.i_grid_pu) == \
+            (0.0, {"DER_A": 0.0}, -2.0)
+        assert simulate_protection(net, fault, bm.TWO_FEEDER_SETTINGS).trips == ()
+
+    @pytest.mark.parametrize("args", [(frozenset(), None, True), (frozenset(), False)])
+    def test_solve_options_are_keyword_only(self, args):
+        # A positional option would land in another slot.
+        with pytest.raises(TypeError):
+            solve_fault_currents(bm.two_feeder_network(), bm.two_feeder_fault(), *args)
 
 
 class TestTwoFeederBenchmark:
@@ -612,9 +657,7 @@ class TestTwoFeederBenchmark:
 
     def test_blinding_soundness_without_der(self):
         net = bm.two_feeder_network(der_a_injection_pu=2.0)
-        quiet = {d.id: False for d in net.ders}
-        sol = solve_fault_currents(net, bm.two_feeder_fault(),
-                                   der_injecting=quiet)
+        sol = solve_fault_currents(net, bm.two_feeder_fault(), grid_only=True)
         assert sol.branch_currents["L1"] == pytest.approx(4.0)
         assert 4.0 > bm.TWO_FEEDER_SETTINGS["A"]
 
@@ -734,8 +777,7 @@ def _oracle_fixpoint(network, fault, trip_settings):
         solution = solve_fault_currents(network, fault, open_lines=open_lines,
                                         allow_dead_fault=True)
     path = source_fault_path_lines(network, fault)
-    no_der = solve_fault_currents(network, fault, allow_dead_fault=True,
-                                  der_injecting={d.id: False for d in network.ders})
+    no_der = solve_fault_currents(silenced(network), fault, allow_dead_fault=True)
     tripped_ids = {bid for bid, _t in tripped}
     issues = [("Blinding", (b.id, b.line)) for b in network.breakers
               if b.id not in tripped_ids and b.line in path
@@ -1157,6 +1199,18 @@ class TestCentralizedScheme:
         assert "B" in result.breakers_to_open
         assert result.cleared_from_source
         assert result.residual_fault_current_pu == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("failed", [{"a"}, {"A", "X", "b"}])
+    def test_unknown_failed_breaker_rejected(self, failed):
+        # Skipping a typo would let the plan trip breaker A although the
+        # caller reported it failed.
+        fmap = build_fault_signature_map(self.network())
+        sol = solve_fault_currents(self.network(), bm.two_feeder_fault())
+        unknown = ", ".join(repr(bid) for bid in sorted(failed - {"A"}))
+        with pytest.raises(InvalidInputError,
+                           match=f"^failed_breakers: unknown breakers: {unknown}$"):
+            centralized_locate_fault(sol.der_fault_arrivals_pu, fmap, tolerance=0.1,
+                                     failed_breakers=failed)
 
     def test_unisolatable_when_everything_failed(self):
         net = self.network()

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
 from gridres import frequency as fq
+from gridres import protection as pt
 from gridres import schemas
 from gridres.blackstart import CommNode, run_restoration
 from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
@@ -672,6 +673,8 @@ def full_fleet_doc():
 BUNDLED = {"frequency": short_frequency_doc, "network": network_doc,
            "restoration": restoration_doc, "fleet": full_fleet_doc,
            "fault": lambda: json.loads(json.dumps(FAULT_DOC))}
+# A settings document has no kind of its own: load_settings is its check.
+DOCUMENTS = dict(BUNDLED, settings=lambda: dict(bm.TWO_FEEDER_SETTINGS))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers()
@@ -694,7 +697,7 @@ def _nodes(doc, path=()):
 @st.composite
 def damaged_docs(draw, kinds=tuple(BUNDLED)):
     """A bundled document with one to three nodes replaced or removed."""
-    doc = BUNDLED[draw(st.sampled_from(kinds))]()
+    doc = DOCUMENTS[draw(st.sampled_from(kinds))]()
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_nodes(doc))))
         if not path:
@@ -713,7 +716,7 @@ def damaged_docs(draw, kinds=tuple(BUNDLED)):
 def perturbed_docs(draw, kinds):
     """A bundled document with one to three numbers changed, which keeps
     many of them valid."""
-    doc = BUNDLED[draw(st.sampled_from(kinds))]()
+    doc = DOCUMENTS[draw(st.sampled_from(kinds))]()
     leaves = [p for p in _nodes(doc) if type(_get(doc, p)) is float]
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(leaves))
@@ -759,6 +762,21 @@ def _reject_constant(name):
     raise AssertionError(f"{name} written into a JSON output")
 
 
+@st.composite
+def protection_docs(draw):
+    """The two-feeder study's network, fault and settings documents, one
+    to three of them damaged or perturbed."""
+    kinds = ("network", "fault", "settings")
+    changed = draw(st.sets(st.sampled_from(kinds), min_size=1))
+    return tuple(draw(damaged_docs(kinds=(kind,)) | perturbed_docs((kind,)))
+                 if kind in changed else DOCUMENTS[kind]() for kind in kinds)
+
+
+# The engine's own checks of one document against another: a fault on an
+# element the network lacks, settings without one of its breakers.
+CROSS_DOCUMENT = ("fault.element_id: unknown ", "settings: missing breakers: ")
+
+
 class TestValidateCleanMeansEngineAccepts:
     @given(doc=damaged_docs(kinds=ENGINE_KINDS) | perturbed_docs(ENGINE_KINDS))
     @settings(max_examples=60, deadline=None)
@@ -788,6 +806,38 @@ class TestValidateCleanMeansEngineAccepts:
             raise AssertionError(f"validate-clean document rejected: {err}")
         except GridResError:
             pass   # a domain outcome, such as an infeasible selection
+
+    @given(docs=protection_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_protection_runs_or_exits_2(self, docs):
+        network, fault, trip = docs
+        if schemas.validate_document(network) or schemas.validate_document(fault):
+            return
+        try:
+            trip_settings = schemas.load_settings(trip)
+        except ScenarioValidationError:
+            return
+        expected = (EXIT_OK, EXIT_RUNTIME)
+        try:
+            pt.simulate_protection(schemas.load_network(network), schemas.load_fault(fault),
+                                   trip_settings)
+        except InvalidInputError as err:
+            if not str(err).startswith(CROSS_DOCUMENT):
+                raise AssertionError(f"validate-clean documents rejected: {err}")
+            expected = (EXIT_VALIDATION,)
+        except GridResError:
+            expected = (EXIT_RUNTIME,)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("net.json", "fault.json", "settings.json")]
+            for path, doc in zip(paths, docs):
+                path.write_text(json.dumps(doc))
+            code, _out, err = _cli("protection", "--network", paths[0], "--fault", paths[1],
+                                   "--settings", paths[2], "--out", Path(tmp) / "out")
+            assert code in expected, err
+            assert "Traceback" not in err
+            if code == EXIT_OK:
+                json.loads((Path(tmp) / "out" / "report.json").read_text(),
+                           parse_constant=_reject_constant)
 
 
 class TestDumpLoadRoundTrip:
