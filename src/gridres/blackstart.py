@@ -9,7 +9,10 @@ battery lasts, and their radio range is a disk of the cell radius.
 
 A merge of two live islands additionally passes a synchronization check:
 equal frequency and a phase shift below the policy threshold. Phase
-alignment is a seeded draw whose window halves on every retry.
+alignment is a seeded draw whose window halves on every retry. One gate,
+_sync_gate, gives the deltas and the verdict: synchronize_and_merge
+raises SyncRejectedError on a rejection, and an agent's merge attempt
+records it and goes on, building a merged island only when accepted.
 
 Monte Carlo studies sample battery placement with common random numbers
 across parameter cells (see monte_carlo).
@@ -17,16 +20,18 @@ across parameter cells (see monte_carlo).
 Each scenario is compiled once (RestorationScenario.compiled): comm-node
 and bus distances and the area-switch adjacency, none of which battery
 flags or cell radii change. A run turns its radii into link and coverage
-sets, and the disk-graph components of each operational node set are
-computed once and reused by later rounds and, within one Monte Carlo
-study, by later runs; a comm graph is just that tuple of components,
-one int bitset of comm nodes each. Single runs and Monte Carlo runs go
-through run_restoration.
+sets. The disk-graph components of each operational node set, and the
+buses the cells of each node set cover, are computed once and reused by
+later rounds and, within one Monte Carlo study, by later runs; a comm
+graph is just that tuple of components, one int bitset of comm nodes
+each. Single runs and Monte Carlo runs go through run_restoration.
 
 An island is its set of areas, an int with one bit per area in
 sorted-name order. What that set fixes, its load split, its follower
 candidates, its comm nodes and its switch neighbors, is built once per
-distinct area set and kept with the compiled scenario.
+distinct area set, from its areas' own loads and units, and kept with
+the compiled scenario. Microgrid, TimelineEvent and MergeAttempt are
+named tuples: a run builds many and only reads them.
 """
 
 import itertools
@@ -220,9 +225,11 @@ class _CompiledRestoration:
     scenario.buses, areas in name order (areas[a]). cover_dist[i, k] is
     the distance from comm node i to bus k, and bus comm_at[i] holds node
     i. Sets of comm nodes, buses and areas are ints with one bit per
-    index; area_of maps a bus id to its area's number. The load split,
-    follower candidates, comm nodes and switch neighbors of an island
-    are memoised per area set (island), for every run of the scenario.
+    index; area_of maps a bus id to its area's number. Sets of loads and
+    followers are ints too, bit k for loads[k] (scenario order) and
+    followers[k]. The load split, follower candidates, comm nodes and
+    switch neighbors of an island are memoised per area set (island),
+    for every run of the scenario.
     """
 
     def __init__(self, scn: RestorationScenario):
@@ -244,6 +251,13 @@ class _CompiledRestoration:
         self.area_comm_bits = [0] * len(self.areas)
         for i, c in enumerate(self.comm):
             self.area_comm_bits[self.area_of[c.bus]] |= 1 << i
+        # The loads (scenario order) and followers of each area.
+        self.area_load_bits = [0] * len(self.areas)
+        for k, l in enumerate(self.loads):
+            self.area_load_bits[self.area_of[l.bus]] |= 1 << k
+        self.area_follower_bits = [0] * len(self.areas)
+        for k, d in enumerate(self.followers):
+            self.area_follower_bits[self.area_of[d.bus]] |= 1 << k
         self.adjacent = [0] * len(self.areas)
         for s in scn.switches:
             self.adjacent[number[s.area_a]] |= 1 << number[s.area_b]
@@ -253,27 +267,29 @@ class _CompiledRestoration:
 
     def island(self, areas: int) -> _Island:
         """What a set of areas fixes, built on first use and kept. Loads
-        are summed in scenario.loads order; grid-supporting units come
+        are summed in scenario.loads order (their bits, lowest first, as
+        the areas' load sets are ORed); grid-supporting units come
         before grid-feeding ones, then by bus and id; neighbors are the
         areas one switch away, outside the set."""
         island = self._islands.get(areas)
         if island is None:
-            loads = [l for l in self.loads if areas >> self.area_of[l.bus] & 1]
-            comm = near = 0
+            comm = near = own_loads = own_followers = 0
             for a in _bits(areas):
                 comm |= self.area_comm_bits[a]
                 near |= self.adjacent[a]
+                own_loads |= self.area_load_bits[a]
+                own_followers |= self.area_follower_bits[a]
+            loads = [self.loads[k] for k in _bits(own_loads)]
             island = self._islands[areas] = _Island(
                 sum(l.demand_mw for l in loads if l.critical),
                 sum(l.demand_mw for l in loads if not l.critical),
-                tuple(sorted((d for d in self.followers if areas >> self.area_of[d.bus] & 1),
+                tuple(sorted((self.followers[k] for k in _bits(own_followers)),
                              key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id))),
                 comm, near & ~areas)
         return island
 
 
-@dataclass(frozen=True)
-class Microgrid:
+class Microgrid(NamedTuple):
     """An independently supplied island; areas has a bit per area it holds."""
 
     id: str
@@ -287,8 +303,7 @@ class Microgrid:
     phase_rad: float = 0.0
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
     t_s: float
     stage: str
     served_total_mw: float
@@ -296,8 +311,7 @@ class TimelineEvent:
     service_class: ServiceClass
 
 
-@dataclass(frozen=True)
-class MergeAttempt:
+class MergeAttempt(NamedTuple):
     t_s: float
     grid_a: str
     grid_b: str
@@ -348,7 +362,9 @@ def classify_service(served_critical: float, total_critical: float,
 def _bit_rows(matrix: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int, column j at bit j."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k * width:(k + 1) * width], "little")
+            for k in range(len(packed))]
 
 
 class _CommCells:
@@ -357,7 +373,8 @@ class _CommCells:
     cover[i] holds the buses in node i's cell; link[i] the nodes within
     both cell radii of node i. The comm graph of a working-node set is
     its disk-graph components, each a set bit per node, numbered by
-    their lowest node; graph computes them once per set.
+    their lowest node; graph computes them once per set, and covered
+    the buses a node set's cells cover, once per set too.
     """
 
     def __init__(self, compiled: _CompiledRestoration, radii: np.ndarray):
@@ -366,6 +383,7 @@ class _CommCells:
         self.cover = _bit_rows(near)
         self.link = [a & b for a, b in zip(_bit_rows(mutual), _bit_rows(mutual.T))]
         self._graphs: dict[int, tuple[int, ...]] = {}
+        self._covered: dict[int, int] = {}
 
     def graph(self, working: int) -> tuple[int, ...]:
         components = self._graphs.get(working)
@@ -386,9 +404,12 @@ class _CommCells:
 
     def covered(self, nodes: int) -> int:
         """The buses inside the cell of at least one of the nodes."""
-        buses = 0
-        for i in _bits(nodes):
-            buses |= self.cover[i]
+        buses = self._covered.get(nodes)
+        if buses is None:
+            buses = 0
+            for i in _bits(nodes):
+                buses |= self.cover[i]
+            self._covered[nodes] = buses
         return buses
 
 
@@ -494,10 +515,30 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
                      generation, served, served_crit, mg.frequency_hz, mg.phase_rad)
 
 
-def _sync_deltas(a: Microgrid, b: Microgrid) -> tuple[float, float]:
-    """|df| and the wrapped phase shift, in [0, pi], between two islands."""
-    d = abs(a.phase_rad - b.phase_rad) % (2 * math.pi)
-    return abs(a.frequency_hz - b.frequency_hz), 2 * math.pi - d if d > math.pi else d
+def _sync_gate(df_hz: float, dphase_rad: float,
+               policy: SyncPolicy) -> tuple[float, float, bool]:
+    """The synchronization gate on two islands' frequency and phase
+    differences: |df|, the phase shift wrapped into [0, pi], and whether
+    the pair may close (|df| within policy and the shift strictly below
+    its threshold)."""
+    freq_delta = abs(df_hz)
+    d = abs(dphase_rad) % (2 * math.pi)
+    phase_delta = 2 * math.pi - d if d > math.pi else d
+    return freq_delta, phase_delta, (not freq_delta > policy.max_freq_diff_hz
+                                     and phase_delta < policy.max_phase_shift_rad)
+
+
+def _merge(a: Microgrid, b: Microgrid, scenario: RestorationScenario) -> Microgrid:
+    """The union of two islands that passed the gate."""
+    # Larger generation keeps its reference; ties go to the lower id.
+    leader = a if (a.generation_mw, b.id) >= (b.generation_mw, a.id) else b
+    areas = a.areas | b.areas
+    generation = a.generation_mw + b.generation_mw
+    served, served_crit = _dispatch(scenario, areas, generation)
+    return Microgrid(
+        min(a.id, b.id), areas, tuple(sorted(set(a.forming_units) | set(b.forming_units))),
+        tuple(sorted(set(a.started_units) | set(b.started_units))),
+        generation, served, served_crit, leader.frequency_hz, leader.phase_rad)
 
 
 def synchronize_and_merge(a: Microgrid, b: Microgrid,
@@ -511,21 +552,11 @@ def synchronize_and_merge(a: Microgrid, b: Microgrid,
     """
     if a is b or a.id == b.id:
         raise InvalidInputError("cannot merge a microgrid with itself")
-    freq_delta, phase_delta = _sync_deltas(a, b)
-    if freq_delta > policy.max_freq_diff_hz or not phase_delta < policy.max_phase_shift_rad:
+    freq_delta, phase_delta, accepted = _sync_gate(
+        a.frequency_hz - b.frequency_hz, a.phase_rad - b.phase_rad, policy)
+    if not accepted:
         raise SyncRejectedError(freq_delta, phase_delta)
-    # Larger generation keeps its reference; ties go to the lower id.
-    leader = a if (a.generation_mw, b.id) >= (b.generation_mw, a.id) else b
-    areas = a.areas | b.areas
-    generation = a.generation_mw + b.generation_mw
-    served, served_crit = _dispatch(scenario, areas, generation)
-    return Microgrid(
-        id=min(a.id, b.id), areas=areas,
-        forming_units=tuple(sorted(set(a.forming_units) | set(b.forming_units))),
-        started_units=tuple(sorted(set(a.started_units) | set(b.started_units))),
-        generation_mw=generation, served_total_mw=served,
-        served_critical_mw=served_crit,
-        frequency_hz=leader.frequency_hz, phase_rad=leader.phase_rad)
+    return _merge(a, b, scenario)
 
 
 class RestorationState:
@@ -623,18 +654,16 @@ class RestorationState:
         window = math.ldexp(math.pi, -attempt)
         draw = self.rng.uniform(0.0, window)
         self.pair_attempts[key] = attempt + 1
-        b_aligned = Microgrid(b.id, b.areas, b.forming_units, b.started_units,
-                              b.generation_mw, b.served_total_mw,
-                              b.served_critical_mw, a.frequency_hz, a.phase_rad + draw)
-        try:
-            merged = synchronize_and_merge(a, b_aligned, self.scenario.sync_policy,
-                                           self.scenario)
-        except SyncRejectedError:
-            merged = None
+        # b is brought to a's frequency (a df of 0.0) and the drawn phase.
+        phase_b = a.phase_rad + draw
+        freq_delta, phase_delta, accepted = _sync_gate(
+            0.0, a.phase_rad - phase_b, self.scenario.sync_policy)
         self.merge_attempts.append(MergeAttempt(
-            self.t_s, ga, gb, *_sync_deltas(a, b_aligned), accepted=merged is not None))
-        if merged is None:
+            self.t_s, ga, gb, freq_delta, phase_delta, accepted))
+        if not accepted:
             return False
+        merged = _merge(a, b._replace(frequency_hz=a.frequency_hz, phase_rad=phase_b),
+                        self.scenario)
         del self.grids[ga], self.grids[gb]
         self.grids[merged.id] = reconnect_followers(merged, self.scenario)
         return True

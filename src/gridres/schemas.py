@@ -163,12 +163,19 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
     if len(cells) < 2 or not np.isfinite(cells).all():
         raise InvalidInputError("trace csv: needs two or more rows of finite numbers")
     t, f = cells[:, 0], cells[:, 1]
-    dt = t[1] - t[0]
-    # The writer keeps 9 significant digits, which moves each t by at
-    # most 5e-9 of |t| and so each step by at most 2e-8 of max |t|.
-    if not (dt > 0 and np.all(np.abs(np.diff(t) - dt) <= 5e-8 * np.abs(t).max())):
+    # Cells near the float range overflow a difference: such a trace
+    # fails a check below instead of warning.
+    with np.errstate(all="ignore"):
+        dt = t[1] - t[0]
+        # The writer keeps 9 significant digits, which moves each t by at
+        # most 5e-9 of |t| and so each step by at most 2e-8 of max |t|.
+        uniform = dt > 0 and np.all(np.abs(np.diff(t) - dt) <= 5e-8 * np.abs(t).max())
+        trace = fq.FrequencyTrace.from_frequencies(t, f, dt) if uniform else None
+    if not uniform:
         raise InvalidInputError("trace csv: t must increase in uniform steps")
-    return fq.FrequencyTrace.from_frequencies(t, f, dt)
+    if not np.isfinite(trace.rocof).all():
+        raise InvalidInputError("trace csv: f must change at a finite rate")
+    return trace
 
 
 def write_timeline_csv(fp, timeline: bs.RestorationTimeline) -> None:
@@ -180,18 +187,20 @@ def write_timeline_csv(fp, timeline: bs.RestorationTimeline) -> None:
 
 def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
     """Timeline events from their CSV: at most fq.MAX_SAMPLES rows."""
-    rows = itertools.islice(csv.DictReader(fp), fq.MAX_SAMPLES + 1)
     try:
-        events = [bs.TimelineEvent(
-            t_s=float(row["t"]), stage=row["stage"],
-            served_total_mw=float(row["served_total"]),
-            served_critical_mw=float(row["served_critical"]),
-            service_class=bs.ServiceClass(row["service_class"]))
+        rows = list(itertools.islice(csv.DictReader(fp), fq.MAX_SAMPLES + 1))
+        # DictReader fills the cells a short row lacks with None.
+        short = next((k for k, row in enumerate(rows, 1) if None in row.values()), 0)
+        events = [] if short else [bs.TimelineEvent(
+            float(row["t"]), row["stage"], float(row["served_total"]),
+            float(row["served_critical"]), bs.ServiceClass(row["service_class"]))
             for row in rows]
-    # No such column, a short row, a bad cell, a row the csv module rejects.
-    # A cell, or a decode error's chunk, can be as long as the file: bound the text.
-    except (KeyError, TypeError, ValueError, csv.Error) as err:
+    # No such column, a bad cell, a row the csv module rejects. A cell, or
+    # a decode error's chunk, can be as long as the file: bound the text.
+    except (KeyError, ValueError, csv.Error) as err:
         raise InvalidInputError(f"timeline csv: {type(err).__name__}: {str(err):.100}") from None
+    if short:
+        raise InvalidInputError(f"timeline csv: row {short} has fewer cells than the header")
     if not events:
         raise InvalidInputError("timeline csv: no rows")
     if len(events) > fq.MAX_SAMPLES:

@@ -2,11 +2,13 @@
 
 import hashlib
 import io
+import json
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,24 @@ from gridres.blackstart import (STAGE_RANK, AreaSwitch, BusPoint, CommNode,
                                 form_microgrids, monte_carlo,
                                 reconnect_followers, run_restoration,
                                 synchronize_and_merge)
+from gridres.cli import EXIT_OK, main
 from gridres.errors import InvalidInputError
+
+# sha256 of each file `gridres blackstart --scenario bs.json FLAGS` writes,
+# bs.json being the bundled scenario as README exports it: KEY -> (FLAGS,
+# {file: digest}). Recorded while the timeline and merge records were
+# frozen dataclasses. The console-script step of the CI workflow checks
+# the same digests with sha256sum -c (blackstart_pin reads them from here).
+BLACKSTART_PINS = {
+    "single_run": (["--seed", "7"],
+                   {"timeline.csv":
+                    "adb1201e48a7ec9a3cce05c9be7c286c7686110bb68270bcf91c46ced2c9b9c3"}),
+    "monte_carlo": (["--seed", "7", "--p", "0.5", "--radius-km", "3", "--runs", "20"],
+                    {"monte_carlo.csv":
+                     "c297e28773585646a0d1a80e3de6cef3f3b00d927061ce9415cc28989b922be1",
+                     "summary.json":
+                     "3141ac6f6bde5b83e0a07ae1fa50d65be6d4bc24cec8be4c25c90a9fd87f115b"}),
+}
 
 
 class TestClassifyService:
@@ -428,7 +447,7 @@ class TestReconnectFollowers:
         kept = {"id", "areas", "forming_units", "frequency_hz", "phase_rad"}
         changed = {"started_units", "generation_mw", "served_total_mw",
                    "served_critical_mw"}
-        assert {f.name for f in fields(Microgrid)} == kept | changed
+        assert set(Microgrid._fields) == kept | changed
         for name in kept:
             assert getattr(grown, name) == getattr(mg, name), name
         assert grown.started_units == ("G", "S")
@@ -436,7 +455,7 @@ class TestReconnectFollowers:
                 grown.served_critical_mw) == (8.0, 7.0, 3.0)
 
     def test_island_without_a_forming_unit_rejected(self):
-        mg = replace(microgrid("A"), forming_units=())
+        mg = microgrid("A")._replace(forming_units=())
         with pytest.raises(InvalidInputError, match="no forming unit"):
             reconnect_followers(mg, empty_scenario_for([mg]))
 
@@ -488,6 +507,128 @@ class TestSynchronizeAndMerge:
         a = microgrid("A")
         with pytest.raises(InvalidInputError):
             synchronize_and_merge(a, a, SyncPolicy(), empty_scenario_for([a]))
+
+
+def _oracle_sync_deltas(a, b):
+    """The merge deltas as they were computed before the gate returned them."""
+    d = abs(a.phase_rad - b.phase_rad) % (2 * math.pi)
+    return abs(a.frequency_hz - b.frequency_hz), 2 * math.pi - d if d > math.pi else d
+
+
+def _on_or_near(draw, value, elements):
+    """A drawn bound: from elements, or value itself or one ulp either side."""
+    return draw(elements | st.sampled_from([value, math.nextafter(value, math.inf),
+                                            math.nextafter(value, -math.inf)]))
+
+
+phases = st.floats(-8.0, 8.0) | st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi])
+
+
+@st.composite
+def merge_pairs(draw):
+    """Two one-area islands "A" and "B" and a sync policy whose bounds can
+    sit exactly on, or one ulp off, the pair's deltas."""
+    a = microgrid("A", gen=draw(st.sampled_from([3.0, 5.0])), phase=draw(phases),
+                  freq=draw(st.floats(49.0, 51.0)))
+    b = microgrid("B", phase=draw(phases), freq=draw(st.floats(49.0, 51.0)))
+    freq_delta, phase_delta = _oracle_sync_deltas(a, b)
+    policy = SyncPolicy(
+        max_phase_shift_rad=max(_on_or_near(draw, phase_delta, st.sampled_from(
+            [1e-320, 0.2, 4.0]) | st.floats(1e-6, 4.0)), 5e-324),
+        max_freq_diff_hz=max(_on_or_near(draw, freq_delta, st.sampled_from(
+            [0.0, 0.01]) | st.floats(0.0, 2.0)), 0.0))
+    return a, b, policy
+
+
+class TestSyncGate:
+    @settings(max_examples=200, deadline=None)
+    @given(merge_pairs())
+    def test_gate_matches_the_replaced_condition(self, pair):
+        a, b, policy = pair
+        freq_delta, phase_delta = _oracle_sync_deltas(a, b)
+        rejected = freq_delta > policy.max_freq_diff_hz or \
+            not phase_delta < policy.max_phase_shift_rad
+        scenario = empty_scenario_for([a, b])
+        try:
+            merged = synchronize_and_merge(a, b, policy, scenario)
+        except SyncRejectedError as err:
+            assert rejected
+            assert (err.freq_delta_hz.hex(), err.phase_delta_rad.hex()) == \
+                (freq_delta.hex(), phase_delta.hex())
+        else:
+            assert not rejected and merged.areas == 0b11
+
+    @settings(max_examples=200, deadline=None)
+    @given(merge_pairs(), st.integers(0, 60) | st.integers(1070, 1100),
+           st.integers(0, 2**32), st.booleans())
+    def test_attempt_merge_agrees_with_synchronize_and_merge(self, pair, attempt, seed,
+                                                            on_threshold):
+        a, b, policy = pair
+        # The attempt's draw, as the state's generator makes it.
+        draw = random.Random(f"gridres-blackstart:{seed}").uniform(
+            0.0, math.ldexp(math.pi, -attempt))
+        aligned = b._replace(frequency_hz=a.frequency_hz, phase_rad=a.phase_rad + draw)
+        freq_delta, phase_delta = _oracle_sync_deltas(a, aligned)
+        if on_threshold:    # a shift on the bound is rejected; 0.0 passes 1e-320
+            policy = replace(policy, max_phase_shift_rad=phase_delta or 1e-320)
+        scenario = replace(empty_scenario_for([a, b]), sync_policy=policy)
+        state = RestorationState(scenario, seed=seed)
+        state.grids = {"A": a, "B": b}
+        state.pair_attempts[("A", "B")] = attempt
+        accepted = state._attempt_merge("A", "B")
+        (record,) = state.merge_attempts
+        assert (record.t_s, record.grid_a, record.grid_b) == (0.0, "A", "B")
+        assert record.accepted is accepted
+        try:
+            merged = synchronize_and_merge(a, aligned, policy, scenario)
+        except SyncRejectedError as err:
+            assert not accepted and set(state.grids) == {"A", "B"}
+            freq_delta, phase_delta = err.freq_delta_hz, err.phase_delta_rad
+        else:
+            assert accepted
+            assert {gid: _exact_grid(g) for gid, g in state.grids.items()} == \
+                {merged.id: _exact_grid(reconnect_followers(merged, scenario))}
+        assert (record.freq_delta_hz.hex(), record.phase_delta_rad.hex()) == \
+            (freq_delta.hex(), phase_delta.hex())
+
+
+def _oracle_bit_rows(matrix):
+    return [sum(1 << j for j in range(matrix.shape[1]) if matrix[i, j])
+            for i in range(matrix.shape[0])]
+
+
+class TestCommCells:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 27), st.integers(0, 2**32))
+    def test_bit_rows_match_the_row_by_row_oracle(self, rows, cols, seed):
+        matrix = np.random.default_rng(seed).random((rows, cols)) < 0.5
+        assert blackstart._bit_rows(matrix) == _oracle_bit_rows(matrix)
+        packed = np.packbits(matrix, axis=1, bitorder="little")
+        assert blackstart._bit_rows(matrix) == \
+            [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def test_a_scenario_without_comm_nodes_has_empty_cells(self):
+        scenario = RestorationScenario(
+            buses=(BusPoint("B0", 0, 0, "A0"), BusPoint("B1", 1, 0, "A1")),
+            loads=(), ders=(), switches=(), comm=())
+        cells = blackstart._own_cells(scenario.compiled)
+        assert (cells.cover, cells.link, cells.covered(0)) == ([], [], 0)
+        assert blackstart._bit_rows(np.zeros((3, 0), dtype=bool)) == [0, 0, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["benchmark", "two_tile", "awkward"]),
+           st.floats(0.5, 12.0), st.data())
+    def test_covered_is_the_union_of_the_cells_on_every_call(self, name, radius, data):
+        compiled = _shared_scenario(name).compiled
+        cells = blackstart._CommCells(compiled, np.full(len(compiled.comm), radius))
+        for nodes in data.draw(st.lists(st.integers(0, 2**len(compiled.comm) - 1),
+                                        min_size=1, max_size=4)):
+            expected = 0
+            for i in range(len(compiled.comm)):
+                if nodes >> i & 1:
+                    expected |= cells.cover[i]
+            assert cells.covered(nodes) == expected    # first call
+            assert cells.covered(nodes) == expected    # memoised
 
 
 class TestAgentRound:
@@ -825,6 +966,20 @@ class TestCompiledScenario:
             for p, r in grid)) == expected
 
 
+class TestBundledBlackstartPins:
+    @pytest.mark.parametrize("key", sorted(BLACKSTART_PINS))
+    def test_cli_bytes_are_pinned(self, tmp_path, key):
+        flags, expected = BLACKSTART_PINS[key]
+        scenario = tmp_path / "bs.json"
+        scenario.write_text(json.dumps(schemas.dump_restoration_scenario(
+            bm.benchmark_restoration_scenario()), indent=2))
+        out = tmp_path / "out"
+        assert main(["blackstart", "--scenario", str(scenario), *flags,
+                     "--out", str(out)]) == EXIT_OK
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == expected
+
+
 def _oracle_dispatch(scenario, buses, generation_mw):
     """_dispatch as it was before the load split was memoised."""
     crit = sum(l.demand_mw for l in scenario.loads if l.bus in buses and l.critical)
@@ -863,9 +1018,9 @@ def _oracle_reconnect_followers(mg, buses, scenario):
             progressed = True
         if not progressed:
             break
-    return replace(mg, started_units=tuple(sorted(started)),
-                   generation_mw=generation, served_total_mw=served,
-                   served_critical_mw=served_crit)
+    return mg._replace(started_units=tuple(sorted(started)),
+                       generation_mw=generation, served_total_mw=served,
+                       served_critical_mw=served_crit)
 
 
 def awkward_two_tile_scenario():
@@ -898,7 +1053,7 @@ def _exact(values):
 
 
 def _exact_grid(mg):
-    return _exact(getattr(mg, f.name) for f in fields(Microgrid))
+    return _exact(mg)
 
 
 @st.composite

@@ -1,7 +1,6 @@
 """Resilience metrics tests: areas, service mappings, phases, state space."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ class TestServiceFromRestoration:
 
     def test_shared_timestamps_are_nudged_and_labels_kept(self):
         events = self.events([("S2", 0.0), ("S3", 40.0), ("S2", 60.0)])
-        events = tuple(replace(ev, t_s=10.0) for ev in events)
+        events = tuple(ev._replace(t_s=10.0) for ev in events)
         traj = service_from_restoration(events, 100.0)
         assert traj.t.tolist() == [10.0, math.nextafter(10.0, 11.0),
                                    math.nextafter(math.nextafter(10.0, 11.0), 11.0)]

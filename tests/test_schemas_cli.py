@@ -1146,6 +1146,17 @@ class TestCsvReaders:
         with pytest.raises(InvalidInputError, match="uniform"):
             self._trace("t,f,rocof\n0,50,0\n0.01,49.9,0\n5,49.8,0\n5.01,49.8,0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,f\n0,50\n1e308,49.9\n1,49.8\n", "uniform"),
+        ("t,f\n-1e308,50\n1e308,49.9\n", "uniform"),
+        ("t,f\n0,1e308\n0.5,49.9\n", "finite rate"),
+        ("t,f\n0,50\n5e-324,49.9\n", "finite rate"),
+    ], ids=["step_overflows", "first_step_overflows", "rate_overflows", "subnormal_step"])
+    def test_differences_past_the_float_range_are_invalid_input(self, text, message):
+        # Tier-1 makes a numpy RuntimeWarning an error, so none may escape.
+        with pytest.raises(InvalidInputError, match=message):
+            self._trace(text)
+
     def test_writer_rounding_passes_the_uniform_check(self):
         # 9 significant digits at large |t| and an awkward step.
         t = 1e4 + np.arange(2001) * (1 / 3)
@@ -1276,3 +1287,87 @@ class TestCsvReaders:
         trace.write_text("t,f,rocof\n0,50,0\n0.01,49.9,0\n5,49.8,0\n5.01,49.8,0\n")
         code, _out, err = _cli("metrics", "--trace", trace, "--out", tmp_path / "o")
         assert code == EXIT_VALIDATION and "uniform" in err
+
+    def test_metrics_cli_exits_1_on_a_short_timeline_row(self, tmp_path):
+        # stage is the header's last column, so the short row lacks only it.
+        timeline = tmp_path / "timeline.csv"
+        timeline.write_text("t,served_total,served_critical,service_class,stage\n"
+                            "30,2,1,acceptable\n")
+        code, _out, err = _cli("metrics", "--timeline", timeline, "--total-load-mw", "2",
+                               "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and "row 1 has fewer cells" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("missing", range(5))
+    def test_timeline_row_missing_any_cell_is_invalid_input(self, missing):
+        header = ["t", "stage", "served_total", "served_critical", "service_class"]
+        header.append(header.pop(missing))
+        row = {"t": "0", "stage": "S2", "served_total": "0", "served_critical": "0",
+               "service_class": "unacceptable"}
+        text = ",".join(header) + "\n" + ",".join(row[c] for c in header[:-1]) + "\n"
+        with pytest.raises(InvalidInputError, match="fewer cells"):
+            schemas.read_timeline_csv(io.StringIO(text))
+
+
+# The columns each reader needs; the timeline's are listed with stage
+# last, as another writer might order them.
+METRICS_COLUMNS = {"trace": ("t", "f", "rocof"),
+                   "timeline": ("t", "served_total", "served_critical", "service_class",
+                                "stage")}
+ODD_CELLS = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "", "x", "5e-324")
+
+
+def _metrics_row(kind, k):
+    """Row k of a well-formed trace or timeline, by column."""
+    if kind == "trace":
+        return {"t": f"{k * 0.5:g}", "f": f"{50 - 0.1 * (k % 3):g}", "rocof": "0"}
+    served = min(k, 4)
+    return {"t": str(30 * k), "stage": ("S2", "S3", "S4", "S5", "S5'")[min(k, 4)],
+            "served_total": str(served), "served_critical": str(min(served, 2)),
+            "service_class": ("unacceptable", "impaired", "acceptable")[min(k, 2)]}
+
+
+@st.composite
+def metrics_csvs(draw, kind):
+    """A trace or timeline CSV whose columns may be reordered, one dropped
+    or one added, with one row cut short or made long and with odd cells
+    (non-finite, huge, empty, not numbers). Each damage is drawn for the
+    whole file, so a file with just one of them is a common draw."""
+    columns = list(METRICS_COLUMNS[kind])
+    if draw(st.booleans()):
+        columns = list(draw(st.permutations(columns)))
+    if draw(st.integers(0, 3)) == 0:
+        del columns[draw(st.integers(0, len(columns) - 1))]
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), "extra")
+    odd = draw(st.integers(0, 2)) == 0
+    rows = []
+    for k in range(draw(st.integers(1, 5))):
+        row = dict(_metrics_row(kind, k), extra="1")
+        rows.append([draw(st.sampled_from(ODD_CELLS)) if odd and draw(st.integers(0, 3)) == 0
+                     else row[c] for c in columns])
+    shape, k = draw(st.sampled_from(["whole", "short", "long"])), draw(st.integers(0, 4))
+    if shape == "short":
+        del rows[k % len(rows)][-draw(st.integers(1, 2)):]
+    elif shape == "long":
+        rows[k % len(rows)] += draw(st.lists(st.sampled_from(("1", "nan", "x")),
+                                             min_size=1, max_size=2))
+    return "".join(",".join(cells) + "\n" for cells in [columns, *rows])
+
+
+class TestMetricsCsvInputs:
+    @pytest.mark.parametrize("kind", sorted(METRICS_COLUMNS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_metrics_exits_0_1_or_2_and_writes_all_or_nothing(self, kind, data):
+        text = data.draw(metrics_csvs(kind))
+        total_load = data.draw(st.sampled_from(["2", "65", "1e308", "0"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / f"{kind}.csv", Path(tmp) / "out"
+            src.write_text(text)
+            flags = ["--total-load-mw", total_load] if kind == "timeline" else []
+            code, _out, err = _cli("metrics", f"--{kind}", src, *flags, "--out", out)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME), err
+            assert "Traceback" not in err
+            if code != EXIT_OK:
+                assert not out.exists() or not any(out.iterdir())
