@@ -18,7 +18,6 @@ grid data.
 from .blackstart import (AreaSwitch, BusPoint, CommNode, DerAsset,
                          DerCapability, LoadAsset, RestorationScenario,
                          SyncPolicy)
-from .coordination import DerUnit, FrequencyGrid
 from .frequency import (DisturbanceEvent, DroopCurve, FcrProduct,
                         RatedDroopCurve, SecondaryReserve, SystemParameters)
 from .protection import (Breaker, DerSource, ExternalSource, FaultScenario,
@@ -53,20 +52,6 @@ def benchmark_fcr() -> FcrProduct:
 def benchmark_secondary() -> SecondaryReserve:
     return SecondaryReserve(capacity_mw=20.0, full_activation_time_s=300.0,
                             sustain_duration_s=900.0)
-
-
-def benchmark_der_fleet() -> list[DerUnit]:
-    """Distribution fleet used by the coordination examples."""
-    return [
-        DerUnit(id="pv_north", p_rating=0.40, p_available=0.30, bus="n1"),
-        DerUnit(id="pv_south", p_rating=0.35, p_available=0.20, bus="s1"),
-        DerUnit(id="wind_east", p_rating=0.50, p_available=0.35, bus="e1"),
-        DerUnit(id="bess_core", p_rating=0.25, p_available=0.05, bus="c1"),
-    ]
-
-
-def benchmark_frequency_grid() -> FrequencyGrid:
-    return FrequencyGrid(f_min=49.5, f_max=50.5, f_step=0.1, f_n=50.0)
 
 
 # ---------------------------------------------------------------------------

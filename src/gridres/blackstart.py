@@ -32,6 +32,12 @@ candidates, its comm nodes and its switch neighbors, is built once per
 distinct area set, from its areas' own loads and units, and kept with
 the compiled scenario. Microgrid, TimelineEvent and MergeAttempt are
 named tuples: a run builds many and only reads them.
+
+A run records each stage change as the islands at that instant and
+sums and classifies nothing. RestorationTimeline.events builds the
+TimelineEvents from these records on first read, so classify_service's
+range check runs then; a Monte Carlo study reads only the last record's
+served load and builds no event.
 """
 
 import itertools
@@ -322,14 +328,33 @@ class MergeAttempt(NamedTuple):
 
 @dataclass(frozen=True)
 class RestorationTimeline:
-    events: tuple[TimelineEvent, ...]
+    """A run's stage records and merge attempts.
+
+    A record is (t_s, stage, the islands at that instant); events builds
+    a TimelineEvent from each on first read and keeps them, so
+    classify_service's range check runs then, not during the run. The
+    final served load sums only the last record, which is all a Monte
+    Carlo study reads.
+    """
+
+    records: tuple[tuple[float, str, tuple[Microgrid, ...]], ...]
     merge_attempts: tuple[MergeAttempt, ...]
     total_load_mw: float
     total_critical_mw: float
 
+    @cached_property
+    def events(self) -> tuple[TimelineEvent, ...]:
+        out = []
+        for t_s, stage, grids in self.records:
+            served = sum(g.served_total_mw for g in grids)
+            crit = sum(g.served_critical_mw for g in grids)
+            out.append(TimelineEvent(t_s, stage, served, crit, classify_service(
+                crit, self.total_critical_mw, served, self.total_load_mw)))
+        return tuple(out)
+
     @property
     def final_served_total_mw(self) -> float:
-        return self.events[-1].served_total_mw if self.events else 0.0
+        return sum(g.served_total_mw for g in self.records[-1][2]) if self.records else 0.0
 
     @property
     def restored_fraction(self) -> float:
@@ -577,7 +602,7 @@ class RestorationState:
         self.rng = random.Random(f"gridres-blackstart:{seed}")
         self.t_s = 0.0
         self.grids: dict[str, Microgrid] = {}
-        self.events: list[TimelineEvent] = []
+        self.records: list[tuple[float, str, tuple[Microgrid, ...]]] = []
         self.merge_attempts: list[MergeAttempt] = []
         self.pair_attempts: dict[tuple[str, str], int] = {}
         self.drained_kwh = [0.0] * len(compiled.comm)
@@ -604,19 +629,10 @@ class RestorationState:
     def comm_graph(self) -> tuple[int, ...]:
         return self.cells.graph(self._powered_comm() | self.charged)
 
-    def served_totals(self) -> tuple[float, float]:
-        total = sum(g.served_total_mw for g in self.grids.values())
-        crit = sum(g.served_critical_mw for g in self.grids.values())
-        return total, crit
-
     def record(self, stage: str):
-        served, crit = self.served_totals()
-        self.events.append(TimelineEvent(
-            t_s=self.t_s, stage=stage, served_total_mw=served,
-            served_critical_mw=crit,
-            service_class=classify_service(
-                crit, self.compiled.total_critical_mw,
-                served, self.compiled.total_load_mw)))
+        """Keep the islands as they are now; Microgrids are immutable, so
+        the tuple fixes them (see RestorationTimeline.events)."""
+        self.records.append((self.t_s, stage, tuple(self.grids.values())))
 
     # -- agent coordination ---------------------------------------------
 
@@ -749,7 +765,7 @@ def run_restoration(scenario: RestorationScenario, seed=0,
                 break
         state.record("S5'")
     return RestorationTimeline(
-        events=tuple(state.events),
+        records=tuple(state.records),
         merge_attempts=tuple(state.merge_attempts),
         total_load_mw=state.compiled.total_load_mw,
         total_critical_mw=state.compiled.total_critical_mw)

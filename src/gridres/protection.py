@@ -368,9 +368,6 @@ class ProtectionReport:
     issues: tuple[ProtectionIssue, ...]
     open_lines: tuple[str, ...]
 
-    def issues_of(self, kind: str) -> list[ProtectionIssue]:
-        return [i for i in self.issues if i.kind == kind]
-
 
 def _fault_point(network: RadialNetwork, fault: FaultScenario):
     """Where a fault sits on the compiled tree: (top, low, z from the root).
@@ -721,11 +718,6 @@ class FaultSignatureMap:
         """Each row's squared Euclidean norm, which the locator's screen
         reads (centralized_locate_fault)."""
         return np.einsum("ij,ij->i", self.signatures, self.signatures)
-
-    @property
-    def entries(self) -> dict[tuple[str, str], tuple[float, ...]]:
-        """Signature per candidate location, read from the matrix."""
-        return dict(zip(self.candidates, map(tuple, self.signatures.tolist())))
 
 
 def build_fault_signature_map(network: RadialNetwork, candidates=None,

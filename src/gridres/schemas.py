@@ -15,6 +15,7 @@ documents may leave it out.
 import csv
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,8 @@ from .fields import dump, load, num, obj, seq, table
 SCHEMA_VERSION = 1
 # Characters that a CSV cell holds only when quoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
+# np.loadtxt's message for a row whose cell count is not the dtype's.
+_CELL_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
 
 
 def detect_kind(doc) -> str:
@@ -143,26 +146,32 @@ def write_trace_csv(fp, trace: fq.FrequencyTrace) -> None:
 
 def read_trace_csv(fp) -> fq.FrequencyTrace:
     """A trace from its CSV: columns t and f, t in uniform steps, at most
-    fq.MAX_SAMPLES rows."""
+    fq.MAX_SAMPLES rows, each with as many cells as the header."""
     try:
         header = next(csv.reader([fp.readline()]), [])
     except (csv.Error, UnicodeDecodeError) as err:   # readline decodes past the header
         raise InvalidInputError(f"trace csv: {err}") from None
     if "t" not in header or "f" not in header:
         raise InvalidInputError("trace csv: needs columns t and f")
+    # A field per column, so that np.loadtxt checks each row's cell count
+    # as it parses; the columns besides t and f are read as empty strings.
+    ti, fi = header.index("t"), header.index("f")
+    cols = np.dtype([(f"c{i}", float if i in (ti, fi) else "U0") for i in range(len(header))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # no data rows
-            cells = np.loadtxt(fp, delimiter=",", comments=None, ndmin=2,
-                               usecols=(header.index("t"), header.index("f")),
-                               max_rows=fq.MAX_SAMPLES + 1)
+            rows = np.loadtxt(fp, dtype=cols, delimiter=",", comments=None, ndmin=1,
+                              max_rows=fq.MAX_SAMPLES + 1)
     except ValueError as err:
+        if count := _CELL_COUNT.search(str(err)):
+            need, found, row = map(int, count.groups())
+            err = f"row {row} has {'more' if found > need else 'fewer'} cells than the header"
         raise InvalidInputError(f"trace csv: {err}") from None
-    if len(cells) > fq.MAX_SAMPLES:
+    if len(rows) > fq.MAX_SAMPLES:
         raise InvalidInputError(f"trace csv: at most {fq.MAX_SAMPLES} rows")
-    if len(cells) < 2 or not np.isfinite(cells).all():
+    t, f = rows[f"c{ti}"], rows[f"c{fi}"]
+    if len(rows) < 2 or not (np.isfinite(t).all() and np.isfinite(f).all()):
         raise InvalidInputError("trace csv: needs two or more rows of finite numbers")
-    t, f = cells[:, 0], cells[:, 1]
     # Cells near the float range overflow a difference: such a trace
     # fails a check below instead of warning.
     with np.errstate(all="ignore"):
@@ -186,12 +195,16 @@ def write_timeline_csv(fp, timeline: bs.RestorationTimeline) -> None:
 
 
 def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
-    """Timeline events from their CSV: at most fq.MAX_SAMPLES rows."""
+    """Timeline events from their CSV: at most fq.MAX_SAMPLES rows, each
+    with as many cells as the header."""
     try:
         rows = list(itertools.islice(csv.DictReader(fp), fq.MAX_SAMPLES + 1))
-        # DictReader fills the cells a short row lacks with None.
-        short = next((k for k, row in enumerate(rows, 1) if None in row.values()), 0)
-        events = [] if short else [bs.TimelineEvent(
+        # DictReader fills the cells a short row lacks with None and keeps
+        # a long row's extra cells under its restkey, None.
+        odd = next((f"row {k} has {'more' if None in row else 'fewer'} cells than the header"
+                    for k, row in enumerate(rows, 1)
+                    if None in row or None in row.values()), "")
+        events = [] if odd else [bs.TimelineEvent(
             float(row["t"]), row["stage"], float(row["served_total"]),
             float(row["served_critical"]), bs.ServiceClass(row["service_class"]))
             for row in rows]
@@ -199,8 +212,8 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
     # a decode error's chunk, can be as long as the file: bound the text.
     except (KeyError, ValueError, csv.Error) as err:
         raise InvalidInputError(f"timeline csv: {type(err).__name__}: {str(err):.100}") from None
-    if short:
-        raise InvalidInputError(f"timeline csv: row {short} has fewer cells than the header")
+    if odd:
+        raise InvalidInputError(f"timeline csv: {odd}")
     if not events:
         raise InvalidInputError("timeline csv: no rows")
     if len(events) > fq.MAX_SAMPLES:

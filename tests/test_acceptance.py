@@ -17,7 +17,7 @@ from gridres import benchmarks as bm
 from gridres import schemas
 from gridres.blackstart import monte_carlo, run_restoration
 from gridres.cli import main as cli_main
-from gridres.coordination import (FeasibilityViolationError,
+from gridres.coordination import (DerUnit, FeasibilityViolationError, FrequencyGrid,
                                   check_reserve_rules, compute_droop_envelope,
                                   compute_h_ag_max, compute_p0_ir,
                                   distribute_droop, select_droop)
@@ -28,7 +28,7 @@ from gridres.frequency import (DisturbanceEvent, DroopCurve, FcrProduct,
 from gridres.metrics import ServiceTrajectory, degradation_area
 from gridres.protection import simulate_protection, solve_fault_currents
 
-from test_protection import (assert_matches_oracle, random_fault,
+from test_protection import (assert_matches_oracle, issues_of, random_fault,
                              random_radial_network)
 
 
@@ -123,8 +123,11 @@ def test_criterion_05_initial_rocof_and_convergence():
 def test_criterion_06_droop_protocol():
     with criterion(6, "droop selection enforces the envelope and the "
                       "per-unit split re-aggregates within 1e-9 everywhere"):
-        units = bm.benchmark_der_fleet()
-        grid = bm.benchmark_frequency_grid()
+        units = [DerUnit(id="pv_north", p_rating=0.40, p_available=0.30, bus="n1"),
+                 DerUnit(id="pv_south", p_rating=0.35, p_available=0.20, bus="s1"),
+                 DerUnit(id="wind_east", p_rating=0.50, p_available=0.35, bus="e1"),
+                 DerUnit(id="bess_core", p_rating=0.25, p_available=0.05, bus="c1")]
+        grid = FrequencyGrid(f_min=49.5, f_max=50.5, f_step=0.1, f_n=50.0)
         envelope = compute_droop_envelope(units, grid)
         total_rating = sum(u.p_rating for u in units)
 
@@ -184,7 +187,7 @@ def test_criterion_09_misoperation_suite():
         blinded_net = bm.two_feeder_network(der_a_injection_pu=2.0)
         blinded = simulate_protection(blinded_net, fault, settings)
         assert blinded.trips == ()
-        assert len(blinded.issues_of("Blinding")) == 1
+        assert len(issues_of(blinded, "Blinding")) == 1
         no_der = solve_fault_currents(blinded_net, fault, grid_only=True)
         assert no_der.branch_currents["L1"] > settings["A"]
 
@@ -192,12 +195,12 @@ def test_criterion_09_misoperation_suite():
             bm.two_feeder_network(der_b_injection_pu=4.5,
                                   source_available=False), fault, settings)
         assert {ev.breaker_id for ev in sympathetic.trips} == {"A", "B"}
-        assert len(sympathetic.issues_of("SympatheticTrip")) == 1
+        assert len(issues_of(sympathetic, "SympatheticTrip")) == 1
 
         energized = simulate_protection(
             bm.two_feeder_network(der_a_injection_pu=0.5), fault, settings)
         assert [ev.breaker_id for ev in energized.trips] == ["A"]
-        assert len(energized.issues_of("EnergizedAfterTrip")) == 1
+        assert len(issues_of(energized, "EnergizedAfterTrip")) == 1
 
 
 def test_criterion_10_sync_gate_audit():

@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import replace
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from gridres.blackstart import (STAGE_RANK, AreaSwitch, BusPoint, CommNode,
                                 DerAsset, DerCapability, LoadAsset, Microgrid,
                                 RestorationScenario, RestorationState,
                                 ServiceClass, SyncPolicy, SyncRejectedError,
-                                agent_round, classify_service, comm_reachable,
-                                form_microgrids, monte_carlo,
+                                TimelineEvent, agent_round, classify_service,
+                                comm_reachable, form_microgrids, monte_carlo,
                                 reconnect_followers, run_restoration,
                                 synchronize_and_merge)
 from gridres.cli import EXIT_OK, main
@@ -631,6 +632,40 @@ class TestCommCells:
             assert cells.covered(nodes) == expected    # memoised
 
 
+def served_totals(state):
+    """The served total and critical load of a state's islands, summed in
+    dict order (RestorationState.served_totals before records were lazy)."""
+    total = sum(g.served_total_mw for g in state.grids.values())
+    crit = sum(g.served_critical_mw for g in state.grids.values())
+    return total, crit
+
+
+def eager_events(scenario, seed=0, cells=None, battery=None):
+    """run_restoration's events under the record it replaced, which
+    summed the islands and classified service at every stage change."""
+    events = []
+
+    class EagerState(RestorationState):
+        def record(self, stage):
+            served, crit = served_totals(self)
+            events.append(TimelineEvent(
+                t_s=self.t_s, stage=stage, served_total_mw=served,
+                served_critical_mw=crit,
+                service_class=classify_service(
+                    crit, self.compiled.total_critical_mw,
+                    served, self.compiled.total_load_mw)))
+
+    with mock.patch.object(blackstart, "RestorationState", EagerState):
+        run_restoration(scenario, seed, cells, battery)
+    return events
+
+
+def eager_fraction(scenario, events):
+    """restored_fraction as read from the last eager event."""
+    total = scenario.compiled.total_load_mw
+    return 1.0 if total <= 0 else min(events[-1].served_total_mw / total, 1.0)
+
+
 class TestAgentRound:
     def transfer_scenario(self, with_comm=True):
         """A0 has surplus, A1 has a small former and unserved critical load."""
@@ -669,14 +704,14 @@ class TestAgentRound:
     def test_surplus_covers_neighbor_critical_load(self):
         state = self.run_rounds(self.transfer_scenario(with_comm=True))
         assert len(state.grids) == 1
-        total, crit = state.served_totals()
+        total, crit = served_totals(state)
         assert crit == pytest.approx(3.0)
         assert total == pytest.approx(7.0)
 
     def test_no_comm_edge_no_transfer(self):
         state = self.run_rounds(self.transfer_scenario(with_comm=False))
         assert len(state.grids) == 2
-        _total, crit = state.served_totals()
+        _total, crit = served_totals(state)
         assert crit == pytest.approx(1.0)  # A1 serves only its own 1 MW
 
 
@@ -1126,6 +1161,63 @@ class TestIslandMemos:
         seen = dict(islands)
         run_restoration(warm, seed=seed)    # a repeated run adds no entry
         assert islands == seen
+
+
+@cache
+def _rescaled(k):
+    return rescaled_benchmark(random.Random(k), (0.5, 20))
+
+
+@st.composite
+def restoration_runs(draw):
+    """A scenario, a run seed, one cell radius for every node and a
+    battery mask, as a Monte Carlo run passes them to run_restoration."""
+    name = draw(st.sampled_from(["benchmark", "two_tile", "awkward", "rescaled"]))
+    scenario = (_rescaled(draw(st.integers(0, 3))) if name == "rescaled"
+                else _shared_scenario(name))
+    compiled = scenario.compiled
+    radius = draw(st.sampled_from([1.4, 2.0, 3.0, 6.0, 10.0]) | st.floats(0.5, 30.0))
+    cells = blackstart._CommCells(compiled, np.full(len(compiled.comm), radius))
+    battery = draw(st.integers(0, (1 << len(compiled.comm)) - 1))
+    return scenario, draw(st.integers(0, 2**32)), cells, battery
+
+
+def _mc_oracle(scenario, p_battery, radius, runs, seed):
+    """monte_carlo's fractions, each read from the eager record's last event."""
+    compiled = scenario.compiled
+    cells = blackstart._CommCells(compiled, np.full(len(compiled.comm), radius))
+    out = []
+    for k in range(runs):
+        draw = random.Random(f"gridres-mc:{seed}:{k}").random
+        battery = sum(1 << i for i in range(len(compiled.comm)) if draw() < p_battery)
+        out.append(eager_fraction(
+            scenario, eager_events(scenario, f"{seed}:{k}", cells, battery)))
+    return out
+
+
+class TestLazyTimeline:
+    @settings(max_examples=60, deadline=None)
+    @given(restoration_runs())
+    def test_events_match_the_eager_record(self, run):
+        scenario, seed, cells, battery = run
+        expected = eager_events(scenario, seed, cells, battery)
+        timeline = run_restoration(scenario, seed, cells, battery)
+        before = timeline.restored_fraction.hex()
+        events = timeline.events
+        assert [_exact(ev) for ev in events] == [_exact(ev) for ev in expected]
+        assert timeline.restored_fraction.hex() == before
+        assert before == eager_fraction(scenario, expected).hex()
+        assert timeline.events is events
+
+    @pytest.mark.parametrize("make", [bm.benchmark_restoration_scenario,
+                                      lambda: two_tile_scenario(2, 2)],
+                             ids=["benchmark", "two_by_two"])
+    def test_monte_carlo_fractions_match_the_eager_record(self, make):
+        scenario = make()
+        for p, r in ((0.1, 2.0), (0.5, 6.0), (0.9, 10.0)):
+            result = monte_carlo(scenario, p, r, runs=4, seed=3)
+            assert [f.hex() for f in result.restored_fractions] == \
+                [f.hex() for f in _mc_oracle(scenario, p, r, 4, 3)]
 
 
 class TestScenarioValidation:

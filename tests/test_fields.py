@@ -135,7 +135,7 @@ def test_require_lists_every_rejected_value():
 
 def _fleet_doc_with(**top):
     fleet = co.FleetCase(rocof_max_hz_per_s=1.0, p0_ss_pu=0.3, p0_irmax_pu=0.5,
-                         h_ag_tso_s=4.0, grid=bm.benchmark_frequency_grid(),
+                         h_ag_tso_s=4.0, grid=co.FrequencyGrid(49.5, 50.5, 0.1, 50.0),
                          candidate=bm.benchmark_droop_fleet()[0].curve)
     return {"schema_version": 1, **fields.dump(fleet), **top}
 

@@ -1298,6 +1298,37 @@ class TestCsvReaders:
         assert code == EXIT_VALIDATION and "row 1 has fewer cells" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,f\n0,50,7,8\n0.5,50\n", "row 1 has more cells"),
+        ("t,f\n0,50\n0.5,50,\n", "row 2 has more cells"),
+        ("t,f,rocof\n0,50,0\n0.5,50\n", "row 2 has fewer cells"),
+        # A long row and a short one hold as many commas as two whole rows.
+        ("t,f,rocof\n0,50,0,0\n0.5,50\n1,50,0\n", "row 1 has more cells"),
+        ("t,f,rocof\n\n0,50,0\n\n0.5,50,0,x\n", "row 2 has more cells"),
+    ], ids=["long_first_row", "trailing_comma", "short_unread_cell",
+            "long_and_short_rows", "long_row_after_empty_lines"])
+    def test_trace_row_without_a_cell_per_column_is_invalid_input(self, text, message):
+        with pytest.raises(InvalidInputError, match=f"trace csv: {message} than the header"):
+            self._trace(text)
+
+    @pytest.mark.parametrize("text", [
+        "t,f,rocof\n0,50,0\n\n0.5,50,0\n\n", "t,f,rocof\r\n0,50,0\r\n0.5,50,0\r\n",
+        "t,f\n0,50\n0.5,50"], ids=["empty_lines", "crlf", "no_final_line_break"])
+    def test_trace_rows_with_a_cell_per_column_are_read(self, text):
+        assert len(self._trace(text)) == 2
+
+    @pytest.mark.parametrize("flag, text, flags", [
+        ("--trace", "t,f\n0,50,7,8\n0.5,50\n", []),
+        ("--timeline", "t,stage,served_total,served_critical,service_class\n"
+         "0,S2,0,0,unacceptable,7,8\n60,S3,2,1,acceptable\n", ["--total-load-mw", "2"]),
+    ], ids=["trace", "timeline"])
+    def test_metrics_cli_exits_1_on_a_long_row(self, tmp_path, flag, text, flags):
+        src = tmp_path / "input.csv"
+        src.write_text(text)
+        code, _out, err = _cli("metrics", flag, src, *flags, "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and "row 1 has more cells than the header" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("missing", range(5))
     def test_timeline_row_missing_any_cell_is_invalid_input(self, missing):
         header = ["t", "stage", "served_total", "served_critical", "service_class"]
@@ -1332,7 +1363,8 @@ def metrics_csvs(draw, kind):
     """A trace or timeline CSV whose columns may be reordered, one dropped
     or one added, with one row cut short or made long and with odd cells
     (non-finite, huge, empty, not numbers). Each damage is drawn for the
-    whole file, so a file with just one of them is a common draw."""
+    whole file, so a file with just one of them is a common draw. Returns
+    the text and the row shape drawn: whole, short or long."""
     columns = list(METRICS_COLUMNS[kind])
     if draw(st.booleans()):
         columns = list(draw(st.permutations(columns)))
@@ -1352,7 +1384,7 @@ def metrics_csvs(draw, kind):
     elif shape == "long":
         rows[k % len(rows)] += draw(st.lists(st.sampled_from(("1", "nan", "x")),
                                              min_size=1, max_size=2))
-    return "".join(",".join(cells) + "\n" for cells in [columns, *rows])
+    return "".join(",".join(cells) + "\n" for cells in [columns, *rows]), shape
 
 
 class TestMetricsCsvInputs:
@@ -1360,7 +1392,7 @@ class TestMetricsCsvInputs:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_metrics_exits_0_1_or_2_and_writes_all_or_nothing(self, kind, data):
-        text = data.draw(metrics_csvs(kind))
+        text, shape = data.draw(metrics_csvs(kind))
         total_load = data.draw(st.sampled_from(["2", "65", "1e308", "0"]))
         with tempfile.TemporaryDirectory() as tmp:
             src, out = Path(tmp) / f"{kind}.csv", Path(tmp) / "out"
@@ -1368,6 +1400,8 @@ class TestMetricsCsvInputs:
             flags = ["--total-load-mw", total_load] if kind == "timeline" else []
             code, _out, err = _cli("metrics", f"--{kind}", src, *flags, "--out", out)
             assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME), err
+            if shape == "long":
+                assert code == EXIT_VALIDATION, err
             assert "Traceback" not in err
             if code != EXIT_OK:
                 assert not out.exists() or not any(out.iterdir())
