@@ -11,10 +11,14 @@ line and its orientation, the impedance z from the root, breaker
 indexes, and a lowest-common-ancestor table (Bender & Farach-Colton,
 "The LCA Problem Revisited", 2000). One function (_fault_feed) gives
 the source, DER and fault currents of a fault; a fault solve places
-them as nodal injections and sums them over subtrees in one bottom-up
-Python loop (the backward sweep of radial load flow, in an order that
-fixes the sums' bits), giving every line current as one array; exact
-on radial networks, and an open line cuts its subtree off.
+them as nodal injections and sums them over subtrees (the backward
+sweep of radial load flow, in an order that fixes the sums' bits),
+giving every line current as one array; exact on radial networks, and
+an open line cuts its subtree off. With no open line and no load
+injecting, only the fault's path to its root sees the source and the
+fault, so the solve re-folds that path over subtree sums of the DER
+alone, kept per compiled feeder; open lines and the healthy load flow
+take one bottom-up Python loop over every bus.
 
 A DER feeding a source-fed fault f splits its current where its path
 meets the source-fault path, at junction j. The share that arrives is
@@ -194,7 +198,12 @@ class _CompiledFeeder:
     come before children and bus v's subtree is the order slice
     [tin[v], tout[v]). Line k hangs bus child[k] below parent[child[k]];
     sign[v] is +1 when the line above v is stored parent -> v, else -1.
-    bottom_up is (bus, parent) in reversed preorder; a root's parent is n.
+    bottom_up is (bus, parent) in reversed preorder; a root's parent is n,
+    and kids[v] lists v's children in that order. The live DER (injecting,
+    with current) are live_ids, live_bus and live_i. With them alone
+    injecting, own[v] is bus v's injection, der_sums[v] its subtree's sum,
+    folded in bottom_up order as a full sweep folds it, and der_values
+    the line currents; they cost one pass, the one that sizes subtrees.
     """
 
     def __init__(self, net: RadialNetwork):
@@ -209,9 +218,17 @@ class _CompiledFeeder:
         n = len(net.buses)
         self.ends = [(self.bus_index[ln.from_bus], self.bus_index[ln.to_bus])
                      for ln in net.lines]
-        self.live = [(d, self.bus_index[d.bus]) for d in net.ders
-                     if d.injecting and d.i_max_pu > 0]
-        self.load_rows = [(self.bus_index[ld.bus], -ld.current_pu) for ld in net.loads]
+        live = [d for d in net.ders if d.injecting and d.i_max_pu > 0]
+        self.live_ids = np.array([d.id for d in live], dtype=object)
+        self.live_bus = np.array([self.bus_index[d.bus] for d in live], dtype=int)
+        self.live_i = np.array([d.i_max_pu for d in live], dtype=float)
+        # The healthy load flow's injections, (bus, amount), by grid_only:
+        # the live DER unless grid_only, then the loads.
+        load_bus = np.array([self.bus_index[ld.bus] for ld in net.loads], dtype=int)
+        load_i = np.array([-ld.current_pu for ld in net.loads], dtype=float)
+        self.load_flow = {False: (np.concatenate((self.live_bus, load_bus)),
+                                  np.concatenate((self.live_i, load_i))),
+                          True: (load_bus, load_i)}
         self.incident = [[] for _ in range(n)]
         for k, (a, b) in enumerate(self.ends):
             self.incident[a].append((k, b))
@@ -236,12 +253,20 @@ class _CompiledFeeder:
         self.bottom_up = [(v, n if parent[v] < 0 else parent[v]) for v in reversed(order)]
         self.z = np.array(z)
         self.line_sign = np.array(sign)[self.child]
-        size = [1] * (n + 1)
+        own = [0.0] * (n + 1)
+        for v, amount in zip(self.live_bus.tolist(), self.live_i.tolist()):
+            own[v] += amount
+        sums, size, kids = own.copy(), [1] * (n + 1), [[] for _ in range(n + 1)]
         for v, p in self.bottom_up:
             size[p] += size[v]
+            sums[p] += sums[v]
+            kids[p].append(v)
+        self.own, self.der_sums, self.kids, self.zeros = own, sums, kids, [0.0] * (n + 1)
+        self.der_values = 0.0 - self.line_sign * np.array(sums)[self.child]
         self.tin = np.empty(n, dtype=int)
         self.tin[order] = np.arange(n)
         self.tout = self.tin + np.array(size[:n])
+        self.line_tin = self.tin[self.child]
         self.root_pre = np.array(root)[order]
         # Sparse table over the preorder: min_depth[k, i] is the slot of
         # least depth in slots [i, i + 2**k).
@@ -255,7 +280,53 @@ class _CompiledFeeder:
         self.min_depth = np.zeros((len(rows), n), dtype=int)
         for k, row in enumerate(rows):
             self.min_depth[k, :len(row)] = row
-        self.roots = self.pieces(()).tolist()
+        self.roots = self.pieces(())
+        self.forest = bool((self.roots != self.roots[0]).any())
+
+    def root_path(self, v) -> list[int]:
+        """The buses from bus v up to the root of its component, v first."""
+        path, parent = [v], self.parent
+        while (v := parent[v]) >= 0:
+            path.append(v)
+        return path
+
+    def meet(self, path, u):
+        """lca(path[0], u) for a root path (root_path) and bus indices u
+        of its component, elementwise: the deepest bus of the path whose
+        preorder slice [tin, tout) holds u. Up the path tin falls and tout
+        never does, so each bound is one binary search."""
+        path, at = np.array(path), self.tin[u]
+        starts = self.tin[path[::-1]].searchsorted(at, "right")   # tin <= at
+        ends = self.tout[path].searchsorted(at, "right")          # tout <= at
+        return path[np.maximum(len(path) - starts, ends)]
+
+    def path_sweep(self, path, i_fault, grid_only):
+        """(line currents, subtree sums) of a fault at bus path[0], a root
+        path, drawing i_fault when nothing injects but the fault, the DER
+        (none with grid_only) and the root, whose sum no line carries.
+
+        Off the path a subtree holds only DER, so its sum is der_sums'
+        (0 with grid_only, and 0 outside the fault's component). Each
+        path bus below the root folds its own injection, the fault's
+        draw at path[0], then its children in bottom_up order, the path
+        child's fresh sum among them, as the full sweep does.
+        """
+        own, sums = (self.zeros, self.zeros) if grid_only else (self.own, self.der_sums)
+        kids, up_line, folded, lines, below = self.kids, self.up_line, [], [], -1
+        for u in path[:-1]:
+            acc = own[u] - i_fault if below < 0 else own[u]
+            for c in kids[u]:
+                acc += folded[-1] if c == below else sums[c]
+            folded.append(acc)
+            lines.append(up_line[u])
+            below = u
+        values = np.zeros(len(self.child)) if grid_only else self.der_values.copy()
+        lines = np.array(lines, dtype=int)
+        values[lines] = 0.0 - self.line_sign[lines] * np.array(folded)
+        if self.forest and not grid_only:
+            root = path[-1]
+            values[(self.line_tin < self.tin[root]) | (self.line_tin >= self.tout[root])] = 0.0
+        return values, sums
 
     def lca(self, u, v):
         """Lowest common ancestor of bus indices u and v, elementwise: for
@@ -282,10 +353,10 @@ class _CompiledFeeder:
             unknown = ", ".join(sorted(map(repr, set(open_lines) - self.line_index.keys())))
             raise InvalidInputError(f"open_lines: unknown lines: {unknown}") from None
 
-    def open(self, open_lines) -> tuple[set[int], list[int]]:
-        """cut_below(open_lines) and, as a list, the pieces of that cut."""
+    def open(self, open_lines) -> tuple[set[int], np.ndarray]:
+        """cut_below(open_lines) and the pieces of that cut."""
         cut = self.cut_below(open_lines)
-        return cut, self.pieces(cut).tolist() if cut else self.roots
+        return cut, self.pieces(cut) if cut else self.roots
 
     def pieces(self, cut):
         """Top bus of every bus's connected piece once the lines above
@@ -394,16 +465,18 @@ def _fault_point(network: RadialNetwork, fault: FaultScenario):
     return top, low, float(tree.z[top]) + network.lines[k].impedance_pu * upper
 
 
-def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus):
+def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus, joint=None):
     """Share of each DER's current that arrives at a source-fed fault.
 
     The current splits at junction j inversely to the impedances toward
     the source (Zs + z[j]) and toward the fault (z[f] - z[j] + Zf). DER
     below a split line join at the fault node. Broadcasts over faults.
-    A loop impedance past the float range gives a share of 0.
+    joint, if given, is lca(top, der_bus). A loop impedance past the
+    float range gives a share of 0.
     """
-    z_j = np.where(tree.below(low, der_bus), z_fault,
-                   tree.z[tree.lca(top, der_bus)])
+    if joint is None:
+        joint = tree.lca(top, der_bus)
+    z_j = np.where(tree.below(low, der_bus), z_fault, tree.z[joint])
     z_left = z_src + z_j
     with np.errstate(over="ignore"):
         return z_left / (z_left + ((z_fault - z_j) + z_f))
@@ -415,50 +488,61 @@ class _Feed(NamedTuple):
     fed: bool
     i_fault: float
     i_grid: float
-    ders: list              # (DER, bus index) of the live units in the fault's piece
+    der_bus: np.ndarray     # bus index and current of the live units in the fault's piece
+    der_i: np.ndarray
     contributions: dict
     arrivals: dict
     top: int | None         # the fault's place (_fault_point); None without a fault
     low: int | None
     upper_open: bool        # the open near segment of a split line is its upper one
+    path: list | None       # root_path(top) when the source feeds the fault
 
 
-def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, live, cut,
+_NO_DER = np.empty(0, dtype=int), np.empty(0)
+
+
+def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, grid_only, cut,
                 piece) -> _Feed:
     """The currents that feed a fault once the lines above cut are open.
 
     cut and piece are _CompiledFeeder.open of the open lines (piece is
-    the top bus of every bus's piece), live the (DER, bus index) pairs
-    that inject. The source drives
-    V / (Zs + z[f] + Zf) into a fault in its piece, and each DER of the
-    fault's piece delivers its arrival share, the rest flowing back to
-    the source; a fault the source cannot reach takes the DER's full
-    injections. Without a fault nothing feeds it.
+    the top bus of every bus's piece). The live DER inject, or none does
+    with grid_only. The source drives V / (Zs + z[f] + Zf) into a fault
+    in its piece, and each DER of the fault's piece delivers its arrival
+    share, the rest flowing back to the source; a fault the source
+    cannot reach takes the DER's full injections. Without a fault
+    nothing feeds it. The currents are left folds in unit order, the
+    source term first.
     """
     if fault is None or not fault.is_fault:
-        return _Feed(False, 0.0, 0.0, [], {}, {}, None, None, False)
+        return _Feed(False, 0.0, 0.0, *_NO_DER, {}, {}, None, None, False, None)
     tree, src = network.compiled, network.source
     top, low, z_f = _fault_point(network, fault)
     # An open split line loses its near segment only: the upper one
     # when the line is stored top -> low, else the lower one.
     upper_open = top != low and low in cut and tree.sign[low] > 0
     f_piece = piece[low] if upper_open else piece[top]
-    fed = src.available and piece[tree.bus_index[src.bus]] == f_piece
-    ders = [(d, v) for d, v in live if piece[v] == f_piece]
-    shares = [1.0] * len(ders)
+    fed = bool(src.available and piece[tree.bus_index[src.bus]] == f_piece)
+    path = tree.root_path(top) if fed else None
     i_fault = i_grid = 0.0
     if fed:
         i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
-        if ders:
-            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top, low,
-                                  z_f, np.array([v for _, v in ders], int)).tolist()
-    contributions, arrivals = {}, {}
-    for (d, _v), share in zip(ders, shares):
-        i_fault += d.i_max_pu * share
-        i_grid -= d.i_max_pu * (1 - share)
-        contributions[d.id] = d.i_max_pu
-        arrivals[d.id] = d.i_max_pu * share
-    return _Feed(fed, i_fault, i_grid, ders, contributions, arrivals, top, low, upper_open)
+    if grid_only or not len(tree.live_ids):
+        return _Feed(fed, i_fault, i_grid, *_NO_DER, {}, {}, top, low, upper_open, path)
+    ids, bus, cur = tree.live_ids, tree.live_bus, tree.live_i
+    if cut or tree.forest:
+        take = piece[bus] == f_piece
+        ids, bus, cur = ids[take], bus[take], cur[take]
+    arrive = cur
+    if fed and len(bus):
+        share = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top, low, z_f,
+                             bus, tree.meet(path, bus))
+        arrive = cur * share
+        i_grid = float(np.subtract.accumulate(np.concatenate(([i_grid], cur * (1 - share))))[-1])
+    i_fault = float(np.add.accumulate(np.concatenate(([i_fault], arrive)))[-1])
+    ids = ids.tolist()
+    return _Feed(fed, i_fault, i_grid, bus, cur, dict(zip(ids, cur.tolist())),
+                 dict(zip(ids, arrive.tolist())), top, low, upper_open, path)
 
 
 def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
@@ -467,40 +551,74 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
     """Solve branch currents for a fault (or the healthy network).
 
     _fault_feed gives the source, DER and fault currents of a fault;
-    this solve places them as nodal injections and sweeps them into line
-    currents. Each DER feeds in by its own injecting flag, or none does
-    with grid_only. open_lines removes tripped lines, known ids only (the
-    far side of a split faulted line stays connected, the breaker sits on
-    the near side).
+    this solve places them as nodal injections and sums them over
+    subtrees into line currents. Each DER feeds in by its own injecting
+    flag, or none does with grid_only. open_lines removes tripped lines,
+    known ids only (the far side of a split faulted line stays
+    connected, the breaker sits on the near side).
+
+    With a fault, no open line and no load injecting (the source feeds
+    the fault or is unavailable), only the buses on the fault's root
+    path see the source and the fault: every other subtree carries the
+    sum of its DER alone, which the compiled feeder holds, so the solve
+    re-folds only that path (_CompiledFeeder.path_sweep). Open lines and
+    the healthy load flow take the full bottom-up sweep. Both fold every
+    bus's sum in the same order, so their bits agree.
     """
     tree = network.compiled
-    live = [] if grid_only else tree.live   # (DER, bus index) of the injecting units
     cut, piece = tree.open(open_lines)
-    fed, i_fault, i_grid, ders, contributions, arrivals, top, low, upper_open = \
-        _fault_feed(network, fault, live, cut, piece)
-    if top is not None and not fed and i_fault == 0.0 and not allow_dead_fault:
+    feed = _fault_feed(network, fault, grid_only, cut, piece)
+    top, low, i_fault = feed.top, feed.low, feed.i_fault
+    if top is not None and not feed.fed and i_fault == 0.0 and not allow_dead_fault:
         raise UnreachableFaultError(
             "fault is disconnected from the external source and from any "
             "injecting DER")
-    src = network.source
+    if top is not None and not cut and (feed.fed or not network.source.available):
+        values, acc = tree.path_sweep(feed.path or tree.root_path(top), i_fault, grid_only)
+        i_grid = feed.i_grid
+    else:
+        values, acc, i_grid = _full_sweep(network, feed, cut, piece, grid_only)
+    split_line, far = None, 0.0
+    if top is not None and top != low:
+        # The segment below the fault carries the current of low's subtree.
+        lower_open = low in cut and not feed.upper_open
+        up_lower = 0.0 if lower_open else acc[low] + (i_fault if feed.upper_open else 0.0)
+        up_upper = 0.0 if feed.upper_open else up_lower - i_fault
+        k = tree.up_line[low]
+        split_line = tree.line_ids[k]
+        values[k], far = (-up_upper, -up_lower) if tree.sign[low] > 0 else (up_lower, up_upper)
+    return FaultSolution(network=network, line_currents=values, i_fault_pu=i_fault,
+                         i_grid_pu=i_grid, der_contributions_pu=feed.contributions,
+                         der_fault_arrivals_pu=feed.arrivals, source_feeds_fault=feed.fed,
+                         split_line=split_line, far_pu=far)
+
+
+def _full_sweep(network, feed: _Feed, cut, piece, grid_only):
+    """(line currents, per-bus subtree sums, i_grid) of solve_fault_currents
+    by one bottom-up sweep over every bus. Without a fed fault the
+    source's piece runs the healthy load flow, which sets i_grid."""
+    tree, src = network.compiled, network.source
     s = tree.bus_index[src.bus]
     n = len(network.buses)
+    i_grid = feed.i_grid
     acc = [0.0] * (n + 1)   # net injection, then subtree sum, per bus
-    for d, v in ders:
-        acc[v] += d.i_max_pu
-    if src.available and not fed:
+    for v, amount in zip(feed.der_bus.tolist(), feed.der_i.tolist()):
+        acc[v] += amount
+    if src.available and not feed.fed:
         # Healthy load flow in the source's piece: net injections stream
         # to the source.
+        bus, amounts = tree.load_flow[grid_only]
+        take = piece[bus] == piece[s]
         total = 0.0
-        for v, amount in [(v, d.i_max_pu) for d, v in live] + tree.load_rows:
-            if piece[v] == piece[s]:
-                acc[v] += amount
-                total += amount
+        for v, amount in zip(bus[take].tolist(), amounts[take].tolist()):
+            acc[v] += amount
+            total += amount
         i_grid = -total
     if src.available:
         acc[s] += i_grid
-    if top is not None:
-        acc[low if upper_open else top] -= i_fault   # a bus on the fault's side of the cut
+    if feed.top is not None:
+        # A bus on the fault's side of the cut.
+        acc[feed.low if feed.upper_open else feed.top] -= feed.i_fault
     ups = tree.bottom_up
     if cut:
         # An open line passes its subtree's sum to the spare slot n instead;
@@ -514,30 +632,17 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
     values = 0.0 - tree.line_sign * np.array(acc, dtype=float)[tree.child]
     if cut:
         values[[tree.up_line[v] for v in cut]] = 0.0
-    split_line, far = None, 0.0
-    if top is not None and top != low:
-        # The segment below the fault carries the current of low's subtree.
-        lower_open = low in cut and not upper_open
-        up_lower = 0.0 if lower_open else acc[low] + (i_fault if upper_open else 0.0)
-        up_upper = 0.0 if upper_open else up_lower - i_fault
-        k = tree.up_line[low]
-        split_line = tree.line_ids[k]
-        values[k], far = (-up_upper, -up_lower) if tree.sign[low] > 0 else (up_lower, up_upper)
-    return FaultSolution(network=network, line_currents=values, i_fault_pu=i_fault,
-                         i_grid_pu=i_grid, der_contributions_pu=contributions,
-                         der_fault_arrivals_pu=arrivals, source_feeds_fault=fed,
-                         split_line=split_line, far_pu=far)
+    return values, acc, i_grid
 
 
 def source_fault_path_lines(network: RadialNetwork, fault: FaultScenario) -> set[str]:
     """Line ids on the topological path from the source bus to the fault."""
     tree = network.compiled
-    _top, v, _z = _fault_point(network, fault)
-    lines = set()
-    while tree.parent[v] >= 0:
-        lines.add(tree.line_ids[tree.up_line[v]])
-        v = tree.parent[v]
-    return lines if v == tree.bus_index[network.source.bus] else set()
+    _top, low, _z = _fault_point(network, fault)
+    path = tree.root_path(low)
+    if path[-1] != tree.bus_index[network.source.bus]:
+        return set()
+    return {tree.line_ids[tree.up_line[v]] for v in path[:-1]}
 
 
 def simulate_protection(network: RadialNetwork, fault: FaultScenario,
@@ -626,8 +731,8 @@ def detect_energized(network: RadialNetwork, open_lines) -> list[ProtectionIssue
     piece = tree.pieces(tree.cut_below(open_lines))
     grid = piece[tree.bus_index[network.source.bus]] if network.source.available else -1
     live: dict[int, list[str]] = {}
-    for d, v in tree.live:
-        live.setdefault(int(piece[v]), []).append(d.id)
+    for did, top in zip(tree.live_ids.tolist(), piece[tree.live_bus].tolist()):
+        live.setdefault(top, []).append(did)
     islands = [np.flatnonzero(piece == top) for top in live if top != grid]
     issues: list[ProtectionIssue] = []
     for members in sorted(islands, key=lambda m: m[0]):
@@ -833,7 +938,7 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     cut, piece = tree.open({tree.breaker[bid].line for bid in breakers})
     after = _fault_feed(network, FaultScenario(*best_loc, fmap.fault_impedance_pu,
                                                fmap.position),
-                        tree.live, cut, piece)
+                        False, cut, piece)
     return LocateResult(location=best_loc,
                         breakers_to_open=tuple(sorted(breakers)),
                         escalated=escalated,

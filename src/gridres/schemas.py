@@ -31,8 +31,12 @@ from .fields import dump, load, num, obj, seq, table
 SCHEMA_VERSION = 1
 # Characters that a CSV cell holds only when quoted.
 _CSV_SPECIAL = frozenset(',"\r\n')
-# np.loadtxt's message for a row whose cell count is not the dtype's.
+# np.loadtxt's message for a row whose cell count is not the dtype's (its
+# row counts data rows from 1), and for a cell it cannot read as a number
+# (its row counts them from 0).
 _CELL_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+_NOT_A_NUMBER = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)",
+                           re.DOTALL)
 
 
 def detect_kind(doc) -> str:
@@ -166,6 +170,9 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
         if count := _CELL_COUNT.search(str(err)):
             need, found, row = map(int, count.groups())
             err = f"row {row} has {'more' if found > need else 'fewer'} cells than the header"
+        elif cell := _NOT_A_NUMBER.search(str(err)):
+            text, row, column = cell.groups()
+            err = f"row {int(row) + 1}, column {column}: {text} is not a number"
         raise InvalidInputError(f"trace csv: {err}") from None
     if len(rows) > fq.MAX_SAMPLES:
         raise InvalidInputError(f"trace csv: at most {fq.MAX_SAMPLES} rows")

@@ -1,5 +1,8 @@
 """Protection tests: fault solver vs dense nodal oracle, misoperations."""
 
+import hashlib
+import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -10,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
+from gridres import schemas
+from gridres.cli import EXIT_OK, main
 from gridres.errors import InvalidInputError
 from gridres.protection import (AmbiguousLocationError, Breaker, DerSource,
                                 ExternalSource, FaultScenario, IsolationError,
@@ -31,6 +36,44 @@ from gridres.protection import (AmbiguousLocationError, Breaker, DerSource,
 # ---------------------------------------------------------------------------
 
 FAULT_NODE = "__fault__"
+
+# sha256 of report.json from `gridres protection`, per run: the network
+# builder ("two_feeder" for bm.two_feeder_network, "trunk_feeder" for the
+# builder below), its keyword arguments, the fault document and the
+# digest. Digests as the solver produced them when every solve swept the
+# whole feeder. The console-script step of .github/workflows/tests.yml
+# checks the "blinded" run's digest (protection_pin reads it from here),
+# so it is a plain literal.
+PROTECTION_PINS = {
+    "clean": (
+        "two_feeder", {},
+        {"element": {"kind": "line", "id": "L2"}, "impedance_pu": 0.0, "position": 0.5},
+        "08f6565cd62955378aa08fefae1312ab5341d366c202d944112914d4a39e23ca"),
+    "blinded": (
+        "two_feeder", {"der_a_injection_pu": 2.0},
+        {"element": {"kind": "line", "id": "L2"}, "impedance_pu": 0.0, "position": 0.5},
+        "c91c06a45126b6101a72437c16e25e543091aeb7327268024a0574fb5482ddc9"),
+    "sympathetic": (
+        "two_feeder", {"der_b_injection_pu": 4.5, "source_available": False},
+        {"element": {"kind": "line", "id": "L2"}, "impedance_pu": 0.0, "position": 0.5},
+        "d7c274a4a201c6c2fb2cea2417c96d6b08fc333d56e191f623dae99eceeaf200"),
+    "energized": (
+        "two_feeder", {"der_a_injection_pu": 0.5},
+        {"element": {"kind": "line", "id": "L2"}, "impedance_pu": 0.0, "position": 0.5},
+        "c4f41fa519c5260d105c23368ae6a16ba48e5fdf2c843818c688b2fd78433086"),
+    "feeder_bolted_line": (
+        "trunk_feeder", {"n_buses": 240, "seed": 0},
+        {"element": {"kind": "line", "id": "l40"}, "impedance_pu": 0.0, "position": 0.5},
+        "6ac20139deaed7b9b69dc7ede3bbd80b17b927b740133bf00f8674d0dabd80bf"),
+    "feeder_resistive_bus": (
+        "trunk_feeder", {"n_buses": 240, "seed": 0},
+        {"element": {"kind": "bus", "id": "b170"}, "impedance_pu": 0.05},
+        "b67f216f1cbb55d14ea13bc1fb6d3729e948a7034f8a1c516ff866090a474cdf"),
+    "feeder_source_line": (
+        "trunk_feeder", {"n_buses": 240, "seed": 0},
+        {"element": {"kind": "line", "id": "l0"}, "impedance_pu": 0.0, "position": 0.4},
+        "e2b77cb02c916715daf6fb7a8685ce12f8f3086fa5e4ad80c5247c18b3b712b7"),
+}
 
 
 def dense_nodal_solve(network, fault):
@@ -279,6 +322,41 @@ def random_radial_network(rng, n_buses, with_loads=False):
         ders=tuple(ders), loads=tuple(loads))
 
 
+def trunk_feeder(n_buses, seed):
+    """(network, trip settings) of a seeded radial feeder: a trunk of
+    n_buses // 4 lines from the source, laterals of five buses hung at
+    drawn trunk buses, a DER on every sixth bus from b3, a load on every
+    bus but the source's, and a breaker on every fourth trunk line from
+    the source line and at the head of every lateral."""
+    rng = random.Random(seed)
+    n_trunk = n_buses // 4
+    buses = [f"b{i}" for i in range(n_buses)]
+    lines, breakers = [], []
+
+    def add(a, b, i_trip=None):
+        lid = f"l{len(lines)}"
+        lines.append(Line(lid, a, b, rng.uniform(0.002, 0.006)))
+        if i_trip is not None:
+            breakers.append(Breaker(f"B{len(breakers)}", lid, i_trip,
+                                    delay_s=rng.choice((0.1, 0.2, 0.3))))
+
+    for i in range(1, n_trunk + 1):
+        add(buses[i - 1], buses[i], rng.uniform(3.0, 12.0) if i % 4 == 1 else None)
+    rest = buses[n_trunk + 1:]
+    for j in range(0, len(rest), 5):
+        prev = buses[1 + rng.randrange(n_trunk)]
+        for k, bus in enumerate(rest[j:j + 5]):
+            add(prev, bus, rng.uniform(0.2, 6.0) if k == 0 else None)
+            prev = bus
+    ders = tuple(DerSource(f"d{i}", buses[i], rng.uniform(0.05, 0.6))
+                 for i in range(3, n_buses, 6))
+    loads = tuple(LoadPoint(b, rng.uniform(0.002, 0.006)) for b in buses[1:])
+    net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),
+                        source=ExternalSource(buses[0], impedance_pu=0.05),
+                        ders=ders, breakers=tuple(breakers), loads=loads)
+    return net, {b.id: b.i_trip_pu for b in breakers}
+
+
 def random_fault(rng, network):
     if rng.random() < 0.4 or not network.lines:
         element = ("bus", network.buses[rng.randrange(len(network.buses))])
@@ -521,6 +599,59 @@ def assert_solves_match(net, fault, open_lines=frozenset(), allow_dead_fault=Tru
     assert sol.source_feeds_fault == fed
 
 
+@st.composite
+def uncut_solves(draw):
+    """(network, fault, grid_only) of a solve with no open line, built in
+    plain Python from one drawn byte string, read as zeros past its end
+    (cheap to draw and to shrink).
+
+    Up to eight buses, each hung below one of the last three (deep
+    paths); a bus may start a new component (a forest), lines run
+    either way, and the source sits on any bus, available or not. The
+    fault is on the source's bus, on any bus or on a line, at a terminal
+    or inside it. Up to fifteen DER sit on the fault's bus, on the
+    source's or on any bus, so a bus may hold several and a piece more
+    than eight; some carry no current or do not inject.
+    """
+    raw = itertools.chain(draw(st.binary(min_size=240, max_size=240)), itertools.repeat(0))
+
+    def pick(k):
+        return next(raw) % k
+
+    def real(lo, hi):
+        return lo + (hi - lo) * (next(raw) * 256 + next(raw)) / 65535
+
+    n = 1 + pick(10)
+    names = [f"b{i}" for i in range(n)]
+    for i in range(n - 1, 0, -1):
+        j = pick(i + 1)
+        names[i], names[j] = names[j], names[i]
+    lines = []
+    for i in range(1, n):
+        a, b = names[i - 1 - pick(min(i, 3))], names[i]
+        if pick(8):
+            lines.append(Line(f"l{i}", *((a, b) if pick(2) else (b, a)), real(0.05, 0.5)))
+    source = ExternalSource(names[pick(n)], real(0.9, 1.1), real(0.02, 0.2), bool(pick(3)))
+    where = pick(4) if lines else pick(2)
+    if where >= 2:
+        line = lines[pick(len(lines))]
+        position = (0.0, 0.3, 0.5, 0.8, 1.0)[pick(5)]
+        fault = FaultScenario("line", line.id, 0.0, position)
+        fault_bus = line.from_bus if position <= 0.5 else line.to_bus
+    else:
+        fault_bus = names[pick(n)] if where else source.bus
+        fault = FaultScenario("bus", fault_bus, 0.0)
+    if pick(2):
+        fault = replace(fault, impedance_pu=real(0.02, 0.5))
+    ders = tuple(DerSource(f"d{k}", (fault_bus, source.bus, *names)[pick(n + 2)],
+                           0.0 if pick(6) == 0 else real(0.1, 2.0), injecting=bool(pick(5)))
+                 for k in range(pick(21)))
+    loads = tuple(LoadPoint(b, real(0.05, 0.3)) for b in names if pick(2))
+    net = RadialNetwork(buses=tuple(sorted(names)), lines=tuple(lines), source=source,
+                        ders=ders, loads=loads)
+    return net, fault, bool(pick(2))
+
+
 class TestSolveMatchesReplacedSolve:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -536,6 +667,24 @@ class TestSolveMatchesReplacedSolve:
                 st.sampled_from([d.id for d in net.ders]), st.booleans())))
         assert_solves_match(net, fault, frozenset(open_lines), data.draw(st.booleans()),
                             grid_only=data.draw(st.booleans()))
+
+    @given(uncut_solves())
+    @settings(max_examples=300, deadline=None)
+    def test_solves_with_no_open_line_match_bit_for_bit(self, case):
+        # The solves that re-fold only the fault's root path: the source
+        # feeds the fault, or is unavailable, or sits in another component.
+        net, fault, grid_only = case
+        assert_solves_match(net, fault, grid_only=grid_only)
+
+    def test_large_feeder_with_no_open_line_matches_bit_for_bit(self):
+        net, _settings = trunk_feeder(320, 4)
+        dead = replace(net, source=replace(net.source, available=False))
+        faults = [FaultScenario("line", "l40", 0.0, 0.5), FaultScenario("line", "l200", 0.1, 0.3),
+                  FaultScenario("line", "l0", 0.0, 0.0), FaultScenario("line", "l7", 0.0, 1.0),
+                  FaultScenario("bus", "b0", 0.0), FaultScenario("bus", "b250", 0.05)]
+        for case, fault, grid_only in [(n, f, g) for n in (net, dead) for f in faults
+                                       for g in (False, True)]:
+            assert_solves_match(case, fault, grid_only=grid_only)
 
     @pytest.mark.parametrize("stored_down", [True, False])
     @pytest.mark.parametrize("position", [0.3, 0.5, 0.8])
@@ -563,6 +712,24 @@ class TestSolveMatchesReplacedSolve:
             if rng.random() < 0.3:
                 net = with_injecting(net, {d.id: rng.random() < 0.5 for d in net.ders})
             assert_solves_match(net, fault, open_lines)
+
+
+class TestProtectionPins:
+    @pytest.mark.parametrize("key", sorted(PROTECTION_PINS))
+    def test_cli_bytes_are_pinned(self, tmp_path, key):
+        builder, kwargs, fault, digest = PROTECTION_PINS[key]
+        if builder == "two_feeder":
+            net, trip = bm.two_feeder_network(**kwargs), bm.TWO_FEEDER_SETTINGS
+        else:
+            net, trip = trunk_feeder(**kwargs)
+        docs = {"network": schemas.dump_network(net), "fault": fault, "settings": trip}
+        args = ["protection"]
+        for flag, doc in docs.items():
+            (tmp_path / f"{flag}.json").write_text(json.dumps(doc, indent=2))
+            args += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+        assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() \
+            == digest
 
 
 class TestNetworkValidation:

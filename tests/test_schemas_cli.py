@@ -1126,6 +1126,12 @@ class TestDirectConstruction:
             make()
 
 
+# A trace whose cell 'x' sits in its first or its second data row, with
+# that row's number counted from 1, as the cell-count errors and
+# read_timeline_csv count it; the blank line is not counted.
+UNREADABLE_TRACE_CELLS = [("t,f\n0,x\n0.5,50\n", 1), ("t,f\n0,50\n\n0.5,x\n", 2)]
+
+
 class TestCsvReaders:
     def _trace(self, text):
         return schemas.read_trace_csv(io.StringIO(text))
@@ -1184,7 +1190,10 @@ class TestCsvReaders:
          "timeline csv: numbers must be finite"),
         (lambda fp: schemas.load_settings(json.load(fp)), "[1]",
          "settings: must map breaker ids to trip currents"),
-    ], ids=["timeline_header_only", "timeline_nan", "settings_not_an_object"])
+        *((schemas.read_trace_csv, text, f"^trace csv: row {row}, column 2: 'x' is not a number$")
+          for text, row in UNREADABLE_TRACE_CELLS),
+    ], ids=["timeline_header_only", "timeline_nan", "settings_not_an_object",
+            "trace_cell_in_first_row", "trace_cell_in_second_row"])
     def test_rejected_with_message(self, read, text, message):
         with pytest.raises(InvalidInputError, match=message):
             read(io.StringIO(text))
@@ -1316,6 +1325,14 @@ class TestCsvReaders:
         "t,f\n0,50\n0.5,50"], ids=["empty_lines", "crlf", "no_final_line_break"])
     def test_trace_rows_with_a_cell_per_column_are_read(self, text):
         assert len(self._trace(text)) == 2
+
+    @pytest.mark.parametrize("text, row", UNREADABLE_TRACE_CELLS, ids=["first_row", "second_row"])
+    def test_metrics_cli_exits_1_on_an_unreadable_trace_cell(self, tmp_path, text, row):
+        src = tmp_path / "trace.csv"
+        src.write_text(text)
+        code, _out, err = _cli("metrics", "--trace", src, "--out", tmp_path / "o")
+        assert code == EXIT_VALIDATION and f"row {row}, column 2: 'x' is not a number" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, text, flags", [
         ("--trace", "t,f\n0,50,7,8\n0.5,50\n", []),
