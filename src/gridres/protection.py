@@ -7,18 +7,16 @@ definite-time breakers.
 
 Each network is compiled once into a rooted tree of bus indices
 (RadialNetwork.compiled): buses parent before child, each bus's parent
-line and its orientation, the impedance z from the root, breaker
-indexes, and a lowest-common-ancestor table (Bender & Farach-Colton,
-"The LCA Problem Revisited", 2000). One function (_fault_feed) gives
-the source, DER and fault currents of a fault; a fault solve places
-them as nodal injections and sums them over subtrees (the backward
-sweep of radial load flow, in an order that fixes the sums' bits),
-giving every line current as one array; exact on radial networks, and
-an open line cuts its subtree off. With no open line and no load
-injecting, only the fault's path to its root sees the source and the
-fault, so the solve re-folds that path over subtree sums of the DER
-alone, kept per compiled feeder; open lines and the healthy load flow
-take one bottom-up Python loop over every bus.
+line and its orientation, the impedance z from the root and breaker
+indexes. One function (_fault_feed) gives the source, DER and fault
+currents of a fault; a fault solve places them as nodal injections and
+sums them over subtrees (the backward sweep of radial load flow, in an
+order that fixes the sums' bits), giving every line current as one
+array; exact on radial networks, and an open line cuts its subtree off.
+With no open line and no load injecting, only the fault's path to its
+root sees the source and the fault, so the solve re-folds that path over
+subtree sums of the DER alone, kept per compiled feeder; open lines and
+the healthy load flow take one bottom-up Python loop over every bus.
 
 A DER feeding a source-fed fault f splits its current where its path
 meets the source-fault path, at junction j. The share that arrives is
@@ -233,7 +231,7 @@ class _CompiledFeeder:
         for k, (a, b) in enumerate(self.ends):
             self.incident[a].append((k, b))
             self.incident[b].append((k, a))
-        parent, up_line, sign, depth = [-1] * n, [-1] * n, [1] * n, [0] * n
+        parent, up_line, sign = [-1] * n, [-1] * n, [1] * n
         z, root, order, seen = [0.0] * n, list(range(n)), [], [False] * n
         self.child = np.zeros(len(net.lines), dtype=int)
         for top in (self.bus_index[net.source.bus], *range(n)):
@@ -246,7 +244,7 @@ class _CompiledFeeder:
                     if not seen[w]:
                         seen[w], parent[w], up_line[w], root[w] = True, v, k, root[v]
                         sign[w] = 1 if self.ends[k][0] == v else -1
-                        depth[w], z[w] = depth[v] + 1, z[v] + net.lines[k].impedance_pu
+                        z[w] = z[v] + net.lines[k].impedance_pu
                         self.child[k] = w
                         stack.append(w)
         self.order, self.parent, self.up_line, self.sign = order, parent, up_line, sign
@@ -268,18 +266,6 @@ class _CompiledFeeder:
         self.tout = self.tin + np.array(size[:n])
         self.line_tin = self.tin[self.child]
         self.root_pre = np.array(root)[order]
-        # Sparse table over the preorder: min_depth[k, i] is the slot of
-        # least depth in slots [i, i + 2**k).
-        self.up_pre = np.array(parent)[order]
-        self.depth_pre = np.array(depth)[order]
-        rows = [np.arange(n)]
-        while 2 ** len(rows) <= n:
-            prev, half = rows[-1], 2 ** (len(rows) - 1)
-            a, b = prev[:-half], prev[half:]
-            rows.append(np.where(self.depth_pre[a] <= self.depth_pre[b], a, b))
-        self.min_depth = np.zeros((len(rows), n), dtype=int)
-        for k, row in enumerate(rows):
-            self.min_depth[k, :len(row)] = row
         self.roots = self.pieces(())
         self.forest = bool((self.roots != self.roots[0]).any())
 
@@ -291,14 +277,15 @@ class _CompiledFeeder:
         return path
 
     def meet(self, path, u):
-        """lca(path[0], u) for a root path (root_path) and bus indices u
-        of its component, elementwise: the deepest bus of the path whose
-        preorder slice [tin, tout) holds u. Up the path tin falls and tout
-        never does, so each bound is one binary search."""
+        """The lowest common ancestor of path[0] and bus indices u, for a
+        root path (root_path), elementwise: the deepest bus of the path
+        whose preorder slice [tin, tout) holds u. Up the path tin falls
+        and tout never does, so each bound is one binary search. A bus of
+        another component gets the path's root."""
         path, at = np.array(path), self.tin[u]
         starts = self.tin[path[::-1]].searchsorted(at, "right")   # tin <= at
         ends = self.tout[path].searchsorted(at, "right")          # tout <= at
-        return path[np.maximum(len(path) - starts, ends)]
+        return path[np.minimum(np.maximum(len(path) - starts, ends), len(path) - 1)]
 
     def path_sweep(self, path, i_fault, grid_only):
         """(line currents, subtree sums) of a fault at bus path[0], a root
@@ -327,18 +314,6 @@ class _CompiledFeeder:
             root = path[-1]
             values[(self.line_tin < self.tin[root]) | (self.line_tin >= self.tout[root])] = 0.0
         return values, sums
-
-    def lca(self, u, v):
-        """Lowest common ancestor of bus indices u and v, elementwise: for
-        u != v the parent of the shallowest bus in preorder slots
-        (tin[u], tin[v]], which is -1 across components."""
-        tu, tv = self.tin[u], self.tin[v]
-        lo, hi = np.minimum(tu, tv) + 1, np.maximum(tu, tv)
-        k = np.frexp(np.maximum(hi - lo + 1, 1))[1] - 1
-        lo = np.minimum(lo, hi)
-        a, b = self.min_depth[k, lo], self.min_depth[k, hi + 1 - (1 << k)]
-        w = np.where(self.depth_pre[a] <= self.depth_pre[b], a, b)
-        return np.where(tu == tv, u, self.up_pre[w])
 
     def below(self, v, u):
         """Whether bus u lies in the subtree of bus v, elementwise."""
@@ -440,22 +415,22 @@ class ProtectionReport:
     open_lines: tuple[str, ...]
 
 
-def _fault_point(network: RadialNetwork, fault: FaultScenario):
-    """Where a fault sits on the compiled tree: (top, low, z from the root).
+def _fault_point(network: RadialNetwork, kind, element_id, pos):
+    """Where a fault on element (kind, element_id), at position pos along
+    a line, sits on the compiled tree: (top, low, z from the root).
 
     A bus fault, or a line fault at a terminal, sits on bus top == low.
     A fault inside a line sits between bus top and the bus low below it.
     """
     tree = network.compiled
-    if fault.element_kind == "bus":
-        if fault.element_id not in tree.bus_index:
-            raise InvalidInputError(f"fault.element_id: unknown bus {fault.element_id!r}")
-        bus = tree.bus_index[fault.element_id]
+    if kind == "bus":
+        if element_id not in tree.bus_index:
+            raise InvalidInputError(f"fault.element_id: unknown bus {element_id!r}")
+        bus = tree.bus_index[element_id]
         return bus, bus, float(tree.z[bus])
-    if fault.element_id not in tree.line_index:
-        raise InvalidInputError(f"fault.element_id: unknown line {fault.element_id!r}")
-    k = tree.line_index[fault.element_id]
-    pos = fault.position
+    if element_id not in tree.line_index:
+        raise InvalidInputError(f"fault.element_id: unknown line {element_id!r}")
+    k = tree.line_index[element_id]
     if pos <= 1e-9 or pos >= 1.0 - 1e-9:
         bus = tree.ends[k][0 if pos <= 1e-9 else 1]
         return bus, bus, float(tree.z[bus])
@@ -465,17 +440,16 @@ def _fault_point(network: RadialNetwork, fault: FaultScenario):
     return top, low, float(tree.z[top]) + network.lines[k].impedance_pu * upper
 
 
-def _fault_share(tree: _CompiledFeeder, z_src, z_f, top, low, z_fault, der_bus, joint=None):
+def _fault_share(tree: _CompiledFeeder, z_src, z_f, low, z_fault, der_bus, joint):
     """Share of each DER's current that arrives at a source-fed fault.
 
     The current splits at junction j inversely to the impedances toward
     the source (Zs + z[j]) and toward the fault (z[f] - z[j] + Zf). DER
-    below a split line join at the fault node. Broadcasts over faults.
-    joint, if given, is lca(top, der_bus). A loop impedance past the
-    float range gives a share of 0.
+    below a split line join at the fault node. Broadcasts over faults
+    and DER. joint is where each DER's root path meets the fault's,
+    _CompiledFeeder.meet of the two. A loop impedance past the float
+    range gives a share of 0.
     """
-    if joint is None:
-        joint = tree.lca(top, der_bus)
     z_j = np.where(tree.below(low, der_bus), z_fault, tree.z[joint])
     z_left = z_src + z_j
     with np.errstate(over="ignore"):
@@ -517,7 +491,8 @@ def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, grid_only, 
     if fault is None or not fault.is_fault:
         return _Feed(False, 0.0, 0.0, *_NO_DER, {}, {}, None, None, False, None)
     tree, src = network.compiled, network.source
-    top, low, z_f = _fault_point(network, fault)
+    top, low, z_f = _fault_point(network, fault.element_kind, fault.element_id,
+                                 fault.position)
     # An open split line loses its near segment only: the upper one
     # when the line is stored top -> low, else the lower one.
     upper_open = top != low and low in cut and tree.sign[low] > 0
@@ -535,8 +510,8 @@ def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, grid_only, 
         ids, bus, cur = ids[take], bus[take], cur[take]
     arrive = cur
     if fed and len(bus):
-        share = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top, low, z_f,
-                             bus, tree.meet(path, bus))
+        share = _fault_share(tree, src.impedance_pu, fault.impedance_pu, low, z_f, bus,
+                             tree.meet(path, bus))
         arrive = cur * share
         i_grid = float(np.subtract.accumulate(np.concatenate(([i_grid], cur * (1 - share))))[-1])
     i_fault = float(np.add.accumulate(np.concatenate(([i_fault], arrive)))[-1])
@@ -638,7 +613,8 @@ def _full_sweep(network, feed: _Feed, cut, piece, grid_only):
 def source_fault_path_lines(network: RadialNetwork, fault: FaultScenario) -> set[str]:
     """Line ids on the topological path from the source bus to the fault."""
     tree = network.compiled
-    _top, low, _z = _fault_point(network, fault)
+    _top, low, _z = _fault_point(network, fault.element_kind, fault.element_id,
+                                 fault.position)
     path = tree.root_path(low)
     if path[-1] != tree.bus_index[network.source.bus]:
         return set()
@@ -728,7 +704,7 @@ def detect_energized(network: RadialNetwork, open_lines) -> list[ProtectionIssue
     lines that has no live path to an available external source.
     """
     tree = network.compiled
-    piece = tree.pieces(tree.cut_below(open_lines))
+    _cut, piece = tree.open(open_lines)
     grid = piece[tree.bus_index[network.source.bus]] if network.source.available else -1
     live: dict[int, list[str]] = {}
     for did, top in zip(tree.live_ids.tolist(), piece[tree.live_bus].tolist()):
@@ -805,9 +781,11 @@ class FaultSignatureMap:
 
     Row i of signatures is the arrival vector, in der_ids order, of a
     fault at candidates[i] on the intact network with every DER
-    injecting. It is the closed-form arrival share of _fault_share on
-    the compiled feeder, so no candidate is solved; the shares differ
-    by location because the impedance split toward the fault does.
+    injecting. Column j is DER j's closed-form arrival share
+    (_fault_share), each candidate's junction being where the DER's root
+    path meets it (_CompiledFeeder.meet), so no candidate is solved; the
+    shares differ by location because the impedance split toward the
+    fault does.
     Candidates are kept sorted, which makes the lowest row win a tie.
     """
 
@@ -828,30 +806,34 @@ class FaultSignatureMap:
 def build_fault_signature_map(network: RadialNetwork, candidates=None,
                               fault_impedance_pu: float = 0.0,
                               position: float = 0.5) -> FaultSignatureMap:
-    """Characterize every protectable element by its DER arrival vector."""
+    """Characterize every protectable element by its DER arrival vector.
+
+    fault_impedance_pu, position and each candidate's kind obey the rows
+    of FaultScenario; an unknown element id raises InvalidInputError.
+    """
     tree = network.compiled
     if candidates is None:
         candidates = [("line", ln.id) for ln in network.lines]
     candidates = tuple(sorted(set(map(tuple, candidates))))
-    points = [_fault_point(network, FaultScenario(kind, element_id,
-                                                  fault_impedance_pu, position))
-              for kind, element_id in candidates]
+    kind = row(FaultScenario, "element_kind")
+    require(("fault_impedance_pu", row(FaultScenario, "impedance_pu"), fault_impedance_pu),
+            ("position", row(FaultScenario, "position"), position),
+            *(("candidates", kind, k) for k in {k for k, _ in candidates}))
+    points = [_fault_point(network, k, element_id, position) for k, element_id in candidates]
     cols = np.array(points, dtype=float).reshape(-1, 3)
-    top, low, z_fault = cols[:, :1].astype(int), cols[:, 1:2].astype(int), cols[:, 2:]
+    top, low, z_fault = cols[:, 0].astype(int), cols[:, 1].astype(int), cols[:, 2]
     ders = sorted(network.ders, key=lambda d: d.id)
-    der_bus = np.array([tree.bus_index[d.bus] for d in ders], dtype=int)
-    i_max = np.array([d.i_max_pu for d in ders])
-    src = network.source
-    root = tree.pieces(())
+    src, root = network.source, tree.roots
     fed = src.available & (root[top] == tree.bus_index[src.bus])
-    live = (i_max > 0) & math.isfinite(fault_impedance_pu)
-    signatures = np.empty((len(candidates), len(ders)))
-    for rows in (slice(i, i + 128) for i in range(0, len(candidates), 128)):
-        # Blocks of rows keep the temporaries small next to the result.
-        share = _fault_share(tree, src.impedance_pu, fault_impedance_pu, top[rows],
-                             low[rows], z_fault[rows], der_bus)
-        signatures[rows] = np.where((root[top[rows]] == root[der_bus]) & live,
-                                    np.where(fed[rows], i_max * share, i_max), 0.0)
+    signatures = np.zeros((len(candidates), len(ders)))
+    for j, d in enumerate(ders):
+        if d.i_max_pu == 0 or not math.isfinite(fault_impedance_pu):
+            continue
+        bus = tree.bus_index[d.bus]
+        share = _fault_share(tree, src.impedance_pu, fault_impedance_pu, low, z_fault, bus,
+                             tree.meet(tree.root_path(bus), top))
+        signatures[:, j] = np.where(root[top] == root[bus],
+                                    np.where(fed, d.i_max_pu * share, d.i_max_pu), 0.0)
     return FaultSignatureMap(network=network, der_ids=tuple(d.id for d in ders),
                              candidates=candidates, signatures=signatures,
                              fault_impedance_pu=fault_impedance_pu,
@@ -998,7 +980,7 @@ def _isolating_breakers(network: RadialNetwork, location, failed: set[str],
     so the region grows past it to the next one out.
     """
     tree = network.compiled
-    top, low, _z = _fault_point(network, FaultScenario(*location, 0.0, position))
+    top, low, _z = _fault_point(network, *location, position)
     split = tree.up_line[low] if top != low else -1
     region, plan, queue = set(), set(), deque()
     escalated = False

@@ -75,6 +75,38 @@ PROTECTION_PINS = {
         "e2b77cb02c916715daf6fb7a8685ce12f8f3086fa5e4ad80c5247c18b3b712b7"),
 }
 
+# sha256 of a signature map's signatures.tobytes() and of repr(candidates),
+# per (n_buses, seed) of trunk_feeder and (fault_impedance_pu, position),
+# every line and every bus a candidate. Digests as the map builder produced
+# them when it found each junction with a sparse lowest-common-ancestor
+# table.
+SIGNATURE_PINS = {
+    (400, 1, 0.0, 0.5): (
+        "6b305da4a53ca40af3e854617b427b40841df5674f31b6385e42590061c91da0",
+        "4a25eea8977626ed666deff31c81b48ee75b6e0656088dad2417894636d1c69f"),
+    (400, 1, 0.05, 0.0): (
+        "07bb9ce918484b5bc027b5ba3e9d71535a88745de5f903ca07fc0c92422d2243",
+        "4a25eea8977626ed666deff31c81b48ee75b6e0656088dad2417894636d1c69f"),
+    (400, 2, 0.0, 0.5): (
+        "99d8b4d6d4d4e9ce6a35f34c3658c4b18a55ed25ff4e9c38b38d7cd264e107b5",
+        "4a25eea8977626ed666deff31c81b48ee75b6e0656088dad2417894636d1c69f"),
+    (400, 2, 0.05, 0.0): (
+        "cd3cef790e79aeca24aa45abc11258371c06cd1f4be79754a7b21ca57dad29e3",
+        "4a25eea8977626ed666deff31c81b48ee75b6e0656088dad2417894636d1c69f"),
+    (800, 1, 0.0, 0.5): (
+        "40f0e625f9ee786dccd57d833b989b64dbd90ab8f0b3319e923fcdf306385042",
+        "7898a96c7fcb0ce0c57ef56593626c3d264812e36e429bf4bc39976b2792258f"),
+    (800, 1, 0.05, 0.0): (
+        "1e8d88865bc096d63f5c7094aac3bf49d847c84a587b1ec960b0f12e115d5aa0",
+        "7898a96c7fcb0ce0c57ef56593626c3d264812e36e429bf4bc39976b2792258f"),
+    (800, 2, 0.0, 0.5): (
+        "37c77ce7270c305535e76d82417b093e534f64508baa50d35e45382d2ac5186e",
+        "7898a96c7fcb0ce0c57ef56593626c3d264812e36e429bf4bc39976b2792258f"),
+    (800, 2, 0.05, 0.0): (
+        "bc74e994066da19c6ee12a4f8e74795a29e047c4b3286e302dc3f5a0b7d9186e",
+        "7898a96c7fcb0ce0c57ef56593626c3d264812e36e429bf4bc39976b2792258f"),
+}
+
 
 def dense_nodal_solve(network, fault):
     nodes = list(network.buses)
@@ -176,6 +208,21 @@ def dense_nodal_solve(network, fault):
 # residuals below.
 # ---------------------------------------------------------------------------
 
+def ancestors(tree, v):
+    """Bus v and its ancestors up to its component's root, by parent links."""
+    out = [v]
+    while tree.parent[out[-1]] >= 0:
+        out.append(tree.parent[out[-1]])
+    return out
+
+
+def walk_lca(tree, u, v):
+    """The lowest common ancestor of buses u and v of one component: the
+    first of v's ancestors that is also one of u's."""
+    up = set(ancestors(tree, u))
+    return next(w for w in ancestors(tree, v) if w in up)
+
+
 def dict_solve(network, fault, open_lines=frozenset(), allow_dead_fault=False):
     """(branch currents, i_fault, i_grid, contributions, arrivals, fed,
     bus injections) by the replaced dict-building solve."""
@@ -191,7 +238,8 @@ def dict_solve(network, fault, open_lines=frozenset(), allow_dead_fault=False):
     fed, split, at = False, False, None
 
     if fault is not None and fault.is_fault:
-        top, low, z_f = _fault_point(network, fault)
+        top, low, z_f = _fault_point(network, fault.element_kind, fault.element_id,
+                                     fault.position)
         split = top != low
         near_up = tree.sign[low] > 0
         upper_open = split and low in cut and near_up
@@ -202,8 +250,10 @@ def dict_solve(network, fault, open_lines=frozenset(), allow_dead_fault=False):
         shares = [1.0] * len(ders)
         if fed:
             i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
-            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, top,
-                                  low, z_f, np.array([v for _, v in ders], dtype=int)
+            buses = [v for _, v in ders]
+            shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, low, z_f,
+                                  np.array(buses, dtype=int),
+                                  np.array([walk_lca(tree, top, v) for v in buses], dtype=int)
                                   ).tolist()
         for (d, v), share in zip(ders, shares):
             i_fault += d.i_max_pu * share
@@ -261,7 +311,8 @@ def kirchhoff_residuals(network, fault, sol, open_lines=frozenset()):
         nodes[bus] = nodes.get(bus, 0.0) + inj
     split = None
     if fault is not None and fault.is_fault:
-        top, low, _z = _fault_point(network, fault)
+        top, low, _z = _fault_point(network, fault.element_kind, fault.element_id,
+                                    fault.position)
         if top != low:
             split = fault.element_id
     for ln in network.lines:
@@ -530,19 +581,21 @@ class TestFaultSolver:
         assert net.compiled is net.compiled
         assert replace(net, loads=()).compiled is not net.compiled
 
-    @pytest.mark.parametrize("n_buses", [1, 2, 3, 4, 5, 8, 9, 17])
-    def test_min_depth_matches_padded_rows(self, n_buses):
-        # The sparse table as the replaced construction built it: each row
-        # zero-padded to n by np.pad.
-        tree = random_radial_network(random.Random(n_buses), n_buses).compiled
-        rows = [np.arange(n_buses)]
-        while 2 ** len(rows) <= n_buses:
-            prev, half = rows[-1], 2 ** (len(rows) - 1)
-            a, b = prev[:-half], prev[half:]
-            rows.append(np.where(tree.depth_pre[a] <= tree.depth_pre[b], a, b))
-        expected = np.array([np.pad(row, (0, n_buses - len(row))) for row in rows])
-        assert tree.min_depth.dtype == expected.dtype
-        assert np.array_equal(tree.min_depth, expected)
+    @given(general_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_meet_is_the_parent_walk_lca(self, net):
+        # Within a component meet is the lowest common ancestor; a bus of
+        # another component gets some bus index, without raising.
+        tree, n = net.compiled, len(net.buses)
+        for v in range(n):
+            path = tree.root_path(v)
+            each = [int(tree.meet(path, np.array([u]))[0]) for u in range(n)]
+            for u, got in enumerate(each):
+                if ancestors(tree, u)[-1] == ancestors(tree, v)[-1]:
+                    assert got == walk_lca(tree, u, v)
+                else:
+                    assert 0 <= got < n
+            assert tree.meet(path, np.arange(n)).tolist() == each
 
     def test_unreachable_fault_raises(self):
         net = RadialNetwork(
@@ -730,6 +783,18 @@ class TestProtectionPins:
         assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_OK
         assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() \
             == digest
+
+
+class TestSignaturePins:
+    @pytest.mark.parametrize("key", sorted(SIGNATURE_PINS))
+    def test_signature_bytes_are_pinned(self, key):
+        n_buses, seed, impedance, position = key
+        net, _ = trunk_feeder(n_buses, seed)
+        candidates = [("line", ln.id) for ln in net.lines] + [("bus", b) for b in net.buses]
+        fmap = build_fault_signature_map(net, candidates, impedance, position)
+        assert (hashlib.sha256(fmap.signatures.tobytes()).hexdigest(),
+                hashlib.sha256(repr(fmap.candidates).encode()).hexdigest()) \
+            == SIGNATURE_PINS[key]
 
 
 class TestNetworkValidation:
@@ -1297,9 +1362,14 @@ class TestCentralizedScheme:
         {"position": 1.5},
         {"fault_impedance_pu": -1.0},
         {"candidates": [("node", "L2")]},
+        {"candidates": [("line", "nope")]},
+        {"position": True},
+        {"fault_impedance_pu": math.nan},
     ])
     def test_map_rejects_invalid_fault_arguments(self, kwargs):
-        # Each candidate is a FaultScenario, checked against its rows.
+        # fault_impedance_pu, position and each candidate's kind are checked
+        # against FaultScenario's rows, and each element id against the
+        # network.
         with pytest.raises(InvalidInputError):
             build_fault_signature_map(self.network(), **kwargs)
 
