@@ -597,6 +597,30 @@ class TestFaultSolver:
                     assert 0 <= got < n
             assert tree.meet(path, np.arange(n)).tolist() == each
 
+    @pytest.mark.parametrize("n_buses", [1, 2, 3, 4, 5, 8, 9, 17])
+    def test_min_depth_matches_padded_rows(self, n_buses):
+        # The replaced junction rule: a sparse table over the preorder, each
+        # row zero-padded to n by np.pad, whose range minimum of depth over
+        # slots (tin[u], tin[v]] is a child of the LCA. meet agrees with it
+        # on every pair of buses.
+        tree = random_radial_network(random.Random(n_buses), n_buses).compiled
+        depth_pre = np.array([len(ancestors(tree, v)) for v in tree.order])
+        rows = [np.arange(n_buses)]
+        while 2 ** len(rows) <= n_buses:
+            prev, half = rows[-1], 2 ** (len(rows) - 1)
+            a, b = prev[:-half], prev[half:]
+            rows.append(np.where(depth_pre[a] <= depth_pre[b], a, b))
+        padded = np.array([np.pad(row, (0, n_buses - len(row))) for row in rows])
+        for u, v in itertools.product(range(n_buses), repeat=2):
+            lo, hi = sorted((int(tree.tin[u]), int(tree.tin[v])))
+            if lo == hi:
+                expected = u
+            else:
+                k = (hi - lo).bit_length() - 1
+                a, b = padded[k, lo + 1], padded[k, hi + 1 - (1 << k)]
+                expected = tree.parent[tree.order[a if depth_pre[a] <= depth_pre[b] else b]]
+            assert int(tree.meet(tree.root_path(v), np.array([u]))[0]) == expected
+
     def test_unreachable_fault_raises(self):
         net = RadialNetwork(
             buses=("S", "A", "B"),
