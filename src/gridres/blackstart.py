@@ -30,7 +30,9 @@ An island is its set of areas, an int with one bit per area in
 sorted-name order. What that set fixes, its load split, its follower
 candidates, its comm nodes and its switch neighbors, is built once per
 distinct area set, from its areas' own loads and units, and kept with
-the compiled scenario. Microgrid, TimelineEvent and MergeAttempt are
+the compiled scenario, as are each area's grid-forming units. One place,
+_microgrid, builds every Microgrid and dispatches its served load from
+its areas and generation. Microgrid, TimelineEvent and MergeAttempt are
 named tuples: a run builds many and only reads them.
 
 A run records each stage change as the islands at that instant and
@@ -233,9 +235,10 @@ class _CompiledRestoration:
     i. Sets of comm nodes, buses and areas are ints with one bit per
     index; area_of maps a bus id to its area's number. Sets of loads and
     followers are ints too, bit k for loads[k] (scenario order) and
-    followers[k]. The load split, follower candidates, comm nodes and
-    switch neighbors of an island are memoised per area set (island),
-    for every run of the scenario.
+    followers[k]. formers maps each area that holds grid-forming units
+    to their ids and summed capacity. The load split, follower
+    candidates, comm nodes and switch neighbors of an island are memoised
+    per area set (island), for every run of the scenario.
     """
 
     def __init__(self, scn: RestorationScenario):
@@ -251,19 +254,26 @@ class _CompiledRestoration:
         self.areas = scn.areas
         number = {a: i for i, a in enumerate(self.areas)}
         self.area_of = {b.id: number[b.area] for b in scn.buses}
-        self.area_bus_bits = [0] * len(self.areas)
-        for k, b in enumerate(scn.buses):
-            self.area_bus_bits[number[b.area]] |= 1 << k
-        self.area_comm_bits = [0] * len(self.areas)
-        for i, c in enumerate(self.comm):
-            self.area_comm_bits[self.area_of[c.bus]] |= 1 << i
+
+        def per_area(bus_ids) -> list[int]:    # bit k for the k-th id
+            bits = [0] * len(self.areas)
+            for k, bus in enumerate(bus_ids):
+                bits[self.area_of[bus]] |= 1 << k
+            return bits
+
+        self.area_bus_bits = per_area(b.id for b in scn.buses)
+        self.area_comm_bits = per_area(c.bus for c in self.comm)
         # The loads (scenario order) and followers of each area.
-        self.area_load_bits = [0] * len(self.areas)
-        for k, l in enumerate(self.loads):
-            self.area_load_bits[self.area_of[l.bus]] |= 1 << k
-        self.area_follower_bits = [0] * len(self.areas)
-        for k, d in enumerate(self.followers):
-            self.area_follower_bits[self.area_of[d.bus]] |= 1 << k
+        self.area_load_bits = per_area(l.bus for l in self.loads)
+        self.area_follower_bits = per_area(d.bus for d in self.followers)
+        # Units by bus and id, capacity summed in that order; areas ascend.
+        forming: dict[int, list[DerAsset]] = {}
+        for d in sorted(scn.ders, key=lambda d: (d.bus, d.id)):
+            if d.capability is DerCapability.GRID_FORMING:
+                forming.setdefault(self.area_of[d.bus], []).append(d)
+        self.formers = {a: (tuple(d.id for d in forming[a]),
+                            sum(d.capacity_mw for d in forming[a]))
+                        for a in sorted(forming)}
         self.adjacent = [0] * len(self.areas)
         for s in scn.switches:
             self.adjacent[number[s.area_a]] |= 1 << number[s.area_b]
@@ -296,7 +306,8 @@ class _CompiledRestoration:
 
 
 class Microgrid(NamedTuple):
-    """An independently supplied island; areas has a bit per area it holds."""
+    """An independently supplied island; areas has a bit per area it holds.
+    Its served load is dispatched from areas and generation_mw in _microgrid."""
 
     id: str
     areas: int
@@ -473,13 +484,17 @@ def _reach(components: tuple[int, ...], nodes: int) -> int:
     return out
 
 
-def _dispatch(scenario: RestorationScenario, areas: int,
-              generation_mw: float) -> tuple[float, float]:
-    """Critical-first load dispatch inside one island. Loads are divisible."""
+def _microgrid(scenario: RestorationScenario, gid: str, areas: int,
+               forming: tuple[str, ...], started: tuple[str, ...],
+               generation_mw: float, frequency_hz: float = NOMINAL_FREQUENCY_HZ,
+               phase_rad: float = 0.0) -> Microgrid:
+    """The island with its load dispatched critical-first from its areas
+    and generation. Loads are divisible."""
     island = scenario.compiled.island(areas)
-    served_crit = min(island.critical_mw, generation_mw)
-    served_rest = min(island.other_mw, generation_mw - served_crit)
-    return served_crit + served_rest, served_crit
+    crit = min(island.critical_mw, generation_mw)
+    served = crit + min(island.other_mw, generation_mw - crit)
+    return Microgrid(gid, areas, forming, started, generation_mw, served, crit,
+                     frequency_hz, phase_rad)
 
 
 def form_microgrids(scenario: RestorationScenario) -> list[Microgrid]:
@@ -489,22 +504,8 @@ def form_microgrids(scenario: RestorationScenario) -> list[Microgrid]:
     their combined capacity, critical loads first.
     """
     compiled = scenario.compiled
-    by_area: dict[int, list[DerAsset]] = {}
-    for d in scenario.ders:
-        if d.capability is DerCapability.GRID_FORMING:
-            by_area.setdefault(compiled.area_of[d.bus], []).append(d)
-    grids = []
-    for area in sorted(by_area):
-        formers = sorted(by_area[area], key=lambda d: (d.bus, d.id))
-        generation = sum(d.capacity_mw for d in formers)
-        served, served_crit = _dispatch(scenario, 1 << area, generation)
-        grids.append(Microgrid(
-            id=compiled.areas[area], areas=1 << area,
-            forming_units=tuple(d.id for d in formers),
-            started_units=tuple(d.id for d in formers),
-            generation_mw=generation, served_total_mw=served,
-            served_critical_mw=served_crit))
-    return grids
+    return [_microgrid(scenario, compiled.areas[a], 1 << a, units, units, generation)
+            for a, (units, generation) in compiled.formers.items()]
 
 
 def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgrid:
@@ -515,29 +516,28 @@ def reconnect_followers(mg: Microgrid, scenario: RestorationScenario) -> Microgr
     the crank margin is generation minus the served critical load. A
     unit whose auxiliary demand exceeds that margin is deferred and may
     start in a later round once other units have raised the margin.
+    The result is dispatched anew: no served_* field of mg is read.
     """
     if not mg.forming_units:
         raise InvalidInputError("microgrid has no forming unit")
     started = set(mg.started_units)
     generation = mg.generation_mw
-    served, served_crit = mg.served_total_mw, mg.served_critical_mw
-    candidates = [d for d in scenario.compiled.island(mg.areas).candidates
-                  if d.id not in started]
+    island = scenario.compiled.island(mg.areas)
+    candidates = [d for d in island.candidates if d.id not in started]
     for _ in range(len(candidates) + 1):
         progressed = False
         for d in candidates:
             if d.id in started:
                 continue
-            if d.aux_power_mw > (generation - served_crit) + _EQ_TOL:
+            if d.aux_power_mw > generation - min(island.critical_mw, generation) + _EQ_TOL:
                 continue  # deferred until the crank margin grows
             started.add(d.id)
             generation += d.capacity_mw
-            served, served_crit = _dispatch(scenario, mg.areas, generation)
             progressed = True
         if not progressed:
             break
-    return Microgrid(mg.id, mg.areas, mg.forming_units, tuple(sorted(started)),
-                     generation, served, served_crit, mg.frequency_hz, mg.phase_rad)
+    return _microgrid(scenario, mg.id, mg.areas, mg.forming_units, tuple(sorted(started)),
+                      generation, mg.frequency_hz, mg.phase_rad)
 
 
 def _sync_gate(df_hz: float, dphase_rad: float,
@@ -557,13 +557,11 @@ def _merge(a: Microgrid, b: Microgrid, scenario: RestorationScenario) -> Microgr
     """The union of two islands that passed the gate."""
     # Larger generation keeps its reference; ties go to the lower id.
     leader = a if (a.generation_mw, b.id) >= (b.generation_mw, a.id) else b
-    areas = a.areas | b.areas
-    generation = a.generation_mw + b.generation_mw
-    served, served_crit = _dispatch(scenario, areas, generation)
-    return Microgrid(
-        min(a.id, b.id), areas, tuple(sorted(set(a.forming_units) | set(b.forming_units))),
+    return _microgrid(
+        scenario, min(a.id, b.id), a.areas | b.areas,
+        tuple(sorted(set(a.forming_units) | set(b.forming_units))),
         tuple(sorted(set(a.started_units) | set(b.started_units))),
-        generation, served, served_crit, leader.frequency_hz, leader.phase_rad)
+        a.generation_mw + b.generation_mw, leader.frequency_hz, leader.phase_rad)
 
 
 def synchronize_and_merge(a: Microgrid, b: Microgrid,
@@ -655,12 +653,8 @@ class RestorationState:
 
     def _expand_into(self, grid_id: str, area: int):
         grid = self.grids[grid_id]
-        areas = grid.areas | 1 << area
-        served, crit = _dispatch(self.scenario, areas, grid.generation_mw)
-        grown = Microgrid(grid.id, areas, grid.forming_units, grid.started_units,
-                          grid.generation_mw, served, crit, grid.frequency_hz,
-                          grid.phase_rad)
-        self.grids[grid_id] = reconnect_followers(grown, self.scenario)
+        self.grids[grid_id] = reconnect_followers(
+            grid._replace(areas=grid.areas | 1 << area), self.scenario)
 
     def _attempt_merge(self, ga: str, gb: str) -> bool:
         a, b = self.grids[ga], self.grids[gb]

@@ -281,14 +281,21 @@ def _parse(cls, doc, path, out):
     return result
 
 
+def version_violations(doc, version) -> list[str]:
+    """The violation of a JSON object whose schema_version is not the
+    integer version (not true, not 1.0); none if version is None."""
+    if version is None or type(doc) is not dict:
+        return []
+    got = doc.get("schema_version")
+    if type(got) is int and got == version:
+        return []
+    return [f"schema_version: must be {version}, got {got!r}"]
+
+
 def load(cls, doc, version=None):
     """Build cls from a JSON document (carrying schema_version == version,
     if given) or raise ScenarioValidationError listing every violation."""
-    out = []
-    if version is not None and type(doc) is dict:
-        got = doc.get("schema_version")
-        if not (type(got) is int and got == version):   # not true, not 1.0
-            out.append(f"schema_version: must be {version}, got {got!r}")
+    out = version_violations(doc, version)
     result = _parse(cls, doc, "", out)
     if out:
         raise ScenarioValidationError(list(dict.fromkeys(out)))

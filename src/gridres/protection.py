@@ -847,7 +847,9 @@ class LocateResult:
     residual_fault_current_pu is the current still feeding the fault
     after the plan executes (failed breakers stay closed): nonzero means
     in-plan-region DER keep the fault alive, the signal the scheme keeps
-    watching to decide on further escalation.
+    watching to decide on further escalation. cleared_from_source is True
+    for every result: a plan that would leave an available source in the
+    fault's region raises IsolationError instead.
     """
 
     location: tuple[str, str]

@@ -9,9 +9,10 @@ subcommand calls the same loaders, so a document that validates cleanly
 is exactly a document the engines accept.
 
 Documents carry a schema_version field, currently 1; fault and settings
-documents may leave it out.
+documents may leave it out, but one they give is checked by the same rule.
 """
 
+import contextlib
 import csv
 import itertools
 import math
@@ -26,7 +27,7 @@ from . import frequency as fq
 from . import metrics as mt
 from . import protection as pt
 from .errors import InvalidInputError, ScenarioValidationError
-from .fields import dump, load, num, obj, seq, table
+from .fields import dump, load, num, obj, seq, table, version_violations
 
 SCHEMA_VERSION = 1
 # Characters that a CSV cell holds only when quoted.
@@ -106,8 +107,14 @@ def dump_network(net: pt.RadialNetwork) -> dict:
     return {"schema_version": SCHEMA_VERSION, **dump(net)}
 
 
+def _given_version(doc) -> int | None:
+    """SCHEMA_VERSION if doc gives a schema_version (null counts as absent):
+    fault and settings documents may leave it out."""
+    return SCHEMA_VERSION if type(doc) is dict and doc.get("schema_version") is not None else None
+
+
 def load_fault(doc) -> pt.FaultScenario:
-    return load(pt.FaultScenario, doc)
+    return load(pt.FaultScenario, doc, _given_version(doc))
 
 
 def load_settings(doc) -> dict[str, float]:
@@ -115,7 +122,7 @@ def load_settings(doc) -> dict[str, float]:
         raise ScenarioValidationError(
             ["settings: must map breaker ids to trip currents"])
     settings = {k: v for k, v in doc.items() if k != "schema_version"}
-    violations = pt.check_settings(settings)
+    violations = version_violations(doc, _given_version(doc)) + pt.check_settings(settings)
     if violations:
         raise ScenarioValidationError(violations)
     return {k: float(v) for k, v in settings.items()}
@@ -201,22 +208,41 @@ def write_timeline_csv(fp, timeline: bs.RestorationTimeline) -> None:
         for ev in timeline.events))
 
 
+def _number(row: dict, k: int, name: str, column: dict[str, int]) -> float:
+    """Cell name of data row k as read_trace_csv (np.loadtxt) reads a
+    number: ASCII within any whitespace and no '_' (float() alone also
+    takes 1_0 and other scripts' digits)."""
+    cell = row[name]
+    text = cell.strip()    # as np.loadtxt strips: \x1c-\x1f and \xa0 too
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    # A cell can be as long as the file: bound it, as np.loadtxt does.
+    raise InvalidInputError(f"row {k}, column {column[name]}: {cell!r:.100} is not a number")
+
+
 def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
     """Timeline events from their CSV: at most fq.MAX_SAMPLES rows, each
     with as many cells as the header."""
     try:
-        rows = list(itertools.islice(csv.DictReader(fp), fq.MAX_SAMPLES + 1))
+        reader = csv.DictReader(fp)
+        rows = list(itertools.islice(reader, fq.MAX_SAMPLES + 1))
         # DictReader fills the cells a short row lacks with None and keeps
         # a long row's extra cells under its restkey, None.
         odd = next((f"row {k} has {'more' if None in row else 'fewer'} cells than the header"
                     for k, row in enumerate(rows, 1)
                     if None in row or None in row.values()), "")
+        # A repeated column name reads its last cell, as DictReader does.
+        column = {name: c for c, name in enumerate(reader.fieldnames or (), 1)}
         events = [] if odd else [bs.TimelineEvent(
-            float(row["t"]), row["stage"], float(row["served_total"]),
-            float(row["served_critical"]), bs.ServiceClass(row["service_class"]))
-            for row in rows]
-    # No such column, a bad cell, a row the csv module rejects. A cell, or
-    # a decode error's chunk, can be as long as the file: bound the text.
+            _number(row, k, "t", column), row["stage"],
+            _number(row, k, "served_total", column),
+            _number(row, k, "served_critical", column),
+            bs.ServiceClass(row["service_class"])) for k, row in enumerate(rows, 1)]
+    except InvalidInputError as err:
+        raise InvalidInputError(f"timeline csv: {err}") from None
+    # No such column, a bad service class, a row the csv module rejects. A
+    # decode error's chunk can be as long as the file: bound the text.
     except (KeyError, ValueError, csv.Error) as err:
         raise InvalidInputError(f"timeline csv: {type(err).__name__}: {str(err):.100}") from None
     if odd:

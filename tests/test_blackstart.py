@@ -1016,7 +1016,7 @@ class TestBundledBlackstartPins:
 
 
 def _oracle_dispatch(scenario, buses, generation_mw):
-    """_dispatch as it was before the load split was memoised."""
+    """Critical-first dispatch as it was before the load split was memoised."""
     crit = sum(l.demand_mw for l in scenario.loads if l.bus in buses and l.critical)
     rest = sum(l.demand_mw for l in scenario.loads if l.bus in buses and not l.critical)
     served_crit = min(crit, generation_mw)
@@ -1124,12 +1124,24 @@ class TestIslandMemos:
     def test_dispatch_and_followers_match_the_oracles(self, island):
         scenario, mg, buses = island
         for generation in (mg.generation_mw, 0.5 * mg.generation_mw, 1e6):
-            assert _exact(blackstart._dispatch(scenario, mg.areas, generation)) == \
+            grid = blackstart._microgrid(scenario, mg.id, mg.areas, mg.forming_units,
+                                         mg.started_units, generation)
+            assert _exact((grid.served_total_mw, grid.served_critical_mw)) == \
                 _exact(_oracle_dispatch(scenario, buses, generation))
         assert _exact_grid(reconnect_followers(mg, scenario)) == \
             _exact_grid(_oracle_reconnect_followers(mg, buses, scenario))
         assert scenario.compiled.island(mg.areas).comm == \
             sum(1 << i for i, c in enumerate(scenario.compiled.comm) if c.bus in buses)
+
+    @settings(max_examples=200, deadline=None)
+    @given(islands(), st.floats(), st.floats())    # nan and inf too
+    def test_followers_ignore_the_served_load_they_are_given(self, island, total, crit):
+        # The crank margin and the result's served load come from the
+        # island's areas and generation alone.
+        scenario, mg, _ = island
+        stale = mg._replace(served_total_mw=total, served_critical_mw=crit)
+        assert _exact_grid(reconnect_followers(stale, scenario)) == \
+            _exact_grid(reconnect_followers(mg, scenario))
 
     @pytest.mark.parametrize("name", ["benchmark", "two_tile", "awkward"])
     def test_every_pair_of_areas_matches_the_oracles(self, name):

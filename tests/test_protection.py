@@ -1344,6 +1344,8 @@ class TestLocatorPlanCheck:
                 allow_dead_fault=True)
             assert (result.cleared_from_source, result.residual_fault_current_pu.hex()) == \
                 (not after.source_feeds_fault, after.i_fault_pu.hex())
+            # A plan that leaves the source feeding the fault raises instead.
+            assert result.cleared_from_source
             residuals.append((result.escalated, result.residual_fault_current_pu))
 
         check()

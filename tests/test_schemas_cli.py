@@ -320,6 +320,22 @@ class TestCliExitCodes:
         assert code == EXIT_VALIDATION
         assert "settings[B]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"])
+    def test_protection_rejects_a_settings_schema_version_other_than_1(
+            self, workspace, capsys, version):
+        # Settings may leave schema_version out (or give null or 1).
+        for given in (None, 1):
+            assert schemas.load_settings(dict(bm.TWO_FEEDER_SETTINGS, schema_version=given)) \
+                == schemas.load_settings(bm.TWO_FEEDER_SETTINGS)
+        settings = workspace["root"] / "versioned_settings.json"
+        settings.write_text(json.dumps(dict(bm.TWO_FEEDER_SETTINGS, schema_version=version)))
+        code = run_cli("protection", "--network", workspace["net.json"],
+                       "--fault", workspace["fault.json"], "--settings", settings,
+                       "--out", workspace["root"] / "o")
+        assert code == EXIT_VALIDATION
+        assert "schema_version: must be 1" in capsys.readouterr().err
+        assert not (workspace["root"] / "o").exists()
+
     @pytest.mark.parametrize("flags", [
         ["--baseline", "nan"], ["--baseline", "inf"], ["--baseline", "-inf"],
         ["--challenge-t", "nan", "--detection-t", "2", "--remediation-t", "3",
@@ -928,6 +944,9 @@ REGRESSIONS = [
     ("fleet", ("inertia", "p0_irmax_pu"), 7.190772539449264e306,
      "inertia.p0_irmax_pu"),
     ("fleet", ("units",), HUGE_UNITS, "units: total p_rating must be finite"),
+    # A fault document may leave schema_version out, but not give another.
+    *(("fault", ("schema_version",), version, "schema_version: must be 1")
+      for version in (2, True, 1.0, "1")),
 ]
 
 
@@ -1197,6 +1216,20 @@ class TestCsvReaders:
     def test_rejected_with_message(self, read, text, message):
         with pytest.raises(InvalidInputError, match=message):
             read(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11\uff10", "0x1p3"],
+                             ids=["underscore", "full_width_digits", "hex_float"])
+    @pytest.mark.parametrize("read, text", [
+        (schemas.read_trace_csv, "t,f\n0,50\n{},50\n"),
+        (schemas.read_timeline_csv, "t,stage,served_total,served_critical,service_class\n"
+         "0,S2,0,0,unacceptable\n{},S3,5,1,impaired\n"),
+    ], ids=["trace", "timeline"])
+    def test_readers_take_the_same_number_cells(self, read, text, cell):
+        # float() alone reads 1_0 and full-width digits as 10.0.
+        kind = "trace" if read is schemas.read_trace_csv else "timeline"
+        with pytest.raises(InvalidInputError,
+                           match=f"^{kind} csv: row 2, column 1: '{cell}' is not a number$"):
+            read(io.StringIO(text.format(cell)))
 
     @pytest.mark.parametrize("stage", ["S2\rx", "S" * (csv.field_size_limit() + 1)],
                              ids=["bare_cr", "oversized_cell"])
