@@ -13,10 +13,10 @@ currents of a fault; a fault solve places them as nodal injections and
 sums them over subtrees (the backward sweep of radial load flow, in an
 order that fixes the sums' bits), giving every line current as one
 array; exact on radial networks, and an open line cuts its subtree off.
-With no open line and no load injecting, only the fault's path to its
-root sees the source and the fault, so the solve re-folds that path over
-subtree sums of the DER alone, kept per compiled feeder; open lines and
-the healthy load flow take one bottom-up Python loop over every bus.
+The compile holds every subtree's sum for each set of injectors that a
+piece of the feeder can have (the DER alone, the healthy load flow with
+or without DER, nothing); a solve re-folds, in the same order, only the
+buses above the fault and above each open line.
 
 A DER feeding a source-fed fault f splits its current where its path
 meets the source-fault path, at junction j. The share that arrives is
@@ -195,13 +195,13 @@ class _CompiledFeeder:
     at its first bus. order lists the buses in DFS preorder, so parents
     come before children and bus v's subtree is the order slice
     [tin[v], tout[v]). Line k hangs bus child[k] below parent[child[k]];
-    sign[v] is +1 when the line above v is stored parent -> v, else -1.
-    bottom_up is (bus, parent) in reversed preorder; a root's parent is n,
-    and kids[v] lists v's children in that order. The live DER (injecting,
-    with current) are live_ids, live_bus and live_i. With them alone
-    injecting, own[v] is bus v's injection, der_sums[v] its subtree's sum,
-    folded in bottom_up order as a full sweep folds it, and der_values
-    the line currents; they cost one pass, the one that sizes subtrees.
+    up_line[v] is the line above bus v, and sign[v] is +1 when it is
+    stored parent -> v, else -1. bottom_up is (bus, parent) in reversed
+    preorder; a root's parent is n, and kids[v] lists v's children in
+    that order. The live DER (injecting, with current) are live_ids,
+    live_bus and live_i. held[loads, der] is _hold's values for the
+    intact feeder with the loads, the live DER, both or neither
+    injecting; a solve re-folds from them (sweep).
     """
 
     def __init__(self, net: RadialNetwork):
@@ -247,24 +247,22 @@ class _CompiledFeeder:
                         z[w] = z[v] + net.lines[k].impedance_pu
                         self.child[k] = w
                         stack.append(w)
-        self.order, self.parent, self.up_line, self.sign = order, parent, up_line, sign
+        self.order, self.parent, self.up_line, self.sign = order, parent, np.array(up_line), sign
         self.bottom_up = [(v, n if parent[v] < 0 else parent[v]) for v in reversed(order)]
         self.z = np.array(z)
         self.line_sign = np.array(sign)[self.child]
-        own = [0.0] * (n + 1)
-        for v, amount in zip(self.live_bus.tolist(), self.live_i.tolist()):
-            own[v] += amount
-        sums, size, kids = own.copy(), [1] * (n + 1), [[] for _ in range(n + 1)]
+        size, self.kids = [1] * (n + 1), [[] for _ in range(n + 1)]
         for v, p in self.bottom_up:
             size[p] += size[v]
-            sums[p] += sums[v]
-            kids[p].append(v)
-        self.own, self.der_sums, self.kids, self.zeros = own, sums, kids, [0.0] * (n + 1)
-        self.der_values = 0.0 - self.line_sign * np.array(sums)[self.child]
+            self.kids[p].append(v)
+        zeros = [0.0] * (n + 1)
+        self.held = {(False, True): self._hold(self.live_bus, self.live_i),
+                     (True, True): self._hold(*self.load_flow[False]),
+                     (True, False): self._hold(*self.load_flow[True]),
+                     (False, False): (zeros, zeros, np.zeros(len(net.lines)))}
         self.tin = np.empty(n, dtype=int)
         self.tin[order] = np.arange(n)
         self.tout = self.tin + np.array(size[:n])
-        self.line_tin = self.tin[self.child]
         self.root_pre = np.array(root)[order]
         self.roots = self.pieces(())
         self.forest = bool((self.roots != self.roots[0]).any())
@@ -282,42 +280,83 @@ class _CompiledFeeder:
         whose preorder slice [tin, tout) holds u. Up the path tin falls
         and tout never does, so each bound is one binary search. A bus of
         another component gets the path's root."""
-        path, at = np.array(path), self.tin[u]
+        path, at = np.fromiter(path, int, len(path)), self.tin[u]
         starts = self.tin[path[::-1]].searchsorted(at, "right")   # tin <= at
         ends = self.tout[path].searchsorted(at, "right")          # tout <= at
         return path[np.minimum(np.maximum(len(path) - starts, ends), len(path) - 1)]
 
-    def path_sweep(self, path, i_fault, grid_only):
-        """(line currents, subtree sums) of a fault at bus path[0], a root
-        path, drawing i_fault when nothing injects but the fault, the DER
-        (none with grid_only) and the root, whose sum no line carries.
+    def _hold(self, bus, amounts):
+        """(injection, subtree sum in bottom_up order, line current) per bus or line."""
+        own = [0.0] * (len(self.bottom_up) + 1)
+        for v, amount in zip(bus.tolist(), amounts.tolist()):
+            own[v] += amount
+        sums = own.copy()
+        for v, p in self.bottom_up:
+            sums[p] += sums[v]
+        return own, sums, 0.0 - self.line_sign * np.array(sums)[self.child]
 
-        Off the path a subtree holds only DER, so its sum is der_sums'
-        (0 with grid_only, and 0 outside the fault's component). Each
-        path bus below the root folds its own injection, the fault's
-        draw at path[0], then its children in bottom_up order, the path
-        child's fresh sum among them, as the full sweep does.
+    def sweep(self, feed, cut, piece, inject):
+        """(line currents, subtree sum of bus feed.low) of a fault feed once
+        the lines above the buses in cut are open, piece being pieces(cut).
+
+        inject maps the top bus of a piece to the held values (own, sums,
+        line currents) that it keeps; other pieces inject nothing. Only
+        the buses from feed.low and from each cut bus's parent up to their
+        root are re-folded, as the held sums were: the bus's injection,
+        the fault's draw, then its children in bottom_up order, a cut
+        child adding nothing. A walk ends at a cut bus, whose parent starts
+        a walk of its own, so a run lies in one piece; folding the runs in
+        the reverse of the order found folds each bus after its re-folded
+        children.
         """
-        own, sums = (self.zeros, self.zeros) if grid_only else (self.own, self.der_sums)
-        kids, up_line, folded, lines, below = self.kids, self.up_line, [], [], -1
-        for u in path[:-1]:
-            acc = own[u] - i_fault if below < 0 else own[u]
-            for c in kids[u]:
-                acc += folded[-1] if c == below else sums[c]
-            folded.append(acc)
-            lines.append(up_line[u])
-            below = u
-        values = np.zeros(len(self.child)) if grid_only else self.der_values.copy()
-        lines = np.array(lines, dtype=int)
-        values[lines] = 0.0 - self.line_sign[lines] * np.array(folded)
-        if self.forest and not grid_only:
-            root = path[-1]
-            values[(self.line_tin < self.tin[root]) | (self.line_tin >= self.tout[root])] = 0.0
-        return values, sums
-
-    def below(self, v, u):
-        """Whether bus u lies in the subtree of bus v, elementwise."""
-        return (self.tin[v] <= self.tin[u]) & (self.tin[u] < self.tout[v])
+        parent, kids, at, i_fault = self.parent, self.kids, -1, feed.i_fault
+        runs, seen, starts = [], set(), []
+        up = {}   # a cut bus adds 0.0 (no sum is -0.0, so it adds nothing), a run's top its sum
+        for c in cut:
+            starts.append(parent[c])
+            up[c] = 0.0
+        if feed.top is not None:
+            low, at = feed.low, feed.low if feed.upper_open else feed.top
+            if feed.path is None:
+                starts.insert(0, low)
+            else:   # fed: low's root path, where only low's own line may be open
+                run = feed.path[1:-1] if low in cut else feed.path[:-1]
+                runs += [run] if run else []
+                seen.update(run if cut else ())
+        for v in starts:
+            run = []
+            while v not in seen and parent[v] >= 0:
+                seen.add(v)
+                run.append(v)
+                if v in cut:
+                    break
+                v = parent[v]
+            runs += [run] if run else []
+        buses, folded = [], []
+        for run in reversed(runs):
+            own, sums, _currents = inject.get(piece[run[0]], self.held[False, False])
+            below, prev = -1, 0.0
+            for u in run:
+                acc = own[u] - i_fault if u == at else own[u]
+                for c in kids[u]:
+                    acc += prev if c == below else up[c] if c in up else sums[c]
+                folded.append(acc)
+                below, prev = u, acc
+            buses += run
+            if below not in cut:
+                up[below] = acc
+        if cut or self.forest:
+            values, line_piece = np.zeros(len(self.child)), piece[self.child]
+            for top, (_own, _sums, currents) in inject.items():
+                np.copyto(values, currents, where=line_piece == top)
+        else:   # one piece
+            values = inject.get(self.order[0], self.held[False, False])[2].copy()
+        lines = self.up_line[np.fromiter(buses, int, len(buses))]
+        values[lines] = 0.0 - self.line_sign[lines] * np.fromiter(folded, float, len(folded))
+        if cut:
+            values[self.up_line[list(cut)]] = 0.0
+        # runs[0], folded last, starts at feed.low when a split line's lower segment is closed.
+        return values, folded[-len(runs[0])] if runs and runs[0][0] == feed.low else None
 
     def cut_below(self, open_lines) -> set[int]:
         """The buses whose line to their parent is open; an unknown line
@@ -440,17 +479,17 @@ def _fault_point(network: RadialNetwork, kind, element_id, pos):
     return top, low, float(tree.z[top]) + network.lines[k].impedance_pu * upper
 
 
-def _fault_share(tree: _CompiledFeeder, z_src, z_f, low, z_fault, der_bus, joint):
+def _fault_share(tree: _CompiledFeeder, z_src, z_f, low, z_fault, joint):
     """Share of each DER's current that arrives at a source-fed fault.
 
     The current splits at junction j inversely to the impedances toward
-    the source (Zs + z[j]) and toward the fault (z[f] - z[j] + Zf). DER
-    below a split line join at the fault node. Broadcasts over faults
-    and DER. joint is where each DER's root path meets the fault's,
-    _CompiledFeeder.meet of the two. A loop impedance past the float
-    range gives a share of 0.
+    the source (Zs + z[j]) and toward the fault (z[f] - z[j] + Zf).
+    Broadcasts over faults and DER. joint is where each DER's root path
+    meets bus low's, _CompiledFeeder.meet of the two; a DER whose joint
+    is low sits below the fault and joins at the fault node. A loop
+    impedance past the float range gives a share of 0.
     """
-    z_j = np.where(tree.below(low, der_bus), z_fault, tree.z[joint])
+    z_j = np.where(joint == low, z_fault, tree.z[joint])
     z_left = z_src + z_j
     with np.errstate(over="ignore"):
         return z_left / (z_left + ((z_fault - z_j) + z_f))
@@ -462,17 +501,12 @@ class _Feed(NamedTuple):
     fed: bool
     i_fault: float
     i_grid: float
-    der_bus: np.ndarray     # bus index and current of the live units in the fault's piece
-    der_i: np.ndarray
     contributions: dict
     arrivals: dict
     top: int | None         # the fault's place (_fault_point); None without a fault
     low: int | None
     upper_open: bool        # the open near segment of a split line is its upper one
-    path: list | None       # root_path(top) when the source feeds the fault
-
-
-_NO_DER = np.empty(0, dtype=int), np.empty(0)
+    path: list | None       # root_path(low) when the source feeds the fault
 
 
 def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, grid_only, cut,
@@ -489,7 +523,7 @@ def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, grid_only, 
     source term first.
     """
     if fault is None or not fault.is_fault:
-        return _Feed(False, 0.0, 0.0, *_NO_DER, {}, {}, None, None, False, None)
+        return _Feed(False, 0.0, 0.0, {}, {}, None, None, False, None)
     tree, src = network.compiled, network.source
     top, low, z_f = _fault_point(network, fault.element_kind, fault.element_id,
                                  fault.position)
@@ -498,25 +532,25 @@ def _fault_feed(network: RadialNetwork, fault: FaultScenario | None, grid_only, 
     upper_open = top != low and low in cut and tree.sign[low] > 0
     f_piece = piece[low] if upper_open else piece[top]
     fed = bool(src.available and piece[tree.bus_index[src.bus]] == f_piece)
-    path = tree.root_path(top) if fed else None
+    path = tree.root_path(low) if fed else None
     i_fault = i_grid = 0.0
     if fed:
         i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
     if grid_only or not len(tree.live_ids):
-        return _Feed(fed, i_fault, i_grid, *_NO_DER, {}, {}, top, low, upper_open, path)
+        return _Feed(fed, i_fault, i_grid, {}, {}, top, low, upper_open, path)
     ids, bus, cur = tree.live_ids, tree.live_bus, tree.live_i
     if cut or tree.forest:
         take = piece[bus] == f_piece
         ids, bus, cur = ids[take], bus[take], cur[take]
     arrive = cur
     if fed and len(bus):
-        share = _fault_share(tree, src.impedance_pu, fault.impedance_pu, low, z_f, bus,
+        share = _fault_share(tree, src.impedance_pu, fault.impedance_pu, low, z_f,
                              tree.meet(path, bus))
         arrive = cur * share
         i_grid = float(np.subtract.accumulate(np.concatenate(([i_grid], cur * (1 - share))))[-1])
     i_fault = float(np.add.accumulate(np.concatenate(([i_fault], arrive)))[-1])
     ids = ids.tolist()
-    return _Feed(fed, i_fault, i_grid, bus, cur, dict(zip(ids, cur.tolist())),
+    return _Feed(fed, i_fault, i_grid, dict(zip(ids, cur.tolist())),
                  dict(zip(ids, arrive.tolist())), top, low, upper_open, path)
 
 
@@ -532,15 +566,12 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
     known ids only (the far side of a split faulted line stays
     connected, the breaker sits on the near side).
 
-    With a fault, no open line and no load injecting (the source feeds
-    the fault or is unavailable), only the buses on the fault's root
-    path see the source and the fault: every other subtree carries the
-    sum of its DER alone, which the compiled feeder holds, so the solve
-    re-folds only that path (_CompiledFeeder.path_sweep). Open lines and
-    the healthy load flow take the full bottom-up sweep. Both fold every
-    bus's sum in the same order, so their bits agree.
+    Of the pieces that the open lines leave, the fault's injects its DER
+    and the source's, unless the source feeds the fault, the healthy load
+    flow, whose net injection streams to the source as i_grid. The sweep
+    (_CompiledFeeder.sweep) re-folds only what the fault and cut change.
     """
-    tree = network.compiled
+    tree, src = network.compiled, network.source
     cut, piece = tree.open(open_lines)
     feed = _fault_feed(network, fault, grid_only, cut, piece)
     top, low, i_fault = feed.top, feed.low, feed.i_fault
@@ -548,16 +579,21 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
         raise UnreachableFaultError(
             "fault is disconnected from the external source and from any "
             "injecting DER")
-    if top is not None and not cut and (feed.fed or not network.source.available):
-        values, acc = tree.path_sweep(feed.path or tree.root_path(top), i_fault, grid_only)
-        i_grid = feed.i_grid
-    else:
-        values, acc, i_grid = _full_sweep(network, feed, cut, piece, grid_only)
+    inject, i_grid = {}, feed.i_grid
+    if top is not None:
+        inject[piece[low] if feed.upper_open else piece[top]] = tree.held[False, not grid_only]
+    if src.available and not feed.fed:
+        s = piece[tree.bus_index[src.bus]]
+        bus, amounts = tree.load_flow[grid_only]
+        # A left fold in unit order: np.add.accumulate keeps the order.
+        i_grid = -float(np.add.accumulate(np.concatenate(([0.0], amounts[piece[bus] == s])))[-1])
+        inject[s] = tree.held[True, not grid_only]
+    values, low_sum = tree.sweep(feed, cut, piece, inject)
     split_line, far = None, 0.0
     if top is not None and top != low:
         # The segment below the fault carries the current of low's subtree.
         lower_open = low in cut and not feed.upper_open
-        up_lower = 0.0 if lower_open else acc[low] + (i_fault if feed.upper_open else 0.0)
+        up_lower = 0.0 if lower_open else low_sum + (i_fault if feed.upper_open else 0.0)
         up_upper = 0.0 if feed.upper_open else up_lower - i_fault
         k = tree.up_line[low]
         split_line = tree.line_ids[k]
@@ -568,48 +604,6 @@ def solve_fault_currents(network: RadialNetwork, fault: FaultScenario | None,
                          split_line=split_line, far_pu=far)
 
 
-def _full_sweep(network, feed: _Feed, cut, piece, grid_only):
-    """(line currents, per-bus subtree sums, i_grid) of solve_fault_currents
-    by one bottom-up sweep over every bus. Without a fed fault the
-    source's piece runs the healthy load flow, which sets i_grid."""
-    tree, src = network.compiled, network.source
-    s = tree.bus_index[src.bus]
-    n = len(network.buses)
-    i_grid = feed.i_grid
-    acc = [0.0] * (n + 1)   # net injection, then subtree sum, per bus
-    for v, amount in zip(feed.der_bus.tolist(), feed.der_i.tolist()):
-        acc[v] += amount
-    if src.available and not feed.fed:
-        # Healthy load flow in the source's piece: net injections stream
-        # to the source.
-        bus, amounts = tree.load_flow[grid_only]
-        take = piece[bus] == piece[s]
-        total = 0.0
-        for v, amount in zip(bus[take].tolist(), amounts[take].tolist()):
-            acc[v] += amount
-            total += amount
-        i_grid = -total
-    if src.available:
-        acc[s] += i_grid
-    if feed.top is not None:
-        # A bus on the fault's side of the cut.
-        acc[feed.low if feed.upper_open else feed.top] -= feed.i_fault
-    ups = tree.bottom_up
-    if cut:
-        # An open line passes its subtree's sum to the spare slot n instead;
-        # bus v's pair is entry n - 1 - tin[v] of bottom_up.
-        ups = ups.copy()
-        for v in cut:
-            ups[n - 1 - tree.tin[v]] = (v, n)
-    for v, p in ups:
-        acc[p] += acc[v]
-
-    values = 0.0 - tree.line_sign * np.array(acc, dtype=float)[tree.child]
-    if cut:
-        values[[tree.up_line[v] for v in cut]] = 0.0
-    return values, acc, i_grid
-
-
 def source_fault_path_lines(network: RadialNetwork, fault: FaultScenario) -> set[str]:
     """Line ids on the topological path from the source bus to the fault."""
     tree = network.compiled
@@ -618,7 +612,7 @@ def source_fault_path_lines(network: RadialNetwork, fault: FaultScenario) -> set
     path = tree.root_path(low)
     if path[-1] != tree.bus_index[network.source.bus]:
         return set()
-    return {tree.line_ids[tree.up_line[v]] for v in path[:-1]}
+    return {tree.line_ids[k] for k in tree.up_line[path[:-1]].tolist()}
 
 
 def simulate_protection(network: RadialNetwork, fault: FaultScenario,
@@ -783,9 +777,9 @@ class FaultSignatureMap:
     fault at candidates[i] on the intact network with every DER
     injecting. Column j is DER j's closed-form arrival share
     (_fault_share), each candidate's junction being where the DER's root
-    path meets it (_CompiledFeeder.meet), so no candidate is solved; the
-    shares differ by location because the impedance split toward the
-    fault does.
+    path meets the candidate's low bus (_CompiledFeeder.meet), so no
+    candidate is solved; the shares differ by location because the
+    impedance split toward the fault does.
     Candidates are kept sorted, which makes the lowest row win a tie.
     """
 
@@ -830,8 +824,8 @@ def build_fault_signature_map(network: RadialNetwork, candidates=None,
         if d.i_max_pu == 0 or not math.isfinite(fault_impedance_pu):
             continue
         bus = tree.bus_index[d.bus]
-        share = _fault_share(tree, src.impedance_pu, fault_impedance_pu, low, z_fault, bus,
-                             tree.meet(tree.root_path(bus), top))
+        share = _fault_share(tree, src.impedance_pu, fault_impedance_pu, low, z_fault,
+                             tree.meet(tree.root_path(bus), low))
         signatures[:, j] = np.where(root[top] == root[bus],
                                     np.where(fed, d.i_max_pu * share, d.i_max_pu), 0.0)
     return FaultSignatureMap(network=network, der_ids=tuple(d.id for d in ders),
@@ -983,7 +977,7 @@ def _isolating_breakers(network: RadialNetwork, location, failed: set[str],
     """
     tree = network.compiled
     top, low, _z = _fault_point(network, *location, position)
-    split = tree.up_line[low] if top != low else -1
+    split = int(tree.up_line[low]) if top != low else -1
     region, plan, queue = set(), set(), deque()
     escalated = False
 

@@ -157,7 +157,8 @@ def write_trace_csv(fp, trace: fq.FrequencyTrace) -> None:
 
 def read_trace_csv(fp) -> fq.FrequencyTrace:
     """A trace from its CSV: columns t and f, t in uniform steps, at most
-    fq.MAX_SAMPLES rows, each with as many cells as the header."""
+    fq.MAX_SAMPLES rows in fq.MAX_SAMPLES + 1 lines, each with as many
+    cells as the header."""
     try:
         header = next(csv.reader([fp.readline()]), [])
     except (csv.Error, UnicodeDecodeError) as err:   # readline decodes past the header
@@ -168,11 +169,15 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
     # as it parses; the columns besides t and f are read as empty strings.
     ti, fi = header.index("t"), header.index("f")
     cols = np.dtype([(f"c{i}", float if i in (ti, fi) else "U0") for i in range(len(header))])
+    # The cap bounds lines, not np.loadtxt's max_rows, which reserves room
+    # for every row up front; loadtxt skips empty lines, so a line past the
+    # cap is refused too, and no row is dropped unread.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # no data rows
-            rows = np.loadtxt(fp, dtype=cols, delimiter=",", comments=None, ndmin=1,
-                              max_rows=fq.MAX_SAMPLES + 1)
+            rows = np.loadtxt(itertools.islice(fp, fq.MAX_SAMPLES + 1), dtype=cols,
+                              delimiter=",", comments=None, ndmin=1)
+        too_long = len(rows) > fq.MAX_SAMPLES or fp.readline()
     except ValueError as err:
         if count := _CELL_COUNT.search(str(err)):
             need, found, row = map(int, count.groups())
@@ -181,7 +186,7 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
             text, row, column = cell.groups()
             err = f"row {int(row) + 1}, column {column}: {text} is not a number"
         raise InvalidInputError(f"trace csv: {err}") from None
-    if len(rows) > fq.MAX_SAMPLES:
+    if too_long:
         raise InvalidInputError(f"trace csv: at most {fq.MAX_SAMPLES} rows")
     t, f = rows[f"c{ti}"], rows[f"c{fi}"]
     if len(rows) < 2 or not (np.isfinite(t).all() and np.isfinite(f).all()):

@@ -17,7 +17,7 @@ from gridres import benchmarks as bm
 from gridres.blackstart import _EQ_TOL, monte_carlo, run_restoration
 from gridres.frequency import (DisturbanceEvent, DroopCurve, FcrProduct,
                                RatedDroopCurve, simulate_disturbance)
-from gridres.protection import simulate_protection, solve_fault_currents
+from gridres.protection import _fault_point, simulate_protection, solve_fault_currents
 from test_blackstart import _shared_scenario
 from test_protection import (general_faults, general_networks, protected_cases,
                              random_radial_network)
@@ -149,6 +149,31 @@ class TestProtectionRelabelling:
         assert abs(moved.i_fault_pu - initial.i_fault_pu) <= RELABEL_RTOL * largest
 
 
+# A line's current toward a fault changes by an exact -(1 - s) d when a DER
+# joining below it raises its in-feed by d; the computed change may rise
+# past 0 only by rounding, within this share of the largest current of the
+# two solves. Each current is a sum of at most a few dozen terms, so the
+# rounding stays near 1e-14 of that current.
+INFEED_RTOL = 1e-12
+
+
+def in_feed_cases(data):
+    """(network, fault) of a drawn network with DER and a fault on it."""
+    net = data.draw(st.tuples(st.integers(0, 2 ** 32), st.integers(3, 40)).map(
+        lambda seed_size: random_radial_network(random.Random(seed_size[0]),
+                                                seed_size[1]))
+        | general_networks())
+    return net, (data.draw(general_faults(net)) if net.ders else None)
+
+
+def raised_in_feed(net, fault, k):
+    """The fault's solve on net and on net with DER k's in-feed raised."""
+    raised = replace(net, ders=tuple(
+        replace(d, i_max_pu=d.i_max_pu * 1.5 + 0.1) if i == k else d
+        for i, d in enumerate(net.ders)))
+    return [solve_fault_currents(n, fault, allow_dead_fault=True) for n in (net, raised)]
+
+
 class TestProtectionInFeedMonotone:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -157,23 +182,41 @@ class TestProtectionInFeedMonotone:
         # source-fed fault adds its arrival share to the fault current and
         # takes the rest from the grid's share. Each share lies in [0, 1]
         # and every sum is monotone in its terms, so the relation is exact.
-        net = data.draw(st.tuples(st.integers(0, 2 ** 32), st.integers(3, 40)).map(
-            lambda seed_size: random_radial_network(random.Random(seed_size[0]),
-                                                    seed_size[1]))
-            | general_networks())
-        if not net.ders:
+        net, fault = in_feed_cases(data)
+        if fault is None:
             return
-        fault = data.draw(general_faults(net))
-        k = data.draw(st.integers(0, len(net.ders) - 1))
-        raised = replace(net, ders=tuple(
-            replace(d, i_max_pu=d.i_max_pu * 1.5 + 0.1) if i == k else d
-            for i, d in enumerate(net.ders)))
-        before, after = (solve_fault_currents(n, fault, allow_dead_fault=True)
-                         for n in (net, raised))
+        before, after = raised_in_feed(net, fault, data.draw(st.integers(0, len(net.ders) - 1)))
         if not before.source_feeds_fault:
             return
         assert after.i_fault_pu >= before.i_fault_pu
         assert after.i_grid_pu <= before.i_grid_pu
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_more_der_in_feed_never_raises_the_current_toward_the_fault(self, data):
+        # Blinding line by line: on each line from the source down to the
+        # junction j where DER k's path meets the fault's, the current
+        # toward the fault is the fault current less every injection below
+        # the line, k's among them. Raising k's in-feed by d adds its
+        # arrival share s d to the first and d to the second. Every DER k
+        # is raised in turn.
+        net, fault = in_feed_cases(data)
+        if fault is None:
+            return
+        tree = net.compiled
+        top, _low, _z = _fault_point(net, fault.element_kind, fault.element_id,
+                                     fault.position)
+        joints = tree.meet(tree.root_path(top), [tree.bus_index[d.bus] for d in net.ders])
+        for k, joint in enumerate(joints.tolist()):
+            before, after = raised_in_feed(net, fault, k)
+            if not before.source_feeds_fault:
+                return
+            path = tree.root_path(joint)[:-1]
+            lines, toward = tree.up_line[path], np.array(tree.sign)[path]
+            rise = toward * after.line_currents[lines] - toward * before.line_currents[lines]
+            largest = max(np.abs(before.line_currents).max(initial=0.0),
+                          np.abs(after.line_currents).max(initial=0.0), after.i_fault_pu)
+            assert (rise <= INFEED_RTOL * largest).all()
 
 
 def _at_most(served, total):

@@ -42,8 +42,8 @@ FAULT_NODE = "__fault__"
 # builder below), its keyword arguments, the fault document and the
 # digest. Digests as the solver produced them when every solve swept the
 # whole feeder. The console-script step of .github/workflows/tests.yml
-# checks the "blinded" run's digest (protection_pin reads it from here),
-# so it is a plain literal.
+# checks the "blinded", "energized" and "sympathetic" runs' digests (its
+# pin helper reads them from here), so it is a plain literal.
 PROTECTION_PINS = {
     "clean": (
         "two_feeder", {},
@@ -252,8 +252,7 @@ def dict_solve(network, fault, open_lines=frozenset(), allow_dead_fault=False):
             i_fault = i_grid = src.voltage_pu / (src.impedance_pu + z_f + fault.impedance_pu)
             buses = [v for _, v in ders]
             shares = _fault_share(tree, src.impedance_pu, fault.impedance_pu, low, z_f,
-                                  np.array(buses, dtype=int),
-                                  np.array([walk_lca(tree, top, v) for v in buses], dtype=int)
+                                  np.array([walk_lca(tree, low, v) for v in buses], dtype=int)
                                   ).tolist()
         for (d, v), share in zip(ders, shares):
             i_fault += d.i_max_pu * share
@@ -762,6 +761,26 @@ class TestSolveMatchesReplacedSolve:
         for case, fault, grid_only in [(n, f, g) for n in (net, dead) for f in faults
                                        for g in (False, True)]:
             assert_solves_match(case, fault, grid_only=grid_only)
+
+    def test_large_feeder_with_open_lines_matches_bit_for_bit(self):
+        # Walks that join on long paths: nested open lines (l10 above l40
+        # above l80's lateral, l80 above l82), open lines inside a dead
+        # piece, the faulted line open, stored down (l40) or up (l39, whose
+        # ends the flipped copy swaps, as every third line's), faults cut
+        # away from the source and healthy solves, cut or not.
+        net, _settings = trunk_feeder(320, 4)
+        flipped = replace(net, lines=tuple(
+            replace(ln, from_bus=ln.to_bus, to_bus=ln.from_bus) if k % 3 == 0 else ln
+            for k, ln in enumerate(net.lines)))
+        faults = [None, FaultScenario("line", "l39", 0.05, 0.3),
+                  FaultScenario("line", "l40", 0.0, 0.5), FaultScenario("line", "l60", 0.0, 0.7),
+                  FaultScenario("line", "l82", 0.1, 0.5), FaultScenario("bus", "b25", 0.0),
+                  FaultScenario("bus", "b83", 0.02), FaultScenario("bus", "b0", 0.05)]
+        cuts = [(), ("l10",), ("l10", "l40"), ("l10", "l40", "l80"), ("l39",),
+                ("l40", "l70"), ("l80", "l82"), ("l0",)]
+        for case, fault, cut, grid_only in itertools.product(
+                (net, flipped), faults, cuts, (False, True)):
+            assert_solves_match(case, fault, frozenset(cut), grid_only=grid_only)
 
     @pytest.mark.parametrize("stored_down", [True, False])
     @pytest.mark.parametrize("position", [0.3, 0.5, 0.8])

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1272,6 +1273,25 @@ class TestCsvReaders:
         assert len(self._trace("t,f,rocof\n" + "".join(rows[:5]))) == 5
         with pytest.raises(InvalidInputError, match="at most 5 rows"):
             self._trace("t,f,rocof\n" + "".join(rows))
+
+    def test_blank_lines_never_hide_a_row_past_the_cap(self, monkeypatch):
+        # Blank lines are skipped as rows but count toward the line cap: a
+        # trace whose lines run past it is refused, never cut short.
+        monkeypatch.setattr(fq, "MAX_SAMPLES", 5)
+        rows = [f"{k / 100},50,0\n" for k in range(6)]
+        assert len(self._trace("t,f,rocof\n\n" + "".join(rows[:5]))) == 5
+        for text in ("\n\n" + "".join(rows), "".join(rows[:2]) + "\n\n" + "".join(rows[2:5])):
+            with pytest.raises(InvalidInputError, match="at most 5 rows"):
+                self._trace("t,f,rocof\n" + text)
+
+    def test_short_trace_reserves_no_room_for_the_cap(self):
+        tracemalloc.start()
+        try:
+            assert len(self._trace("t,f\n0,50\n0.5,50\n")) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_timeline_rows_are_capped(self, monkeypatch):
         monkeypatch.setattr(fq, "MAX_SAMPLES", 5)
