@@ -18,6 +18,13 @@ on both paths once every field is valid. A list drops its items that
 have violations, so the rules of the object holding it still run. JSON
 null counts as an absent key, except where a number row gives it a
 meaning.
+
+load() checks a list a column at a time: one pass per row over all its
+items (a number column by its types, a finite sum, its least cell and,
+under an upper bound, its greatest), then each item's invariants, with
+no path strings. Only if that pass finds a problem does the list take
+the per-item walk, which is the one source of violation messages: the
+same text in the same order either way.
 """
 
 import dataclasses
@@ -29,6 +36,8 @@ from .errors import InvalidInputError, ScenarioValidationError
 
 _REQUIRED = dataclasses.MISSING
 _INVALID = object()   # the parse result of a node that has violations
+_ABSENT = object()    # a key missing from a node, where its null has a meaning
+_STR, _DICT, _LIST, _FLOAT, _REAL = {str}, {dict}, {list}, {float}, {float, int}
 
 
 def _join(path, key):
@@ -57,10 +66,15 @@ class _Type:
     def check(self, x):
         return None if isinstance(x, self.kind) else self.message
 
+    def column(self, cells):
+        """The values of a list of JSON nodes, each parsed as this row's
+        value, or None if any node has a violation."""
+        return cells if set(map(type, cells)) <= {self.kind} else None
+
 
 class _Number(_Type):
     def __init__(self, gt=None, ge=None, le=None, null=None):
-        self.null = null
+        self.null, self.le = null, le
         self.dump = None if null is None else lambda x: None if x == null else x
         lo = -math.inf if gt is None and ge is None else gt if gt is not None else ge
         hi = math.inf if le is None else le
@@ -91,6 +105,29 @@ class _Number(_Type):
                 return self.message
         return None if self.ok(x) else self.message
 
+    def column(self, cells):
+        if not set(map(type, cells)) <= _FLOAT:
+            return self._reals(cells)
+        # A finite sum holds no NaN and no infinity (one that overflows only
+        # sends the list to the walk), and ok holds on an interval: the
+        # least cell decides it for every cell, with the greatest below le.
+        if math.isfinite(sum(cells)) and self.ok(min(cells)) and (
+                self.le is None or self.ok(max(cells))):
+            return cells
+        return None
+
+    def _reals(self, cells):
+        """column() of cells that are not all floats: ints are converted as
+        parse converts them, and null stands for the row's null value."""
+        if self.null is not None and None in cells:
+            return _fill(cells, None, self.null, self.column)
+        if not set(map(type, cells)) <= _REAL:
+            return None
+        try:
+            return self.column(list(map(float, cells)))
+        except OverflowError:
+            return None
+
 
 class _Choice(_Type):
     def __init__(self, options):
@@ -107,6 +144,11 @@ class _Choice(_Type):
     def check(self, x):
         return None if type(x) in self.types and x in self.names else self.message
 
+    def column(self, cells):
+        if set(map(type, cells)) <= _STR and set(cells) <= self.values.keys():
+            return list(map(self.values.__getitem__, cells))
+        return None
+
     def dump(self, x):
         return self.names[x]
 
@@ -119,20 +161,36 @@ class _Object(_Type):
     def parse(self, raw, path, key, out):
         return _parse(self.kind, raw, _join(path, key), out)
 
+    def column(self, cells):
+        return _columns(self.kind, cells)
+
 
 class _Seq(_Type):
-    """A list; the items that have violations are left out."""
+    """A list; the items that have violations are left out. parse checks
+    the list a row at a time (column) and, if that finds any problem,
+    walks it an item at a time to list the violations."""
 
     def __init__(self, item):
         self.item = _Type(str, "string") if item is str else _Object(item)
         self.message = f"must be a list of {'str' if item is str else item.__name__}"
 
     def parse(self, raw, path, key, out):
+        items = self.item.column(raw) if type(raw) is list else None
+        return self.walk(raw, path, key, out) if items is None else tuple(items)
+
+    def walk(self, raw, path, key, out):
         if type(raw) is not list:
             return _fail(out, path, key, "must be a list")
         path = _join(path, key)
         items = [self.item.parse(x, path, i, out) for i, x in enumerate(raw)]
         return tuple(x for x in items if x is not _INVALID)
+
+    def column(self, cells):
+        if set(map(type, cells)) <= _LIST:
+            items = list(map(self.item.column, cells))
+            if None not in items:
+                return list(map(tuple, items))
+        return None
 
     def check(self, x):
         if isinstance(x, (tuple, list)) and all(map(isinstance, x, repeat(self.item.kind))):
@@ -186,7 +244,7 @@ class _Table:
     """The compiled rows of a table class, in the forms each job uses."""
 
     def __init__(self, cls):
-        self.rule = getattr(cls, "invariants", lambda _self: ())
+        self.rule = getattr(cls, "invariants", _no_rule)
         self.rows, self.checks, self.dumps, self.specs = [], [], [], {}
         for f in dataclasses.fields(cls):
             spec, name = f.metadata["spec"], f.metadata["key"] or f.name
@@ -197,6 +255,10 @@ class _Table:
             self.checks.append((f.name, spec.check))
             self.dumps.append((f.name, parents, key, spec.dump))
             self.specs[f.name] = spec
+
+
+def _no_rule(_self):
+    return ()
 
 
 def table(cls):
@@ -279,6 +341,63 @@ def _parse(cls, doc, path, out):
         out.extend(_join(path, v) for v in problems)
         return _INVALID
     return result
+
+
+def _fill(cells, hole, fill, column):
+    """column(cells) with the cells that are hole left out and put back as fill."""
+    given = [x for x in cells if x is not hole]
+    if not given:
+        return [fill] * len(cells)
+    values = column(given)
+    if values is None:
+        return None
+    given = iter(values)
+    return [fill if x is hole else next(given) for x in cells]
+
+
+def _nodes(docs, parents):
+    """_node of each doc, or None if any is not an object."""
+    for part in parents:        # an absent parent is {}
+        docs = [{} if x is None else x for x in [n.get(part) for n in docs]]
+        if not set(map(type, docs)) <= _DICT:
+            return None
+    return docs
+
+
+def _columns(cls, docs):
+    """The objects a list of JSON nodes describes, or None if any node has
+    a violation: one pass per row over the list, and no path strings."""
+    if not set(map(type, docs)) <= _DICT:
+        return None
+    if not docs:
+        return []
+    table = cls.__table__
+    dicts = [{} for _ in docs]
+    for attr, parents, key, _name, spec, default, nullable in table.rows:
+        nodes = _nodes(docs, parents) if parents else docs
+        if nodes is None:
+            return None
+        hole = _ABSENT if nullable else None
+        cells = [n.get(key, hole) for n in nodes]
+        if hole not in cells:
+            values = spec.column(cells)
+        elif default is _REQUIRED:
+            return None
+        else:
+            values = _fill(cells, hole, default, spec.column)
+        if values is None:
+            return None
+        for d, value in zip(dicts, values):
+            d[attr] = value
+    # As _parse: no __post_init__, the rows are checked, and each object
+    # takes a dict filled in row order (filling an object's own __dict__
+    # row by row leaves its attributes slower to read).
+    objects = list(map(object.__new__, repeat(cls, len(docs))))
+    for result, values in zip(objects, dicts):
+        result.__dict__.update(values)
+    if table.rule is not _no_rule and any(map(table.rule, objects)):
+        return None
+    return objects
 
 
 def version_violations(doc, version) -> list[str]:

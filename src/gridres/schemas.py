@@ -268,8 +268,9 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
 
 
 def write_monte_carlo_csv(fp, result: bs.MonteCarloResult) -> None:
-    fp.write("run,restored_fraction\n" + "".join(
-        map("%d,%.9g\n".__mod__, enumerate(result.restored_fractions))))
+    fractions = result.restored_fractions
+    fp.write(("run,restored_fraction\n" + "%d,%.9g\n" * len(fractions))
+             % _row_major(range(len(fractions)), fractions))
 
 
 def write_service_csv(fp, trajectory: mt.ServiceTrajectory, annotation=None) -> None:
@@ -279,5 +280,13 @@ def write_service_csv(fp, trajectory: mt.ServiceTrajectory, annotation=None) -> 
     if annotation is not None:
         names = [iv.phase for iv in annotation.intervals]
         index = mt.phase_index(annotation, t)
-    fp.write("t,level,phase\n" + "".join(map("%.9g,%.9g,%s\n".__mod__, zip(
-        t.tolist(), trajectory.level.tolist(), [names[k] for k in index.tolist()]))))
+    fp.write(("t,level,phase\n" + "%.9g,%.9g,%s\n" * len(t)) % _row_major(
+        t.tolist(), trajectory.level.tolist(), [names[k] for k in index.tolist()]))
+
+
+def _row_major(*columns) -> tuple:
+    """The cells of equal-length columns, row by row, for one % call."""
+    cells = [None] * sum(map(len, columns))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return tuple(cells)

@@ -1,10 +1,16 @@
 """One admission test per number: row checks, document parsing and the
 scalar arguments of the engine functions."""
 
+import contextlib
+import importlib.util
+import json
 import math
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridres import benchmarks as bm
@@ -151,3 +157,201 @@ def test_shape_rejected(make, message):
     assert schemas.validate_document(_fleet_doc_with()) == []   # valid but for the edit
     with pytest.raises(InvalidInputError, match=message):
         make()
+
+
+# ---------------------------------------------------------------------------
+# Lists: the column pass against the per-item walk
+# ---------------------------------------------------------------------------
+
+LOADERS = {"network": schemas.load_network, "restoration": schemas.load_restoration_scenario,
+           "fleet": schemas.load_fleet, "frequency": schemas.load_frequency_scenario}
+
+
+def _fleet_with_units():
+    doc = _fleet_doc_with()
+    doc["units"] = [fields.dump(co.FleetUnit(f"u{i}", 0.4, 0.1 * i, fcr_share=0.02))
+                    for i in range(3)]
+    for unit in doc["units"]:       # defaulted keys left out of all units or of one
+        del unit["bus"]
+    del doc["units"][1]["in_reference_incident"]
+    return doc
+
+
+def _frequency_doc():
+    return schemas.dump_frequency_scenario(schemas.FrequencyScenario(
+        system=bm.benchmark_system(), event=bm.benchmark_event(), fcr=bm.benchmark_fcr(),
+        secondary=bm.benchmark_secondary(), droop_fleet=bm.benchmark_droop_fleet() * 2))
+
+
+BUNDLED = {"network": lambda: schemas.dump_network(bm.two_feeder_network(der_a_injection_pu=2.0)),
+           "restoration": lambda: schemas.dump_restoration_scenario(
+               bm.benchmark_restoration_scenario()),
+           "fleet": _fleet_with_units, "frequency": _frequency_doc}
+
+
+def _walk_only():
+    """Every list walked an item at a time, as if there were no column pass."""
+    return mock.patch.object(fields._Seq, "parse", fields._Seq.walk)
+
+
+@contextlib.contextmanager
+def _walked():
+    """The paths of the lists walked an item at a time inside the block."""
+    paths, walk = [], fields._Seq.walk
+
+    def spy(self, raw, path, key, out):
+        paths.append(fields._join(path, key))
+        return walk(self, raw, path, key, out)
+    with mock.patch.object(fields._Seq, "walk", spy):
+        yield paths
+
+
+def _fresh(kind):
+    return json.loads(json.dumps(BUNDLED[kind]()))
+
+
+def _list_cells(doc, path=(), in_list=False):
+    """The paths of the nodes that sit inside a list."""
+    if in_list:
+        yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _list_cells(value, path + (key,), in_list)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _list_cells(value, path + (i,), True)
+
+
+CELLS = (st.sampled_from([None, True, False, 0, 1, 3, -1, 10**400, 0.0, -0.5, 2.5, math.nan,
+                          math.inf, -math.inf, "", "MAIN", "L1", "grid_forming", [], {},
+                          ["SRC"], {"f_n": 50.0}])
+         | st.floats(-10, 10) | st.integers(-3, 3))
+
+
+@st.composite
+def damaged_lists(draw):
+    """A bundled document with one to three nodes inside its lists
+    replaced, removed or written as an int."""
+    kind = draw(st.sampled_from(sorted(BUNDLED)))
+    doc = _fresh(kind)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_list_cells(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        how = draw(st.sampled_from(("replace", "remove", "int")))
+        if how == "remove" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif how == "int" and type(old) is float and math.isfinite(old):
+            parent[path[-1]] = round(old)
+        else:
+            parent[path[-1]] = draw(CELLS)
+    return kind, doc
+
+
+@given(case=damaged_lists())
+@example(case=("network", {**_fresh("network"), "buses": ["SRC", 7]}))
+@settings(max_examples=150, deadline=None)
+def test_column_pass_matches_the_walk(case):
+    kind, doc = case
+    violations = schemas.validate_document(doc)
+    with _walk_only():
+        assert schemas.validate_document(doc) == violations
+    if not violations:
+        with _walk_only():
+            walked = repr(LOADERS[kind](doc))
+        assert repr(LOADERS[kind](doc)) == walked
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_column_pass_loads_every_bundled_list():
+    # A row kind the pass does not cover would send its list to the walk.
+    docs = [(kind, _fresh(kind)) for kind in BUNDLED]
+    docs.append(("network", json.loads(json.dumps(
+        schemas.dump_network(_bench_gen().feeder(1600, 1).network)))))
+    for kind, doc in docs:
+        with _walked() as walked:
+            loaded = LOADERS[kind](doc)
+        assert walked == [], kind
+        with _walk_only():
+            assert repr(loaded) == repr(LOADERS[kind](doc)), kind
+
+
+def _with_ints(doc):
+    """doc with every integral float written as an int."""
+    if isinstance(doc, dict):
+        return {key: _with_ints(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_with_ints(value) for value in doc]
+    return int(doc) if type(doc) is float and doc.is_integer() else doc
+
+
+def test_integer_cells_stay_on_the_column_pass():
+    doc = _fresh("network")
+    ints = _with_ints(doc)
+    assert [d["i_max_pu"] for d in ints["ders"]] == [2, 0]
+    with _walked() as walked:
+        loaded = schemas.load_network(ints)
+    assert walked == []
+    assert repr(loaded) == repr(schemas.load_network(doc))
+
+
+@fields.table
+class _Inner:
+    x: float = fields.num(ge=0)
+
+
+@fields.table
+class _Item:
+    """One row of every kind, a dotted key and number rows with a null
+    and with an upper bound."""
+
+    name: str = fields.text()
+    on: bool = fields.flag(True)
+    kind: str = fields.choice(("a", "b"), "a")
+    depth: float = fields.num(0.5, gt=0, key="at.depth")
+    inner: _Inner = fields.obj(_Inner, _Inner(1.0))
+    tags: tuple = fields.seq(str, ())
+    inners: tuple = fields.seq(_Inner, ())
+    limit: float = fields.num(0.0, ge=0, null=math.inf)
+    share: float = fields.num(0.5, ge=0, le=1)
+
+
+@fields.table
+class _Items:
+    items: tuple = fields.seq(_Item)
+
+
+ITEMS = [{"name": "p", "on": False, "kind": "b", "at": {"depth": 2}, "inner": {"x": 0.5},
+          "tags": ["s", "t"], "inners": [{"x": 1}, {"x": 2.5}], "limit": None, "share": 0.25},
+         {"name": "q", "at": None, "inners": [], "limit": 3},
+         {"name": "r", "kind": None, "at": {}, "tags": [], "limit": 0.5}]
+
+
+@pytest.mark.parametrize("edit", [
+    {}, {"name": 3}, {"on": 1}, {"kind": "c"}, {"at": 4}, {"at": {"depth": 0}},
+    {"inner": {"x": -1}}, {"inner": None}, {"tags": ["s", 2]}, {"tags": "s"},
+    {"inners": [{"x": math.nan}]}, {"inners": [{}]}, {"limit": -1}, {"limit": math.inf},
+    {"share": 1}, {"share": 1.5}, {"share": -0.0},
+])
+def test_column_pass_covers_every_row_kind(edit):
+    doc = {"items": [ITEMS[0], {**ITEMS[1], **edit}, ITEMS[2]]}
+    with _walk_only():
+        out = []
+        walked = fields._parse(_Items, doc, "", out)
+    with _walked() as paths:
+        got = []
+        parsed = fields._parse(_Items, doc, "", got)
+    assert got == out
+    assert repr(parsed) == repr(walked)
+    # A valid list takes the column pass. A violation sends it to the walk,
+    # and so does an infinity (which a number row with a null accepts).
+    assert bool(paths) == (bool(out) or edit == {"limit": math.inf})
