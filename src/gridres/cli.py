@@ -289,10 +289,10 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
     else:
         if foreign := _given("f_n", "band_half_width_hz", "floor_deviation_hz"):
             raise InvalidInputError(f"metrics: {', '.join(foreign)} apply to --trace only")
-        with open(timeline, encoding="utf-8") as fp:
-            events = schemas.read_timeline_csv(fp)
         if total_load_mw is None:
             raise InvalidInputError("metrics: --timeline needs --total-load-mw")
+        with open(timeline, encoding="utf-8") as fp:
+            events = schemas.read_timeline_csv(fp)
         trajectory = mt.service_from_restoration(events, total_load_mw)
 
     t, level = trajectory.t, trajectory.level

@@ -864,10 +864,10 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
     The nearest stored signature wins if it lies within tolerance and
     beats the second-best by at least the tolerance. The result carries
     the closest isolating breakers; breakers reported failed are bypassed
-    by escalating outward to the next one, and a failed breaker id the
-    network does not hold raises InvalidInputError. The plan's check
-    reads only what still feeds the fault once the plan's lines are open
-    (_fault_feed), not the line currents.
+    by escalating outward to the next one. A measured DER id or a failed
+    breaker id the network does not hold raises InvalidInputError. The
+    plan's check reads only what still feeds the fault once the plan's
+    lines are open (_fault_feed), not the line currents.
 
     A screen (_screen_rows) bounds every row's distance with one
     matrix-vector product, and exact distances (_distances) are taken
@@ -882,6 +882,9 @@ def centralized_locate_fault(measured: dict[str, float], fmap: FaultSignatureMap
         finite = False
     if not finite:
         raise InvalidInputError("measured: injections must be finite")
+    unknown = ", ".join(sorted(map(repr, measured.keys() - fmap.der_ids)))
+    if unknown:
+        raise InvalidInputError(f"measured: unknown DERs: {unknown}")
     failed = set(failed_breakers)
     unknown = ", ".join(sorted(map(repr, failed - fmap.network.compiled.breaker.keys())))
     if unknown:

@@ -10,12 +10,14 @@ is exactly a document the engines accept.
 
 Documents carry a schema_version field, currently 1; fault and settings
 documents may leave it out, but one they give is checked by the same rule.
+
+Frequency traces and restoration timelines are read by one CSV reader,
+_read_columns, so both take the same cells; read_trace_csv and
+read_timeline_csv add only the checks of their own kind.
 """
 
-import contextlib
 import csv
 import itertools
-import math
 import re
 import warnings
 
@@ -155,20 +157,25 @@ def write_trace_csv(fp, trace: fq.FrequencyTrace) -> None:
     fp.write(("t,f,rocof\n" + "%.9g,%.9g,%.9g\n" * len(trace)) % tuple(cells))
 
 
-def read_trace_csv(fp) -> fq.FrequencyTrace:
-    """A trace from its CSV: columns t and f, t in uniform steps, at most
-    fq.MAX_SAMPLES rows in fq.MAX_SAMPLES + 1 lines, each with as many
-    cells as the header."""
+def _read_columns(fp, kind: str, numbers, texts=()) -> list[np.ndarray]:
+    """The columns named in numbers (as floats) and texts (as strings) of
+    a trace or timeline CSV, in that order, from one np.loadtxt pass: at
+    most fq.MAX_SAMPLES rows in fq.MAX_SAMPLES + 1 lines, each with as
+    many cells as the header. A cell may be quoted; a repeated column
+    name reads its first column. Messages start with '<kind> csv:'."""
     try:
         header = next(csv.reader([fp.readline()]), [])
     except (csv.Error, UnicodeDecodeError) as err:   # readline decodes past the header
-        raise InvalidInputError(f"trace csv: {err}") from None
-    if "t" not in header or "f" not in header:
-        raise InvalidInputError("trace csv: needs columns t and f")
+        raise InvalidInputError(f"{kind} csv: {err}") from None
+    names = (*numbers, *texts)
+    if not set(names) <= set(header):
+        raise InvalidInputError(
+            f"{kind} csv: needs columns {', '.join(names[:-1])} and {names[-1]}")
     # A field per column, so that np.loadtxt checks each row's cell count
-    # as it parses; the columns besides t and f are read as empty strings.
-    ti, fi = header.index("t"), header.index("f")
-    cols = np.dtype([(f"c{i}", float if i in (ti, fi) else "U0") for i in range(len(header))])
+    # as it parses; the columns not named are read as empty strings.
+    index = {name: header.index(name) for name in names}
+    field = {index[n]: float for n in numbers} | {index[n]: object for n in texts}
+    cols = np.dtype([(f"c{i}", field.get(i, "U0")) for i in range(len(header))])
     # The cap bounds lines, not np.loadtxt's max_rows, which reserves room
     # for every row up front; loadtxt skips empty lines, so a line past the
     # cap is refused too, and no row is dropped unread.
@@ -176,7 +183,7 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # no data rows
             rows = np.loadtxt(itertools.islice(fp, fq.MAX_SAMPLES + 1), dtype=cols,
-                              delimiter=",", comments=None, ndmin=1)
+                              delimiter=",", comments=None, quotechar='"', ndmin=1)
         too_long = len(rows) > fq.MAX_SAMPLES or fp.readline()
     except ValueError as err:
         if count := _CELL_COUNT.search(str(err)):
@@ -185,11 +192,17 @@ def read_trace_csv(fp) -> fq.FrequencyTrace:
         elif cell := _NOT_A_NUMBER.search(str(err)):
             text, row, column = cell.groups()
             err = f"row {int(row) + 1}, column {column}: {text} is not a number"
-        raise InvalidInputError(f"trace csv: {err}") from None
+        raise InvalidInputError(f"{kind} csv: {err}") from None
     if too_long:
-        raise InvalidInputError(f"trace csv: at most {fq.MAX_SAMPLES} rows")
-    t, f = rows[f"c{ti}"], rows[f"c{fi}"]
-    if len(rows) < 2 or not (np.isfinite(t).all() and np.isfinite(f).all()):
+        raise InvalidInputError(f"{kind} csv: at most {fq.MAX_SAMPLES} rows")
+    return [rows[f"c{index[n]}"] for n in names]
+
+
+def read_trace_csv(fp) -> fq.FrequencyTrace:
+    """A trace from its CSV (_read_columns): columns t and f, t in uniform
+    steps."""
+    t, f = _read_columns(fp, "trace", ("t", "f"))
+    if len(t) < 2 or not (np.isfinite(t).all() and np.isfinite(f).all()):
         raise InvalidInputError("trace csv: needs two or more rows of finite numbers")
     # Cells near the float range overflow a difference: such a trace
     # fails a check below instead of warning.
@@ -213,58 +226,25 @@ def write_timeline_csv(fp, timeline: bs.RestorationTimeline) -> None:
         for ev in timeline.events))
 
 
-def _number(row: dict, k: int, name: str, column: dict[str, int]) -> float:
-    """Cell name of data row k as read_trace_csv (np.loadtxt) reads a
-    number: ASCII within any whitespace and no '_' (float() alone also
-    takes 1_0 and other scripts' digits)."""
-    cell = row[name]
-    text = cell.strip()    # as np.loadtxt strips: \x1c-\x1f and \xa0 too
-    if text.isascii() and "_" not in text:
-        with contextlib.suppress(ValueError):
-            return float(text)
-    # A cell can be as long as the file: bound it, as np.loadtxt does.
-    raise InvalidInputError(f"row {k}, column {column[name]}: {cell!r:.100} is not a number")
-
-
 def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
-    """Timeline events from their CSV: at most fq.MAX_SAMPLES rows, each
-    with as many cells as the header."""
-    try:
-        reader = csv.DictReader(fp)
-        rows = list(itertools.islice(reader, fq.MAX_SAMPLES + 1))
-        # DictReader fills the cells a short row lacks with None and keeps
-        # a long row's extra cells under its restkey, None.
-        odd = next((f"row {k} has {'more' if None in row else 'fewer'} cells than the header"
-                    for k, row in enumerate(rows, 1)
-                    if None in row or None in row.values()), "")
-        # A repeated column name reads its last cell, as DictReader does.
-        column = {name: c for c, name in enumerate(reader.fieldnames or (), 1)}
-        events = [] if odd else [bs.TimelineEvent(
-            _number(row, k, "t", column), row["stage"],
-            _number(row, k, "served_total", column),
-            _number(row, k, "served_critical", column),
-            bs.ServiceClass(row["service_class"])) for k, row in enumerate(rows, 1)]
-    except InvalidInputError as err:
-        raise InvalidInputError(f"timeline csv: {err}") from None
-    # No such column, a bad service class, a row the csv module rejects. A
-    # decode error's chunk can be as long as the file: bound the text.
-    except (KeyError, ValueError, csv.Error) as err:
-        raise InvalidInputError(f"timeline csv: {type(err).__name__}: {str(err):.100}") from None
-    if odd:
-        raise InvalidInputError(f"timeline csv: {odd}")
-    if not events:
+    """Timeline events from their CSV (_read_columns): one or more rows."""
+    t, total, critical, stages, classes = _read_columns(
+        fp, "timeline", ("t", "served_total", "served_critical"), ("stage", "service_class"))
+    if not len(t):
         raise InvalidInputError("timeline csv: no rows")
-    if len(events) > fq.MAX_SAMPLES:
-        raise InvalidInputError(f"timeline csv: at most {fq.MAX_SAMPLES} rows")
-    if not all(math.isfinite(x) for ev in events
-               for x in (ev.t_s, ev.served_total_mw, ev.served_critical_mw)):
+    try:
+        classes = list(map(bs.ServiceClass, classes))
+    except ValueError as err:   # the cell can be as long as the file: bound it
+        raise InvalidInputError(f"timeline csv: {err!s:.100}") from None
+    if not (np.isfinite(t).all() and np.isfinite(total).all() and np.isfinite(critical).all()):
         raise InvalidInputError("timeline csv: numbers must be finite")
     # Stages are written back unquoted (write_service_csv, write_timeline_csv).
-    for ev in events:
-        if not _CSV_SPECIAL.isdisjoint(ev.stage):
-            raise InvalidInputError(f"timeline csv: stage {ev.stage[:60]!r} must not hold "
+    for stage in stages:
+        if not _CSV_SPECIAL.isdisjoint(stage):
+            raise InvalidInputError(f"timeline csv: stage {stage[:60]!r} must not hold "
                                     "a comma, a quote or a line break")
-    return events
+    return list(map(bs.TimelineEvent, t.tolist(), stages.tolist(), total.tolist(),
+                    critical.tolist(), classes))
 
 
 def write_monte_carlo_csv(fp, result: bs.MonteCarloResult) -> None:

@@ -1506,6 +1506,12 @@ class TestCentralizedScheme:
             centralized_locate_fault(sol.der_fault_arrivals_pu, fmap, tolerance=0.1,
                                      failed_breakers=failed)
 
+    def test_unknown_measured_der_rejected(self):
+        # Read as a zero, the typo DER_a (for DER_A) would leave the fault unlocated.
+        fmap = build_fault_signature_map(self.network())
+        with pytest.raises(InvalidInputError, match="^measured: unknown DERs: 'DER_a'$"):
+            centralized_locate_fault({"DER_a": 1.6, "DER_B": 0.4}, fmap, tolerance=0.1)
+
     def test_unisolatable_when_everything_failed(self):
         net = self.network()
         fmap = build_fault_signature_map(net)

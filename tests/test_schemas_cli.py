@@ -289,8 +289,11 @@ class TestCliExitCodes:
          "metrics: pass exactly one of --trace/--timeline"),
         (("metrics", "--timeline", "timeline.csv", "--out", "m"), EXIT_VALIDATION, "err",
          "metrics: --timeline needs --total-load-mw"),
+        # The flags are checked before the file is opened.
+        (("metrics", "--timeline", "missing.csv", "--out", "m"), EXIT_VALIDATION, "err",
+         "metrics: --timeline needs --total-load-mw"),
         (("--help",), EXIT_OK, "out", "Usage"),
-    ], ids=["no_input", "timeline_without_total", "help"])
+    ], ids=["no_input", "timeline_without_total", "missing_timeline_without_total", "help"])
     def test_argument_checks(self, workspace, capsys, monkeypatch, args, code, stream, text):
         monkeypatch.chdir(workspace["root"])
         Path("timeline.csv").write_text(
@@ -1218,25 +1221,69 @@ class TestCsvReaders:
         with pytest.raises(InvalidInputError, match=message):
             read(io.StringIO(text))
 
-    @pytest.mark.parametrize("cell", ["1_0", "\uff11\uff10", "0x1p3"],
-                             ids=["underscore", "full_width_digits", "hex_float"])
+    @pytest.mark.parametrize("cell, value", [
+        ("1_0", None), ("\uff11\uff10", None), ("0x1p3", None), ('"0.5"', 0.5), ('" 0.5 "', 0.5),
+    ], ids=["underscore", "full_width_digits", "hex_float", "quoted", "quoted_with_padding"])
     @pytest.mark.parametrize("read, text", [
         (schemas.read_trace_csv, "t,f\n0,50\n{},50\n"),
         (schemas.read_timeline_csv, "t,stage,served_total,served_critical,service_class\n"
          "0,S2,0,0,unacceptable\n{},S3,5,1,impaired\n"),
     ], ids=["trace", "timeline"])
-    def test_readers_take_the_same_number_cells(self, read, text, cell):
+    def test_readers_take_the_same_number_cells(self, read, text, cell, value):
         # float() alone reads 1_0 and full-width digits as 10.0.
         kind = "trace" if read is schemas.read_trace_csv else "timeline"
+        if value is not None:
+            got = read(io.StringIO(text.format(cell)))
+            assert (got.t[1] if kind == "trace" else got[1].t_s) == value
+            return
         with pytest.raises(InvalidInputError,
                            match=f"^{kind} csv: row 2, column 1: '{cell}' is not a number$"):
             read(io.StringIO(text.format(cell)))
+
+    @given(cell=st.sampled_from(["0.5", "2e1", "1_0", "\uff11\uff10", "0x1p3", "inf", "nan", ""])
+           | st.text("abxyz!?+-._", min_size=200, max_size=200),
+           pad=st.sampled_from(["", " ", "\t "]), quoted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_and_timeline_read_a_cell_alike(self, cell, pad, quoted):
+        # The same cell in data row 2, column 1 of a trace and of a timeline.
+        cell = f"{pad}{cell}{pad}"
+        cell = f'"{cell}"' if quoted else cell
+        texts = {"trace": f"t,f\n0,50\n{cell},50\n",
+                 "timeline": "t,stage,served_total,served_critical,service_class\n"
+                             f"0,S2,0,0,unacceptable\n{cell},S3,5,1,impaired\n"}
+        outcomes = set()
+        for kind, read in (("trace", schemas.read_trace_csv),
+                           ("timeline", schemas.read_timeline_csv)):
+            try:
+                got = read(io.StringIO(texts[kind]))
+            except InvalidInputError as err:
+                message = str(err)
+                if "finite" in message:   # inf and nan are numbers, but not finite ones
+                    outcomes.add("not finite")
+                else:
+                    assert message.startswith(f"{kind} csv: row 2, column 1: ")
+                    assert message.endswith(" is not a number")
+                    outcomes.add("not a number")
+            else:
+                outcomes.add((got.t[1] if kind == "trace" else got[1].t_s).hex())
+        assert len(outcomes) == 1, outcomes
+
+    def test_a_repeated_column_name_reads_its_first_column(self):
+        trace = schemas.read_trace_csv(io.StringIO("t,f,t\n0,50,x\n0.5,49,\n"))
+        assert trace.t.tolist() == [0, 0.5]
+        timeline = schemas.read_timeline_csv(io.StringIO(
+            "t,stage,served_total,served_critical,service_class,stage\n"
+            "0,S2,0,0,unacceptable,x\n60,S3,5,1,impaired,y\n"))
+        assert [ev.stage for ev in timeline] == ["S2", "S3"]
 
     @pytest.mark.parametrize("stage", ["S2\rx", "S" * (csv.field_size_limit() + 1)],
                              ids=["bare_cr", "oversized_cell"])
     def test_timeline_csv_module_errors_are_invalid_input(self, stage):
         text = ("t,stage,served_total,served_critical,service_class\n"
                 f"0,{stage},0,0,impaired\n")
+        if len(stage) > csv.field_size_limit():   # past the csv module's limit, read whole
+            assert schemas.read_timeline_csv(io.StringIO(text))[0].stage == stage
+            return
         with pytest.raises(InvalidInputError, match="timeline csv"):
             schemas.read_timeline_csv(io.StringIO(text))
 
