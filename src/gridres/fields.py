@@ -19,12 +19,15 @@ have violations, so the rules of the object holding it still run. JSON
 null counts as an absent key, except where a number row gives it a
 meaning.
 
-load() checks a list a column at a time: one pass per row over all its
-items (a number column by its types, a finite sum, its least cell and,
-under an upper bound, its greatest), then each item's invariants, with
-no path strings. Only if that pass finds a problem does the list take
-the per-item walk, which is the one source of violation messages: the
-same text in the same order either way.
+load() checks a list of strings, or of the objects of a flat table, a
+column at a time: one pass per row over all its items (a number column
+by its types, a finite sum, its least cell and, under an upper bound,
+its greatest), then each item's invariants, with no path strings. A
+flat table's rows are all text, flag, choice or number rows, none under
+a dotted key and no number with a null meaning. Any other list, and a
+list in which that pass finds a problem, takes the per-item walk, which
+is the one source of violation messages: the same text in the same
+order either way.
 """
 
 import dataclasses
@@ -36,8 +39,7 @@ from .errors import InvalidInputError, ScenarioValidationError
 
 _REQUIRED = dataclasses.MISSING
 _INVALID = object()   # the parse result of a node that has violations
-_ABSENT = object()    # a key missing from a node, where its null has a meaning
-_STR, _DICT, _LIST, _FLOAT, _REAL = {str}, {dict}, {list}, {float}, {float, int}
+_STR, _DICT, _FLOAT, _REAL = {str}, {dict}, {float}, {float, int}
 
 
 def _join(path, key):
@@ -106,8 +108,14 @@ class _Number(_Type):
         return None if self.ok(x) else self.message
 
     def column(self, cells):
-        if not set(map(type, cells)) <= _FLOAT:
-            return self._reals(cells)
+        types = set(map(type, cells))
+        if not types <= _FLOAT:    # ints are converted as parse converts them
+            if not types <= _REAL:
+                return None
+            try:
+                cells = list(map(float, cells))
+            except OverflowError:
+                return None
         # A finite sum holds no NaN and no infinity (one that overflows only
         # sends the list to the walk), and ok holds on an interval: the
         # least cell decides it for every cell, with the greatest below le.
@@ -115,18 +123,6 @@ class _Number(_Type):
                 self.le is None or self.ok(max(cells))):
             return cells
         return None
-
-    def _reals(self, cells):
-        """column() of cells that are not all floats: ints are converted as
-        parse converts them, and null stands for the row's null value."""
-        if self.null is not None and None in cells:
-            return _fill(cells, None, self.null, self.column)
-        if not set(map(type, cells)) <= _REAL:
-            return None
-        try:
-            return self.column(list(map(float, cells)))
-        except OverflowError:
-            return None
 
 
 class _Choice(_Type):
@@ -167,15 +163,17 @@ class _Object(_Type):
 
 class _Seq(_Type):
     """A list; the items that have violations are left out. parse checks
-    the list a row at a time (column) and, if that finds any problem,
-    walks it an item at a time to list the violations."""
+    a list of strings or of a flat table's objects a row at a time
+    (column) and walks any other list, or one in which that finds a
+    problem, an item at a time to list the violations."""
 
     def __init__(self, item):
         self.item = _Type(str, "string") if item is str else _Object(item)
+        self.columns = item is str or item.__table__.flat
         self.message = f"must be a list of {'str' if item is str else item.__name__}"
 
     def parse(self, raw, path, key, out):
-        items = self.item.column(raw) if type(raw) is list else None
+        items = self.item.column(raw) if self.columns and type(raw) is list else None
         return self.walk(raw, path, key, out) if items is None else tuple(items)
 
     def walk(self, raw, path, key, out):
@@ -184,13 +182,6 @@ class _Seq(_Type):
         path = _join(path, key)
         items = [self.item.parse(x, path, i, out) for i, x in enumerate(raw)]
         return tuple(x for x in items if x is not _INVALID)
-
-    def column(self, cells):
-        if set(map(type, cells)) <= _LIST:
-            items = list(map(self.item.column, cells))
-            if None not in items:
-                return list(map(tuple, items))
-        return None
 
     def check(self, x):
         if isinstance(x, (tuple, list)) and all(map(isinstance, x, repeat(self.item.kind))):
@@ -255,6 +246,9 @@ class _Table:
             self.checks.append((f.name, spec.check))
             self.dumps.append((f.name, parents, key, spec.dump))
             self.specs[f.name] = spec
+        # A list of a flat table's objects takes the column pass (_columns).
+        self.flat = all(type(spec) in (_Type, _Choice, _Number) and spec.null is None
+                        and not parents for _attr, parents, _key, _name, spec, *_ in self.rows)
 
 
 def _no_rule(_self):
@@ -343,48 +337,36 @@ def _parse(cls, doc, path, out):
     return result
 
 
-def _fill(cells, hole, fill, column):
-    """column(cells) with the cells that are hole left out and put back as fill."""
-    given = [x for x in cells if x is not hole]
+def _fill(cells, fill, column):
+    """column(cells) with the None cells left out and put back as fill."""
+    given = [x for x in cells if x is not None]
     if not given:
         return [fill] * len(cells)
     values = column(given)
     if values is None:
         return None
     given = iter(values)
-    return [fill if x is hole else next(given) for x in cells]
-
-
-def _nodes(docs, parents):
-    """_node of each doc, or None if any is not an object."""
-    for part in parents:        # an absent parent is {}
-        docs = [{} if x is None else x for x in [n.get(part) for n in docs]]
-        if not set(map(type, docs)) <= _DICT:
-            return None
-    return docs
+    return [fill if x is None else next(given) for x in cells]
 
 
 def _columns(cls, docs):
-    """The objects a list of JSON nodes describes, or None if any node has
-    a violation: one pass per row over the list, and no path strings."""
+    """The objects of a flat table that a list of JSON nodes describes, or
+    None if any node has a violation: one pass per row over the list, and
+    no path strings."""
     if not set(map(type, docs)) <= _DICT:
         return None
     if not docs:
         return []
     table = cls.__table__
     dicts = [{} for _ in docs]
-    for attr, parents, key, _name, spec, default, nullable in table.rows:
-        nodes = _nodes(docs, parents) if parents else docs
-        if nodes is None:
-            return None
-        hole = _ABSENT if nullable else None
-        cells = [n.get(key, hole) for n in nodes]
-        if hole not in cells:
+    for attr, _parents, key, _name, spec, default, _nullable in table.rows:
+        cells = [n.get(key) for n in docs]
+        if None not in cells:
             values = spec.column(cells)
         elif default is _REQUIRED:
             return None
         else:
-            values = _fill(cells, hole, default, spec.column)
+            values = _fill(cells, default, spec.column)
         if values is None:
             return None
         for d, value in zip(dicts, values):

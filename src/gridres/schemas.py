@@ -161,8 +161,9 @@ def _read_columns(fp, kind: str, numbers, texts=()) -> list[np.ndarray]:
     """The columns named in numbers (as floats) and texts (as strings) of
     a trace or timeline CSV, in that order, from one np.loadtxt pass: at
     most fq.MAX_SAMPLES rows in fq.MAX_SAMPLES + 1 lines, each with as
-    many cells as the header. A cell may be quoted; a repeated column
-    name reads its first column. Messages start with '<kind> csv:'."""
+    many cells as the header, each number cell finite. A cell may be
+    quoted; a repeated column name reads its first column. Messages
+    start with '<kind> csv:'."""
     try:
         header = next(csv.reader([fp.readline()]), [])
     except (csv.Error, UnicodeDecodeError) as err:   # readline decodes past the header
@@ -195,15 +196,23 @@ def _read_columns(fp, kind: str, numbers, texts=()) -> list[np.ndarray]:
         raise InvalidInputError(f"{kind} csv: {err}") from None
     if too_long:
         raise InvalidInputError(f"{kind} csv: at most {fq.MAX_SAMPLES} rows")
-    return [rows[f"c{index[n]}"] for n in names]
+    columns = [rows[f"c{index[n]}"] for n in names]
+    # np.loadtxt reads nan, inf and a cell past the float range as numbers:
+    # name the first such cell in row order, then in column order.
+    finite = [np.isfinite(c) for c in columns[:len(numbers)]]
+    if not all(f.all() for f in finite):
+        row, column = min((f.argmin(), index[n]) for n, f in zip(numbers, finite) if not f.all())
+        raise InvalidInputError(
+            f"{kind} csv: row {row + 1}, column {column + 1}: must be a finite number")
+    return columns
 
 
 def read_trace_csv(fp) -> fq.FrequencyTrace:
     """A trace from its CSV (_read_columns): columns t and f, t in uniform
     steps."""
     t, f = _read_columns(fp, "trace", ("t", "f"))
-    if len(t) < 2 or not (np.isfinite(t).all() and np.isfinite(f).all()):
-        raise InvalidInputError("trace csv: needs two or more rows of finite numbers")
+    if len(t) < 2:
+        raise InvalidInputError("trace csv: needs two or more rows")
     # Cells near the float range overflow a difference: such a trace
     # fails a check below instead of warning.
     with np.errstate(all="ignore"):
@@ -236,8 +245,6 @@ def read_timeline_csv(fp) -> list[bs.TimelineEvent]:
         classes = list(map(bs.ServiceClass, classes))
     except ValueError as err:   # the cell can be as long as the file: bound it
         raise InvalidInputError(f"timeline csv: {err!s:.100}") from None
-    if not (np.isfinite(t).all() and np.isfinite(total).all() and np.isfinite(critical).all()):
-        raise InvalidInputError("timeline csv: numbers must be finite")
     # Stages are written back unquoted (write_service_csv, write_timeline_csv).
     for stage in stages:
         if not _CSV_SPECIAL.isdisjoint(stage):

@@ -1210,7 +1210,7 @@ class TestCsvReaders:
          "t,stage,served_total,served_critical,service_class\n", "timeline csv: no rows"),
         (schemas.read_timeline_csv,
          "t,stage,served_total,served_critical,service_class\nnan,S2,0,0,impaired\n",
-         "timeline csv: numbers must be finite"),
+         "^timeline csv: row 1, column 1: must be a finite number$"),
         (lambda fp: schemas.load_settings(json.load(fp)), "[1]",
          "settings: must map breaker ids to trip currents"),
         *((schemas.read_trace_csv, text, f"^trace csv: row {row}, column 2: 'x' is not a number$")
@@ -1239,6 +1239,26 @@ class TestCsvReaders:
         with pytest.raises(InvalidInputError,
                            match=f"^{kind} csv: row 2, column 1: '{cell}' is not a number$"):
             read(io.StringIO(text.format(cell)))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("row", [1, 3])
+    @pytest.mark.parametrize("kind, lines, columns", [
+        ("trace", ["t,f", "0,50", "0.5,49.9", "1,49.8", "1.5,49.9"], [1, 2]),
+        ("timeline", ["t,stage,served_total,served_critical,service_class",
+                      "0,S2,0,0,unacceptable", "30,S3,1,0.5,impaired", "60,S4,2,1,acceptable",
+                      "90,S5,2,1,acceptable"], [1, 3, 4]),
+    ], ids=["trace", "timeline"])
+    def test_a_non_finite_cell_is_named_by_row_and_column(self, kind, lines, columns, row, cell):
+        read = schemas.read_trace_csv if kind == "trace" else schemas.read_timeline_csv
+        for column in columns:
+            rows = [line.split(",") for line in lines]
+            rows[row][column - 1] = cell
+            rows[-1][columns[0] - 1] = "nan"    # a later bad cell is not the one named
+            text = "".join(",".join(r) + "\n" for r in rows)
+            with pytest.raises(InvalidInputError) as err:
+                read(io.StringIO(text))
+            assert str(err.value) == (f"{kind} csv: row {row}, column {column}: "
+                                      "must be a finite number")
 
     @given(cell=st.sampled_from(["0.5", "2e1", "1_0", "\uff11\uff10", "0x1p3", "inf", "nan", ""])
            | st.text("abxyz!?+-._", min_size=200, max_size=200),
