@@ -10,14 +10,15 @@ Exit codes: 0 success, 1 scenario validation error, 2 simulation or I/O
 error, 64 usage error.
 """
 
+import contextlib
 import io
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-
-import click
 
 from . import blackstart as bs
 from . import coordination as co
@@ -91,47 +92,7 @@ def _load_json(path: Path):
         raise ScenarioValidationError([f"{path}: not valid JSON: {err}"]) from err
 
 
-def _given(*names: str) -> list[str]:
-    """The flags, among the named parameters, that the command line set."""
-    ctx = click.get_current_context()
-    return [p.opts[0] for p in ctx.command.params if p.name in names
-            and ctx.get_parameter_source(p.name) is not click.core.ParameterSource.DEFAULT]
-
-
-# ---------------------------------------------------------------------------
-# click wiring
-# ---------------------------------------------------------------------------
-
-_seed_option = click.option("--seed", type=int, default=None,
-                            help="Random seed (overrides GRIDRES_SEED).")
-# frequency, coordinate and protection are deterministic: there --seed is
-# accepted for a uniform command line and GRIDRES_SEED is not read.
-_noop_seed_option = click.option(
-    "--seed", type=int, default=None,
-    help="Accepted for a uniform command line; has no effect here.")
-_out_option = click.option("--out", "out_dir", type=click.Path(path_type=Path),
-                           required=True, help="Output directory.")
-_format_option = click.option("--format", "fmt",
-                              type=click.Choice(["json", "csv"]),
-                              default="json", help="Report format.")
-
-
-@click.group(name="gridres")
-@click.option("--errors-json", is_flag=True,
-              help="Emit errors as JSON on standard error.")
-def cli(errors_json):
-    """Grid resilience simulation toolkit."""
-    # main() reads --errors-json from argv, so that errors raised before
-    # or inside click are reported the same way.
-
-
-@cli.command("frequency")
-@click.option("--scenario", type=click.Path(path_type=Path), required=True)
-@_out_option
-@_noop_seed_option
-@_format_option
-def _cmd_frequency(scenario, out_dir, seed, fmt):
-    """Simulate a frequency disturbance scenario."""
+def _cmd_frequency(given, scenario, out_dir, seed, fmt):
     freq = schemas.load_frequency_scenario(_load_json(scenario))
     trace = freq.simulate()
     summary = fq.trace_metrics(trace, freq.system)
@@ -139,13 +100,7 @@ def _cmd_frequency(scenario, out_dir, seed, fmt):
                      f"metrics.{fmt}": _format(asdict(summary), fmt)})
 
 
-@cli.command("coordinate")
-@click.option("--scenario", type=click.Path(path_type=Path), required=True,
-              help="Fleet document with units and selections.")
-@_out_option
-@_noop_seed_option
-def _cmd_coordinate(scenario, out_dir, seed):
-    """Run the inertia and droop provision exchanges for a fleet."""
+def _cmd_coordinate(given, scenario, out_dir, seed):
     case = schemas.load_fleet(_load_json(scenario))
 
     h_max = co.compute_h_ag_max(case.p0_irmax_pu, case.p0_ss_pu, case.f_n,
@@ -188,14 +143,7 @@ def _cmd_coordinate(scenario, out_dir, seed):
                      "rule_report.json": _format(report_doc)})
 
 
-@cli.command("protection")
-@click.option("--network", type=click.Path(path_type=Path), required=True)
-@click.option("--fault", type=click.Path(path_type=Path), required=True)
-@click.option("--settings", type=click.Path(path_type=Path), required=True)
-@_out_option
-@_noop_seed_option
-def _cmd_protection(network, fault, settings, out_dir, seed):
-    """Simulate breaker reaction to a fault and screen misoperations."""
+def _cmd_protection(given, network, fault, settings, out_dir, seed):
     report = pt.simulate_protection(
         schemas.load_network(_load_json(network)),
         schemas.load_fault(_load_json(fault)),
@@ -210,24 +158,12 @@ def _cmd_protection(network, fault, settings, out_dir, seed):
     _write(out_dir, {"report.json": _format(payload)})
 
 
-@cli.command("blackstart")
-@click.option("--scenario", type=click.Path(path_type=Path), required=True)
-@_out_option
-@_seed_option
-@_format_option
-@click.option("--p", "p_battery", type=float, default=None,
-              help="Battery availability for Monte Carlo mode.")
-@click.option("--radius-km", type=float, default=None,
-              help="Comm cell radius for Monte Carlo mode.")
-@click.option("--runs", type=int, default=None, help="Monte Carlo runs.")
-def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
-    """Run a restoration scenario, or a Monte Carlo study with --p and
-    --radius-km (and --runs, default 1)."""
+def _cmd_blackstart(given, scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
     seed = _resolve_seed(seed)
     restoration = schemas.load_restoration_scenario(_load_json(scenario))
 
     if p_battery is None and radius_km is None and runs is None:
-        if _given("fmt"):
+        if "--format" in given:
             raise InvalidInputError("--format applies to monte carlo mode only")
         _write(out_dir, {"timeline.csv": _csv(
             schemas.write_timeline_csv, bs.run_restoration(restoration, seed=seed))})
@@ -250,28 +186,9 @@ def _cmd_blackstart(scenario, out_dir, seed, fmt, p_battery, radius_km, runs):
                      f"summary.{fmt}": _format(summary, fmt)})
 
 
-@cli.command("metrics")
-@click.option("--trace", type=click.Path(path_type=Path), default=None,
-              help="Frequency trace CSV input.")
-@click.option("--timeline", type=click.Path(path_type=Path), default=None,
-              help="Restoration timeline CSV input.")
-@_out_option
-@_format_option
-@click.option("--baseline", type=float, default=1.0)
-@click.option("--f-n", type=float, default=fq.SystemParameters.f_n)
-@click.option("--band", "band_half_width_hz", type=float,
-              default=fq.SystemParameters.band_half_width_hz)
-@click.option("--floor-deviation", "floor_deviation_hz", type=float,
-              default=mt.DEFAULT_FLOOR_DEVIATION_HZ)
-@click.option("--total-load-mw", type=float, default=None)
-@click.option("--challenge-t", type=float, default=None)
-@click.option("--detection-t", type=float, default=None)
-@click.option("--remediation-t", type=float, default=None)
-@click.option("--recovery-t", type=float, default=None)
-def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
+def _cmd_metrics(given, trace, timeline, out_dir, fmt, baseline, f_n,
                  band_half_width_hz, floor_deviation_hz, total_load_mw,
                  challenge_t, detection_t, remediation_t, recovery_t):
-    """Compute resilience metrics from a trace or timeline CSV."""
     if (trace is None) == (timeline is None):
         raise InvalidInputError("metrics: pass exactly one of --trace/--timeline")
     marks = (challenge_t, detection_t, remediation_t, recovery_t)
@@ -279,7 +196,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
         raise InvalidInputError("phase marks: pass all four or none")
 
     if trace is not None:
-        if _given("total_load_mw"):
+        if "--total-load-mw" in given:
             raise InvalidInputError("metrics: --total-load-mw applies to --timeline only")
         with open(trace, encoding="utf-8") as fp:
             samples = schemas.read_trace_csv(fp)
@@ -287,7 +204,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
         trajectory = mt.service_from_frequency(
             samples, params, floor_deviation_hz=floor_deviation_hz)
     else:
-        if foreign := _given("f_n", "band_half_width_hz", "floor_deviation_hz"):
+        if foreign := [f for f in ("--f-n", "--band", "--floor-deviation") if f in given]:
             raise InvalidInputError(f"metrics: {', '.join(foreign)} apply to --trace only")
         if total_load_mw is None:
             raise InvalidInputError("metrics: --timeline needs --total-load-mw")
@@ -317,11 +234,7 @@ def _cmd_metrics(trace, timeline, out_dir, fmt, baseline, f_n,
                                          annotation)})
 
 
-@cli.command("validate")
-@click.option("--scenario", type=click.Path(path_type=Path), required=True)
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
-def _cmd_validate(scenario, out_dir):
-    """Check a scenario document against every type invariant."""
+def _cmd_validate(given, scenario, out_dir):
     violations = schemas.validate_document(_load_json(scenario))
     text = _format({"valid": not violations, "violations": violations})
     sys.stdout.write(text)
@@ -329,6 +242,123 @@ def _cmd_validate(scenario, out_dir):
         _write(out_dir, {"validation.json": text})
     if violations:
         raise ScenarioValidationError(violations)
+
+
+# One row per option: flag, destination, converter (Path, int, float, a tuple
+# of choices, or bool for a flag that takes no value), default, required, help.
+_Opt = namedtuple("_Opt", "flag dest convert default required help", defaults=(None, False, ""))
+_SCENARIO = _Opt("--scenario", "scenario", Path, required=True, help="Scenario document.")
+_OUT = _Opt("--out", "out_dir", Path, required=True, help="Output directory.")
+_FORMAT = _Opt("--format", "fmt", ("json", "csv"), "json", help="Report format: json or csv.")
+# frequency, coordinate and protection are deterministic and read no seed.
+_NOOP_SEED = _Opt("--seed", "seed", int,
+                  help="Accepted for a uniform command line; has no effect here.")
+_HELP = _Opt("--help", "help", bool, help="Show this message and exit.")
+
+# Each subcommand's function, one-line doc and options. The function is
+# called with the flags given, then with every option's value by destination.
+COMMANDS = {
+    "frequency": (_cmd_frequency, "Simulate a frequency disturbance scenario.",
+                  [_SCENARIO, _OUT, _NOOP_SEED, _FORMAT]),
+    "coordinate": (_cmd_coordinate, "Run the inertia and droop provision exchanges for a fleet.", [
+        _SCENARIO._replace(help="Fleet document with units and selections."), _OUT, _NOOP_SEED]),
+    "protection": (_cmd_protection,
+                   "Simulate breaker reaction to a fault and screen misoperations.",
+                   [*(_Opt(f"--{name}", name, Path, required=True)
+                      for name in ("network", "fault", "settings")), _OUT, _NOOP_SEED]),
+    "blackstart": (_cmd_blackstart, "Run a restoration scenario, or a Monte Carlo study "
+                   "with --p and --radius-km (and --runs, default 1).", [
+        _SCENARIO, _OUT, _NOOP_SEED._replace(help="Random seed (overrides GRIDRES_SEED)."),
+        _Opt("--p", "p_battery", float, help="Battery availability for Monte Carlo mode."),
+        _Opt("--radius-km", "radius_km", float, help="Comm cell radius for Monte Carlo mode."),
+        _FORMAT, _Opt("--runs", "runs", int, help="Monte Carlo runs.")]),
+    "metrics": (_cmd_metrics, "Compute resilience metrics from a trace or timeline CSV.", [
+        _Opt("--trace", "trace", Path, help="Frequency trace CSV input."),
+        _Opt("--timeline", "timeline", Path, help="Restoration timeline CSV input."),
+        _OUT, _FORMAT, _Opt("--baseline", "baseline", float, 1.0),
+        _Opt("--f-n", "f_n", float, fq.SystemParameters.f_n),
+        _Opt("--band", "band_half_width_hz", float, fq.SystemParameters.band_half_width_hz),
+        _Opt("--floor-deviation", "floor_deviation_hz", float, mt.DEFAULT_FLOOR_DEVIATION_HZ),
+        *(_Opt(f"--{name}", name.replace("-", "_"), float) for name in (
+            "total-load-mw", "challenge-t", "detection-t", "remediation-t", "recovery-t"))]),
+    "validate": (_cmd_validate, "Check a scenario document against every type invariant.",
+                 [_SCENARIO, _OUT._replace(required=False, help="Directory for validation.json.")]),
+}
+_GROUP = [_Opt("--errors-json", "errors_json", bool, help="Emit errors as JSON on standard error.")]
+# The option rows of each command, and of the group under None, by flag.
+_TABLES = {name: {o.flag: o for o in [*opts, _HELP]}
+           for name, opts in [(None, _GROUP), *((c, e[2]) for c, e in COMMANDS.items())]}
+
+
+class _UsageError(Exception):
+    """A bad command line: args are the message and the command, or None."""
+
+
+def _help(command: str | None) -> str:
+    """The --help text of the group or a command; line 1 is its usage line."""
+    usage = f"{command} [OPTIONS]" if command else "[OPTIONS] COMMAND [ARGS]..."
+    doc = COMMANDS[command][1] if command else "Grid resilience simulation toolkit."
+    sections = {"Options": [(o.flag, f"{o.help}  {'[required]' * o.required}".strip())
+                            for o in _TABLES[command].values()]}
+    if command is None:
+        sections["Commands"] = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    width = max(len(name) for rows in sections.values() for name, _ in rows)
+    return f"Usage: gridres {usage}\n\n  {doc}\n" + "".join(
+        f"\n{title}:\n" + "".join(f"  {a:<{width}}  {b}".rstrip() + "\n" for a, b in rows)
+        for title, rows in sections.items())
+
+
+def _scan(tokens: list[str], command: str | None):
+    """The raw value of each option given, and the tokens left over."""
+    table, raw, extra, tokens = _TABLES[command], {}, [], iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token[:1] != "-" or token == "-":
+            extra.append(token)
+        elif flag not in table:
+            raise _UsageError(f"No such option {flag!r}.", command)
+        elif eq and table[flag].convert is bool:
+            raise _UsageError(f"Option {flag!r} does not take a value.", command)
+        elif eq or table[flag].convert is bool or (value := next(tokens, None)) is not None:
+            raw[flag] = value     # taken verbatim; a repeated option keeps its last value
+        else:
+            raise _UsageError(f"Option {flag!r} requires an argument.", command)
+    return raw, extra
+
+
+def _convert(opt, value: str, command: str):
+    choices = isinstance(opt.convert, tuple)
+    with contextlib.suppress(ValueError):
+        if not choices or value in opt.convert:
+            return value if choices else opt.convert(value)
+    reason = (f"one of {', '.join(map(repr, opt.convert))}" if choices
+              else f"a valid {'integer' if opt.convert is int else 'float'}")
+    raise _UsageError(f"Invalid value for {opt.flag!r}: {value!r} is not {reason}.", command)
+
+
+def _parse(argv: list[str]):
+    """argv as the call it asks for and its --errors-json flag, or _UsageError."""
+    # The group takes only flags: its options end at the first other token.
+    at = next((i for i, t in enumerate(argv) if t[:1] != "-" or t == "-"), len(argv))
+    group, _ = _scan(argv[:at], None)
+    if "--help" in group:
+        return partial(sys.stdout.write, _help(None)), False
+    command = argv[at] if at < len(argv) else None
+    if command not in COMMANDS:
+        raise _UsageError("Missing command." if command is None
+                          else f"No such command {command!r}.", None)
+    given, extra = _scan(argv[at + 1:], command)
+    if "--help" in given:
+        return partial(sys.stdout.write, _help(command)), False
+    opts = COMMANDS[command][2]
+    values = {o.dest: _convert(o, given[o.flag], command) if o.flag in given else o.default
+              for o in opts}
+    if missing := [o.flag for o in opts if o.required and o.flag not in given]:
+        raise _UsageError(f"Missing option {missing[0]!r}.", command)
+    if extra:
+        raise _UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
+                          f"({' '.join(extra)})", command)
+    return partial(COMMANDS[command][0], frozenset(given), **values), "--errors-json" in group
 
 
 def _emit_error(err: Exception, errors_json: bool) -> None:
@@ -342,16 +372,14 @@ def _emit_error(err: Exception, errors_json: bool) -> None:
 
 
 def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    errors_json = "--errors-json" in args
+    errors_json = False
     try:
-        cli.main(args=args, standalone_mode=False)
+        run, errors_json = _parse(list(sys.argv[1:] if argv is None else argv))
+        run()
         return EXIT_OK
-    except click.UsageError as err:
-        message = err.format_message()
-        hint = err.ctx.get_usage() if err.ctx is not None else cli.get_usage(
-            click.Context(cli))
-        sys.stderr.write(f"{hint}\ngridres: error: {message}\n")
+    except _UsageError as err:
+        message, command = err.args
+        sys.stderr.write(f"{_help(command).splitlines()[0]}\ngridres: error: {message}\n")
         return EXIT_USAGE
     except InvalidInputError as err:    # and ScenarioValidationError
         _emit_error(err, errors_json)

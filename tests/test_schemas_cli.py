@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -18,12 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridres
 from gridres import benchmarks as bm
 from gridres import frequency as fq
 from gridres import protection as pt
 from gridres import schemas
 from gridres.blackstart import CommNode, run_restoration
-from gridres.cli import (DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
+from gridres.cli import (COMMANDS, DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          EXIT_VALIDATION, main)
 from gridres.coordination import DerUnit, FleetUnit, InertiaPhase1
 from gridres.errors import GridResError, InvalidInputError, ScenarioValidationError
@@ -280,9 +284,50 @@ class TestCliExitCodes:
                        "--out", workspace["root"] / "o")
         assert code == EXIT_RUNTIME
 
-    def test_unknown_subcommand_exits_64(self, capsys):
-        assert run_cli("explode") == EXIT_USAGE
-        assert "Usage" in capsys.readouterr().err
+    # A usage error prints the usage line of the command it reached, or of
+    # the group, then one error line, and exits 64 with nothing written.
+    @pytest.mark.parametrize("args, command, message", [
+        ((), None, "Missing command."),
+        (("--errors-json",), None, "Missing command."),
+        (("explode",), None, "No such command 'explode'."),
+        (("--bogus", "validate"), None, "No such option '--bogus'."),
+        (("--errors-json=1", "validate"), None, "Option '--errors-json' does not take a value."),
+        (("validate",), "validate", "Missing option '--scenario'."),
+        (("protection", "--network", "net.json", "--out", "m"), "protection",
+         "Missing option '--fault'."),
+        (("validate", "--scenario"), "validate", "Option '--scenario' requires an argument."),
+        (("validate", "--scenaro", "bs.json"), "validate", "No such option '--scenaro'."),
+        (("blackstart", "--scenario", "bs.json", "--out", "m", "--seed", "abc"), "blackstart",
+         "Invalid value for '--seed': 'abc' is not a valid integer."),
+        (("blackstart", "--scenario", "bs.json", "--out", "m", "--runs", "1.5"), "blackstart",
+         "Invalid value for '--runs': '1.5' is not a valid integer."),
+        (("metrics", "--trace", "t.csv", "--out", "m", "--baseline", "zz"), "metrics",
+         "Invalid value for '--baseline': 'zz' is not a valid float."),
+        (("metrics", "--trace", "t.csv", "--out", "m", "--format", "xml"), "metrics",
+         "Invalid value for '--format': 'xml' is not one of 'json', 'csv'."),
+        (("validate", "--scenario", "bs.json", "--out", "m", "extra"), "validate",
+         "Got unexpected extra argument (extra)"),
+        (("validate", "--errors-json", "--scenario", "bs.json"), "validate",
+         "No such option '--errors-json'."),
+    ], ids=["bare", "errors_json_only", "unknown_command", "unknown_group_option",
+            "group_flag_with_value", "missing_option", "missing_second_option",
+            "option_without_value", "unknown_option", "bad_integer_seed", "bad_integer_runs",
+            "bad_float", "bad_choice", "extra_argument", "errors_json_after_command"])
+    def test_usage_errors(self, workspace, monkeypatch, args, command, message):
+        monkeypatch.chdir(workspace["root"])
+        code, out, err = _cli(*args)
+        usage = f"gridres {command} [OPTIONS]" if command else "gridres [OPTIONS] COMMAND [ARGS]..."
+        assert (code, out, err) == (EXIT_USAGE, "", f"Usage: {usage}\ngridres: error: {message}\n")
+        assert not Path("m").exists()
+
+    @pytest.mark.parametrize("args, value", [
+        (("--scenario=bs.json", "--out", "m"), "bs.json"),
+        (("--scenario", "missing.json", "--scenario", "bs.json", "--out=m"), "bs.json"),
+    ], ids=["equals", "last_value_wins"])
+    def test_option_spellings(self, workspace, monkeypatch, args, value):
+        monkeypatch.chdir(workspace["root"])
+        assert run_cli("validate", *args) == EXIT_OK
+        assert json.loads(Path("m", "validation.json").read_text())["valid"]
 
     @pytest.mark.parametrize("args, code, stream, text", [
         (("metrics", "--out", "m"), EXIT_VALIDATION, "err",
@@ -1542,3 +1587,101 @@ class TestMetricsCsvInputs:
             assert "Traceback" not in err
             if code != EXIT_OK:
                 assert not out.exists() or not any(out.iterdir())
+
+
+# Values the argv property gives a number option: non-finite, negative,
+# zero, huge, fractional and not numbers at all.
+ARGV_NUMBERS = ("nan", "inf", "-inf", "-3", "-1", "0", "1", "2", "0.5", "1e308", "1e400",
+                "9" * 30, "1.5", "x", "")
+# The document each path option of each command reads.
+ARGV_DOCS = {("frequency", "--scenario"): "freq.json",
+             ("coordinate", "--scenario"): "fleet.json",
+             ("protection", "--network"): "net.json", ("protection", "--fault"): "fault.json",
+             ("protection", "--settings"): "settings.json",
+             ("blackstart", "--scenario"): "bs.json",
+             ("metrics", "--trace"): "trace.csv", ("metrics", "--timeline"): "timeline.csv",
+             ("validate", "--scenario"): "fleet.json"}
+
+
+@pytest.fixture(scope="module")
+def argv_docs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    docs = {"freq.json": short_frequency_doc(), "fleet.json": fleet_doc(),
+            "net.json": network_doc(), "fault.json": FAULT_DOC,
+            "settings.json": bm.TWO_FEEDER_SETTINGS, "bs.json": restoration_doc()}
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    for name, writer, result in (
+            ("trace.csv", schemas.write_trace_csv,
+             schemas.load_frequency_scenario(short_frequency_doc()).simulate()),
+            ("timeline.csv", schemas.write_timeline_csv,
+             run_restoration(bm.benchmark_restoration_scenario(), seed=1))):
+        with open(root / name, "w", encoding="utf-8") as fp:
+            writer(fp, result)
+    return root
+
+
+@st.composite
+def command_argvs(draw, command, root):
+    """An argv for one subcommand, in any order: each option of its table
+    left out or given a drawn value, a path mostly the document it reads,
+    and sometimes a flag of another command, of the group or of none."""
+    pairs = []
+    for opt in COMMANDS[command][2]:
+        if opt.flag == "--out" or draw(st.integers(0, 7)) < (1 if opt.required else 5):
+            continue
+        if opt.convert is Path:
+            doc = ARGV_DOCS[command, opt.flag]
+            value = draw(st.sampled_from([doc] * 4 + sorted(set(ARGV_DOCS.values()))
+                                         + ["missing.json"]))
+            value = str(root / value)
+        elif isinstance(opt.convert, tuple):
+            value = draw(st.sampled_from([*opt.convert, "xml", ""]))
+        else:
+            value = draw(st.sampled_from(ARGV_NUMBERS))
+        pairs.append([opt.flag, value])
+    if draw(st.integers(0, 3)) == 0:
+        pairs.append([draw(st.sampled_from(["--bogus", "--errors-json", "--p", "--trace",
+                                            "--seed", "--format", "--help", "-x"])),
+                      draw(st.sampled_from(ARGV_NUMBERS))])
+    return [command] + [token for pair in draw(st.permutations(pairs)) for token in pair]
+
+
+class TestArgv:
+    """One contract for every command line: a known exit code, no
+    traceback, and nothing written unless the command succeeds."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_argv_exits_cleanly_and_writes_all_or_nothing(self, argv_docs, command, data):
+        argv = data.draw(command_argvs(command, argv_docs))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            if data.draw(st.integers(0, 7)) or command == "validate":
+                argv += ["--out", str(out)]
+            code, _out, err = _cli(*argv)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_USAGE), err
+            assert "Traceback" not in err
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            if code != EXIT_OK:
+                # validate reports its violations in validation.json too.
+                allowed = ["validation.json"] if (command, code) == ("validate",
+                                                                     EXIT_VALIDATION) else []
+                assert written in ([], allowed), (argv, err)
+
+    @pytest.mark.parametrize("command", [None, *sorted(COMMANDS)])
+    def test_help_names_every_option(self, command):
+        code, out, err = _cli(*([command] if command else []), "--help")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"Usage: gridres {command or '[OPTIONS]'}")
+        names = ([o.flag for o in COMMANDS[command][2]] if command
+                 else ["--errors-json", *COMMANDS])
+        assert all(name in out for name in [*names, "--help"])
+
+    def test_import_leaves_click_out(self):
+        probe = "import sys, gridres.cli; print(sorted({'click'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(gridres.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout == "[]\n"
