@@ -308,9 +308,10 @@ def _help(command: str | None) -> str:
         for title, rows in sections.items())
 
 
-def _scan(tokens: list[str], command: str | None):
-    """The raw value of each option given, and the tokens left over."""
-    table, raw, extra, tokens = _TABLES[command], {}, [], iter(tokens)
+def _scan(tokens: list[str], command: str | None, raw: dict) -> list[str]:
+    """Store the raw value of each option given into raw as it is read, so
+    raw holds the options before a usage error; return the tokens left over."""
+    table, extra, tokens = _TABLES[command], [], iter(tokens)
     for token in tokens:
         flag, eq, value = token.partition("=")
         if token[:1] != "-" or token == "-":
@@ -323,7 +324,7 @@ def _scan(tokens: list[str], command: str | None):
             raw[flag] = value     # taken verbatim; a repeated option keeps its last value
         else:
             raise _UsageError(f"Option {flag!r} requires an argument.", command)
-    return raw, extra
+    return extra
 
 
 def _convert(opt, value: str, command: str):
@@ -336,20 +337,22 @@ def _convert(opt, value: str, command: str):
     raise _UsageError(f"Invalid value for {opt.flag!r}: {value!r} is not {reason}.", command)
 
 
-def _parse(argv: list[str]):
-    """argv as the call it asks for and its --errors-json flag, or _UsageError."""
+def _parse(argv: list[str], group: dict):
+    """argv as the call it asks for, or _UsageError; the group's options go
+    into group as they are read."""
     # The group takes only flags: its options end at the first other token.
     at = next((i for i, t in enumerate(argv) if t[:1] != "-" or t == "-"), len(argv))
-    group, _ = _scan(argv[:at], None)
+    _scan(argv[:at], None, group)
     if "--help" in group:
-        return partial(sys.stdout.write, _help(None)), False
+        return partial(sys.stdout.write, _help(None))
     command = argv[at] if at < len(argv) else None
     if command not in COMMANDS:
         raise _UsageError("Missing command." if command is None
                           else f"No such command {command!r}.", None)
-    given, extra = _scan(argv[at + 1:], command)
+    given = {}
+    extra = _scan(argv[at + 1:], command, given)
     if "--help" in given:
-        return partial(sys.stdout.write, _help(command)), False
+        return partial(sys.stdout.write, _help(command))
     opts = COMMANDS[command][2]
     values = {o.dest: _convert(o, given[o.flag], command) if o.flag in given else o.default
               for o in opts}
@@ -358,7 +361,7 @@ def _parse(argv: list[str]):
     if extra:
         raise _UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
                           f"({' '.join(extra)})", command)
-    return partial(COMMANDS[command][0], frozenset(given), **values), "--errors-json" in group
+    return partial(COMMANDS[command][0], frozenset(given), **values)
 
 
 def _emit_error(err: Exception, errors_json: bool) -> None:
@@ -372,20 +375,24 @@ def _emit_error(err: Exception, errors_json: bool) -> None:
 
 
 def main(argv=None) -> int:
-    errors_json = False
+    group = {}
     try:
-        run, errors_json = _parse(list(sys.argv[1:] if argv is None else argv))
-        run()
+        _parse(list(sys.argv[1:] if argv is None else argv), group)()
         return EXIT_OK
     except _UsageError as err:
         message, command = err.args
-        sys.stderr.write(f"{_help(command).splitlines()[0]}\ngridres: error: {message}\n")
+        usage = _help(command).splitlines()[0]
+        if "--errors-json" in group:    # read before the error
+            sys.stderr.write(json.dumps({"error": "UsageError", "message": message,
+                                         "usage": usage}, sort_keys=True) + "\n")
+        else:
+            sys.stderr.write(f"{usage}\ngridres: error: {message}\n")
         return EXIT_USAGE
     except InvalidInputError as err:    # and ScenarioValidationError
-        _emit_error(err, errors_json)
+        _emit_error(err, "--errors-json" in group)
         return EXIT_VALIDATION
     except (GridResError, OSError) as err:
-        _emit_error(err, errors_json)
+        _emit_error(err, "--errors-json" in group)
         return EXIT_RUNTIME
 
 

@@ -179,7 +179,8 @@ def _droop_anchors(curve: DroopCurve) -> tuple:
 
 def _droop(f: float, anchors: tuple) -> float:
     """evaluate_droop on _droop_anchors(curve), with no input check. _integrate
-    inlines it; TestKernelMatchesReplacedLoop checks that copy against it."""
+    inlines it for a run's first fleet curve and calls it for each further
+    curve; TestKernelMatchesReplacedLoop checks both paths."""
     lo, hi, p_nominal, f_min, p_max, rise, run_under, f_max, p_min, fall, run_over = anchors
     if lo <= f <= hi:
         return p_nominal
@@ -265,8 +266,11 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
 
     Runs on Python floats with every constant taken out of the loop; each
     expression keeps one fixed operation order, so a trace is a bit-exact
-    function of the inputs. The stage function evaluates the droop law
-    inline, keeping _droop's branch order and expressions.
+    function of the inputs. The stage function evaluates the first fleet
+    curve's droop law inline, keeping _droop's branch order and expressions,
+    then adds each further curve through _droop in list order;
+    TestKernelMatchesReplacedLoop checks fleets of none, one and several
+    curves against the replaced loop.
 
     The containment reserve deploys proportionally to the frequency
     deviation (full deployment at the band edge) but never faster than
@@ -294,26 +298,35 @@ def _integrate(f: np.ndarray, t: list[float], dt_s: float, params: SystemParamet
     sec_rate = sec_cap / secondary.full_activation_time_s
     sec_bias = sec_cap / params.band_half_width_hz        # MW per Hz
     cover = -event.delta_p_pu * s_base
-    # (rating, *droop anchors, baseline output): only the change relative
-    # to the baseline injects power.
-    fleet = [(r.rating_mw, *_droop_anchors(r.curve), r.rating_mw * evaluate_droop(r.curve, f_n))
+    # (rating, droop anchors, baseline output): only the change relative to
+    # the baseline injects power.
+    fleet = [(r.rating_mw, _droop_anchors(r.curve), r.rating_mw * evaluate_droop(r.curve, f_n))
              for r in droop_fleet]
+    # The first curve's constants, bound once per run. A fleet of none takes a
+    # zero-rated curve whose dead band holds every frequency, so its term is
+    # 0.0; a NaN frequency falls through to a slope over a run of 1.0, which
+    # gives NaN as the damping term does, not a ZeroDivisionError.
+    (rating, (lo, hi, p_nom, f_min, p_max, rise, run_under, f_max, p_min, fall, run_over),
+     base), *extra = fleet or [
+        (0.0, (-math.inf, math.inf, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), 0.0)]
     # Containment activation instant and restoration start, inf until the
     # deviation first leaves the dead band.
     t_act = sec_start = math.inf
 
     # Each clamp is max(-c, min(c, x)) written as two conditional expressions.
     def dfdt(tt, ff, ps):
-        p_fleet = 0.0
-        for (rating, lo, hi, p_nom, f_min, p_max, rise, run_under,
-             f_max, p_min, fall, run_over, base) in fleet:
-            if lo <= ff <= hi:
-                out = p_nom
-            elif ff < lo:
-                out = p_max if ff <= f_min else p_max + (ff - f_min) * rise / run_under
-            else:
-                out = p_min if ff >= f_max else p_nom + (ff - hi) * fall / run_over
-            p_fleet += rating * out - base
+        if lo <= ff <= hi:
+            out = p_nom
+        elif ff < lo:
+            out = p_max if ff <= f_min else p_max + (ff - f_min) * rise / run_under
+        else:
+            out = p_min if ff >= f_max else p_nom + (ff - hi) * fall / run_over
+        # A sum started from 0.0, as the replaced loop's was, differs only in
+        # the sign of a zero p_fleet; adding ps, never -0.0, erases that sign.
+        p_fleet = rating * out - base
+        if extra:
+            for r, anchors, b in extra:
+                p_fleet += r * _droop(ff, anchors) - b
         p_fcr = 0.0
         if tt >= t_act:
             envelope = fcr_rate * (tt - t_act)

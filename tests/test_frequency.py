@@ -471,6 +471,30 @@ class TestKernelMatchesReplacedLoop:
         check()
         assert any(quiet)
 
+    @pytest.mark.parametrize("curves, delta_p_pu", [(0, -0.1), (1, -0.1), (3, -0.4)],
+                             ids=["no_curve", "one_curve", "three_curves"])
+    def test_each_fleet_path_matches_oracle(self, curves, delta_p_pu):
+        # The stage function inlines the first curve's droop law and adds
+        # the others through _droop in list order; a fleet of none takes a
+        # zero-rated stand-in. Of the three curves, the last has the
+        # narrowest dead band, which containment takes. f falls past the
+        # first curve's f_min and stays above the others', so all three
+        # outputs carry rounding and their sum depends on its order.
+        fleet = bm.benchmark_droop_fleet() + [
+            RatedDroopCurve(curve=DroopCurve(f_n=50.0, dead_band_half_width=dead_band,
+                                             p_nominal=0.5, p_max=1.0, f_min=f_min,
+                                             p_min=0.0, f_max=f_max), rating_mw=rating)
+            for rating, dead_band, f_min, f_max in ((37.3, 0.01, 47.0, 50.2),
+                                                    (23.9, 0.0, 46.0, 50.03))]
+        run = dict(params=bm.benchmark_system(0.5),
+                   event=DisturbanceEvent(t_event_s=1.0, delta_p_pu=delta_p_pu),
+                   fcr=bm.benchmark_fcr(), secondary=bm.benchmark_secondary(),
+                   droop_fleet=fleet[:curves], horizon_s=36.0, dt_s=0.01)
+        expected = _oracle_frequencies(**run)
+        assert simulate_disturbance(**run).f.tobytes() == expected.tobytes()
+        if curves == 3:
+            assert fleet[1].curve.f_min < expected.min() < fleet[0].curve.f_min
+
     @pytest.mark.parametrize("delta_p_pu", [-0.04, -0.16])
     @pytest.mark.parametrize("h_sys_s", [2.0, 2.5, 3.5, 4.0, 5.0])
     def test_sweep_shapes_match_oracle(self, h_sys_s, delta_p_pu):

@@ -286,6 +286,7 @@ class TestCliExitCodes:
 
     # A usage error prints the usage line of the command it reached, or of
     # the group, then one error line, and exits 64 with nothing written.
+    # After --errors-json it prints one JSON object with both instead.
     @pytest.mark.parametrize("args, command, message", [
         ((), None, "Missing command."),
         (("--errors-json",), None, "Missing command."),
@@ -309,15 +310,28 @@ class TestCliExitCodes:
          "Got unexpected extra argument (extra)"),
         (("validate", "--errors-json", "--scenario", "bs.json"), "validate",
          "No such option '--errors-json'."),
+        (("--errors-json", "validate"), "validate", "Missing option '--scenario'."),
+        (("--errors-json", "validate", "--scenaro", "bs.json", "--out", "m"), "validate",
+         "No such option '--scenaro'."),
+        (("--errors-json", "--bogus", "validate"), None, "No such option '--bogus'."),
+        (("--bogus", "--errors-json", "validate"), None, "No such option '--bogus'."),
     ], ids=["bare", "errors_json_only", "unknown_command", "unknown_group_option",
             "group_flag_with_value", "missing_option", "missing_second_option",
             "option_without_value", "unknown_option", "bad_integer_seed", "bad_integer_runs",
-            "bad_float", "bad_choice", "extra_argument", "errors_json_after_command"])
+            "bad_float", "bad_choice", "extra_argument", "errors_json_after_command",
+            "errors_json_missing_option", "errors_json_bad_option",
+            "errors_json_bad_group_option", "errors_json_after_bad_group_option"])
     def test_usage_errors(self, workspace, monkeypatch, args, command, message):
         monkeypatch.chdir(workspace["root"])
         code, out, err = _cli(*args)
         usage = f"gridres {command} [OPTIONS]" if command else "gridres [OPTIONS] COMMAND [ARGS]..."
-        assert (code, out, err) == (EXIT_USAGE, "", f"Usage: {usage}\ngridres: error: {message}\n")
+        assert (code, out) == (EXIT_USAGE, "")
+        if args[:1] == ("--errors-json",):
+            assert err.count("\n") == 1
+            assert json.loads(err) == {"error": "UsageError", "message": message,
+                                       "usage": f"Usage: {usage}"}
+        else:
+            assert err == f"Usage: {usage}\ngridres: error: {message}\n"
         assert not Path("m").exists()
 
     @pytest.mark.parametrize("args, value", [
