@@ -19,12 +19,14 @@ across parameter cells (see monte_carlo).
 
 Each scenario is compiled once (RestorationScenario.compiled): comm-node
 and bus distances and the area-switch adjacency, none of which battery
-flags or cell radii change. A run turns its radii into link and coverage
-sets. The disk-graph components of each operational node set, and the
-buses the cells of each node set cover, are computed once and reused by
-later rounds and, within one Monte Carlo study, by later runs; a comm
-graph is just that tuple of components, one int bitset of comm nodes
-each. Single runs and Monte Carlo runs go through run_restoration.
+flags or cell radii change. The link and coverage sets of one radius
+(or of the scenario's own radii) are built once and kept with it. The
+disk-graph components of each operational node set, and the buses the
+cells of each node set cover, are computed once per radius and reused
+by later rounds and by every later run and Monte Carlo study at that
+radius; a comm graph is just that tuple of components, one int bitset
+of comm nodes each. Single runs and Monte Carlo runs go through
+run_restoration.
 
 An island is its set of areas, an int with one bit per area in
 sorted-name order. What that set fixes, its load split, its follower
@@ -62,6 +64,8 @@ ROUND_DELAY_S = 30.0           # between agent coordination rounds
 NOMINAL_FREQUENCY_HZ = 50.0
 MAX_RUNS = 10_000              # Monte Carlo replicates per study
 _EQ_TOL = 1e-9
+_BLOCK = 1 << 16               # distance-matrix entries per block of rows
+_TIE_ULPS = 4                  # distances this close to a radius use math.hypot
 
 
 class SyncRejectedError(GridResError):
@@ -194,16 +198,23 @@ class RestorationScenario:
         return _CompiledRestoration(self)
 
 
-def _distances(a, b) -> np.ndarray:
-    """[i, j] = math.dist(a[i], b[j]) for lists of (x, y) points.
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] = np.hypot of the coordinate differences of a[i] and b[j],
+    for (n, 2) arrays of points, built a block of rows at a time so the
+    temporaries stay small.
 
-    math.dist is math.hypot of the coordinate differences; np.hypot and
-    np.sqrt(dx*dx + dy*dy) round differently on some pairs, which would
-    flip a link or coverage test that sits exactly on a radius.
+    math.dist is math.hypot of the same differences; np.hypot rounds
+    differently on some pairs, by at most an ulp, which could flip a link
+    or coverage test that sits exactly on a radius. _CommCells decides
+    every entry that close to its radius on math.hypot again.
     """
     out = np.empty((len(a), len(b)))
-    for i, (xa, ya) in enumerate(a):
-        out[i] = [math.hypot(xa - xb, ya - yb) for xb, yb in b]
+    rows = max(1, _BLOCK // max(len(b), 1))
+    with np.errstate(over="ignore"):     # far-apart points: inf, as math.hypot
+        for start in range(0, len(a), rows):
+            block = a[start:start + rows]
+            np.hypot(block[:, :1] - b[:, 0], block[:, 1:] - b[:, 1],
+                     out=out[start:start + len(block)])
     return out
 
 
@@ -238,7 +249,11 @@ class _CompiledRestoration:
     followers[k]. formers maps each area that holds grid-forming units
     to their ids and summed capacity. The load split, follower
     candidates, comm nodes and switch neighbors of an island are memoised
-    per area set (island), for every run of the scenario.
+    per area set (island), for every run of the scenario. Likewise it
+    holds one _CommCells per distinct radius it was asked for (cells),
+    with their graph and coverage memos, for every run and every Monte
+    Carlo study of the scenario; points[k] is bus k's (x, y), as
+    math.dist takes it.
     """
 
     def __init__(self, scn: RestorationScenario):
@@ -246,11 +261,13 @@ class _CompiledRestoration:
         self.followers = tuple(d for d in scn.ders
                                if d.capability is not DerCapability.GRID_FORMING)
         self._islands: dict[int, _Island] = {}
+        self._cells: dict[float | None, _CommCells] = {}
         self.comm = tuple(sorted(scn.comm, key=lambda c: c.bus))
         bus_index = {b.id: k for k, b in enumerate(scn.buses)}
-        points = [(float(b.x_km), float(b.y_km)) for b in scn.buses]   # as math.dist
+        self.points = [(float(b.x_km), float(b.y_km)) for b in scn.buses]
         self.comm_at = [bus_index[c.bus] for c in self.comm]
-        self.cover_dist = _distances([points[k] for k in self.comm_at], points)
+        xy = np.array(self.points, dtype=float).reshape(-1, 2)
+        self.cover_dist = _distances(xy[self.comm_at], xy)
         self.areas = scn.areas
         number = {a: i for i, a in enumerate(self.areas)}
         self.area_of = {b.id: number[b.area] for b in scn.buses}
@@ -303,6 +320,18 @@ class _CompiledRestoration:
                              key=lambda d: (_FOLLOWER_RANK[d.capability], d.bus, d.id))),
                 comm, near & ~areas)
         return island
+
+    def cells(self, radius: float | None = None) -> "_CommCells":
+        """The comm cells with every cell radius set to radius, or at
+        the scenario's own radii for None; built on first use and kept,
+        one per float(radius)."""
+        key = None if radius is None else float(radius)
+        cells = self._cells.get(key)
+        if cells is None:
+            radii = (np.array([c.cell_radius_km for c in self.comm], dtype=float)
+                     if key is None else np.full(len(self.comm), key))
+            cells = self._cells[key] = _CommCells(self, radii)
+        return cells
 
 
 class Microgrid(NamedTuple):
@@ -414,8 +443,20 @@ class _CommCells:
     """
 
     def __init__(self, compiled: _CompiledRestoration, radii: np.ndarray):
-        near = compiled.cover_dist <= radii[:, None]
-        mutual = near[:, compiled.comm_at]      # node i's cell holds node j
+        # cover_dist is np.hypot, within an ulp of math.hypot: an entry
+        # this close to its radius is decided on math.hypot, as math.dist.
+        dist, radius = compiled.cover_dist, radii[:, None]
+        # Near the float maximum the window overflows to inf, which only
+        # sends more entries to the recheck.
+        with np.errstate(over="ignore"):
+            slack = _TIE_ULPS * np.spacing(radius)
+            near = dist < radius - slack
+            ties = (dist <= radius + slack) ^ near
+        points, comm_at = compiled.points, compiled.comm_at
+        for i, k in zip(*np.nonzero(ties)):
+            (xa, ya), (xb, yb) = points[comm_at[i]], points[k]
+            near[i, k] = math.hypot(xa - xb, ya - yb) <= radii[i]
+        mutual = near[:, comm_at]      # node i's cell holds node j
         self.cover = _bit_rows(near)
         self.link = [a & b for a, b in zip(_bit_rows(mutual), _bit_rows(mutual.T))]
         self._graphs: dict[int, tuple[int, ...]] = {}
@@ -449,12 +490,6 @@ class _CommCells:
         return buses
 
 
-def _own_cells(compiled: _CompiledRestoration) -> _CommCells:
-    """Cells at the scenario's own radii."""
-    return _CommCells(compiled, np.array([c.cell_radius_km for c in compiled.comm],
-                                         dtype=float))
-
-
 def comm_reachable(scenario: RestorationScenario, powered_buses,
                    battery_charge_kwh: dict[str, float] | None = None
                    ) -> tuple[int, ...]:
@@ -472,7 +507,7 @@ def comm_reachable(scenario: RestorationScenario, powered_buses,
     for i, c in enumerate(compiled.comm):
         if c.bus in powered or (c.has_battery and charge.get(c.bus, c.battery_kwh) > 0):
             working |= 1 << i
-    return _own_cells(compiled).graph(working)
+    return compiled.cells().graph(working)
 
 
 def _reach(components: tuple[int, ...], nodes: int) -> int:
@@ -586,15 +621,15 @@ class RestorationState:
     """Mutable working state of one restoration run.
 
     cells and battery (a set bit per node of compiled.comm) default to
-    the scenario's own radii and battery flags; a Monte Carlo run passes
-    its own.
+    compiled.cells(), the scenario's own radii, and its battery flags; a
+    Monte Carlo run passes its own.
     """
 
     def __init__(self, scenario: RestorationScenario, seed=0,
                  cells: _CommCells | None = None, battery: int | None = None):
         self.scenario = scenario
         self.compiled = compiled = scenario.compiled
-        self.cells = _own_cells(compiled) if cells is None else cells
+        self.cells = compiled.cells() if cells is None else cells
         if battery is None:
             battery = sum(1 << i for i, c in enumerate(compiled.comm) if c.has_battery)
         self.rng = random.Random(f"gridres-blackstart:{seed}")
@@ -786,16 +821,18 @@ def monte_carlo(scenario: RestorationScenario, p_battery: float,
     when an island's critical load exceeds its generation, since the
     merge order then decides which followers it can crank.
 
-    The runs share the scenario's compiled geometry and one set of comm
-    cells. cell_radius_km is checked against the CommNode row it fills
-    and the battery draws are bools, so no per-run scenario is built.
+    The runs share the scenario's compiled geometry and its comm cells
+    at cell_radius_km (compiled.cells), which every other study and run
+    at that radius shares too, with their graph and coverage memos.
+    cell_radius_km is checked against the CommNode row it fills and the
+    battery draws are bools, so no per-run scenario is built.
     """
     require(("p_battery", number(ge=0, le=1), p_battery),
             ("cell_radius_km", row(CommNode, "cell_radius_km"), cell_radius_km))
     if type(runs) is bool or not (isinstance(runs, int) and 1 <= runs <= MAX_RUNS):
         raise InvalidInputError(f"runs: must be an integer in [1, {MAX_RUNS}]")
     compiled = scenario.compiled
-    cells = _CommCells(compiled, np.full(len(compiled.comm), float(cell_radius_km)))
+    cells = compiled.cells(cell_radius_km)
     fractions = []
     for k in range(runs):
         draw = random.Random(f"gridres-mc:{seed}:{k}").random

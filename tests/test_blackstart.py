@@ -183,6 +183,16 @@ class TestCommReachable:
 # compiled: an O(N^2) pair loop with math.dist, and a math.dist coverage
 # scan. Kept as the reference the compiled code must match exactly.
 
+def _oracle_linked(pos, a, b):
+    """Comm nodes a and b are linked: within both cell radii."""
+    return math.dist(pos[a.bus], pos[b.bus]) <= min(a.cell_radius_km, b.cell_radius_km)
+
+
+def _oracle_covers(pos, node, bus):
+    """A bus is inside a comm node's cell."""
+    return math.dist(pos[node.bus], (bus.x_km, bus.y_km)) <= node.cell_radius_km
+
+
 def _oracle_comm_reachable(scenario, powered_buses, battery_charge_kwh=None):
     powered = set(powered_buses)
     charge = battery_charge_kwh or {}
@@ -196,8 +206,7 @@ def _oracle_comm_reachable(scenario, powered_buses, battery_charge_kwh=None):
     neighbors = {i: set() for i in ids}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            d = math.dist(pos[a], pos[b])
-            if d <= min(nodes[a].cell_radius_km, nodes[b].cell_radius_km):
+            if _oracle_linked(pos, nodes[a], nodes[b]):
                 neighbors[a].add(b)
                 neighbors[b].add(a)
     component_of = {}
@@ -230,8 +239,7 @@ def _oracle_dead_area_reachable(scenario, operational, component_of,
                        and component_of[c.bus] in grid_comps]
     pos = {b.id: (b.x_km, b.y_km) for b in scenario.buses}
     for b in area_buses:
-        if not any(math.dist(pos[c.bus], (b.x_km, b.y_km)) <= c.cell_radius_km
-                   for c in reachable_nodes):
+        if not any(_oracle_covers(pos, c, b) for c in reachable_nodes):
             return False
     return True
 
@@ -612,7 +620,7 @@ class TestCommCells:
         scenario = RestorationScenario(
             buses=(BusPoint("B0", 0, 0, "A0"), BusPoint("B1", 1, 0, "A1")),
             loads=(), ders=(), switches=(), comm=())
-        cells = blackstart._own_cells(scenario.compiled)
+        cells = scenario.compiled.cells()
         assert (cells.cover, cells.link, cells.covered(0)) == ([], [], 0)
         assert blackstart._bit_rows(np.zeros((3, 0), dtype=bool)) == [0, 0, 0]
 
@@ -621,7 +629,7 @@ class TestCommCells:
            st.floats(0.5, 12.0), st.data())
     def test_covered_is_the_union_of_the_cells_on_every_call(self, name, radius, data):
         compiled = _shared_scenario(name).compiled
-        cells = blackstart._CommCells(compiled, np.full(len(compiled.comm), radius))
+        cells = compiled.cells(radius)
         for nodes in data.draw(st.lists(st.integers(0, 2**len(compiled.comm) - 1),
                                         min_size=1, max_size=4)):
             expected = 0
@@ -630,6 +638,104 @@ class TestCommCells:
                     expected |= cells.cover[i]
             assert cells.covered(nodes) == expected    # first call
             assert cells.covered(nodes) == expected    # memoised
+
+
+@cache
+def _hypot_disagreements():
+    """Offsets (dx, dy) on which np.hypot and math.hypot round differently
+    (by one ulp), found by a seeded search."""
+    rng = np.random.default_rng(37)
+    out = []
+    while len(out) < 64:
+        offsets = rng.uniform(-12.0, 12.0, (4096, 2))
+        for (dx, dy), h in zip(offsets.tolist(),
+                               np.hypot(offsets[:, 0], offsets[:, 1]).tolist()):
+            if h != math.hypot(dx, dy):
+                out.append((dx, dy))
+    return tuple(out[:64])
+
+
+@st.composite
+def tie_layouts(draw):
+    """Comm nodes with buses exactly on their radius: axis offsets, 3-4-5
+    triples scaled by powers of two, and offsets that np.hypot rounds
+    away from math.hypot. Each radius is a drawn pair distance, an ulp
+    either side of it or a scaled 5; so is the one radius drawn for all
+    nodes at once."""
+    anchors = [(0.0, 0.0), (0.5, 0.25), (3.0, -7.0), (0.1, 0.7)]
+    sign = st.sampled_from([1.0, -1.0])
+
+    def offset():
+        kind = draw(st.sampled_from(["axis", "triple", "rounds_apart"]))
+        if kind == "axis":
+            d = draw(st.floats(0.01, 12.0) | st.integers(1, 12).map(float))
+            return draw(st.sampled_from([(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)]))
+        if kind == "triple":
+            k = draw(st.integers(-4, 3))
+            a, b = draw(st.permutations([3.0, 4.0]))
+            return math.ldexp(a * draw(sign), k), math.ldexp(b * draw(sign), k)
+        return draw(st.sampled_from(_hypot_disagreements()))
+
+    buses, nodes = [], []
+    for n in range(draw(st.integers(1, 4))):
+        x0, y0 = draw(st.sampled_from(anchors))
+        buses.append(BusPoint(f"N{n}", x0, y0, "A0"))
+        nodes.append(buses[-1])
+        for _ in range(draw(st.integers(1, 3))):
+            dx, dy = offset()
+            buses.append(BusPoint(f"B{len(buses):02d}", x0 + dx, y0 + dy, "A0"))
+    pairs = sorted({math.dist((a.x_km, a.y_km), (b.x_km, b.y_km))
+                    for a in nodes for b in buses} - {0.0})
+
+    def radius():
+        r = draw(st.sampled_from(pairs) | st.integers(-4, 3).map(lambda k: math.ldexp(5, k)))
+        return draw(st.sampled_from([r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)]))
+
+    comm = tuple(CommNode(b.id, False, 0.0, 0.5, radius()) for b in nodes)
+    return RestorationScenario(buses=tuple(buses), loads=(), ders=(), switches=(),
+                               comm=comm), radius()
+
+
+def _oracle_cell_bits(scenario):
+    """cover and link rows of the scenario's own radii, from the oracle's
+    math.dist decisions."""
+    comm = sorted(scenario.comm, key=lambda c: c.bus)
+    pos = {b.id: (b.x_km, b.y_km) for b in scenario.buses}
+    cover = [sum(1 << k for k, b in enumerate(scenario.buses) if _oracle_covers(pos, c, b))
+             for c in comm]
+    link = [sum(1 << j for j, d in enumerate(comm) if _oracle_linked(pos, c, d))
+            for c in comm]
+    return cover, link
+
+
+class TestCellsOnATie:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_layouts())
+    def test_cover_and_link_bits_match_math_dist(self, layout):
+        scenario, radius = layout
+        cells = scenario.compiled.cells()
+        assert (cells.cover, cells.link) == _oracle_cell_bits(scenario)
+        uniform = replace(scenario, comm=tuple(replace(c, cell_radius_km=radius)
+                                               for c in scenario.comm))
+        cells = scenario.compiled.cells(radius)
+        assert (cells.cover, cells.link) == _oracle_cell_bits(uniform)
+
+    def test_distances_and_radii_near_the_float_maximum(self):
+        # Coordinate differences that overflow to inf, and a window around
+        # the largest radius that does, warn nothing and decide as math.dist.
+        top = math.nextafter(math.inf, 0.0)
+        scenario = RestorationScenario(
+            buses=(BusPoint("B0", -1e308, 0.0, "A0"), BusPoint("B1", 1e308, 1e308, "A0"),
+                   BusPoint("B2", 0.0, 0.0, "A0")),
+            loads=(), ders=(), switches=(),
+            comm=(CommNode("B0", False, 0.0, 0.5, top), CommNode("B1", False, 0.0, 0.5, 2.0),
+                  CommNode("B2", False, 0.0, 0.5, top)))
+        cells = scenario.compiled.cells()
+        assert (cells.cover, cells.link) == _oracle_cell_bits(scenario) == ([5, 2, 7], [5, 2, 5])
+        uniform = replace(scenario, comm=tuple(replace(c, cell_radius_km=top)
+                                               for c in scenario.comm))
+        cells = scenario.compiled.cells(top)
+        assert (cells.cover, cells.link) == _oracle_cell_bits(uniform)
 
 
 def served_totals(state):
@@ -1189,7 +1295,7 @@ def restoration_runs(draw):
                 else _shared_scenario(name))
     compiled = scenario.compiled
     radius = draw(st.sampled_from([1.4, 2.0, 3.0, 6.0, 10.0]) | st.floats(0.5, 30.0))
-    cells = blackstart._CommCells(compiled, np.full(len(compiled.comm), radius))
+    cells = compiled.cells(radius)
     battery = draw(st.integers(0, (1 << len(compiled.comm)) - 1))
     return scenario, draw(st.integers(0, 2**32)), cells, battery
 
@@ -1197,7 +1303,7 @@ def restoration_runs(draw):
 def _mc_oracle(scenario, p_battery, radius, runs, seed):
     """monte_carlo's fractions, each read from the eager record's last event."""
     compiled = scenario.compiled
-    cells = blackstart._CommCells(compiled, np.full(len(compiled.comm), radius))
+    cells = compiled.cells(radius)
     out = []
     for k in range(runs):
         draw = random.Random(f"gridres-mc:{seed}:{k}").random
@@ -1230,6 +1336,43 @@ class TestLazyTimeline:
             result = monte_carlo(scenario, p, r, runs=4, seed=3)
             assert [f.hex() for f in result.restored_fractions] == \
                 [f.hex() for f in _mc_oracle(scenario, p, r, 4, 3)]
+
+
+def _loaded(make):
+    """A scenario as a document loads it: dumped, through JSON, loaded."""
+    return schemas.load_restoration_scenario(json.loads(json.dumps(
+        schemas.dump_restoration_scenario(make()))))
+
+
+class TestSharedCells:
+    @pytest.mark.parametrize("make", [bm.benchmark_restoration_scenario,
+                                      lambda: two_tile_scenario(2, 2)],
+                             ids=["benchmark", "two_by_two"])
+    def test_sharing_changes_no_result(self, make):
+        # Studies interleaved on one loaded scenario share its cells per
+        # radius; each must read as the same call on a fresh copy.
+        shared = _loaded(make)
+        compiled = shared.compiled
+        for radius in (2, 6.0, 10.0, 2.0):
+            for p_battery in (0.1, 0.9):
+                for seed in (4, 9):
+                    fresh = _loaded(make)
+                    got = monte_carlo(shared, p_battery, radius, 3, seed)
+                    want = monte_carlo(fresh, p_battery, radius, 3, seed)
+                    assert [f.hex() for f in got.restored_fractions] == \
+                        [f.hex() for f in want.restored_fractions]
+                    assert repr(got) == repr(want)
+                    battery = random.Random(seed).getrandbits(len(compiled.comm))
+                    assert _timeline_text(run_restoration(
+                        shared, seed, compiled.cells(radius), battery)) == \
+                        _timeline_text(run_restoration(
+                            fresh, seed, fresh.compiled.cells(radius), battery))
+        assert compiled.cells(3) is compiled.cells(3.0)
+        assert sorted(compiled._cells) == [2.0, 3.0, 6.0, 10.0]
+        run_restoration(shared, seed=1)
+        comm_reachable(shared, set())
+        assert compiled.cells() is compiled.cells(None)
+        assert len(compiled._cells) == 5
 
 
 class TestScenarioValidation:
